@@ -31,16 +31,7 @@ func main() {
 	all := flag.Bool("all", false, "print every analytical figure and table")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to `file`")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to `file` on exit")
-	fast := flag.Bool("fast", false, "fast simulation tier (CLI parity with vantage-sim; see DESIGN.md §7)")
 	flag.Parse()
-
-	if *fast {
-		// The tier switch only affects workload generators (vantage-sim's
-		// simulation figures); every figure and table this command produces
-		// is closed-form, so both tiers print identical output. The flag is
-		// accepted so scripts can pass one tier switch to both commands.
-		fmt.Fprintln(os.Stderr, "figures: analytical figures are closed-form; -fast changes nothing here")
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)

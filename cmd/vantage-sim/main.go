@@ -9,11 +9,9 @@
 //	vantage-sim -config fig6a [-scale unit|small|full] [-mixes N] [-csv dir]
 //
 // Configs: all (full report), fig6a, fig6b, fig7, fig8, fig9, fig10, fig11,
-// table3, validation,
-// bench (kernel timing matrix written to BENCH_sim.json),
-// fairness (weighted/harmonic speedup metrics, §5's footnote), assoc
-// (empirical associativity CDFs vs FA(x)=x^R), transient (resize
-// convergence speed, the Fig 8 adaptation claim).
+// table3, validation, fairness (weighted/harmonic speedup metrics, §5's
+// footnote), assoc (empirical associativity CDFs vs FA(x)=x^R), transient
+// (resize convergence speed, the Fig 8 adaptation claim).
 // The default -mixes caps runtime; pass -mixes 350 for the paper's full
 // workload sets.
 package main
@@ -34,11 +32,7 @@ func main() {
 	mixes := flag.Int("mixes", 35, "number of mixes (350 = paper)")
 	csvDir := flag.String("csv", "", "directory to write CSV data into")
 	mixID := flag.String("mix", "ttnn4", "mix for -config fig8")
-	benchOut := flag.String("o", "BENCH_sim.json", "output path for -config bench")
-	benchFig7 := flag.Bool("fig7", false, "also time the Fig 7 regeneration microcosm in -config bench (~25s)")
-	benchCompare := flag.String("compare", "", "committed BENCH_sim.json to regression-check the fresh -config bench run against")
 	contention := flag.Bool("contention", false, "model L2 banks and memory bandwidth (Table 2)")
-	fast := flag.Bool("fast", false, "fast simulation tier: alias-method generators, statistically equivalent but not bit-exact (DESIGN.md §7)")
 	partition := flag.Int("partition", 0, "partition to trace for -config fig8")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	flag.Parse()
@@ -60,7 +54,6 @@ func main() {
 		if *contention {
 			m = m.WithContention()
 		}
-		m.FastTier = *fast
 		return m
 	}
 
@@ -173,21 +166,6 @@ func main() {
 		m := applyContention(exp.SmallCMP(sc))
 		r := exp.RunAssociativity(nil, m.L2Lines, 8000, m.Seed)
 		fmt.Println(r.Table())
-	case "bench":
-		if err := runSimBenchMatrix(*benchOut, *scale, sc, *benchFig7); err != nil {
-			fmt.Fprintln(os.Stderr, "vantage-sim:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *benchOut)
-		if *benchCompare != "" {
-			// CI perf-regression smoke: per-row tolerances (see
-			// rowTolerance) so long, stable rows gate tightly while short
-			// noisy ones only catch gross regressions.
-			if err := compareSimBench(*benchOut, *benchCompare); err != nil {
-				fmt.Fprintln(os.Stderr, "vantage-sim:", err)
-				os.Exit(1)
-			}
-		}
 	case "fairness":
 		m := applyContention(exp.SmallCMP(sc))
 		r := exp.RunFairness(m, exp.LRUBaseline(),

@@ -19,14 +19,6 @@ import (
 // "name=class[:conns]" with class one of friendly, fitting, stream,
 // insensitive (the paper's Table 3 categories); working sets scale to
 // -lines the way internal/workload scales them to cache capacity.
-//
-// With -json <path>, bench instead runs the standard performance matrix —
-// the in-process sharded access path at 1/4/16 goroutines, TCP loadgen
-// unbatched and with MGET pipelining, the same pair over the binary
-// protocol, hot-read protocol-ceiling rows for both protocols, and the
-// 10k-idle-connection memory probe — and writes the results as JSON, so
-// the repo can keep a benchmark trajectory across changes
-// (BENCH_service.json at the repo root).
 func benchMain(args []string) {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
 	addr := fs.String("addr", "", "vantaged address; empty self-hosts an in-process server")
@@ -39,29 +31,11 @@ func benchMain(args []string) {
 	shards := fs.Int("shards", 4, "shards when self-hosting")
 	repartition := fs.Duration("repartition", 50*time.Millisecond, "repartition interval when self-hosting")
 	seed := fs.Uint64("seed", 2011, "workload and cache seed")
-	jsonPath := fs.String("json", "", "run the standard benchmark matrix and write results to this JSON file")
-	only := fs.String("only", "", "with -json: run only matrix rows whose name contains this substring")
-	compare := fs.String("compare", "", "with -json: check results against this committed report, failing on per-row regressions past tolerance")
 	chaos := fs.Bool("chaos", false, "overload-tolerant mode: count BUSY/shed/fault/dropped instead of aborting")
 	maxConns := fs.Int("max-conns", 0, "self-host: max concurrent connections, extras get BUSY (0 = unlimited)")
 	maxInflight := fs.Int("max-inflight", 0, "self-host: max data commands in flight (0 = unlimited)")
 	faultSpec := fs.String("fault", "", "self-host: fault injection spec (see vantaged -fault)")
 	fs.Parse(args)
-
-	if *jsonPath != "" {
-		rep, err := runBenchMatrix(*jsonPath, *only, *lines, *shards, *valueSize, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vantaged bench:", err)
-			os.Exit(1)
-		}
-		if *compare != "" {
-			if err := compareBenchReport(rep, *compare); err != nil {
-				fmt.Fprintln(os.Stderr, "vantaged bench:", err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
 
 	specs, err := parseTenantSpecs(*tenants, *lines, *seed)
 	if err != nil {
@@ -73,9 +47,14 @@ func benchMain(args []string) {
 	var svc *service.Service
 	var srv *service.Server
 	if target == "" {
+		perShard, err := linesPerShard(*lines, *shards)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "vantaged bench:", err)
+			os.Exit(2)
+		}
 		svc, err = service.New(service.Config{
 			Shards:              *shards,
-			LinesPerShard:       *lines / *shards,
+			LinesPerShard:       perShard,
 			RepartitionInterval: *repartition,
 			Seed:                *seed,
 		})

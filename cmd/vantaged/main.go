@@ -43,6 +43,20 @@ import (
 	"vantage/internal/service"
 )
 
+// linesPerShard splits a -lines capacity across -shards. service.New
+// treats a zero LinesPerShard as "use the default", so a capacity below the
+// shard count must be rejected here rather than silently served at 8,192
+// lines per shard.
+func linesPerShard(lines, shards int) (int, error) {
+	if shards <= 0 {
+		return 0, fmt.Errorf("-shards must be positive (got %d)", shards)
+	}
+	if lines < shards {
+		return 0, fmt.Errorf("-lines %d is less than one line per shard (-shards %d)", lines, shards)
+	}
+	return lines / shards, nil
+}
+
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "bench" {
 		benchMain(os.Args[2:])
@@ -84,9 +98,14 @@ func main() {
 	trackLatency := flag.Bool("track-latency", false, "record per-request service latency (exported as a histogram on /metrics)")
 	flag.Parse()
 
+	perShard, err := linesPerShard(*lines, *shards)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "vantaged:", err)
+		os.Exit(2)
+	}
 	svc, err := service.New(service.Config{
 		Shards:              *shards,
-		LinesPerShard:       *lines / *shards,
+		LinesPerShard:       perShard,
 		Ways:                *ways,
 		Candidates:          *cands,
 		MaxTenants:          *maxTenants,
@@ -138,7 +157,7 @@ func main() {
 		WriteTimeout:      *writeTimeout,
 	})
 	fmt.Fprintf(os.Stderr, "vantaged: serving on %s (%d shards x %d lines, %d tenant slots)\n",
-		srv.Addr(), *shards, *lines / *shards, *maxTenants)
+		srv.Addr(), *shards, perShard, *maxTenants)
 
 	if *clusterList != "" {
 		members := splitAddrs(*clusterList)

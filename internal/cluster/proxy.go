@@ -751,12 +751,20 @@ func (p *Proxy) textPutFallback(ts *textProxySess, r *bufio.Reader, line string,
 	b.w.WriteString("\r\n")
 	b.w.Write(body)
 	b.w.WriteString("\r\n")
-	if err := b.w.Flush(); err != nil {
-		return err
-	}
+	// A node refuses an oversized value from the command line alone and
+	// closes, so the write of the block can fail while the node's ERR is
+	// already readable: the write error counts only when no reply arrived.
+	werr := b.w.Flush()
 	resp, err := readLine(b.r)
 	if err != nil {
+		if werr != nil {
+			return werr
+		}
 		return err
+	}
+	if werr != nil {
+		b.conn.Close()
+		delete(ts.backends, addr)
 	}
 	ts.w.WriteString(resp + "\r\n")
 	return nil

@@ -428,7 +428,7 @@ func TestScaleChurnHitRate(t *testing.T) {
 
 	// p99 per node from the scraped histogram; the bound is an NFR
 	// smoke-level ceiling (loopback TCP, possibly under -race), not a
-	// performance claim — BENCH_service.json carries those.
+	// performance claim — the proxy-mix workload in bench/ carries those.
 	var worstP99 float64
 	var version float64
 	for i, nd := range nodes {

@@ -5,8 +5,7 @@ import (
 	"testing"
 )
 
-// BenchmarkFig7Microcosm is the tentpole wall-clock target's in-tree twin:
-// the exact configuration the bench report's fig7 rows time (LargeCMP at
+// BenchmarkFig7Microcosm is a small Fig 7 regeneration (LargeCMP at
 // ScaleUnit, 25k-instruction window, 6 mixes), runnable under the profiler
 // with `go test -bench Fig7Microcosm -cpuprofile`.
 func BenchmarkFig7Microcosm(b *testing.B) {
@@ -17,25 +16,14 @@ func BenchmarkFig7Microcosm(b *testing.B) {
 	}
 }
 
-// BenchmarkFig7MicrocosmFast is the same microcosm on the fast tier.
-func BenchmarkFig7MicrocosmFast(b *testing.B) {
-	m := LargeCMP(ScaleUnit)
-	m.InstrLimit = 25_000
-	m.FastTier = true
-	for i := 0; i < b.N; i++ {
-		Fig7(m, 6, nil)
-	}
-}
-
-// TestWarmupSensitivity documents why the fast tier does NOT shorten cache
-// warmup, the single biggest wall-clock lever: Fig 7 gmeans are still
-// converging at the configured 250k-instruction warmup, so any cut shifts
-// per-scheme results systematically (measured on this configuration:
-// 250k→150k moves Vantage's gmean -2.4%, →100k -10%, →60k -34%), far
-// outside the ±0.5% equivalence contract. Gated behind an env var — it runs
-// Fig 7 four times (~3 min) and exists to be rerun when warmup or the
-// equivalence budget is retuned: VANTAGE_WARMUP_SWEEP=1 go test
-// ./internal/exp -run TestWarmupSensitivity -v
+// TestWarmupSensitivity documents why cache warmup, the single biggest
+// wall-clock lever, may not be shortened: Fig 7 gmeans are still converging
+// at the configured 250k-instruction warmup, so any cut shifts per-scheme
+// results systematically (measured on this configuration: 250k→150k moves
+// Vantage's gmean -2.4%, →100k -10%, →60k -34%). Gated behind an env var —
+// it runs Fig 7 four times (~3 min) and exists to be rerun when warmup is
+// retuned: VANTAGE_WARMUP_SWEEP=1 go test ./internal/exp -run
+// TestWarmupSensitivity -v
 func TestWarmupSensitivity(t *testing.T) {
 	if os.Getenv("VANTAGE_WARMUP_SWEEP") == "" {
 		t.Skip("set VANTAGE_WARMUP_SWEEP=1 to run the warmup convergence sweep")

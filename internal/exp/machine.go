@@ -45,21 +45,6 @@ type Machine struct {
 	// instruction limits; negative disables recording entirely (every run
 	// generates its streams live).
 	StreamBudget int
-	// FastTier, when set, runs the statistically-equivalent fast simulation
-	// tier: workload generators use alias-table sampling with a cheaper PRNG
-	// (workload.Params.Fast) and the simulator relaxes its repartition
-	// observer assertion (sim.Config.RelaxedRepartition). Machine geometry,
-	// mix composition, warmup, and instruction budgets are unchanged — the
-	// tier alters only reference-stream draw sequences, so results track the
-	// exact tier statistically (±0.5% per-scheme gmean on Fig 7; enforced by
-	// TestFastTierEquivalence) but are NOT bit-identical. Never use for
-	// goldens.
-	FastTier bool
-}
-
-// params returns the workload parameters for this machine's tier.
-func (m Machine) params() workload.Params {
-	return workload.Params{CacheLines: m.L2Lines, Fast: m.FastTier}
 }
 
 // Scale adjusts a machine's size by dividing cache capacity and instruction
@@ -147,7 +132,7 @@ func (m Machine) Mixes(limit int) []workload.Mix {
 			per = need
 		}
 	}
-	all := workload.Mixes(m.Cores, per, m.params(), m.Seed)
+	all := workload.Mixes(m.Cores, per, workload.Params{CacheLines: m.L2Lines}, m.Seed)
 	if limit > 0 && limit < len(all) {
 		// Interleave by class — take mix i of every class before mix i+1 —
 		// with the classes visited in a deterministic shuffled order, so a
@@ -193,7 +178,7 @@ func (m Machine) Mix(id string) (workload.Mix, error) {
 	if idx < 1 || idx > m.MixesPerClass {
 		return workload.Mix{}, fmt.Errorf("exp: mix index %d outside 1..%d", idx, m.MixesPerClass)
 	}
-	return workload.NewMix(class, idx, m.Cores/4, m.params(), m.Seed), nil
+	return workload.NewMix(class, idx, m.Cores/4, workload.Params{CacheLines: m.L2Lines}, m.Seed), nil
 }
 
 func (m Machine) RunMix(mix workload.Mix, sch Scheme) sim.Result {
@@ -237,7 +222,6 @@ func (m Machine) runConfig(mixID string, sch Scheme) sim.Config {
 		RepartitionCycles:  m.RepartitionCycles,
 		PartitionableLines: partLines,
 		Contention:         m.Contention,
-		RelaxedRepartition: m.FastTier,
 	}
 }
 

@@ -125,28 +125,3 @@ func (r *Rand) Intn(n int) int {
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
-
-// LCG is the fast-tier PRNG: a 64-bit linear-congruential generator (Knuth's
-// MMIX multiplier) with a single xorshift on output. One multiply-add per
-// draw versus Rand's three shift-xor pairs plus a multiply. Its streams are
-// NOT interchangeable with Rand's — the fast simulation tier uses it where
-// only the statistics of the stream matter, never on the bit-exact path. The
-// output xorshift folds the strong high half of the state into the weak low
-// half, since consumers use both (alias-table draws split one output into a
-// bucket index and an acceptance coin).
-type LCG struct {
-	state uint64
-}
-
-// NewLCG returns a fast-tier PRNG seeded with seed. Seeds are premixed so
-// that related seeds (e.g. seed^const derivations) start decorrelated.
-func NewLCG(seed uint64) *LCG {
-	return &LCG{state: Mix64(seed)}
-}
-
-// Uint64 returns the next pseudo-random 64-bit value.
-func (g *LCG) Uint64() uint64 {
-	g.state = g.state*6364136223846793005 + 1442695040888963407
-	x := g.state
-	return x ^ x>>32
-}

@@ -382,12 +382,12 @@ func (c *binClient) bmgetRecv(base uint32, keys []string, missBuf []string) (hit
 }
 
 // putPipelined writes one PUT frame per key before a single flush and then
-// drains the batch's responses. ttls carries one TTL in milliseconds per
-// key, -1 meaning none. In chaos mode, shed and fault replies are folded
+// drains the batch's responses. ttlMS is every key's TTL in milliseconds,
+// -1 meaning none. In chaos mode, shed and fault replies are folded
 // into tr and the batch continues; otherwise the first such reply is
 // returned after the drain completes.
-func (c *binClient) putPipelined(tenant string, keys []string, val []byte, ttls []int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
-	tok, err := c.putSend(tenant, keys, val, ttls)
+func (c *binClient) putPipelined(tenant string, keys []string, val []byte, ttlMS int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
+	tok, err := c.putSend(tenant, keys, val, ttlMS)
 	if err != nil {
 		return 0, err
 	}
@@ -396,15 +396,15 @@ func (c *binClient) putPipelined(tenant string, keys []string, val []byte, ttls 
 
 // putSend writes the batch's PUT frames and flushes (the send phase of the
 // batchProto split); the returned token is the base id for putRecv.
-func (c *binClient) putSend(tenant string, keys []string, val []byte, ttls []int) (uint32, error) {
+func (c *binClient) putSend(tenant string, keys []string, val []byte, ttlMS int) (uint32, error) {
 	base := c.id
-	for i, key := range keys {
-		var flags uint8
-		var ttl uint32
-		if len(ttls) > i && ttls[i] >= 0 {
-			flags = binFlagTTL
-			ttl = uint32(ttls[i])
-		}
+	var flags uint8
+	var ttl uint32
+	if ttlMS >= 0 {
+		flags = binFlagTTL
+		ttl = uint32(ttlMS)
+	}
+	for _, key := range keys {
 		c.writeFrame(binOpPut, flags, c.nextID(), ttl, tenant, key, val)
 	}
 	return base, c.w.Flush()

@@ -102,28 +102,14 @@ func (rp *ringProto) mget(tenant string, keys []string, missBuf []string) (hits,
 	return hits, seen, missBuf, firstErr
 }
 
-// putPipelined splits the fill batch by owner, preserving each key's TTL,
-// with the same pipelined scatter as mget: all sub-batches are written
-// before any response is read, then every sent sub-batch is drained.
-func (rp *ringProto) putPipelined(tenant string, keys []string, val []byte, ttls []int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
-	type sub struct {
-		keys []string
-		ttls []int
-	}
-	byOwner := make(map[string]*sub)
-	for i, k := range keys {
+// putPipelined splits the fill batch by owner with the same pipelined
+// scatter as mget: all sub-batches are written before any response is read,
+// then every sent sub-batch is drained.
+func (rp *ringProto) putPipelined(tenant string, keys []string, val []byte, ttlMS int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
+	byOwner := make(map[string][]string)
+	for _, k := range keys {
 		owner := rp.ring.Owner(tenant, k)
-		g := byOwner[owner]
-		if g == nil {
-			g = &sub{}
-			byOwner[owner] = g
-		}
-		g.keys = append(g.keys, k)
-		if len(ttls) > i {
-			g.ttls = append(g.ttls, ttls[i])
-		} else {
-			g.ttls = append(g.ttls, -1)
-		}
+		byOwner[owner] = append(byOwner[owner], k)
 	}
 	type pend struct {
 		addr string
@@ -133,16 +119,16 @@ func (rp *ringProto) putPipelined(tenant string, keys []string, val []byte, ttls
 	var pends []pend
 	var firstErr error
 	for _, addr := range rp.ring.Members() {
-		g := byOwner[addr]
-		if g == nil {
+		sub := byOwner[addr]
+		if len(sub) == 0 {
 			continue
 		}
-		tok, err := rp.conns[addr].putSend(tenant, g.keys, val, g.ttls)
+		tok, err := rp.conns[addr].putSend(tenant, sub, val, ttlMS)
 		if err != nil {
 			firstErr = err
 			break
 		}
-		pends = append(pends, pend{addr: addr, n: len(g.keys), tok: tok})
+		pends = append(pends, pend{addr: addr, n: len(sub), tok: tok})
 	}
 	for _, p := range pends {
 		st, err := rp.conns[p.addr].putRecv(p.tok, p.n, chaos, tr)

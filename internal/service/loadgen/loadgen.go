@@ -63,22 +63,6 @@ func CategoryApp(cat workload.Category, cacheLines int, seed uint64) workload.Ap
 	panic("loadgen: unknown category")
 }
 
-// TTLMode selects how a tenant's fill PUTs carry expiry.
-type TTLMode int
-
-const (
-	// TTLNone: fills carry no EXPIRE clause (the server's default TTL, if
-	// any, applies).
-	TTLNone TTLMode = iota
-	// TTLUniform: each selected fill expires TTL after it is stored — the
-	// steady TTL-churn workload.
-	TTLUniform
-	// TTLStorm: each selected fill expires at the same absolute instant,
-	// run start + TTL — the whole working set dies in one window, the
-	// mass-expiry transient the sweeper and repartitioner must absorb.
-	TTLStorm
-)
-
 // Tenant describes one load-generating tenant.
 type Tenant struct {
 	// Name is the tenant name (registered with TENANT ADD; idempotent).
@@ -90,44 +74,22 @@ type Tenant struct {
 	// Conns is the number of concurrent connections (default 1).
 	Conns int
 
-	// TTLMode, TTL and TTLFrac attach expiry to this tenant's fill PUTs:
-	// TTLFrac (default 1) is the fraction of fills carrying an EXPIRE
-	// clause, selected deterministically so every run with the same
-	// parameters marks the same fills.
-	TTLMode TTLMode
-	TTL     time.Duration
-	TTLFrac float64
+	// TTL > 0 makes every fill PUT of this tenant expire TTL after it is
+	// stored (the steady TTL-churn workload). At zero, fills carry no
+	// EXPIRE clause, so the server's default TTL, if any, applies.
+	TTL time.Duration
 }
 
-// nextTTLMS returns the EXPIRE argument in milliseconds for this tenant's
-// next fill, or -1 when the fill carries none. fills counts the
-// connection's TTL-eligible fills so far and is advanced by the call.
-func (spec Tenant) nextTTLMS(o Options, fills *uint64) int {
-	if spec.TTLMode == TTLNone || spec.TTL <= 0 {
+// ttlMS returns the EXPIRE argument in milliseconds for this tenant's
+// fills, or -1 when they carry none.
+func (spec Tenant) ttlMS() int {
+	if spec.TTL <= 0 {
 		return -1
 	}
-	frac := spec.TTLFrac
-	if frac <= 0 || frac > 1 {
-		frac = 1
+	if ms := spec.TTL.Milliseconds(); ms >= 1 {
+		return int(ms)
 	}
-	n := *fills
-	*fills = n + 1
-	// Every fill where the scaled counter crosses an integer is selected:
-	// a uniform frac-of-fills pattern with no RNG state.
-	if uint64(float64(n+1)*frac) == uint64(float64(n)*frac) {
-		return -1
-	}
-	var ms int64
-	switch spec.TTLMode {
-	case TTLUniform:
-		ms = spec.TTL.Milliseconds()
-	case TTLStorm:
-		ms = time.Until(o.start.Add(spec.TTL)).Milliseconds()
-	}
-	if ms < 1 {
-		ms = 1 // already-due deadlines still get a valid EXPIRE clause
-	}
-	return int(ms)
+	return 1 // sub-millisecond TTLs still get a valid EXPIRE clause
 }
 
 // Options configures a load-generation run.
@@ -183,9 +145,6 @@ type Options struct {
 	// ChurnInterval is the delay between churn ops (default 10ms).
 	ChurnInterval time.Duration
 
-	// start is the run's t0, recorded by Run so TTLStorm tenants can aim
-	// every fill at the same absolute deadline.
-	start time.Time
 	// ring is the cluster-mode routing ring, built once by Run.
 	ring *cluster.Ring
 }
@@ -270,7 +229,6 @@ func Run(o Options) (Result, error) {
 	var wg sync.WaitGroup
 	var firstErr atomic.Value
 	start := time.Now()
-	o.start = start
 	for ti := range o.Tenants {
 		t := o.Tenants[ti]
 		conns := t.Conns
@@ -322,7 +280,7 @@ type proto interface {
 	get(tenant, key string) (bool, error)
 	put(tenant, key string, val []byte, ttlMS int) error
 	mget(tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error)
-	putPipelined(tenant string, keys []string, val []byte, ttls []int, chaos bool, tr *TenantResult) (stored uint64, _ error)
+	putPipelined(tenant string, keys []string, val []byte, ttlMS int, chaos bool, tr *TenantResult) (stored uint64, _ error)
 	close()
 }
 
@@ -337,7 +295,7 @@ type batchProto interface {
 	proto
 	mgetSend(tenant string, keys []string) (uint32, error)
 	mgetRecv(tok uint32, tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error)
-	putSend(tenant string, keys []string, val []byte, ttls []int) (uint32, error)
+	putSend(tenant string, keys []string, val []byte, ttlMS int) (uint32, error)
 	putRecv(tok uint32, n int, chaos bool, tr *TenantResult) (stored uint64, _ error)
 }
 
@@ -434,7 +392,6 @@ func runConn(o Options, tr *TenantResult, spec Tenant, conn int) error {
 	if o.Batch > 1 {
 		return runConnBatched(o, tr, spec, app, c, val)
 	}
-	var fills uint64
 	// redial replaces the connection after a drop; it reports whether the
 	// worker can keep going.
 	redial := func() (bool, error) {
@@ -475,7 +432,7 @@ func runConn(o Options, tr *TenantResult, spec Tenant, conn int) error {
 			continue
 		}
 		atomic.AddUint64(&tr.Misses, 1)
-		if err := c.put(spec.Name, key, val, spec.nextTTLMS(o, &fills)); err != nil {
+		if err := c.put(spec.Name, key, val, spec.ttlMS()); err != nil {
 			if !o.Chaos {
 				return err
 			}
@@ -503,8 +460,6 @@ func runConnBatched(o Options, tr *TenantResult, spec Tenant, app workload.App, 
 	defer func() { c.close() }() // closes the current conn, which redial may have replaced
 	keys := make([]string, 0, o.Batch)
 	missed := make([]string, 0, o.Batch)
-	ttls := make([]int, 0, o.Batch)
-	var fills uint64
 	redial := func() (bool, error) {
 		c.close()
 		nc, err := dialChaos(o, tr, spec.Name)
@@ -552,11 +507,7 @@ func runConnBatched(o Options, tr *TenantResult, spec Tenant, app workload.App, 
 			continue
 		}
 		if len(missed) > 0 {
-			ttls = ttls[:0]
-			for range missed {
-				ttls = append(ttls, spec.nextTTLMS(o, &fills))
-			}
-			stored, err := c.putPipelined(spec.Name, missed, val, ttls, o.Chaos, tr)
+			stored, err := c.putPipelined(spec.Name, missed, val, spec.ttlMS(), o.Chaos, tr)
 			atomic.AddUint64(&tr.Puts, stored)
 			if err != nil {
 				if !o.Chaos {
@@ -743,13 +694,13 @@ func (c *client) mgetRecv(_ uint32, tenant string, keys []string, missBuf []stri
 
 // putPipelined stores val under every key, writing all PUT commands before
 // a single flush and then reading all responses — one round trip for the
-// whole fill batch. ttls carries one EXPIRE argument in milliseconds per
-// key, -1 meaning none. It returns how many PUTs the server acknowledged as
+// whole fill batch. ttlMS is every key's EXPIRE argument in milliseconds,
+// -1 meaning none. It returns how many PUTs the server acknowledged as
 // STORED. In chaos mode, per-command shed/fault replies are folded into tr
 // and the remaining responses are still drained (every PUT gets exactly one
 // reply line, so the stream stays in sync).
-func (c *client) putPipelined(tenant string, keys []string, val []byte, ttls []int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
-	tok, err := c.putSend(tenant, keys, val, ttls)
+func (c *client) putPipelined(tenant string, keys []string, val []byte, ttlMS int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
+	tok, err := c.putSend(tenant, keys, val, ttlMS)
 	if err != nil {
 		return 0, err
 	}
@@ -758,10 +709,10 @@ func (c *client) putPipelined(tenant string, keys []string, val []byte, ttls []i
 
 // putSend writes and flushes the batch's PUT commands (the send phase of
 // the batchProto split).
-func (c *client) putSend(tenant string, keys []string, val []byte, ttls []int) (uint32, error) {
-	for i, key := range keys {
-		if len(ttls) > i && ttls[i] >= 0 {
-			fmt.Fprintf(c.w, "PUT %s %s %d EXPIRE %d\r\n", tenant, key, len(val), ttls[i])
+func (c *client) putSend(tenant string, keys []string, val []byte, ttlMS int) (uint32, error) {
+	for _, key := range keys {
+		if ttlMS >= 0 {
+			fmt.Fprintf(c.w, "PUT %s %s %d EXPIRE %d\r\n", tenant, key, len(val), ttlMS)
 		} else {
 			fmt.Fprintf(c.w, "PUT %s %s %d\r\n", tenant, key, len(val))
 		}

@@ -86,12 +86,11 @@ func TestBinaryMatchesText(t *testing.T) {
 	}
 }
 
-// TestBinaryTTLFills checks the TTL flag path end-to-end: a TTLUniform
-// tenant's fills must actually expire on the server.
+// TestBinaryTTLFills checks the TTL flag path end-to-end: a tenant's
+// TTL-carrying fills must actually expire on the server.
 func TestBinaryTTLFills(t *testing.T) {
 	addr := newBenchServer(t, service.ServerConfig{})
 	tenants := benchTenants()
-	tenants[0].TTLMode = TTLUniform
 	tenants[0].TTL = time.Millisecond
 	res, err := Run(Options{
 		Addr:       addr,
@@ -146,28 +145,35 @@ func TestBinaryDialBusy(t *testing.T) {
 	}
 }
 
-// TestBinaryChaosRun drives the binary client through the chaos path: more
+// TestBinaryChaosRun drives both clients through the chaos path: more
 // connections than the cap, so dials are BUSY-rejected and counted while
 // the in-cap connections complete their budget.
 func TestBinaryChaosRun(t *testing.T) {
-	addr := newBenchServer(t, service.ServerConfig{MaxConns: 2})
-	tenants := benchTenants()
-	tenants[0].Conns = 6
-	res, err := Run(Options{
-		Addr:       addr,
-		Tenants:    tenants,
-		OpsPerConn: 300,
-		Batch:      4,
-		Binary:     true,
-		Chaos:      true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rejected == 0 {
-		t.Fatalf("6 conns against max-conns=2 produced no BUSY rejects: %+v", res)
-	}
-	if res.Ops == 0 {
-		t.Fatal("no surviving throughput under overload")
+	for _, tc := range []struct {
+		name string
+		bin  bool
+	}{{"text", false}, {"binary", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := newBenchServer(t, service.ServerConfig{MaxConns: 2})
+			tenants := benchTenants()
+			tenants[0].Conns = 6
+			res, err := Run(Options{
+				Addr:       addr,
+				Tenants:    tenants,
+				OpsPerConn: 300,
+				Batch:      4,
+				Binary:     tc.bin,
+				Chaos:      true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rejected == 0 {
+				t.Fatalf("6 conns against max-conns=2 produced no BUSY rejects: %+v", res)
+			}
+			if res.Ops == 0 {
+				t.Fatal("no surviving throughput under overload")
+			}
+		})
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"vantage/internal/latency"
 )
 
 // TenantStats is one tenant's externally visible state: request counters
@@ -81,7 +83,7 @@ type Stats struct {
 	ClusterRehomedIn       uint64 // keys received from draining peers
 
 	// Request-latency histogram (Config.TrackLatency): log2 bucket counts
-	// (see latency.go for bounds) and the running sum. Nil when disabled.
+	// (see internal/latency for bounds) and the running sum. Nil when disabled.
 	LatencyCounts []uint64
 	LatencySumNS  uint64
 
@@ -89,6 +91,15 @@ type Stats struct {
 	StoreEntries                      int
 	UnmanagedLines                    int
 	Uptime                            time.Duration
+}
+
+// LatencyQuantile estimates quantile q (0..1) from the Stats snapshot's
+// histogram, returning the upper bound of the bucket containing the q-th
+// observation — a conservative (over-)estimate, which is the right
+// direction for asserting p99 bounds. Returns 0 when the histogram is
+// disabled or empty.
+func (st Stats) LatencyQuantile(q float64) time.Duration {
+	return latency.Quantile(st.LatencyCounts, q)
 }
 
 // Stats snapshots the service.
@@ -235,7 +246,7 @@ func writeMetrics(b *strings.Builder, st Stats) {
 			if i == len(st.LatencyCounts)-1 {
 				fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
 			} else {
-				fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, float64(latencyBucketUpperNS(i))/1e9, cum)
+				fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, float64(latency.BucketUpperNS(i))/1e9, cum)
 			}
 		}
 		fmt.Fprintf(b, "%s_sum %g\n", name, float64(st.LatencySumNS)/1e9)

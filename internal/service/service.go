@@ -50,6 +50,7 @@ import (
 	"vantage/internal/core"
 	"vantage/internal/ctrl"
 	"vantage/internal/hash"
+	"vantage/internal/latency"
 	"vantage/internal/ucp"
 )
 
@@ -267,8 +268,8 @@ type Service struct {
 	cluster        atomic.Pointer[clusterHolder]
 
 	// latency, when non-nil, is the request-latency histogram enabled by
-	// Config.TrackLatency (see latency.go).
-	latency *latencyHist
+	// Config.TrackLatency.
+	latency *latency.Hist
 
 	clk    clock.Clock
 	done   chan struct{}
@@ -304,7 +305,7 @@ func New(cfg Config) (*Service, error) {
 		start: cfg.Clock.Now(),
 	}
 	if cfg.TrackLatency {
-		s.latency = newLatencyHist()
+		s.latency = &latency.Hist{}
 	}
 	s.reg.Store(&registry{
 		tenants: make(map[string]*Tenant),

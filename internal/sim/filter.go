@@ -43,8 +43,7 @@ import (
 // crossings that the per-reference loop still flushed after the last L2
 // access (allocator decisions that no access ever observes), and
 // OnRepartition cycle stamps would differ — Run therefore rejects filtered
-// configs with an OnRepartition observer, unless Config.RelaxedRepartition
-// (fast tier) opts into observers with pending-miss cycle stamps.
+// configs with an OnRepartition observer.
 
 // A filtered stream is a sequence of packed two-word segments, each "a run of
 // L1 hits, optionally terminated by one L1 miss":
@@ -424,19 +423,9 @@ func (rs *runState) runFiltered(cfg *Config, res *Result) {
 		// Fire every boundary at or below this miss. The per-reference loop
 		// spread these fires over intervening L1-hit steps, which mutate
 		// nothing the allocator or cache can see, so firing them back to
-		// back here leaves identical state for the access below. The
-		// observer (fast tier only; see Config.RelaxedRepartition) gets the
-		// pending-miss stamp, the closest filtered analog of the exact
-		// tier's per-reference clock.
+		// back here leaves identical state for the access below.
 		for repartEnabled && c.missCycle >= nextRepart {
-			targets := rs.repartition(cfg, res)
-			if cfg.OnRepartition != nil {
-				actual := make([]int, rs.l2.NumPartitions())
-				for p := range actual {
-					actual[p] = rs.l2.Size(p)
-				}
-				cfg.OnRepartition(c.missCycle, targets, actual)
-			}
+			rs.repartition(cfg, res)
 			nextRepart += cfg.RepartitionCycles
 		}
 

@@ -100,20 +100,12 @@ type Config struct {
 	PartitionableLines int
 	// OnRepartition, if set, observes every repartitioning decision.
 	OnRepartition func(cycle uint64, targets, actual []int)
-	// RelaxedRepartition (fast tier) permits OnRepartition observers on
-	// filtered streams. The filtered loop times repartitioning off
-	// pending-miss cycle stamps rather than exact per-reference clocks, so
-	// observed cycles can lag the exact tier's by up to one L1-hit run;
-	// the decisions themselves (targets, actual sizes) come from the same
-	// allocator machinery. Exact-tier runs must leave this unset so the
-	// bit-identity assertion keeps catching misuse.
-	RelaxedRepartition bool
 	// Miss, if non-nil, replaces per-reference simulation with memoized
 	// post-L1 segment streams (one cursor per core; see MissRecorder). The
 	// private L1s are then not modeled per run — their behavior is baked
 	// into the segments — so L1Lines/L1Ways and Apps are ignored. Mutually
 	// exclusive with OnRepartition (cycle stamps would differ; see
-	// filter.go) unless RelaxedRepartition accepts the approximate stamps.
+	// filter.go).
 	Miss []*MissReplay
 	// Contention optionally models L2 bank conflicts and memory bandwidth
 	// (zero value: the paper's zero-load latencies).
@@ -220,7 +212,7 @@ func Run(cfg Config) Result {
 		if n > 0 && n != len(cfg.Miss) {
 			panic("sim: Apps and Miss lengths differ")
 		}
-		if cfg.OnRepartition != nil && !cfg.RelaxedRepartition {
+		if cfg.OnRepartition != nil {
 			panic("sim: OnRepartition requires unfiltered streams (see filter.go)")
 		}
 		n = len(cfg.Miss)

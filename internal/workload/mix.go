@@ -47,14 +47,6 @@ type Params struct {
 	// repartitioning transients (§3.4, Fig 8). Zero (the default, used by
 	// the recorded experiments) keeps all apps stationary.
 	PhasedFraction float64
-	// Fast selects the fast generator tier: Zipf ranks and geometric gaps
-	// come from alias tables fed by a cheaper PRNG instead of the exact
-	// tier's inverse-CDF transforms (see fast.go). Mix composition and every
-	// per-app parameter are identical between tiers — only the reference
-	// streams' draw sequences differ, and those follow the same
-	// distributions. Fast-tier results are statistically interchangeable
-	// with exact-tier ones but NOT bit-identical; never use for goldens.
-	Fast bool
 }
 
 // randIn returns a pseudo-random int in [lo, hi].
@@ -66,19 +58,8 @@ func randIn(rng *hash.Rand, lo, hi int) int {
 }
 
 // NewApp instantiates a random application of category cat, with parameters
-// drawn from the category's range, deterministically from rng. The draws
-// from rng are identical whether or not p.Fast is set, so both tiers build
-// structurally identical mixes; Fast only swaps the constructed app's
-// samplers (fast-tier seeds are pure functions of the exact-tier seed).
+// drawn from the category's range, deterministically from rng.
 func NewApp(cat Category, p Params, rng *hash.Rand) App {
-	app, seed := newApp(cat, p, rng)
-	if p.Fast {
-		enableFastApp(app, seed)
-	}
-	return app
-}
-
-func newApp(cat Category, p Params, rng *hash.Rand) (App, uint64) {
 	L := p.CacheLines
 	if L < 64 {
 		L = 64
@@ -93,7 +74,7 @@ func newApp(cat Category, p Params, rng *hash.Rand) (App, uint64) {
 			ws = 8
 		}
 		alpha := 0.6 + 0.4*rng.Float64()
-		return NewZipfApp(Insensitive, ws, alpha, 8, 4, seed), seed
+		return NewZipfApp(Insensitive, ws, alpha, 8, 4, seed)
 	case Friendly:
 		// Zipf reuse over 1-3x the cache with a mild exponent: utility is
 		// spread across the whole allocation range, the gradually-decreasing
@@ -103,7 +84,7 @@ func newApp(cat Category, p Params, rng *hash.Rand) (App, uint64) {
 		// utility monitoring).
 		ws := randIn(rng, L, 3*L)
 		alpha := 0.3 + 0.4*rng.Float64()
-		return NewZipfApp(Friendly, ws, alpha, 3, 2, seed), seed
+		return NewZipfApp(Friendly, ws, alpha, 3, 2, seed)
 	case Fitting:
 		// Cyclic scan with a working set around cache capacity: a miss
 		// cliff once the allocation covers it (classified "over 1MB" of the
@@ -123,13 +104,13 @@ func newApp(cat Category, p Params, rng *hash.Rand) (App, uint64) {
 			return NewPhasedApp(
 				NewScanApp(Fitting, ws, 3, 4, seed),
 				NewScanApp(Fitting, ws2, 3, 4, seed^0x9e),
-				phase), seed
+				phase)
 		}
-		return NewScanApp(Fitting, ws, 3, 4, seed), seed
+		return NewScanApp(Fitting, ws, 3, 4, seed)
 	case Thrashing:
 		// Stream over a region far larger than the cache.
 		region := randIn(rng, 32*L, 128*L)
-		return NewStreamApp(region, 2, 2, seed), seed
+		return NewStreamApp(region, 2, 2, seed)
 	}
 	panic("workload: unknown category")
 }

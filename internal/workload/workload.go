@@ -146,18 +146,11 @@ type gapGen struct {
 	// dividing by a freshly computed one, so samples are bit-identical;
 	// caching halves the math.Log calls on the per-reference path.
 	logQ float64
-	// ftab/flcg, when set by enableFast, replace log inversion with an
-	// alias-table draw of the same distribution (fast tier; see fast.go).
-	ftab *aliasTable
-	flcg *hash.LCG
 }
 
 func (g *gapGen) next() int {
 	if g.mean <= 0 {
 		return 0
-	}
-	if g.ftab != nil {
-		return g.ftab.sample(g.flcg.Uint64())
 	}
 	if g.logQ == 0 {
 		// Geometric via inversion; mean = (1-p)/p with success prob p.
@@ -179,13 +172,6 @@ func (g *gapGen) nextBatch(out []int32) {
 	if g.mean <= 0 {
 		for i := range out {
 			out[i] = 0
-		}
-		return
-	}
-	if g.ftab != nil {
-		tab, rng := g.ftab, g.flcg
-		for i := range out {
-			out[i] = int32(tab.sample(rng.Uint64()))
 		}
 		return
 	}
@@ -226,10 +212,6 @@ type ZipfApp struct {
 	// range finds it — so the guided search is bit-identical to a full one.
 	guide []uint32
 	lines uint64
-	// fAlias/flcg, when set by enableFast, replace the guided CDF search
-	// with an alias-table draw of the same pmf (fast tier; see fast.go).
-	fAlias *aliasTable
-	flcg   *hash.LCG
 }
 
 // NewZipfApp returns a Zipf-reuse app over lines lines with exponent alpha.
@@ -289,13 +271,10 @@ func (a *ZipfApp) Name() string { return a.name }
 // Category implements App.
 func (a *ZipfApp) Category() Category { return a.cat }
 
-// drawLine draws one Zipf-distributed line address: the rank comes from the
-// tier-appropriate sampler, then the permutation scrambles it into an
-// address so that hot lines don't cluster in nearby sets.
+// drawLine draws one Zipf-distributed line address: the permutation
+// scrambles the drawn rank into an address so that hot lines don't cluster
+// in nearby sets.
 func (a *ZipfApp) drawLine() uint64 {
-	if a.fAlias != nil {
-		return uint64(a.perm[a.fAlias.sample(a.flcg.Uint64())]) + 1
-	}
 	return uint64(a.perm[a.rank(a.rng.Float64())]) + 1
 }
 
