@@ -15,10 +15,8 @@ func (c *Controller) Access(addr uint64, part int) ctrl.AccessResult {
 		return c.AccessMixed(addr, hash.Mix64(addr), part)
 	}
 	if id, ok := c.arr.Lookup(addr); ok {
-		c.hits++
-		c.parts[part].hits++
-		c.onHit(id, part)
-		return ctrl.AccessResult{Hit: true}
+		c.Touch(id, part)
+		return ctrl.AccessResult{Hit: true, Slot: id}
 	}
 	c.misses++
 	c.parts[part].misses++
@@ -33,14 +31,32 @@ func (c *Controller) AccessMixed(addr, mixed uint64, part int) ctrl.AccessResult
 		return c.Access(addr, part)
 	}
 	if id, ok := c.marr.LookupMixed(addr, mixed); ok {
-		c.hits++
-		c.parts[part].hits++
-		c.onHit(id, part)
-		return ctrl.AccessResult{Hit: true}
+		c.Touch(id, part)
+		return ctrl.AccessResult{Hit: true, Slot: id}
 	}
 	c.misses++
 	c.parts[part].misses++
 	return c.replace(addr, mixed, part)
+}
+
+// LookupMixed resolves addr to the slot holding its line without touching
+// any replacement state; mixed is the Mix64 of addr. With Touch and
+// AccessResult.Slot it lets a serving layer keep per-line data in a slab
+// indexed by slot and resolve each address once per request.
+func (c *Controller) LookupMixed(addr, mixed uint64) (cache.LineID, bool) {
+	if c.marr != nil {
+		return c.marr.LookupMixed(addr, mixed)
+	}
+	return c.arr.Lookup(addr)
+}
+
+// Touch is the hit half of Access for a line already resolved to slot id
+// (by LookupMixed, with no install in between): Access(addr, part) on a
+// resident addr is exactly LookupMixed followed by Touch.
+func (c *Controller) Touch(id cache.LineID, part int) {
+	c.hits++
+	c.parts[part].hits++
+	c.onHit(id, part)
 }
 
 // onHit handles the §4.3 hit path: refresh the timestamp, tick the clock,
@@ -179,6 +195,7 @@ func (c *Controller) replace(addr, mixed uint64, part int) ctrl.AccessResult {
 		id, moves = c.arr.Install(addr, victim)
 	}
 	res.Relocations = moves
+	res.Slot = id
 
 	p := &c.parts[part]
 	im := &c.meta[id]

@@ -26,18 +26,13 @@ import (
 // scan, so charging them to the setpoint feedback loop would bias the
 // aperture toward fewer churn demotions than the target requires.
 func (c *Controller) DemoteExpired(addr uint64) bool {
-	var (
-		id cache.LineID
-		ok bool
-	)
-	if c.marr != nil {
-		id, ok = c.marr.LookupMixed(addr, hash.Mix64(addr))
-	} else {
-		id, ok = c.arr.Lookup(addr)
-	}
-	if !ok {
-		return false
-	}
+	id, ok := c.LookupMixed(addr, hash.Mix64(addr))
+	return ok && c.DemoteExpiredSlot(id)
+}
+
+// DemoteExpiredSlot is DemoteExpired for a line already resolved to slot id
+// (see LookupMixed); it reports false when the slot holds no line.
+func (c *Controller) DemoteExpiredSlot(id cache.LineID) bool {
 	m := &c.meta[id]
 	owner := m.part
 	if owner < 0 {

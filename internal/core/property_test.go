@@ -137,3 +137,67 @@ func TestPropertyTargetsNeverDemoteUnder(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSlotContract checks what a slot-indexed store relies on: a shadow
+// array written at AccessResult.Slot and swapped by the move observer names
+// every resident line's address; after a miss the slot it reports holds the
+// evicted line's shadow (or nothing); and a twin controller driven by
+// LookupMixed+Touch on resident addresses decides exactly as one driven by
+// Access alone.
+func TestSlotContract(t *testing.T) {
+	newCtl := func() (*cache.ZCache, *Controller) {
+		arr := cache.NewZCache(256, 4, 52, 9)
+		return arr, New(arr, Config{Partitions: 4, UnmanagedFrac: 0.08, AMax: 0.5, Slack: 0.1, Seed: 9})
+	}
+	arr, c := newCtl()
+	_, twin := newCtl()
+	shadow := make([]uint64, arr.NumLines()) // 0 = nothing stored
+	c.SetMoveObserver(func(src, dst cache.LineID) {
+		shadow[dst], shadow[src] = shadow[src], shadow[dst]
+	})
+	rng := hash.NewRand(77)
+	for step := 0; step < 20000; step++ {
+		p := rng.Intn(4)
+		addr := uint64(p+1)<<40 | uint64(1+rng.Intn(200))
+		mixed := hash.Mix64(addr)
+
+		res := c.AccessMixed(addr, mixed, p)
+		id, resident := twin.LookupMixed(addr, mixed)
+		if resident {
+			twin.Touch(id, p)
+		} else if tr := twin.AccessMixed(addr, mixed, p); tr != res {
+			t.Fatalf("step %d: twin miss %+v, want %+v", step, tr, res)
+		}
+		if resident != res.Hit {
+			t.Fatalf("step %d: twin resident %v, Access hit %v", step, resident, res.Hit)
+		}
+
+		if id, ok := arr.Lookup(addr); !ok || id != res.Slot {
+			t.Fatalf("step %d: Slot %d, Lookup finds %d (%v)", step, res.Slot, id, ok)
+		}
+		switch {
+		case res.Hit && shadow[res.Slot] != addr:
+			t.Fatalf("step %d: hit slot %d shadows %#x, want %#x", step, res.Slot, shadow[res.Slot], addr)
+		case !res.Hit && res.EvictedValid && shadow[res.Slot] != res.Evicted:
+			t.Fatalf("step %d: install slot %d shadows %#x, want the evicted %#x", step, res.Slot, shadow[res.Slot], res.Evicted)
+		case !res.Hit && !res.EvictedValid && shadow[res.Slot] != 0:
+			t.Fatalf("step %d: install slot %d was free but shadows %#x", step, res.Slot, shadow[res.Slot])
+		}
+		shadow[res.Slot] = addr
+		for id := 0; id < arr.NumLines(); id++ {
+			if l := arr.Line(cache.LineID(id)); l.Valid && shadow[id] != l.Addr {
+				t.Fatalf("step %d: slot %d holds %#x, shadow says %#x", step, id, l.Addr, shadow[id])
+			} else if !l.Valid && shadow[id] != 0 {
+				t.Fatalf("step %d: free slot %d shadows %#x", step, id, shadow[id])
+			}
+		}
+	}
+	if c.Counters() != twin.Counters() {
+		t.Fatalf("counters diverged: %+v vs %+v", c.Counters(), twin.Counters())
+	}
+	for p := 0; p < 4; p++ {
+		if c.Size(p) != twin.Size(p) || c.PartitionCounters(p) != twin.PartitionCounters(p) {
+			t.Fatalf("partition %d diverged", p)
+		}
+	}
+}

@@ -241,12 +241,31 @@ func New(arr cache.Array, cfg Config) *Controller {
 	}
 	c.SetTargets(targets)
 	if rel, ok := arr.(cache.Relocator); ok {
-		rel.SetMoveHook(func(src, dst cache.LineID) {
-			c.meta[dst] = c.meta[src]
-			c.meta[src].part = -1
-		})
+		rel.SetMoveHook(c.moveMeta)
 	}
 	return c
+}
+
+// moveMeta is the array's move hook: a relocated line keeps its metadata.
+func (c *Controller) moveMeta(src, dst cache.LineID) {
+	c.meta[dst] = c.meta[src]
+	c.meta[src].part = -1
+}
+
+// SetMoveObserver registers fn to run after the controller's own
+// bookkeeping for every line the array relocates from slot src to slot dst,
+// so a caller keeping per-slot data can move it with the line. A walk that
+// evicts a deep candidate moves each line on the path one step towards the
+// victim's slot; an observer that swaps its src and dst records therefore
+// finds the victim's record in the slot the incoming line is installed into
+// (AccessResult.Slot). Arrays that never relocate never call fn.
+func (c *Controller) SetMoveObserver(fn func(src, dst cache.LineID)) {
+	if rel, ok := c.arr.(cache.Relocator); ok {
+		rel.SetMoveHook(func(src, dst cache.LineID) {
+			c.moveMeta(src, dst)
+			fn(src, dst)
+		})
+	}
 }
 
 // Name implements ctrl.Controller.

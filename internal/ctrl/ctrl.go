@@ -27,6 +27,10 @@ type AccessResult struct {
 	// the managed region because no unmanaged candidates were found (§4.3);
 	// always false for other schemes.
 	ForcedManagedEviction bool
+	// Slot is where the access left addr's line: the slot that hit, or the
+	// one the line was installed into. Only controllers that serve a
+	// slot-indexed store report it (core.Controller); the others leave 0.
+	Slot cache.LineID
 	// Relocations is the number of zcache line moves the install performed.
 	Relocations int
 }

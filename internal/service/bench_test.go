@@ -105,3 +105,59 @@ func fmtHex(dst []byte, addr uint64) []byte {
 	}
 	return append(dst, buf[i:]...)
 }
+
+// newMixGeometry returns a service at the benchmark's svc-mix geometry
+// (4 shards x 8192 lines, four tenants) filled to steady state: every slot
+// has held a 16-byte key (the top bit fixes fmtHex's width), so each further
+// insert evicts and reuses a key buffer.
+func newMixGeometry(b *testing.B) (*Service, [4][]byte) {
+	svc, err := New(Config{Shards: 4, LinesPerShard: 8192, Seed: 2011})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { svc.Close() })
+	tenants := [4][]byte{[]byte("friendly"), []byte("fitting"), []byte("thrash"), []byte("insens")}
+	for _, t := range tenants {
+		if _, err := svc.AddTenant(string(t)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var key [16]byte
+	val := make([]byte, 64)
+	for i := 0; i < 4*svc.TotalLines(); i++ {
+		if err := svc.PutB(tenants[i&3], fmtHex(key[:0], 1<<63|uint64(i)), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+	svc.Repartition()
+	return svc, tenants
+}
+
+// BenchmarkPutInsert measures an evicting insert: controller miss, zcache
+// walk, demotion scan, and the record write in the slot the walk freed.
+func BenchmarkPutInsert(b *testing.B) {
+	svc, tenants := newMixGeometry(b)
+	var key [16]byte
+	val := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := svc.PutB(tenants[i&3], fmtHex(key[:0], 3<<62|uint64(i)), val); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGetMiss measures a GET for a key that was never stored: one
+// zcache lookup that finds no tag, plus the UMON ring append.
+func BenchmarkGetMiss(b *testing.B) {
+	svc, tenants := newMixGeometry(b)
+	var key [16]byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, hit, err := svc.GetB(tenants[i&3], fmtHex(key[:0], 3<<62|uint64(i))); err != nil || hit {
+			b.Fatalf("GetB = hit %v, err %v", hit, err)
+		}
+	}
+}

@@ -278,7 +278,7 @@ func (s *Server) binExec(q *binReq, g *binGather) {
 		if q.hasTTL {
 			ttl = time.Duration(q.ttlMS) * time.Millisecond
 		}
-		svc.putAt(q.t, q.addr, q.key, q.val, ttl)
+		svc.putAt(q.t, q.addr, q.mixed, q.key, q.val, ttl)
 		status = binStOK
 	case binOpRehome:
 		// A re-homed key keeps exactly the TTL it had on the old owner: the
@@ -288,17 +288,17 @@ func (s *Server) binExec(q *binReq, g *binGather) {
 		if q.hasTTL {
 			ttl = time.Duration(q.ttlMS) * time.Millisecond
 		}
-		svc.putAt(q.t, q.addr, q.key, q.val, ttl)
+		svc.putAt(q.t, q.addr, q.mixed, q.key, q.val, ttl)
 		svc.rehomedIn.Add(1)
 		status = binStOK
 	case binOpDel:
-		if svc.deleteAt(q.t, q.addr, q.key) {
+		if svc.deleteAt(q.addr, q.mixed, q.key) {
 			status = binStOK
 		} else {
 			status = binStMiss
 		}
 	case binOpTouch:
-		if svc.touchAt(q.t, q.addr, q.key, time.Duration(q.ttlMS)*time.Millisecond) {
+		if svc.touchAt(q.t, q.addr, q.mixed, q.key, time.Duration(q.ttlMS)*time.Millisecond) {
 			status = binStOK
 		} else {
 			status = binStMiss

@@ -149,8 +149,12 @@ func (s *Service) Export(visit func(tenant, key string, val []byte, ttlMS int64)
 	for _, sh := range s.shards {
 		recs = recs[:0]
 		sh.mu.Lock()
-		for addr, e := range sh.store {
-			part := int(addr>>40) - 1
+		for id := range sh.recs {
+			e := &sh.recs[id]
+			if !e.live {
+				continue
+			}
+			part := int(sh.lines[id].Addr>>40) - 1
 			if part < 0 || part >= len(reg.byPart) {
 				continue
 			}
@@ -169,7 +173,8 @@ func (s *Service) Export(visit func(tenant, key string, val []byte, ttlMS int64)
 					ttlMS = 1
 				}
 			}
-			recs = append(recs, exportRec{tenant: t.name, key: e.key, val: e.val, ttlMS: ttlMS})
+			// The key is copied: its buffer is reused once the lock drops.
+			recs = append(recs, exportRec{tenant: t.name, key: string(e.key), val: e.val, ttlMS: ttlMS})
 		}
 		sh.mu.Unlock()
 		for _, r := range recs {

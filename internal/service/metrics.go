@@ -150,7 +150,7 @@ func (s *Service) Stats() Stats {
 			targets[p] += ps.Target
 			demotions[p] += ps.Demotions
 		}
-		st.StoreEntries += len(sh.store)
+		st.StoreEntries += sh.live
 		st.UnmanagedLines += sh.ctl.UnmanagedSize()
 		st.SweepLines += sh.sweepLines
 		st.SweepPasses += sh.sweepPasses

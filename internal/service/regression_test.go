@@ -3,6 +3,7 @@ package service
 import (
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -24,7 +25,7 @@ func TestDeletedKeyTagAgesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	addr := addrOf(0, "victim")
+	addr := addrOfB(0, []byte("victim"))
 	sh := svc.shards[0]
 	tagPresent := func() bool {
 		sh.mu.Lock()
@@ -173,20 +174,24 @@ func TestGetHitZeroAllocs(t *testing.T) {
 	if _, err := svc.AddTenant("alice"); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Put("alice", "hotkey", []byte("hotvalue")); err != nil {
-		t.Fatal(err)
-	}
-	// Drain the UMON ring so the measured runs only append to it (the ring
-	// holds 4096 samples; the measurement performs ~1000 GETs).
-	svc.Repartition()
-
-	allocs := testing.AllocsPerRun(1000, func() {
-		_, hit, err := svc.Get("alice", "hotkey")
-		if err != nil || !hit {
-			t.Fatalf("Get = hit %v, err %v", hit, err)
+	// A []byte(key) conversion stays on the stack only up to 32 bytes, so the
+	// string-keyed API is checked past that too.
+	for _, key := range []string{"hotkey", strings.Repeat("k", 200)} {
+		if err := svc.Put("alice", key, []byte("hotvalue")); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Get hit allocates %.1f times per op, want 0", allocs)
+		// Drain the UMON ring so the measured runs only append to it (the
+		// ring holds 4096 samples; the measurement performs ~1000 GETs).
+		svc.Repartition()
+
+		allocs := testing.AllocsPerRun(1000, func() {
+			_, hit, err := svc.Get("alice", key)
+			if err != nil || !hit {
+				t.Fatalf("Get = hit %v, err %v", hit, err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("Get hit on a %d-byte key allocates %.1f times per op, want 0", len(key), allocs)
+		}
 	}
 }

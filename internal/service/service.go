@@ -6,8 +6,12 @@
 // addresses are interleaved across shards by an H3 hash, exactly the way
 // internal/ctrl's Banked organization distributes a physical cache across
 // banks (Table 2). Each shard pairs a Vantage controller over a zcache tag
-// array with a value store; the tag array decides placement, demotion, and
-// eviction, and the store holds the bytes for the lines the array retains.
+// array with a value store laid out like the paper's data array (§3.2): one
+// record per line slot, which follows its line when a zcache walk relocates
+// it. The tag array decides placement, demotion, and eviction; the record in
+// a line's slot holds that line's key, value and expiry, so a request
+// resolves its address once — the zcache lookup — and an eviction needs no
+// store operation at all (the incoming line overwrites the victim's record).
 // Tenants map 1:1 to Vantage partitions, so every tenant gets Vantage's
 // isolation guarantees — fine-grain capacity targets, demotions confined by
 // aperture, a shared unmanaged region absorbing churn — on real traffic.
@@ -19,8 +23,8 @@
 //
 // Concurrency model: each shard has two locks. sh.mu serializes the shard's
 // controller and value store — these stay coupled under one lock because
-// the install/evict path must atomically pair a tag change with the store
-// mutation. sh.umu guards the UCP monitors and a fixed-size ring of sampled
+// a record is addressed by the slot its tag occupies, and every install
+// moves tags. sh.umu guards the UCP monitors and a fixed-size ring of sampled
 // GET addresses: the request path only appends to the ring (a few stores),
 // and the expensive UMON auxiliary-tag walks happen when the ring drains —
 // in the repartition loop, or inline when the ring fills. The tenant
@@ -30,13 +34,16 @@
 // atomics. The repartition loop takes shard locks one at a time, so
 // reconfiguration never stops the world.
 //
-// The request path is allocation-free in steady state: GET returns the
-// stored slice without copying (callers must treat it as immutable — every
-// PUT installs a freshly copied value, so returned slices are stable
-// snapshots), the address computation mixes the key once and shares the
-// mixed hash between shard routing and the UMON, and the byte-slice
-// variants (GetB/PutB/DeleteB) let protocol handlers avoid key/tenant
-// string conversions entirely.
+// The read path is allocation-free and a PUT allocates once, for its value
+// copy. GET returns the stored slice without copying, and callers (the
+// protocol handlers write it to the socket after the shard lock is dropped)
+// must treat it as immutable; that is why every PUT installs a freshly
+// copied value rather than reusing the slot's old one — a value arena would
+// let a concurrent PUT tear a reply. Key bytes are only read under the lock,
+// so each slot's key buffer is reused in place. The address computation
+// mixes the key once and shares the mixed hash between shard routing, the
+// zcache and the UMON. The byte-slice variants (GetB/PutB/DeleteB) are the
+// request path; the string-keyed methods are views onto them.
 package service
 
 import (
@@ -44,6 +51,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"vantage/internal/cache"
 	"vantage/internal/clock"
@@ -138,15 +146,23 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// entry is one stored value. The full key is kept to reject the (rare)
-// collisions of two keys on one 40-bit line address. exp is the expiry
-// deadline in Unix nanoseconds, 0 when the entry never expires; an entry at
-// or past its deadline is dead — reads treat it as a miss (counted as an
-// expired miss, not a cold one) and reclaim it on the spot.
+// entry is one line's record in the shard's slab: recs[id] belongs to the
+// line in zcache slot id and moves with it when a walk relocates the line.
+// live says the record holds a value; a dead record under a resident tag is
+// a deleted, expired or purged key whose tag is ageing out. The full key is
+// kept to reject the (rare) collisions of two keys on one 40-bit line
+// address; its buffer is only read under sh.mu and is reused in place by
+// the slot's next occupant. val is an immutable copy that GET hands out
+// without copying, so it is never reused — only dropped for the GC. exp is
+// the expiry deadline in Unix nanoseconds, 0 when the entry never expires;
+// an entry at or past its deadline is dead — reads treat it as a miss
+// (counted as an expired miss, not a cold one) and reclaim it on the spot.
 type entry struct {
-	key string
-	val []byte
-	exp int64
+	key   []byte
+	val   []byte
+	exp   int64
+	stamp uint32 // last compactHints pass that kept a hint for this record
+	live  bool
 }
 
 // umonSample is one deferred UMON access: the line address plus its Mix64,
@@ -169,8 +185,10 @@ const umonRingSize = 4096
 type shard struct {
 	mu      sync.Mutex
 	ctl     *core.Controller
-	store   map[uint64]entry
-	managed int // partitionable lines (capacity minus unmanaged target)
+	lines   []cache.Line // the zcache's tags: lines[id].Addr is recs[id]'s address
+	recs    []entry      // the value store: one record per line slot
+	live    int          // records holding a value
+	managed int          // partitionable lines (capacity minus unmanaged target)
 	snap    []ctrl.PartitionSnapshot
 
 	// Expiry state (under mu): a min-heap of (deadline, addr) hints pushed
@@ -179,6 +197,7 @@ type shard struct {
 	// deleted, overwritten, or touched to a later deadline is simply
 	// discarded when popped.
 	exph        expHeap
+	compactions uint32 // compactHints passes; stamps the records a pass keeps
 	sweepLines  uint64 // expired entries reclaimed by the sweeper
 	sweepPasses uint64 // sweep passes executed
 
@@ -325,10 +344,19 @@ func New(cfg Config) (*Service, error) {
 		if unmanaged < 1 {
 			unmanaged = 1
 		}
+		recs := make([]entry, cfg.LinesPerShard)
+		// The data follows the tags (§3.2): a relocated line takes its
+		// record along. Swapping, not copying, walks the victim's record up
+		// the relocation path into the slot the incoming line is installed
+		// into, where putAt overwrites it.
+		ctl.SetMoveObserver(func(src, dst cache.LineID) {
+			recs[dst], recs[src] = recs[src], recs[dst]
+		})
 		s.shards = append(s.shards, &shard{
 			ctl:     ctl,
+			lines:   arr.Lines(),
+			recs:    recs,
 			alloc:   ucp.NewPolicy(cfg.MaxTenants, cfg.MonitorWays, cfg.LinesPerShard, ucp.GranLines, seed^0xa110c),
-			store:   make(map[uint64]entry, cfg.LinesPerShard),
 			managed: cfg.LinesPerShard - unmanaged,
 			ring:    make([]umonSample, umonRingSize),
 		})
@@ -367,18 +395,9 @@ func (s *Service) Config() Config { return s.cfg }
 // TotalLines returns the service's total capacity in lines.
 func (s *Service) TotalLines() int { return s.cfg.Shards * s.cfg.LinesPerShard }
 
-// fnv1a is FNV-1a over the key bytes; addrOf/addrOfB finish it with the
+// fnv1aB is FNV-1a over the key bytes; addrOfB finishes it with the
 // SplitMix64 finalizer because H3 routing downstream needs well-mixed input
 // bits.
-func fnv1a(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 func fnv1aB(key []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
@@ -388,21 +407,51 @@ func fnv1aB(key []byte) uint64 {
 	return h
 }
 
-// addrOf maps a tenant partition and key to a line address: the tenant
+// addrOfB maps a tenant partition and key to a line address: the tenant
 // selects a disjoint 40-bit address space (the idiom internal/sim uses for
 // per-core spaces), the key hash the line within it.
-func addrOf(part int, key string) uint64 {
-	return uint64(part+1)<<40 | hash.Mix64(fnv1a(key))&(1<<40-1)
-}
-
-// addrOfB is addrOf for byte-slice keys.
 func addrOfB(part int, key []byte) uint64 {
 	return uint64(part+1)<<40 | hash.Mix64(fnv1aB(key))&(1<<40-1)
 }
 
-// shardOf routes an address to its shard (ctrl.Banked's bankOf).
-func (s *Service) shardOf(addr uint64) *shard {
-	return s.shards[s.route.Hash(hash.Mix64(addr))&s.mask]
+// shardOf routes an address, given its Mix64, to its shard (ctrl.Banked's
+// bankOf).
+func (s *Service) shardOf(mixed uint64) *shard {
+	return s.shards[s.route.Hash(mixed)&s.mask]
+}
+
+// bytesOf views s as a byte slice without copying, so the string-keyed API
+// is the []byte request path at no cost for any key length. The view is
+// safe because that path only reads tenant and key bytes (a PUT copies the
+// key into the line's record).
+func bytesOf(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
+
+// find resolves addr with one zcache lookup and returns its slot and record
+// when the record holds key's value. A resident tag whose record is dead
+// (deleted key, expired, purged tenant) or belongs to another key (a 40-bit
+// collision) is not found, so readers never refresh its recency and it ages
+// out like any cold line. Caller holds sh.mu.
+func (sh *shard) find(addr, mixed uint64, key []byte) (cache.LineID, *entry) {
+	if id, ok := sh.ctl.LookupMixed(addr, mixed); ok {
+		if e := &sh.recs[id]; e.live && string(e.key) == string(key) {
+			return id, e
+		}
+	}
+	return cache.InvalidLine, nil
+}
+
+// drop discards e's value: the GC gets the value, the key buffer stays for
+// the slot's next occupant. Caller holds sh.mu.
+func (sh *shard) drop(e *entry) {
+	e.live, e.val = false, nil
+	sh.live--
+}
+
+// expire reclaims the expired record e in slot id: the value is dropped and
+// the line demoted so the partition's occupancy shrinks. Caller holds sh.mu.
+func (sh *shard) expire(id cache.LineID, e *entry) {
+	sh.drop(e)
+	sh.ctl.DemoteExpiredSlot(id)
 }
 
 // Get looks key up in tenant's partition. It returns the stored value and
@@ -410,7 +459,7 @@ func (s *Service) shardOf(addr uint64) *shard {
 // to fetch from its origin and Put, the cache-aside pattern).
 //
 // An entry at or past its expiry deadline is a miss: it is reclaimed on the
-// spot (store delete + expiry demotion) and counted as an expired miss, not
+// spot (value dropped + expiry demotion) and counted as an expired miss, not
 // a cold one. Expired reads deliberately bypass the UMON — an expired miss
 // is compulsory, no capacity allocation could have served it, so feeding it
 // to the utility monitors would credit the tenant for demand that capacity
@@ -420,50 +469,7 @@ func (s *Service) shardOf(addr uint64) *shard {
 // stable snapshot: overwrites install fresh copies, so a slice returned
 // here is never mutated afterwards.
 func (s *Service) Get(tenant, key string) ([]byte, bool, error) {
-	if err := s.injectFault(OpGet, tenant); err != nil {
-		return nil, false, err
-	}
-	t := s.reg.Load().tenants[tenant]
-	if t == nil {
-		return nil, false, fmt.Errorf("service: unknown tenant %q", tenant)
-	}
-	addr := addrOf(t.part, key)
-	mixed := hash.Mix64(addr)
-	sh := s.shards[s.route.Hash(mixed)&s.mask]
-	var val []byte
-	hit, expired := false, false
-	sh.mu.Lock()
-	if e, ok := sh.store[addr]; ok && e.key == key {
-		if e.exp != 0 && s.clk.Now().UnixNano() >= e.exp {
-			delete(sh.store, addr)
-			sh.ctl.DemoteExpired(addr)
-			expired = true
-		} else {
-			// Tag presence is implied: a stored entry's tag can only leave
-			// the array via eviction, which purges the entry. Refresh recency
-			// for real hits only — a dead tag (deleted key, or a 40-bit
-			// collision with a different key) must age out like any cold
-			// line, so it is deliberately not promoted here.
-			sh.ctl.Access(addr, t.part)
-			val, hit = e.val, true
-		}
-	}
-	sh.mu.Unlock()
-	if !expired {
-		sh.observe(t.part, addr, mixed) // UMON-DSS sees the live read stream
-	}
-	s.ops.Add(1)
-	t.gets.Add(1)
-	switch {
-	case hit:
-		t.hits.Add(1)
-	case expired:
-		t.expired.Add(1)
-		s.expired.Add(1)
-	default:
-		t.misses.Add(1)
-	}
-	return val, hit, nil
+	return s.GetB(bytesOf(tenant), bytesOf(key))
 }
 
 // GetB is Get with byte-slice tenant and key, for protocol handlers that
@@ -487,25 +493,25 @@ func (s *Service) GetB(tenant, key []byte) ([]byte, bool, error) {
 // getAt is the resolved GET path shared by GetB and the binary shard
 // workers: the caller already resolved the tenant and computed the line
 // address and its Mix64 (binary dispatch resolves once at decode time and
-// routes on the mix, so the worker never rehashes).
+// routes on the mix, so the worker never rehashes). One zcache lookup
+// resolves the slot; a hit runs the controller's hit path on it.
 func (s *Service) getAt(t *Tenant, addr, mixed uint64, key []byte) ([]byte, bool) {
-	sh := s.shards[s.route.Hash(mixed)&s.mask]
+	sh := s.shardOf(mixed)
 	var val []byte
 	hit, expired := false, false
 	sh.mu.Lock()
-	if e, ok := sh.store[addr]; ok && e.key == string(key) {
+	if id, e := sh.find(addr, mixed, key); e != nil {
 		if e.exp != 0 && s.clk.Now().UnixNano() >= e.exp {
-			delete(sh.store, addr)
-			sh.ctl.DemoteExpired(addr)
+			sh.expire(id, e)
 			expired = true
 		} else {
-			sh.ctl.Access(addr, t.part)
+			sh.ctl.Touch(id, t.part)
 			val, hit = e.val, true
 		}
 	}
 	sh.mu.Unlock()
 	if !expired {
-		sh.observe(t.part, addr, mixed)
+		sh.observe(t.part, addr, mixed) // UMON-DSS sees the live read stream
 	}
 	s.ops.Add(1)
 	t.gets.Add(1)
@@ -531,41 +537,12 @@ func (s *Service) Put(tenant, key string, val []byte) error {
 // PutTTL is Put with an explicit TTL: the entry expires ttl from now. ttl 0
 // stores a non-expiring entry, overriding any configured default.
 func (s *Service) PutTTL(tenant, key string, val []byte, ttl time.Duration) error {
-	if err := s.injectFault(OpPut, tenant); err != nil {
-		return err
-	}
-	t := s.reg.Load().tenants[tenant]
-	if t == nil {
-		return fmt.Errorf("service: unknown tenant %q", tenant)
-	}
-	addr := addrOf(t.part, key)
-	sh := s.shardOf(addr)
-	v := append([]byte(nil), val...)
-	var exp int64
-	if ttl > 0 {
-		exp = s.clk.Now().Add(ttl).UnixNano()
-	}
-	sh.mu.Lock()
-	res := sh.ctl.Access(addr, t.part) // hit refreshes; miss installs
-	if res.EvictedValid {
-		delete(sh.store, res.Evicted)
-	}
-	sh.store[addr] = entry{key: key, val: v, exp: exp}
-	if exp != 0 {
-		sh.pushHint(expHint{at: exp, addr: addr})
-	}
-	sh.mu.Unlock()
-	s.ops.Add(1)
-	t.puts.Add(1)
-	if res.ForcedManagedEviction {
-		t.forced.Add(1)
-	}
-	return nil
+	return s.PutBTTL(bytesOf(tenant), bytesOf(key), val, ttl)
 }
 
 // PutB is Put with byte-slice tenant, key, and value. Key and value are
-// copied as needed; on an overwrite of the same key the stored key string
-// is reused, so steady-state overwrites allocate only the value copy.
+// copied; the key goes into the slot's reused buffer, so a steady-state PUT
+// allocates only the value copy.
 func (s *Service) PutB(tenant, key, val []byte) error {
 	return s.PutBTTL(tenant, key, val, s.cfg.DefaultTTL)
 }
@@ -581,30 +558,32 @@ func (s *Service) PutBTTL(tenant, key, val []byte, ttl time.Duration) error {
 	if t == nil {
 		return fmt.Errorf("service: unknown tenant %q", tenant)
 	}
-	s.putAt(t, addrOfB(t.part, key), key, val, ttl)
+	addr := addrOfB(t.part, key)
+	s.putAt(t, addr, hash.Mix64(addr), key, val, ttl)
 	return nil
 }
 
 // putAt is the resolved PUT path shared by PutBTTL and the binary shard
-// workers. The value is copied; on an overwrite of the same key the stored
-// key string is reused.
-func (s *Service) putAt(t *Tenant, addr uint64, key, val []byte, ttl time.Duration) {
-	sh := s.shardOf(addr)
+// workers: one controller access (a hit refreshes, a miss installs), then
+// the record in the slot it reports is overwritten. On a miss that record
+// is the evicted line's — the walk's relocations swapped it there — so an
+// eviction needs no separate removal. The value is a fresh copy (GET hands
+// out the stored slice); the key reuses the slot's buffer.
+func (s *Service) putAt(t *Tenant, addr, mixed uint64, key, val []byte, ttl time.Duration) {
+	sh := s.shardOf(mixed)
 	v := append([]byte(nil), val...)
 	var exp int64
 	if ttl > 0 {
 		exp = s.clk.Now().Add(ttl).UnixNano()
 	}
 	sh.mu.Lock()
-	res := sh.ctl.Access(addr, t.part)
-	if res.EvictedValid {
-		delete(sh.store, res.Evicted)
+	res := sh.ctl.AccessMixed(addr, mixed, t.part)
+	e := &sh.recs[res.Slot]
+	if !e.live {
+		sh.live++
 	}
-	if e, ok := sh.store[addr]; ok && e.key == string(key) {
-		sh.store[addr] = entry{key: e.key, val: v, exp: exp}
-	} else {
-		sh.store[addr] = entry{key: string(key), val: v, exp: exp}
-	}
+	e.key = append(e.key[:0], key...)
+	e.val, e.exp, e.live = v, exp, true
 	if exp != 0 {
 		sh.pushHint(expHint{at: exp, addr: addr})
 	}
@@ -622,14 +601,7 @@ func (s *Service) putAt(t *Tenant, addr uint64, key, val []byte, ttl time.Durati
 // and returns false, same as a read would. A successful touch refreshes the
 // line's recency like a GET hit, since a touch is a liveness declaration.
 func (s *Service) Touch(tenant, key string, ttl time.Duration) (bool, error) {
-	if err := s.injectFault(OpTouch, tenant); err != nil {
-		return false, err
-	}
-	t := s.reg.Load().tenants[tenant]
-	if t == nil {
-		return false, fmt.Errorf("service: unknown tenant %q", tenant)
-	}
-	return s.touch(t, addrOf(t.part, key), key, ttl)
+	return s.TouchB(bytesOf(tenant), bytesOf(key), ttl)
 }
 
 // TouchB is Touch with byte-slice tenant and key.
@@ -643,47 +615,14 @@ func (s *Service) TouchB(tenant, key []byte, ttl time.Duration) (bool, error) {
 	if t == nil {
 		return false, fmt.Errorf("service: unknown tenant %q", tenant)
 	}
-	return s.touchAt(t, addrOfB(t.part, key), key, ttl), nil
-}
-
-func (s *Service) touch(t *Tenant, addr uint64, key string, ttl time.Duration) (bool, error) {
-	sh := s.shardOf(addr)
-	now := s.clk.Now()
-	var exp int64
-	if ttl > 0 {
-		exp = now.Add(ttl).UnixNano()
-	}
-	live, expired := false, false
-	sh.mu.Lock()
-	if e, ok := sh.store[addr]; ok && e.key == key {
-		if e.exp != 0 && now.UnixNano() >= e.exp {
-			delete(sh.store, addr)
-			sh.ctl.DemoteExpired(addr)
-			expired = true
-		} else {
-			e.exp = exp
-			sh.store[addr] = e
-			if exp != 0 {
-				sh.pushHint(expHint{at: exp, addr: addr})
-			}
-			sh.ctl.Access(addr, t.part) // tag is present: refreshes recency
-			live = true
-		}
-	}
-	sh.mu.Unlock()
-	s.ops.Add(1)
-	if expired {
-		t.expired.Add(1)
-		s.expired.Add(1)
-	}
-	return live, nil
+	addr := addrOfB(t.part, key)
+	return s.touchAt(t, addr, hash.Mix64(addr), key, ttl), nil
 }
 
 // touchAt is the resolved TOUCH path shared by TouchB and the binary shard
-// workers; unlike touch it compares the stored key against a byte slice, so
-// the protocol paths never build a key string.
-func (s *Service) touchAt(t *Tenant, addr uint64, key []byte, ttl time.Duration) bool {
-	sh := s.shardOf(addr)
+// workers.
+func (s *Service) touchAt(t *Tenant, addr, mixed uint64, key []byte, ttl time.Duration) bool {
+	sh := s.shardOf(mixed)
 	now := s.clk.Now()
 	var exp int64
 	if ttl > 0 {
@@ -691,18 +630,16 @@ func (s *Service) touchAt(t *Tenant, addr uint64, key []byte, ttl time.Duration)
 	}
 	live, expired := false, false
 	sh.mu.Lock()
-	if e, ok := sh.store[addr]; ok && e.key == string(key) {
+	if id, e := sh.find(addr, mixed, key); e != nil {
 		if e.exp != 0 && now.UnixNano() >= e.exp {
-			delete(sh.store, addr)
-			sh.ctl.DemoteExpired(addr)
+			sh.expire(id, e)
 			expired = true
 		} else {
 			e.exp = exp
-			sh.store[addr] = e
 			if exp != 0 {
 				sh.pushHint(expHint{at: exp, addr: addr})
 			}
-			sh.ctl.Access(addr, t.part)
+			sh.ctl.Touch(id, t.part)
 			live = true
 		}
 	}
@@ -720,24 +657,7 @@ func (s *Service) touchAt(t *Tenant, addr uint64, key []byte, ttl time.Duration)
 // has no invalidation path; a dead tag is demoted and evicted like any cold
 // line), so occupancy decays rather than dropping instantly.
 func (s *Service) Delete(tenant, key string) (bool, error) {
-	if err := s.injectFault(OpDelete, tenant); err != nil {
-		return false, err
-	}
-	t := s.reg.Load().tenants[tenant]
-	if t == nil {
-		return false, fmt.Errorf("service: unknown tenant %q", tenant)
-	}
-	addr := addrOf(t.part, key)
-	sh := s.shardOf(addr)
-	sh.mu.Lock()
-	e, ok := sh.store[addr]
-	present := ok && e.key == key
-	if present {
-		delete(sh.store, addr)
-	}
-	sh.mu.Unlock()
-	s.ops.Add(1)
-	return present, nil
+	return s.DeleteB(bytesOf(tenant), bytesOf(key))
 }
 
 // DeleteB is Delete with byte-slice tenant and key.
@@ -751,22 +671,22 @@ func (s *Service) DeleteB(tenant, key []byte) (bool, error) {
 	if t == nil {
 		return false, fmt.Errorf("service: unknown tenant %q", tenant)
 	}
-	return s.deleteAt(t, addrOfB(t.part, key), key), nil
+	addr := addrOfB(t.part, key)
+	return s.deleteAt(addr, hash.Mix64(addr), key), nil
 }
 
 // deleteAt is the resolved DELETE path shared by DeleteB and the binary
 // shard workers.
-func (s *Service) deleteAt(t *Tenant, addr uint64, key []byte) bool {
-	sh := s.shardOf(addr)
+func (s *Service) deleteAt(addr, mixed uint64, key []byte) bool {
+	sh := s.shardOf(mixed)
 	sh.mu.Lock()
-	e, ok := sh.store[addr]
-	present := ok && e.key == string(key)
-	if present {
-		delete(sh.store, addr)
+	_, e := sh.find(addr, mixed, key)
+	if e != nil {
+		sh.drop(e)
 	}
 	sh.mu.Unlock()
 	s.ops.Add(1)
-	return present
+	return e != nil
 }
 
 // Repartition reruns UCP once on every shard: each shard first drains its

@@ -19,13 +19,18 @@
 // Lazy discarding alone does not bound the heap: stale hints survive until
 // their old deadlines pop, so a hot key overwritten (or TOUCHed) with long
 // TTLs accumulates one live hint plus arbitrarily many stale ones. pushHint
-// therefore compacts the heap whenever it exceeds twice the store size
+// therefore compacts the heap whenever it exceeds twice the live records
 // (plus slack): compaction keeps exactly one hint per live TTL'd entry —
 // the one matching the entry's current deadline — so the heap is always
 // O(live entries) and a push is amortized O(log n). The heap size is
 // exported as the exp_heap_entries gauge.
 
 package service
+
+import (
+	"vantage/internal/cache"
+	"vantage/internal/hash"
+)
 
 // expHint schedules one expiry check: the line address and the deadline the
 // entry carried when the hint was pushed (Unix nanoseconds).
@@ -89,15 +94,24 @@ func (h *expHeap) pop() expHint {
 	return top
 }
 
+// hinted resolves a hint's address to its slot and record, or nil when no
+// live record sits there any more. Caller holds sh.mu.
+func (sh *shard) hinted(addr uint64) (cache.LineID, *entry) {
+	if id, ok := sh.ctl.LookupMixed(addr, hash.Mix64(addr)); ok && sh.recs[id].live {
+		return id, &sh.recs[id]
+	}
+	return cache.InvalidLine, nil
+}
+
 // pushHint records an expiry hint and compacts the heap when stale hints
 // dominate. The bound is an invariant, not a heuristic: compaction keeps at
-// most one hint per live store entry, so immediately after it the heap is
-// ≤ len(store), and the trigger therefore fires at most once per ~len(store)
+// most one hint per live record, so immediately after it the heap is
+// ≤ sh.live, and the trigger therefore fires at most once per ~sh.live
 // pushes — amortized O(1) slice work per push on top of the O(log n) sift.
 // Caller holds sh.mu.
 func (sh *shard) pushHint(n expHint) {
 	sh.exph.push(n)
-	if len(sh.exph) > 2*len(sh.store)+64 {
+	if len(sh.exph) > 2*sh.live+64 {
 		sh.compactHints()
 	}
 }
@@ -107,20 +121,24 @@ func (sh *shard) pushHint(n expHint) {
 // an identical absolute deadline pushes identical hints), and re-heapifies.
 // Correctness rests on the push-site invariant that every assignment of a
 // non-zero entry.exp pushed a hint with at == exp: the surviving hint for a
-// live entry is exactly the one the sweeper needs. Caller holds sh.mu.
+// live entry is exactly the one the sweeper needs. Duplicates are told by
+// stamping the record with the pass number, so the pass allocates nothing
+// while it holds the lock. Caller holds sh.mu.
 func (sh *shard) compactHints() {
-	q := sh.exph
-	seen := make(map[uint64]struct{}, len(q)/2)
-	kept := q[:0]
-	for _, n := range q {
-		e, ok := sh.store[n.addr]
-		if !ok || e.exp == 0 || e.exp != n.at {
-			continue // stale: entry deleted, overwritten, or touched elsewhere
+	sh.compactions++
+	if sh.compactions == 0 { // wrapped: no stale stamp may equal a new pass
+		for i := range sh.recs {
+			sh.recs[i].stamp = 0
 		}
-		if _, dup := seen[n.addr]; dup {
-			continue
+		sh.compactions = 1
+	}
+	kept := sh.exph[:0]
+	for _, n := range sh.exph {
+		_, e := sh.hinted(n.addr)
+		if e == nil || e.exp != n.at || e.stamp == sh.compactions {
+			continue // stale (deleted, overwritten, touched elsewhere) or a duplicate
 		}
-		seen[n.addr] = struct{}{}
+		e.stamp = sh.compactions
 		kept = append(kept, n)
 	}
 	sh.exph = kept
@@ -128,21 +146,19 @@ func (sh *shard) compactHints() {
 }
 
 // sweepShard runs one bounded sweep pass on sh, returning the number of
-// expired entries reclaimed. Each reclaimed line is deleted from the store
-// and demoted in the controller as an expiry demotion.
+// expired entries reclaimed. Each reclaimed line has its value dropped and
+// is demoted in the controller as an expiry demotion.
 func (s *Service) sweepShard(sh *shard) int {
 	now := s.clk.Now().UnixNano()
 	batch := s.cfg.SweepBatch
 	reclaimed := 0
 	sh.mu.Lock()
 	for pops := 0; pops < batch && len(sh.exph) > 0 && sh.exph[0].at <= now; pops++ {
-		h := sh.exph.pop()
-		e, ok := sh.store[h.addr]
-		if !ok || e.exp == 0 || e.exp > now {
+		id, e := sh.hinted(sh.exph.pop().addr)
+		if e == nil || e.exp == 0 || e.exp > now {
 			continue // stale hint: entry deleted, overwritten, or touched later
 		}
-		delete(sh.store, h.addr)
-		sh.ctl.DemoteExpired(h.addr)
+		sh.expire(id, e)
 		reclaimed++
 	}
 	sh.sweepLines += uint64(reclaimed)

@@ -179,9 +179,9 @@ func (s *Service) removeTenantInner(name string, origin bool) error {
 		sh.alloc.Monitor(t.part).Reset()
 		sh.umu.Unlock()
 		sh.mu.Lock()
-		for addr := range sh.store {
-			if addr&^(1<<40-1) == space {
-				delete(sh.store, addr)
+		for id := range sh.recs {
+			if e := &sh.recs[id]; e.live && sh.lines[id].Addr&^(1<<40-1) == space {
+				sh.drop(e)
 			}
 		}
 		sh.mu.Unlock()
