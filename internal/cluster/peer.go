@@ -114,8 +114,8 @@ func (p *Peer) Close() {
 	p.mu.Unlock()
 }
 
-// appendFrame encodes one request frame onto dst.
-func appendFrame(dst []byte, op, flags uint8, id, ttlMS uint32, tenant, key string, val []byte) []byte {
+// appendFrame encodes one request frame (length prefix included) onto dst.
+func appendFrame[S ~string | ~[]byte](dst []byte, op, flags uint8, id, ttlMS uint32, tenant, key S, val []byte) []byte {
 	n := peerReqHdr + len(tenant) + len(key) + len(val)
 	var h [4 + peerReqHdr]byte
 	peerLE.PutUint32(h[0:4], uint32(n))

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/binary"
 	"io"
 	"net"
 	"sync"
@@ -29,14 +28,13 @@ import (
 
 // pend describes one forwarded request awaiting its backend response.
 type pend struct {
-	s    respSink
-	id   uint32   // the client's original request id, restored on delivery
-	op   uint8    // client-visible opcode for the response frame
-	kind uint8    // text front: which rendering the response needs
-	seq  uint64   // text front: response-ordering slot
-	m    *bmMerge // non-nil: one sub-batch of a split BMGET
-	idxs []int    // merge only: client key positions this sub-batch covers
-	t0   int64    // submit time (ns since epoch) when latency tracking is on
+	s   respSink
+	id  uint32   // binary front: the client's request id, restored on delivery
+	op  uint8    // client-visible opcode; the text front renders by it
+	seq uint64   // text front: response-ordering slot
+	m   *bmMerge // non-nil: one sub-batch of a split batch (see merge.go),
+	sub int32    // the ring member it went to
+	t0  int64    // submit time (ns since epoch) when latency tracking is on
 }
 
 // respSink receives demultiplexed backend responses (or synthesized
@@ -45,103 +43,13 @@ type respSink interface {
 	deliver(pd pend, status uint8, payload []byte)
 }
 
-// bmMerge re-merges the per-owner sub-responses of a split BMGET into one
-// coalesced response in the client's key order. The last sub-response to
-// land finishes the merge; a frame-level ERR from any owner wins over all
-// per-key results (first error is kept), matching the node's own
-// whole-batch failure semantics.
-type bmMerge struct {
-	id     uint32 // client request id (binary front) — unused by text
-	seq    uint64 // text front ordering slot
-	sts    []uint8
-	vals   [][]byte
-	remain atomic.Int32
-	errMsg atomic.Pointer[string]
-	t0     int64
-}
-
-func newBMMerge(id uint32, seq uint64, count, owners int, t0 int64) *bmMerge {
-	m := &bmMerge{id: id, seq: seq, sts: make([]uint8, count), vals: make([][]byte, count), t0: t0}
-	m.remain.Store(int32(owners))
-	return m
-}
-
-// absorb folds one sub-response into the merge and reports whether this
-// was the final one (the caller then renders the merged result).
-func (m *bmMerge) absorb(pd pend, status uint8, payload []byte) bool {
-	switch status {
-	case peerStOK:
-		if err := scatterBMGet(m, payload, pd.idxs); err != "" {
-			m.setErr(err)
-		}
-	case peerStErr:
-		m.setErr(string(payload))
-	case peerStShed:
-		// A node never sheds a whole BMGET frame (sheds are per-key), but a
-		// synthesized or future status maps to per-key sheds here.
-		for _, i := range pd.idxs {
-			m.sts[i] = peerStShed
-		}
-	default:
-		m.setErr("backend sent unexpected BMGET status")
-	}
-	return m.remain.Add(-1) == 0
-}
-
-func (m *bmMerge) setErr(msg string) {
-	m.errMsg.CompareAndSwap(nil, &msg)
-}
-
-// scatterBMGet decodes one owner's coalesced payload into the merge's
-// client-order slots. Returns a non-empty message on a malformed payload.
-func scatterBMGet(m *bmMerge, payload []byte, idxs []int) string {
-	if len(payload) < 2 {
-		return "backend sent short BMGET payload"
-	}
-	count := int(peerLE.Uint16(payload))
-	if count != len(idxs) {
-		return "backend BMGET count mismatch"
-	}
-	p := payload[2:]
-	for _, i := range idxs {
-		if len(p) < 5 {
-			return "backend BMGET entry truncated"
-		}
-		st := p[0]
-		vl := int(peerLE.Uint32(p[1:5]))
-		p = p[5:]
-		if vl > len(p) {
-			return "backend BMGET value truncated"
-		}
-		m.sts[i] = st
-		if st == peerStOK {
-			m.vals[i] = append([]byte(nil), p[:vl]...)
-		}
-		p = p[vl:]
-	}
-	return ""
-}
-
-// appendBMGetMerged encodes the merged result in the BMGET response
-// payload layout (u16 count, then per key u8 status / u32 vlen / value).
-func appendBMGetMerged(dst []byte, m *bmMerge) []byte {
-	var cb [2]byte
-	peerLE.PutUint16(cb[:], uint16(len(m.sts)))
-	dst = append(dst, cb[:]...)
-	for i, st := range m.sts {
-		var e [5]byte
-		e[0] = st
-		peerLE.PutUint32(e[1:5], uint32(len(m.vals[i])))
-		dst = append(dst, e[:]...)
-		dst = append(dst, m.vals[i]...)
-	}
-	return dst
-}
-
-// pool owns the shared backend connections.
+// pool owns the shared backend connections, one slot per ring member,
+// addressed by member index so the per-frame lookup is one atomic load.
 type pool struct {
-	mu     sync.Mutex
-	conns  map[string]*poolConn
+	members []string
+	conns   []atomic.Pointer[poolConn]
+
+	mu     sync.Mutex // serializes slot creation against close
 	closed bool
 
 	lat *latency.Hist // nil unless latency tracking is on
@@ -151,8 +59,8 @@ type pool struct {
 	frames     atomic.Uint64 // frames pipelined through the pool, lifetime
 }
 
-func newPool(lat *latency.Hist) *pool {
-	return &pool{conns: make(map[string]*poolConn), lat: lat}
+func newPool(members []string, lat *latency.Hist) *pool {
+	return &pool{members: members, conns: make([]atomic.Pointer[poolConn], len(members)), lat: lat}
 }
 
 // poolConn is one shared backend connection. The write side is a mutex-
@@ -161,6 +69,7 @@ func newPool(lat *latency.Hist) *pool {
 // response frames via the pending map.
 type poolConn struct {
 	pl   *pool
+	idx  int32 // ring member index
 	addr string
 
 	ready   chan struct{} // closed once dial+negotiate finishes
@@ -176,24 +85,26 @@ type poolConn struct {
 	dead    bool
 }
 
-// get returns the live connection for addr, dialing one if none exists.
-// Only the first caller dials; concurrent callers wait on ready.
-func (pl *pool) get(addr string) (*poolConn, error) {
-	pl.mu.Lock()
-	if pl.closed {
-		pl.mu.Unlock()
-		return nil, errPoolClosed
-	}
-	pc := pl.conns[addr]
+// get returns the live connection to ring member i, dialing one if none
+// exists. Only the first caller dials; concurrent callers wait on ready.
+func (pl *pool) get(i int32) (*poolConn, error) {
+	pc := pl.conns[i].Load()
 	if pc == nil {
-		pc = &poolConn{pl: pl, addr: addr, ready: make(chan struct{}), pending: make(map[uint32]pend)}
-		pl.conns[addr] = pc
-		pl.mu.Unlock()
-		pc.dial()
-	} else {
-		pl.mu.Unlock()
-		<-pc.ready
+		pl.mu.Lock()
+		if pl.closed {
+			pl.mu.Unlock()
+			return nil, errPoolClosed
+		}
+		if pc = pl.conns[i].Load(); pc == nil {
+			pc = &poolConn{pl: pl, idx: i, addr: pl.members[i], ready: make(chan struct{}), pending: make(map[uint32]pend)}
+			pl.conns[i].Store(pc)
+			pl.mu.Unlock()
+			pc.dial()
+		} else {
+			pl.mu.Unlock()
+		}
 	}
+	<-pc.ready
 	if pc.dialErr != nil {
 		return nil, pc.dialErr
 	}
@@ -238,13 +149,7 @@ func (pc *poolConn) dial() {
 
 var errNegotiate = &net.OpError{Op: "negotiate", Err: io.ErrUnexpectedEOF}
 
-func (pl *pool) drop(pc *poolConn) {
-	pl.mu.Lock()
-	if pl.conns[pc.addr] == pc {
-		delete(pl.conns, pc.addr)
-	}
-	pl.mu.Unlock()
-}
+func (pl *pool) drop(pc *poolConn) { pl.conns[pc.idx].CompareAndSwap(pc, nil) }
 
 // submit registers one forwarded frame and appends it to the connection's
 // write buffer without flushing. frame is the full wire encoding (4-byte
@@ -317,6 +222,7 @@ func (pc *poolConn) readLoop() {
 			pc.pl.lat.Record(time.Duration(time.Now().UnixNano() - pd.t0))
 		}
 		pd.s.deliver(pd, frame[0], frame[peerRespHdr:])
+		frame = keep(frame) // one huge response must not pin its buffer
 	}
 	pc.fail()
 }
@@ -350,12 +256,12 @@ func (pc *poolConn) failOne(pd pend) {
 func (pl *pool) close() {
 	pl.mu.Lock()
 	pl.closed = true
-	conns := make([]*poolConn, 0, len(pl.conns))
-	for _, pc := range pl.conns {
-		conns = append(conns, pc)
-	}
 	pl.mu.Unlock()
-	for _, pc := range conns {
+	for i := range pl.conns {
+		pc := pl.conns[i].Load()
+		if pc == nil {
+			continue
+		}
 		select {
 		case <-pc.ready:
 			if pc.dialErr == nil {
@@ -389,45 +295,4 @@ func (t *touched) flush() {
 		t.conns[i] = nil
 	}
 	t.conns = t.conns[:0]
-}
-
-// appendReqFrame encodes one binary request frame (length prefix
-// included). The id field is left zero — submit rewrites it.
-func appendReqFrame(dst []byte, op, flags uint8, ttlMS uint32, tenant string, key, val []byte) []byte {
-	n := peerReqHdr + len(tenant) + len(key) + len(val)
-	var h [4 + peerReqHdr]byte
-	peerLE.PutUint32(h[0:4], uint32(n))
-	h[4] = op
-	h[5] = flags
-	h[6] = uint8(len(tenant))
-	peerLE.PutUint32(h[12:16], ttlMS)
-	peerLE.PutUint16(h[16:18], uint16(len(key)))
-	dst = append(dst, h[:]...)
-	dst = append(dst, tenant...)
-	dst = append(dst, key...)
-	return append(dst, val...)
-}
-
-// appendBMGetReq encodes a BMGET request frame for the given subset of
-// keys (length prefix included, id zero).
-func appendBMGetReq(dst []byte, tenant string, keys [][]byte, idxs []int) []byte {
-	body := 0
-	for _, i := range idxs {
-		body += 2 + len(keys[i])
-	}
-	n := peerReqHdr + len(tenant) + body
-	var h [4 + peerReqHdr]byte
-	peerLE.PutUint32(h[0:4], uint32(n))
-	h[4] = peerOpBMGet
-	h[6] = uint8(len(tenant))
-	peerLE.PutUint16(h[16:18], uint16(len(idxs)))
-	dst = append(dst, h[:]...)
-	dst = append(dst, tenant...)
-	for _, i := range idxs {
-		var l [2]byte
-		binary.LittleEndian.PutUint16(l[:], uint16(len(keys[i])))
-		dst = append(dst, l[:]...)
-		dst = append(dst, keys[i]...)
-	}
-	return dst
 }

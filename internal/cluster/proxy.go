@@ -2,17 +2,18 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"vantage/internal/latency"
+	"vantage/internal/textwire"
 )
 
 // Proxy routes client commands to the key's ring owner so clients that
@@ -28,7 +29,9 @@ import (
 // stream — in arrival order keyed by request id on the binary front, in
 // strict command order (a per-session sequencer) on the text front. MGET
 // and BMGET fan out as per-owner BMGET sub-frames whose coalesced
-// responses are re-merged in client key order.
+// responses are re-merged in client key order by the core both fronts
+// share (merge.go). In steady state the hop allocates nothing per key or
+// per frame.
 //
 // Control verbs (TENANT, STATS, CLUSTER, malformed lines) and anything
 // the binary framing cannot carry fall back to per-session text
@@ -76,10 +79,11 @@ func (st ProxyStats) LatencyQuantile(q float64) time.Duration {
 	return latency.Quantile(st.LatencyCounts, q)
 }
 
-// proxyMaxLine bounds one text command line; proxyMaxBody bounds one PUT
-// value block or binary frame. Both are generous — the backends enforce
-// the real protocol limits and their ERR/close is relayed — these only
-// keep a garbage length field from making the proxy buffer gigabytes.
+// proxyMaxLine bounds one text command line (the session closes beyond it,
+// before buffering more); proxyMaxBody bounds one PUT value block or binary
+// frame. Both are generous — the backends enforce the real protocol limits
+// and their ERR/close is relayed — these only keep an endless line or a
+// garbage length field from making the proxy buffer gigabytes.
 const (
 	proxyMaxLine = 1 << 20
 	proxyMaxBody = 64 << 20
@@ -116,7 +120,7 @@ func NewProxyWith(lis net.Listener, members []string, vnodes int, cfg ProxyConfi
 	if cfg.TrackLatency {
 		p.lat = &latency.Hist{}
 	}
-	p.pool = newPool(p.lat)
+	p.pool = newPool(p.members, p.lat)
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -201,17 +205,22 @@ func (p *Proxy) serveConn(conn net.Conn) {
 	p.serveText(conn, r)
 }
 
-// route submits one frame through the pool, answering with a synthesized
-// ERR when the backend cannot be dialed (reconnect is retried on the next
-// batch that routes there).
-func (p *Proxy) route(tch *touched, pd pend, addr string, frame []byte) {
-	pc, err := p.pool.get(addr)
+// route submits one frame through the pool to ring member owner, answering
+// with a synthesized ERR when the backend cannot be dialed (reconnect is
+// retried on the next batch that routes there).
+func (p *Proxy) route(tch *touched, pd pend, owner int32, frame []byte) {
+	pc, err := p.pool.get(owner)
 	if err != nil {
-		pd.s.deliver(pd, peerStErr, []byte("proxy: backend "+addr+" unavailable"))
+		pd.s.deliver(pd, peerStErr, []byte("proxy: backend "+p.members[owner]+" unavailable"))
 		return
 	}
 	pc.submit(pd, frame)
 	tch.add(pc)
+}
+
+// ownerOf is the ring member index that owns (tenant, key).
+func (p *Proxy) ownerOf(tenant, key []byte) int32 {
+	return p.ring.ownerIdx(keyHashB(tenant, key))
 }
 
 // now returns a submit timestamp when latency tracking is on, else 0.
@@ -230,14 +239,6 @@ func (p *Proxy) record(t0 int64) {
 
 // ---------------------------------------------------------------- text --
 
-// Response renderings for pooled text commands.
-const (
-	kGet = iota + 1
-	kPut
-	kDel
-	kTouch
-)
-
 // textBackend is one lazily dialed text-protocol connection to a node,
 // owned by a single client session (so fallback responses can't
 // interleave). Only control verbs and malformed lines use these; the data
@@ -248,6 +249,22 @@ type textBackend struct {
 	w    *bufio.Writer
 }
 
+// textSlot holds the rendered response of a command that completed ahead of
+// an earlier one, until its turn. The buffers are reused while small.
+type textSlot struct {
+	buf  []byte
+	done bool
+}
+
+// textWindow is the sequencer's window at rest and slotKeepBuf the largest
+// out-of-order response buffer one of its slots keeps. A window a deep
+// pipelined burst has grown keeps no slot buffers and is given back when the
+// burst has drained, so a session pins at most textWindow × slotKeepBuf.
+const (
+	textWindow  = 64
+	slotKeepBuf = 4 << 10
+)
+
 // textProxySess is one text client. Pooled responses complete out of
 // order (whichever backend answers first) but the text protocol promises
 // responses in command order, so each command takes a sequence slot and
@@ -256,15 +273,19 @@ type textProxySess struct {
 	p    *Proxy
 	conn net.Conn
 
-	mu   sync.Mutex
-	cond *sync.Cond
-	w    *bufio.Writer
-	next uint64 // next sequence slot to assign
-	head uint64 // next slot to emit
-	done map[uint64][]byte
+	mu    sync.Mutex
+	cond  *sync.Cond
+	w     *bufio.Writer
+	next  uint64     // next sequence slot to assign
+	head  uint64     // next slot to emit
+	slots []textSlot // window over [head, next): seq s lives at s & (len-1)
+	rbuf  []byte     // render scratch for responses completing in order
 
+	// Reading-goroutine scratch.
 	backends map[string]*textBackend
+	fields   [][]byte
 	scratch  []byte
+	sc       scatter
 }
 
 func (ts *textProxySess) backend(addr string) (*textBackend, error) {
@@ -286,30 +307,56 @@ func (ts *textProxySess) closeAll() {
 	}
 }
 
-// allocSeq claims the next response-ordering slot.
+// allocSeq claims the next response-ordering slot, doubling the window when
+// the client has that many commands in flight.
 func (ts *textProxySess) allocSeq() uint64 {
 	ts.mu.Lock()
+	if n := uint64(len(ts.slots)); ts.next-ts.head == n {
+		grown := make([]textSlot, 2*n)
+		for s := ts.head; s != ts.next; s++ {
+			grown[s&(2*n-1)] = ts.slots[s&(n-1)]
+		}
+		ts.slots = grown
+	}
 	s := ts.next
 	ts.next++
 	ts.mu.Unlock()
 	return s
 }
 
-// complete stores one command's rendered response and emits every
-// response that is now at the head of the order. The whole buffer flushes
-// once all assigned slots have drained (the batch boundary) or when it
-// grows past the high-water mark.
-func (ts *textProxySess) complete(seq uint64, resp []byte) {
+// complete renders one command's response — the finished merge m, or the
+// single binary response (op, status, payload) — and emits every response
+// that is now at the head of the order; one completing ahead of its turn
+// waits in its slot. The whole buffer flushes once all assigned slots have
+// drained (the batch boundary) or when it grows past the high-water mark.
+func (ts *textProxySess) complete(seq uint64, op, status uint8, payload []byte, m *bmMerge) {
 	ts.mu.Lock()
-	ts.done[seq] = resp
-	for {
-		b, ok := ts.done[ts.head]
-		if !ok {
-			break
-		}
-		delete(ts.done, ts.head)
+	mask := uint64(len(ts.slots) - 1)
+	sl, buf := &ts.slots[seq&mask], ts.rbuf
+	if seq != ts.head {
+		buf = sl.buf
+	}
+	if m != nil {
+		buf = m.render(buf[:0], true)
+	} else {
+		buf = appendTextResp(buf[:0], op, status, payload)
+	}
+	if seq != ts.head {
+		sl.buf, sl.done = buf, true
+	} else {
+		ts.w.Write(buf)
+		ts.rbuf = keep(buf)
 		ts.head++
-		ts.w.Write(b)
+		for sl = &ts.slots[ts.head&mask]; sl.done; sl = &ts.slots[ts.head&mask] {
+			ts.w.Write(sl.buf)
+			if sl.done = false; cap(sl.buf) > slotKeepBuf || len(ts.slots) > textWindow {
+				sl.buf = nil
+			}
+			ts.head++
+		}
+		if ts.head == ts.next && len(ts.slots) > textWindow {
+			ts.slots = make([]textSlot, textWindow)
+		}
 	}
 	if ts.head == ts.next || ts.w.Buffered() >= proxyFlushHi {
 		if ts.w.Flush() != nil {
@@ -335,105 +382,33 @@ func (ts *textProxySess) barrier(tch *touched) {
 // deliver renders one pooled backend response into the session's response
 // order. Called from pool reader goroutines.
 func (ts *textProxySess) deliver(pd pend, status uint8, payload []byte) {
-	if pd.m != nil {
-		m := pd.m
-		if !m.absorb(pd, status, payload) {
-			return
-		}
+	m := pd.m
+	if m == nil {
+		ts.complete(pd.seq, pd.op, status, payload, nil)
+	} else if m.absorb(pd.sub, status, payload) {
 		ts.p.record(m.t0)
-		ts.complete(m.seq, renderMGetMerged(m))
-		return
+		ts.complete(m.seq, 0, 0, nil, m)
 	}
-	ts.complete(pd.seq, renderTextResp(pd.kind, status, payload))
-}
-
-// renderTextResp maps one binary response onto the text protocol's exact
-// reply strings for the originating verb.
-func renderTextResp(kind, status uint8, payload []byte) []byte {
-	switch status {
-	case peerStOK:
-		switch kind {
-		case kGet:
-			out := make([]byte, 0, len(payload)+24)
-			out = append(out, "VALUE "...)
-			out = strconv.AppendInt(out, int64(len(payload)), 10)
-			out = append(out, "\r\n"...)
-			out = append(out, payload...)
-			return append(out, "\r\n"...)
-		case kPut:
-			return []byte("STORED\r\n")
-		case kDel:
-			return []byte("DELETED\r\n")
-		case kTouch:
-			return []byte("TOUCHED\r\n")
-		}
-	case peerStMiss:
-		return []byte("MISS\r\n")
-	case peerStShed:
-		return []byte("ERR SHED server overloaded\r\n")
-	}
-	out := make([]byte, 0, len(payload)+8)
-	out = append(out, "ERR "...)
-	out = append(out, payload...)
-	return append(out, "\r\n"...)
-}
-
-// renderMGetMerged renders a merged BMGET fan-out as the text MGET
-// response: per-key VALUE/MISS blocks in key order plus END, or — like a
-// node's own whole-batch failure — a single ERR line with no END when any
-// owner failed the batch or shed its sub-batch.
-func renderMGetMerged(m *bmMerge) []byte {
-	if msg := m.errMsg.Load(); msg != nil {
-		return []byte("ERR " + *msg + "\r\n")
-	}
-	for _, st := range m.sts {
-		if st == peerStShed {
-			return []byte("ERR SHED server overloaded\r\n")
-		}
-	}
-	var out []byte
-	for i, st := range m.sts {
-		if st == peerStOK {
-			out = append(out, "VALUE "...)
-			out = strconv.AppendInt(out, int64(len(m.vals[i])), 10)
-			out = append(out, "\r\n"...)
-			out = append(out, m.vals[i]...)
-			out = append(out, "\r\n"...)
-		} else {
-			out = append(out, "MISS\r\n"...)
-		}
-	}
-	return append(out, "END\r\n"...)
-}
-
-// readLine reads one CRLF- (or LF-) terminated line, stripped.
-func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	if len(line) > proxyMaxLine {
-		return "", errors.New("line too long")
-	}
-	return strings.TrimRight(line, "\r\n"), nil
 }
 
 // canPool reports whether tenant and key fit the binary framing the pool
 // speaks (anything else falls back to the text path, where the backend
 // produces its own exact error strings).
-func canPool(tenant, key string) bool {
+func canPool(tenant, key []byte) bool {
 	return len(tenant) > 0 && len(tenant) <= 255 && len(key) <= proxyMaxKeyLen
 }
 
 // serveText runs the text front: hot data verbs are translated onto the
 // pooled binary plane and answered through the sequencer; everything else
-// drains the pipeline and takes the synchronous fallback path.
+// drains the pipeline and takes the synchronous fallback path. Lines are
+// read and tokenized in place (textwire): fields alias the reader's buffer
+// and are dead after the next read from r.
 func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader) {
 	ts := &textProxySess{
 		p:        p,
 		conn:     conn,
 		w:        bufio.NewWriterSize(conn, 16<<10),
-		done:     make(map[uint64][]byte),
+		slots:    make([]textSlot, textWindow),
 		backends: make(map[string]*textBackend),
 	}
 	ts.cond = sync.NewCond(&ts.mu)
@@ -441,45 +416,42 @@ func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader) {
 	var tch touched
 	defer tch.flush()
 	for {
-		line, err := readLine(r)
+		line, err := textwire.ReadLine(r, proxyMaxLine)
 		if err != nil {
 			return
 		}
-		fields := strings.Fields(line)
+		ts.fields = textwire.SplitFields(line, ts.fields[:0])
+		fields := ts.fields
 		if len(fields) == 0 {
 			continue
 		}
-		verb := strings.ToUpper(fields[0])
+		verb := fields[0]
 		hot := true
-		switch verb {
-		case "GET", "DEL":
+		switch {
+		case textwire.CmdEq(verb, "GET"), textwire.CmdEq(verb, "DEL"):
 			if len(fields) != 3 || !canPool(fields[1], fields[2]) {
 				hot = false
 				break
 			}
-			op, kind := uint8(peerOpGet), uint8(kGet)
-			if verb == "DEL" {
-				op, kind = peerOpDel, kDel
+			op := uint8(peerOpGet)
+			if textwire.CmdEq(verb, "DEL") {
+				op = peerOpDel
 			}
-			pd := pend{s: ts, op: op, kind: kind, seq: ts.allocSeq(), t0: p.now()}
-			ts.scratch = appendReqFrame(ts.scratch[:0], op, 0, 0, fields[1], []byte(fields[2]), nil)
-			p.route(&tch, pd, p.ring.Owner(fields[1], fields[2]), ts.scratch)
+			p.textRoute(ts, &tch, op, 0, fields[1], fields[2])
 
-		case "TOUCH", "EXPIRE":
+		case textwire.CmdEq(verb, "TOUCH"), textwire.CmdEq(verb, "EXPIRE"):
 			if len(fields) != 4 || !canPool(fields[1], fields[2]) {
 				hot = false
 				break
 			}
-			ms, perr := strconv.ParseUint(fields[3], 10, 32)
-			if perr != nil {
+			ms, ok := textwire.ParseUint(fields[3])
+			if !ok || ms > math.MaxUint32 {
 				hot = false
 				break
 			}
-			pd := pend{s: ts, op: peerOpTouch, kind: kTouch, seq: ts.allocSeq(), t0: p.now()}
-			ts.scratch = appendReqFrame(ts.scratch[:0], peerOpTouch, 0, uint32(ms), fields[1], []byte(fields[2]), nil)
-			p.route(&tch, pd, p.ring.Owner(fields[1], fields[2]), ts.scratch)
+			p.textRoute(ts, &tch, peerOpTouch, uint32(ms), fields[1], fields[2])
 
-		case "PUT":
+		case textwire.CmdEq(verb, "PUT"):
 			done, perr := p.textPutPooled(ts, r, &tch, fields)
 			if perr != nil {
 				ts.fatal(perr)
@@ -487,18 +459,18 @@ func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader) {
 			}
 			hot = done
 
-		case "MGET":
+		case textwire.CmdEq(verb, "MGET"):
 			hot = p.textMGetPooled(ts, &tch, fields)
 
-		case "PING":
-			ts.complete(ts.allocSeq(), []byte("PONG\r\n"))
+		case textwire.CmdEq(verb, "PING"):
+			ts.complete(ts.allocSeq(), peerOpPing, peerStOK, nil, nil)
 
-		case "CLUSTER":
+		case textwire.CmdEq(verb, "CLUSTER"):
 			// Membership is per node; issuing it through a proxy would be
 			// ambiguous about which node should drain.
-			ts.complete(ts.allocSeq(), []byte("ERR CLUSTER must be issued to a node, not the proxy\r\n"))
+			ts.complete(ts.allocSeq(), 0, peerStErr, errClusterVerb, nil)
 
-		case "QUIT":
+		case textwire.CmdEq(verb, "QUIT"):
 			ts.barrier(&tch)
 			ts.w.WriteString("BYE\r\n")
 			ts.w.Flush()
@@ -509,7 +481,7 @@ func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader) {
 		}
 		if !hot {
 			ts.barrier(&tch)
-			if err := p.textFallback(ts, r, line, fields, verb); err != nil {
+			if err := p.textFallback(ts, r, line, fields); err != nil {
 				ts.fatal(err)
 				return
 			}
@@ -524,6 +496,11 @@ func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader) {
 	}
 }
 
+var (
+	errClusterVerb = []byte("CLUSTER must be issued to a node, not the proxy")
+	errKeyLength   = []byte("bad key length")
+)
+
 // fatal reports a proxy-side failure mid-command; the client stream can
 // no longer be trusted to stay in sync, so the session ends after it.
 func (ts *textProxySess) fatal(err error) {
@@ -531,74 +508,87 @@ func (ts *textProxySess) fatal(err error) {
 	ts.w.Flush()
 }
 
+// textRoute pipelines one single-key command onto the pool.
+func (p *Proxy) textRoute(ts *textProxySess, tch *touched, op uint8, ttlMS uint32, tenant, key []byte) {
+	pd := pend{s: ts, op: op, seq: ts.allocSeq(), t0: p.now()}
+	ts.scratch = appendFrame(ts.scratch[:0], op, 0, 0, ttlMS, tenant, key, nil)
+	p.route(tch, pd, p.ownerOf(tenant, key), ts.scratch)
+}
+
 // textPutPooled handles a PUT whose line parses onto the binary framing:
 // the value block is consumed from the client and the whole store rides
 // the pool. Returns done=false (nothing consumed) when the command needs
 // the fallback path; a non-nil error kills the session.
-func (p *Proxy) textPutPooled(ts *textProxySess, r *bufio.Reader, tch *touched, fields []string) (done bool, err error) {
+func (p *Proxy) textPutPooled(ts *textProxySess, r *bufio.Reader, tch *touched, fields [][]byte) (done bool, err error) {
 	if len(fields) != 4 && len(fields) != 6 {
 		return false, nil
 	}
 	if !canPool(fields[1], fields[2]) || len(fields[2]) == 0 {
 		return false, nil
 	}
-	n, perr := strconv.Atoi(fields[3])
-	if perr != nil || n < 0 || n > proxyMaxValueLen {
+	n, ok := textwire.ParseUint(fields[3])
+	if !ok || n > proxyMaxValueLen {
 		return false, nil
 	}
 	var flags uint8
 	var ttlMS uint32
 	if len(fields) == 6 {
-		ms, perr := strconv.ParseUint(fields[5], 10, 32)
-		if perr != nil || !strings.EqualFold(fields[4], "EXPIRE") {
+		ms, ok := textwire.ParseUint(fields[5])
+		if !ok || ms > math.MaxUint32 || !textwire.CmdEq(fields[4], "EXPIRE") {
 			return false, nil
 		}
 		flags, ttlMS = peerFlagTTL, uint32(ms)
 	}
 	// The line is pool-shaped: the value block belongs to this command, so
-	// consume it here (a short read means the client died mid-value).
-	ts.scratch = appendReqFrame(ts.scratch[:0], peerOpPut, flags, ttlMS, fields[1], []byte(fields[2]), nil)
+	// consume it here (a short read means the client died mid-value). Owner
+	// and header first — reading the block overwrites the fields.
+	owner := p.ownerOf(fields[1], fields[2])
+	ts.scratch = appendFrame(ts.scratch[:0], peerOpPut, flags, 0, ttlMS, fields[1], fields[2], nil)
+	if err := ts.readValue(r, n); err != nil {
+		return false, err
+	}
+	peerLE.PutUint32(ts.scratch[0:4], uint32(len(ts.scratch)-4))
+	p.route(tch, pend{s: ts, op: peerOpPut, seq: ts.allocSeq(), t0: p.now()}, owner, ts.scratch)
+	ts.scratch = keep(ts.scratch)
+	return true, nil
+}
+
+// readValue appends the client's n-byte value block to ts.scratch and
+// absorbs its terminator, tolerating a bare LF.
+func (ts *textProxySess) readValue(r *bufio.Reader, n int) error {
 	base := len(ts.scratch)
 	ts.scratch = append(ts.scratch, make([]byte, n)...)
 	if _, err := io.ReadFull(r, ts.scratch[base:]); err != nil {
-		return false, errors.New("short value")
+		return errors.New("short value")
 	}
-	peerLE.PutUint32(ts.scratch[0:4], uint32(peerReqHdr+len(fields[1])+len(fields[2])+n))
-	// Absorb the client's value terminator, tolerating a bare LF.
-	if c, err := r.ReadByte(); err == nil && c == '\r' {
-		r.ReadByte()
-	} else if err == nil && c != '\n' {
-		r.UnreadByte()
-	}
-	pd := pend{s: ts, op: peerOpPut, kind: kPut, seq: ts.allocSeq(), t0: p.now()}
-	p.route(tch, pd, p.ring.Owner(fields[1], fields[2]), ts.scratch)
-	return true, nil
+	textwire.DiscardEOL(r)
+	return nil
 }
 
 // textMGetPooled fans a well-formed MGET out as per-owner BMGET frames
 // and re-merges the coalesced responses in client key order. Returns
 // false (fallback) for malformed lines the backend should answer.
-func (p *Proxy) textMGetPooled(ts *textProxySess, tch *touched, fields []string) bool {
-	if len(fields) < 3 || !canPool(fields[1], "") {
+func (p *Proxy) textMGetPooled(ts *textProxySess, tch *touched, fields [][]byte) bool {
+	if len(fields) < 3 || !canPool(fields[1], nil) {
 		return false
 	}
-	k, perr := strconv.Atoi(fields[2])
-	if perr != nil || k < 1 || k > proxyMaxBatchKeys || len(fields) != 3+k {
+	k, ok := textwire.ParseUint(fields[2])
+	if !ok || k < 1 || k > proxyMaxBatchKeys || len(fields) != 3+k {
 		return false
 	}
-	tenant, keyFields := fields[1], fields[3:]
-	keys := make([][]byte, k)
-	byOwner := make(map[string][]int, len(p.members))
-	for i, key := range keyFields {
-		keys[i] = []byte(key)
-		owner := p.ring.Owner(tenant, key)
-		byOwner[owner] = append(byOwner[owner], i)
+	for _, key := range fields[3:] {
+		if len(key) > proxyMaxKeyLen {
+			// The owner's BMGET would refuse the batch with this reply; past
+			// 64 KiB the key would not even fit the sub-frame's u16 length.
+			ts.complete(ts.allocSeq(), 0, peerStErr, errKeyLength, nil)
+			return true
+		}
 	}
-	m := newBMMerge(0, ts.allocSeq(), k, len(byOwner), p.now())
-	for addr, idxs := range byOwner {
-		ts.scratch = appendBMGetReq(ts.scratch[:0], tenant, keys, idxs)
-		p.route(tch, pend{s: ts, m: m, idxs: idxs}, addr, ts.scratch)
+	ts.sc.begin(len(p.members), 0, ts.allocSeq(), p.now())
+	for _, key := range fields[3:] {
+		ts.sc.add(p.ownerOf(fields[1], key), fields[1], key)
 	}
+	p.send(&ts.sc, tch, ts)
 	return true
 }
 
@@ -606,57 +596,42 @@ func (p *Proxy) textMGetPooled(ts *textProxySess, tch *touched, fields []string)
 // text connections, exactly as the pre-pool proxy did: the backend
 // produces its own usage errors and multi-line relays. Callers have
 // already drained the pooled pipeline.
-func (p *Proxy) textFallback(ts *textProxySess, r *bufio.Reader, line string, fields []string, verb string) error {
-	switch verb {
-	case "GET", "DEL", "TOUCH", "EXPIRE":
+func (p *Proxy) textFallback(ts *textProxySess, r *bufio.Reader, line []byte, fields [][]byte) error {
+	verb := fields[0]
+	switch {
+	case textwire.CmdEq(verb, "GET"), textwire.CmdEq(verb, "DEL"), textwire.CmdEq(verb, "TOUCH"), textwire.CmdEq(verb, "EXPIRE"):
 		if len(fields) < 3 {
 			// Malformed: any node produces the right usage error.
 			return ts.roundTripTo(p.members[0], line)
 		}
-		return ts.roundTripTo(p.ring.Owner(fields[1], fields[2]), line)
+		return ts.roundTripTo(p.ring.OwnerB(fields[1], fields[2]), line)
 
-	case "PUT":
+	case textwire.CmdEq(verb, "PUT"):
 		return p.textPutFallback(ts, r, line, fields)
 
-	case "MGET":
+	case textwire.CmdEq(verb, "MGET"):
 		// Only malformed MGETs reach here; the one-line usage error comes
 		// from any node.
 		return ts.roundTripTo(p.members[0], line)
 
-	case "TENANT":
+	case textwire.CmdEq(verb, "TENANT"):
 		// Registration replicates cluster-wide from whichever node takes
 		// it; route by name so retries of one op land on one node. LIST
 		// reads any node's registry — they converge — so use the first.
 		addr := p.members[0]
-		if len(fields) == 3 && (strings.EqualFold(fields[1], "ADD") || strings.EqualFold(fields[1], "DEL")) {
-			addr = p.ring.Owner(fields[2], "")
+		if len(fields) == 3 && (textwire.CmdEq(fields[1], "ADD") || textwire.CmdEq(fields[1], "DEL")) {
+			addr = p.ring.OwnerB(fields[2], nil)
 		}
-		if len(fields) >= 2 && strings.EqualFold(fields[1], "LIST") {
-			b, err := ts.backend(addr)
-			if err != nil {
-				return err
-			}
-			b.w.WriteString(line + "\r\n")
-			if err := b.w.Flush(); err != nil {
-				return err
-			}
-			return ts.relayUntilEnd(b, nil)
+		if len(fields) >= 2 && textwire.CmdEq(fields[1], "LIST") {
+			return ts.relayUntilEnd(addr, line, nil)
 		}
 		return ts.roundTripTo(addr, line)
 
-	case "STATS":
+	case textwire.CmdEq(verb, "STATS"):
 		// Per-node counters; the proxy reports the first member's, plus
 		// its own pool counters injected before END. The scale suite
 		// scrapes each node directly for cluster-wide views.
-		b, err := ts.backend(p.members[0])
-		if err != nil {
-			return err
-		}
-		b.w.WriteString(line + "\r\n")
-		if err := b.w.Flush(); err != nil {
-			return err
-		}
-		return ts.relayUntilEnd(b, func() {
+		return ts.relayUntilEnd(p.members[0], line, func() {
 			st := p.Stats()
 			fmt.Fprintf(ts.w, "STAT proxy_pool_conns %d\r\n", st.PoolConns)
 			fmt.Fprintf(ts.w, "STAT proxy_pipelined_frames %d\r\n", st.PipelinedFrames)
@@ -667,46 +642,62 @@ func (p *Proxy) textFallback(ts *textProxySess, r *bufio.Reader, line string, fi
 		})
 
 	default:
-		fmt.Fprintf(ts.w, "ERR unknown command %q\r\n", fields[0])
+		fmt.Fprintf(ts.w, "ERR unknown command %q\r\n", verb)
 		return nil
 	}
 }
 
-// roundTripTo forwards one command line and relays the one-line reply.
-func (ts *textProxySess) roundTripTo(addr, line string) error {
+// forward sends one command line to addr's fallback connection.
+func (ts *textProxySess) forward(addr string, line []byte) (*textBackend, error) {
 	b, err := ts.backend(addr)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	b.w.WriteString(line)
+	b.w.Write(line)
 	b.w.WriteString("\r\n")
-	if err := b.w.Flush(); err != nil {
-		return err
+	return b, b.w.Flush()
+}
+
+// relayLine copies one reply line from the backend to the client.
+func (ts *textProxySess) relayLine(b *textBackend) error {
+	resp, err := textwire.ReadLine(b.r, proxyMaxLine)
+	if err == nil {
+		ts.w.Write(resp)
+		ts.w.WriteString("\r\n")
 	}
-	resp, err := readLine(b.r)
+	return err
+}
+
+// roundTripTo forwards one command line and relays the one-line reply.
+func (ts *textProxySess) roundTripTo(addr string, line []byte) error {
+	b, err := ts.forward(addr, line)
 	if err != nil {
 		return err
 	}
-	ts.w.WriteString(resp + "\r\n")
-	return nil
+	return ts.relayLine(b)
 }
 
-// relayUntilEnd copies response lines to the client until the END
-// terminator, invoking inject (when non-nil) just before END so the proxy
-// can add its own lines. A leading ERR line is a complete response on its
-// own.
-func (ts *textProxySess) relayUntilEnd(b *textBackend, inject func()) error {
+// relayUntilEnd forwards one command line and copies response lines to the
+// client until the END terminator, invoking inject (when non-nil) just
+// before END so the proxy can add its own lines. A leading ERR line is a
+// complete response on its own.
+func (ts *textProxySess) relayUntilEnd(addr string, line []byte, inject func()) error {
+	b, err := ts.forward(addr, line)
+	if err != nil {
+		return err
+	}
 	for {
-		line, err := readLine(b.r)
+		resp, err := textwire.ReadLine(b.r, proxyMaxLine)
 		if err != nil {
 			return err
 		}
-		if line == "END" && inject != nil {
+		end := string(resp) == "END"
+		if end && inject != nil {
 			inject()
 		}
-		ts.w.WriteString(line)
+		ts.w.Write(resp)
 		ts.w.WriteString("\r\n")
-		if line == "END" || strings.HasPrefix(line, "ERR") {
+		if end || bytes.HasPrefix(resp, []byte("ERR")) {
 			return nil
 		}
 	}
@@ -716,12 +707,12 @@ func (ts *textProxySess) relayUntilEnd(b *textBackend, inject func()) error {
 // path: the value block belongs to the command, so it is read from the
 // client (keeping the client stream in sync even when the command line is
 // malformed) and forwarded with the line.
-func (p *Proxy) textPutFallback(ts *textProxySess, r *bufio.Reader, line string, fields []string) error {
+func (p *Proxy) textPutFallback(ts *textProxySess, r *bufio.Reader, line []byte, fields [][]byte) error {
 	if len(fields) < 4 {
 		return ts.roundTripTo(p.members[0], line)
 	}
-	n, perr := strconv.Atoi(fields[3])
-	if perr != nil || n < 0 {
+	n, ok := textwire.ParseUint(fields[3])
+	if !ok {
 		// No value block can follow an unparseable length; the backend
 		// answers the same ERR without one.
 		return ts.roundTripTo(p.members[0], line)
@@ -729,34 +720,27 @@ func (p *Proxy) textPutFallback(ts *textProxySess, r *bufio.Reader, line string,
 	if n > proxyMaxBody {
 		return fmt.Errorf("value length %d exceeds proxy maximum", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return errors.New("short value")
-	}
-	// Absorb the client's value terminator, tolerating a bare LF.
-	if c, err := r.ReadByte(); err == nil && c == '\r' {
-		r.ReadByte()
-	} else if err == nil && c != '\n' {
-		r.UnreadByte()
-	}
-	addr := p.members[0]
-	if len(fields) >= 3 {
-		addr = p.ring.Owner(fields[1], fields[2])
-	}
+	// The line is buffered for the backend before the block is read: line
+	// and fields alias the client reader's buffer.
+	addr := p.ring.OwnerB(fields[1], fields[2])
 	b, err := ts.backend(addr)
 	if err != nil {
 		return err
 	}
-	b.w.WriteString(line)
+	b.w.Write(line)
 	b.w.WriteString("\r\n")
-	b.w.Write(body)
+	ts.scratch = ts.scratch[:0]
+	if err := ts.readValue(r, n); err != nil {
+		return err
+	}
+	b.w.Write(ts.scratch)
+	ts.scratch = keep(ts.scratch)
 	b.w.WriteString("\r\n")
 	// A node refuses an oversized value from the command line alone and
 	// closes, so the write of the block can fail while the node's ERR is
 	// already readable: the write error counts only when no reply arrived.
 	werr := b.w.Flush()
-	resp, err := readLine(b.r)
-	if err != nil {
+	if err := ts.relayLine(b); err != nil {
 		if werr != nil {
 			return werr
 		}
@@ -766,7 +750,6 @@ func (p *Proxy) textPutFallback(ts *textProxySess, r *bufio.Reader, line string,
 		b.conn.Close()
 		delete(ts.backends, addr)
 	}
-	ts.w.WriteString(resp + "\r\n")
 	return nil
 }
 
@@ -780,49 +763,46 @@ type binProxySess struct {
 	conn net.Conn
 
 	wmu sync.Mutex
-	w   *bufio.Writer
+	out []byte // encoded, unflushed response frames
 
-	// outstanding counts client frames still owed a response; the writer
-	// flushes when it drains (the batch boundary) or on the high-water
-	// mark.
+	// outstanding counts client frames still owed a response; out is
+	// written when it drains (the batch boundary) or on the high-water mark.
 	outstanding atomic.Int64
+
+	sc scatter // reading goroutine only
 }
 
-// deliver writes one pooled backend response (or merged BMGET) back to
+// deliver writes one pooled backend response (or finished merge) back to
 // the client. Called from pool reader goroutines.
 func (bs *binProxySess) deliver(pd pend, status uint8, payload []byte) {
-	if pd.m != nil {
-		m := pd.m
-		if !m.absorb(pd, status, payload) {
-			return
-		}
+	m := pd.m
+	if m == nil {
+		bs.writeFrame(status, pd.op, pd.id, payload)
+	} else if m.absorb(pd.sub, status, payload) {
 		bs.p.record(m.t0)
-		if msg := m.errMsg.Load(); msg != nil {
-			bs.writeFrame(peerStErr, peerOpBMGet, m.id, []byte(*msg))
-			return
-		}
-		bs.writeFrame(peerStOK, peerOpBMGet, m.id, appendBMGetMerged(nil, m))
-		return
+		bs.wmu.Lock()
+		bs.out = m.render(bs.out, false)
+		bs.sentLocked()
+		bs.wmu.Unlock()
 	}
-	bs.writeFrame(status, pd.op, pd.id, payload)
 }
 
 func (bs *binProxySess) writeFrame(status, op uint8, id uint32, payload []byte) {
-	var h [4 + peerRespHdr]byte
-	peerLE.PutUint32(h[0:4], uint32(peerRespHdr+len(payload)))
-	h[4] = status
-	h[5] = op
-	peerLE.PutUint32(h[8:12], id)
 	bs.wmu.Lock()
-	bs.w.Write(h[:])
-	bs.w.Write(payload)
-	left := bs.outstanding.Add(-1)
-	if left <= 0 || bs.w.Buffered() >= proxyFlushHi {
-		if bs.w.Flush() != nil {
+	bs.out = appendResp(bs.out, status, op, id, payload)
+	bs.sentLocked()
+	bs.wmu.Unlock()
+}
+
+// sentLocked retires one owed response, flushing at the batch boundary.
+// Caller holds wmu.
+func (bs *binProxySess) sentLocked() {
+	if bs.outstanding.Add(-1) <= 0 || len(bs.out) >= proxyFlushHi {
+		if _, err := bs.conn.Write(bs.out); err != nil {
 			bs.conn.Close() // the session's read loop sees the close
 		}
+		bs.out = keep(bs.out)
 	}
-	bs.wmu.Unlock()
 }
 
 // serveBinary runs the binary front: negotiate with the client, then
@@ -841,7 +821,7 @@ func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
 		return
 	}
 
-	bs := &binProxySess{p: p, conn: conn, w: bufio.NewWriterSize(conn, 64<<10)}
+	bs := &binProxySess{p: p, conn: conn}
 	var tch touched
 	defer tch.flush()
 
@@ -870,7 +850,8 @@ func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
 		if peerReqHdr+tl > n {
 			return // framing violation, same as a node would treat it
 		}
-		tenant := string(frame[4+peerReqHdr : 4+peerReqHdr+tl])
+		tenant := frame[4+peerReqHdr : 4+peerReqHdr+tl]
+		pd := pend{s: bs, id: id, op: op, t0: p.now()}
 
 		bs.outstanding.Add(1)
 		switch op {
@@ -878,19 +859,19 @@ func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
 			// Answered locally: PING probes the proxy's own liveness.
 			bs.writeFrame(peerStOK, op, id, nil)
 		case peerOpBMGet:
-			if !p.binBMGet(bs, &tch, frame, tenant, id, kl) {
+			if !p.binBMGet(bs, &tch, frame, tenant, pd, kl) {
 				return
 			}
 		case peerOpTenantAdd, peerOpTenantDel, peerOpRegOp:
-			p.route(&tch, pend{s: bs, id: id, op: op, t0: p.now()}, p.ring.Owner(tenant, ""), frame)
+			p.route(&tch, pd, p.ownerOf(tenant, nil), frame)
 		case peerOpRegPull:
-			p.route(&tch, pend{s: bs, id: id, op: op, t0: p.now()}, p.members[0], frame)
+			p.route(&tch, pd, 0, frame)
 		case peerOpGet, peerOpPut, peerOpDel, peerOpTouch, peerOpRehome:
 			if peerReqHdr+tl+kl > n {
 				return
 			}
-			key := string(frame[4+peerReqHdr+tl : 4+peerReqHdr+tl+kl])
-			p.route(&tch, pend{s: bs, id: id, op: op, t0: p.now()}, p.ring.Owner(tenant, key), frame)
+			key := frame[4+peerReqHdr+tl : 4+peerReqHdr+tl+kl]
+			p.route(&tch, pd, p.ownerOf(tenant, key), frame)
 		default:
 			return // unknown opcode: the stream can't be trusted
 		}
@@ -900,68 +881,55 @@ func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
 	}
 }
 
-// binBMGet validates and routes one BMGET frame: a single-owner batch
-// forwards verbatim; a multi-owner batch splits into per-owner sub-frames
-// whose responses re-merge into one coalesced frame. Semantic failures
-// answer the same frame-level ERRs a node would; framing violations
-// return false and close the client, mirroring node behavior.
-func (p *Proxy) binBMGet(bs *binProxySess, tch *touched, frame []byte, tenant string, id uint32, count int) bool {
+// binBMGet validates one BMGET frame and scatters it by owner. Semantic
+// failures answer the same frame-level ERRs a node would, in the node's
+// order (binDispatchBMGet); framing violations return false and close the
+// client, mirroring node behavior.
+func (p *Proxy) binBMGet(bs *binProxySess, tch *touched, frame, tenant []byte, pd pend, count int) bool {
 	// No flags or TTL semantics are defined for BMGET in v1.
 	if frame[5] != 0 || peerLE.Uint32(frame[12:16]) != 0 {
 		return false
 	}
-	body := frame[4+peerReqHdr+len(tenant):]
-	keys := make([][]byte, 0, count)
-	badKey := false
+	// Structural pass before anything is sized from the header's count: the
+	// declared entries must tile the body exactly.
+	list := frame[4+peerReqHdr+len(tenant):]
+	rest, badKey := list, false
 	for i := 0; i < count; i++ {
-		if len(body) < 2 {
+		if len(rest) < 2 {
 			return false
 		}
-		kl := int(peerLE.Uint16(body))
-		body = body[2:]
-		if len(body) < kl {
+		kl := int(peerLE.Uint16(rest))
+		if len(rest) < 2+kl {
 			return false
 		}
-		if kl == 0 || kl > proxyMaxKeyLen {
-			badKey = true
-		}
-		keys = append(keys, body[:kl])
-		body = body[kl:]
+		badKey = badKey || kl == 0 || kl > proxyMaxKeyLen
+		rest = rest[2+kl:]
 	}
-	if len(body) != 0 {
-		return false // the key list must tile the body exactly
+	if len(rest) != 0 {
+		return false
 	}
 	// Semantic validation mirrors the node's: the proxy must answer these
 	// itself because a split batch would otherwise slip past the node's
 	// whole-frame limits (and an empty batch has no owner to route to).
+	msg := ""
 	switch {
 	case count == 0:
-		bs.writeFrame(peerStErr, peerOpBMGet, id, []byte("empty key list"))
-		return true
+		msg = "empty key list"
 	case count > proxyMaxBatchKeys:
-		bs.writeFrame(peerStErr, peerOpBMGet, id, []byte("too many keys"))
-		return true
+		msg = "too many keys"
 	case badKey:
-		bs.writeFrame(peerStErr, peerOpBMGet, id, []byte("bad key length"))
+		msg = "bad key length"
+	}
+	if msg != "" {
+		bs.writeFrame(peerStErr, peerOpBMGet, pd.id, []byte(msg))
 		return true
 	}
-	byOwner := make(map[string][]int, len(p.members))
-	for i, key := range keys {
-		owner := p.ring.Owner(tenant, string(key))
-		byOwner[owner] = append(byOwner[owner], i)
+	bs.sc.begin(len(p.members), pd.id, 0, pd.t0)
+	for len(list) > 0 {
+		kl := int(peerLE.Uint16(list))
+		bs.sc.add(p.ownerOf(tenant, list[2:2+kl]), tenant, list[2:2+kl])
+		list = list[2+kl:]
 	}
-	if len(byOwner) == 1 {
-		// One owner serves the whole batch: forward the frame verbatim.
-		for addr := range byOwner {
-			p.route(tch, pend{s: bs, id: id, op: peerOpBMGet, t0: p.now()}, addr, frame)
-		}
-		return true
-	}
-	m := newBMMerge(id, 0, count, len(byOwner), p.now())
-	var sub []byte
-	for addr, idxs := range byOwner {
-		sub = appendBMGetReq(sub[:0], tenant, keys, idxs)
-		p.route(tch, pend{s: bs, m: m, idxs: idxs}, addr, sub)
-	}
+	p.send(&bs.sc, tch, bs)
 	return true
 }

@@ -26,7 +26,7 @@ import (
 
 // reservePorts binds and immediately releases n loopback listeners,
 // returning their addresses for the compared clusters to rebind.
-func reservePorts(t *testing.T, n int) []string {
+func reservePorts(t testing.TB, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
@@ -42,7 +42,7 @@ func reservePorts(t *testing.T, n int) []string {
 
 // listenAt rebinds addr, retrying briefly: the previous cluster's listener
 // just closed and the port can take a beat to free.
-func listenAt(t *testing.T, addr string) net.Listener {
+func listenAt(t testing.TB, addr string) net.Listener {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -81,7 +81,7 @@ func (pc *proxyCluster) Close() {
 // bootProxyCluster starts a 3-node cluster at the given addresses (fixed
 // geometry: every compared run must start from an identical cluster or the
 // comparison is meaningless) and, when withProxy is set, a Proxy in front.
-func bootProxyCluster(t *testing.T, addrs []string, withProxy bool) *proxyCluster {
+func bootProxyCluster(t testing.TB, addrs []string, withProxy bool) *proxyCluster {
 	t.Helper()
 	pc := &proxyCluster{}
 	for i, addr := range addrs {

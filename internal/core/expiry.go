@@ -9,29 +9,19 @@
 
 package core
 
-import (
-	"vantage/internal/cache"
-	"vantage/internal/hash"
-)
+import "vantage/internal/cache"
 
-// DemoteExpired moves the line holding addr into the unmanaged region,
-// backdated to maximum age so it is the replacement process's preferred
-// victim, and reports whether the line was present. The owning partition's
-// occupancy drops immediately, which is the point: a mass expiry shrinks the
-// partition's actual size at sweep speed instead of churn speed, and the
-// next repartition sees occupancy that reflects live data.
+// DemoteExpiredSlot moves the line in slot id (resolved by LookupMixed) into
+// the unmanaged region, backdated to maximum age so it is the replacement
+// process's preferred victim, and reports whether the slot held a line. The
+// owning partition's occupancy drops immediately, which is the point: a mass
+// expiry shrinks the partition's actual size at sweep speed instead of churn
+// speed, and the next repartition sees occupancy that reflects live data.
 //
 // Unlike demote (the §4 churn path), this does not count toward the
 // partition's candsDemoted: expired lines never pass through the candidate
 // scan, so charging them to the setpoint feedback loop would bias the
 // aperture toward fewer churn demotions than the target requires.
-func (c *Controller) DemoteExpired(addr uint64) bool {
-	id, ok := c.LookupMixed(addr, hash.Mix64(addr))
-	return ok && c.DemoteExpiredSlot(id)
-}
-
-// DemoteExpiredSlot is DemoteExpired for a line already resolved to slot id
-// (see LookupMixed); it reports false when the slot holds no line.
 func (c *Controller) DemoteExpiredSlot(id cache.LineID) bool {
 	m := &c.meta[id]
 	owner := m.part

@@ -6,6 +6,13 @@ import (
 	"vantage/internal/hash"
 )
 
+// demoteExpired is what the serving layer does for an expired key: resolve
+// the address to its slot, then retire the slot.
+func demoteExpired(c *Controller, addr uint64) bool {
+	id, ok := c.LookupMixed(addr, hash.Mix64(addr))
+	return ok && c.DemoteExpiredSlot(id)
+}
+
 // TestDemoteExpiredMovesLineToUnmanaged checks the bookkeeping: the owning
 // partition's occupancy drops, the unmanaged region grows, the demotion
 // counters advance, and the aperture feedback counter (candsDemoted) is NOT
@@ -22,11 +29,11 @@ func TestDemoteExpiredMovesLineToUnmanaged(t *testing.T) {
 	dems := c.Counters().Demotions
 	cands0 := c.parts[0].candsDemoted
 
-	if !c.DemoteExpired(addr) {
-		t.Fatal("DemoteExpired on a resident line returned false")
+	if !demoteExpired(c, addr) {
+		t.Fatal("demoteExpired on a resident line returned false")
 	}
 	if got := c.Size(0); got != size0-1 {
-		t.Fatalf("partition 0 size = %d after DemoteExpired, want %d", got, size0-1)
+		t.Fatalf("partition 0 size = %d after demoteExpired, want %d", got, size0-1)
 	}
 	if got := c.UnmanagedSize(); got != unman+1 {
 		t.Fatalf("unmanaged size = %d, want %d", got, unman+1)
@@ -52,8 +59,8 @@ func TestDemoteExpiredMovesLineToUnmanaged(t *testing.T) {
 	}
 
 	// Demoting again (already unmanaged) re-stales without double-counting.
-	if !c.DemoteExpired(addr) {
-		t.Fatal("DemoteExpired on an unmanaged line returned false")
+	if !demoteExpired(c, addr) {
+		t.Fatal("demoteExpired on an unmanaged line returned false")
 	}
 	if got := c.UnmanagedSize(); got != unman+1 {
 		t.Fatalf("unmanaged size double-counted: %d, want %d", got, unman+1)
@@ -64,8 +71,8 @@ func TestDemoteExpiredMovesLineToUnmanaged(t *testing.T) {
 // and nothing changes.
 func TestDemoteExpiredAbsent(t *testing.T) {
 	c := newTestController(1024, 2, ModeSetpoint)
-	if c.DemoteExpired(0xdead<<40 | 42) {
-		t.Fatal("DemoteExpired on an absent address returned true")
+	if demoteExpired(c, 0xdead<<40|42) {
+		t.Fatal("demoteExpired on an absent address returned true")
 	}
 	if got := c.Counters().Demotions; got != 0 {
 		t.Fatalf("demotions = %d on absent address, want 0", got)
@@ -89,8 +96,8 @@ func TestDemoteExpiredWithObserver(t *testing.T) {
 	before := demoted
 	addr := uint64(1)<<40 | 99
 	c.Access(addr, 1)
-	if !c.DemoteExpired(addr) {
-		t.Fatal("DemoteExpired returned false")
+	if !demoteExpired(c, addr) {
+		t.Fatal("demoteExpired returned false")
 	}
 	if demoted != before+1 {
 		t.Fatalf("observer saw %d demotions, want %d", demoted, before+1)

@@ -138,7 +138,7 @@ type partState struct {
 // clears src), and evictions clear the victim's owner just before the array
 // overwrites the slot. Nothing else invalidates lines under a controller:
 // deletion in the serving layer leaves the tag to age out, and expiry runs
-// through DemoteExpired. The setpoint scan relies on this to detect free
+// through DemoteExpiredSlot. The setpoint scan relies on this to detect free
 // slots from the metadata word alone, without touching the line store.
 type lineMeta struct {
 	part int16

@@ -203,6 +203,20 @@ func (p *binPoller) loop() {
 	events := make([]syscall.EpollEvent, 128)
 	buf := make([]byte, 64<<10)
 	sweeping := s.cfg.IdleTimeout > 0 || s.cfg.WriteTimeout > 0
+	// Built once: a closure per wake would be one heap object per wake.
+	var n int
+	var werr error
+	drain := func(fd uintptr) bool {
+		n, werr = syscall.EpollWait(int(fd), events, 0)
+		if werr == syscall.EINTR {
+			n, werr = 0, nil
+			return true // retry from the top without parking
+		}
+		// Park on the netpoller only when the set is drained; any event
+		// arriving after this check edges the epfd again and readiness
+		// sticks, so no wakeup can be lost.
+		return n > 0 || werr != nil
+	}
 	for {
 		if sweeping {
 			// The deadline sweep needs a tick even when no events arrive;
@@ -210,19 +224,8 @@ func (p *binPoller) loop() {
 			// clock (see sweepDeadlines).
 			p.ctl.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
 		}
-		var n int
-		var werr error
-		rerr := p.rc.Read(func(fd uintptr) bool {
-			n, werr = syscall.EpollWait(int(fd), events, 0)
-			if werr == syscall.EINTR {
-				n, werr = 0, nil
-				return true // retry from the top without parking
-			}
-			// Park on the netpoller only when the set is drained; any event
-			// arriving after this check edges the epfd again and readiness
-			// sticks, so no wakeup can be lost.
-			return n > 0 || werr != nil
-		})
+		n, werr = 0, nil
+		rerr := p.rc.Read(drain)
 		if werr != nil {
 			return // epfd gone; only happens after stop
 		}

@@ -649,8 +649,7 @@ func (s *Server) binDispatchBMGet(c *binConn, f []byte, flags uint8, id, ttlMS u
 		return nil
 	}
 	s.svc.bmgetKeys.Add(uint64(count))
-	b := &binBatch{c: c, id: id, sts: make([]uint8, count), vals: make([][]byte, count)}
-	b.remain.Store(int32(count))
+	b := newBinBatch(c, id, count)
 	if c.enqBy == nil {
 		c.enqBy = make([][]*binReq, len(s.binRings))
 	}
@@ -759,15 +758,30 @@ func (s *Server) binRespond(c *binConn, status, op uint8, id uint32, payload []b
 // pass instead of deciding (and often syscalling) per response. The
 // high-water mark still flushes inline to bound buffered memory.
 func (s *Server) binRespondG(c *binConn, status, op uint8, id uint32, payload []byte, dec bool, g *binGather) {
+	if binRespLock(c, dec) {
+		c.out = appendBinResp(c.out, status, op, id, payload)
+		s.binRespUnlock(c, dec, g)
+	}
+}
+
+// binRespLock takes c.wmu for appending one response to c.out. It reports
+// false, with the lock released and the pending slot (dec) retired, when
+// the connection is going away and the response is dropped.
+func binRespLock(c *binConn, dec bool) bool {
 	c.wmu.Lock()
 	if c.dying.Load() || c.closed.Load() {
 		c.wmu.Unlock()
 		if dec {
 			c.pending.Add(-1)
 		}
-		return
+		return false
 	}
-	c.out = appendBinResp(c.out, status, op, id, payload)
+	return true
+}
+
+// binRespUnlock ends what binRespLock began once the frame is in c.out:
+// it retires the pending slot, makes the flush decision and releases c.wmu.
+func (s *Server) binRespUnlock(c *binConn, dec bool, g *binGather) {
 	var left int64
 	if dec {
 		left = c.pending.Add(-1)
@@ -856,13 +870,15 @@ func (s *Server) binFlushLocked(c *binConn) {
 	}
 }
 
+// appendBinRespHdr appends the length prefix and header of a response
+// frame whose payload is n bytes.
+func appendBinRespHdr(dst []byte, status, op uint8, id uint32, n int) []byte {
+	dst = binLE.AppendUint32(dst, uint32(binRespHdr+n))
+	dst = append(dst, status, op, 0, 0)
+	return binLE.AppendUint32(dst, id)
+}
+
 // appendBinResp appends one encoded response frame to dst.
 func appendBinResp(dst []byte, status, op uint8, id uint32, payload []byte) []byte {
-	var h [4 + binRespHdr]byte
-	binLE.PutUint32(h[0:4], uint32(binRespHdr+len(payload)))
-	h[4] = status
-	h[5] = op
-	binLE.PutUint32(h[8:12], id)
-	dst = append(dst, h[:]...)
-	return append(dst, payload...)
+	return append(appendBinRespHdr(dst, status, op, id, len(payload)), payload...)
 }

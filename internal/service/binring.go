@@ -66,6 +66,12 @@ type binBKey struct {
 // workers; the remain counter's final decrement publishes them to the
 // finisher, which encodes the single coalesced response. err, when set,
 // turns the whole response into a frame-level ERR (first setter wins).
+//
+// Pooled. Ownership: binDispatchBMGet fills the batch completely before any
+// sub-request is enqueued; after that each worker touches only its own key
+// positions, and once remain reaches zero nobody but the finisher — the
+// caller whose binBatchDone made that decrement — may touch it: the finisher
+// encodes the response and returns the batch to the pool.
 type binBatch struct {
 	c      *binConn
 	id     uint32
@@ -75,7 +81,53 @@ type binBatch struct {
 	vals   [][]byte
 }
 
-var binReqPool = sync.Pool{New: func() any { return &binReq{} }}
+var (
+	binReqPool   = sync.Pool{New: func() any { return &binReq{} }}
+	binBatchPool = sync.Pool{New: func() any { return &binBatch{} }}
+)
+
+// newBinBatch takes a zeroed batch of count keys from the pool.
+func newBinBatch(c *binConn, id uint32, count int) *binBatch {
+	b := binBatchPool.Get().(*binBatch)
+	if cap(b.sts) < count {
+		b.sts, b.vals = make([]uint8, count), make([][]byte, count)
+	}
+	b.c, b.id, b.sts, b.vals = c, id, b.sts[:count], b.vals[:count]
+	b.remain.Store(int32(count))
+	return b
+}
+
+// recycle zeroes the batch (the value references would otherwise pin
+// evicted values) and returns it to the pool. Finisher only.
+func (b *binBatch) recycle() {
+	clear(b.sts)
+	clear(b.vals)
+	b.c = nil
+	b.err.Store(nil)
+	binBatchPool.Put(b)
+}
+
+// appendResp appends the batch's coalesced response frame to dst.
+func (b *binBatch) appendResp(dst []byte) []byte {
+	sz := 2 + 5*len(b.sts)
+	for i, st := range b.sts {
+		if st == binStOK {
+			sz += len(b.vals[i])
+		}
+	}
+	dst = appendBinRespHdr(dst, binStOK, binOpBMGet, b.id, sz)
+	dst = binLE.AppendUint16(dst, uint16(len(b.sts)))
+	for i, st := range b.sts {
+		v := b.vals[i]
+		if st != binStOK {
+			v = nil
+		}
+		dst = append(dst, st)
+		dst = binLE.AppendUint32(dst, uint32(len(v)))
+		dst = append(dst, v...)
+	}
+	return dst
+}
 
 func (q *binReq) recycle() {
 	q.c, q.t, q.batch = nil, nil, nil
@@ -369,36 +421,18 @@ func (s *Server) binExecBatch(q *binReq, g *binGather) {
 
 // binBatchDone retires n keys of a BMGET batch. The finisher — whoever
 // brings remain to zero, a shard worker or a transport-thread shed path —
-// encodes and emits the batch's single response frame, which releases the
-// connection's one pending slot for the whole BMGET.
+// encodes the batch's single response frame straight into the connection's
+// output buffer, which releases the connection's one pending slot for the
+// whole BMGET, and recycles the batch.
 func (s *Server) binBatchDone(b *binBatch, n int, g *binGather) {
 	if b.remain.Add(-int32(n)) != 0 {
 		return
 	}
 	if msg := b.err.Load(); msg != nil {
 		s.binRespondG(b.c, binStErr, binOpBMGet, b.id, []byte(*msg), true, g)
-		return
+	} else if binRespLock(b.c, true) {
+		b.c.out = b.appendResp(b.c.out)
+		s.binRespUnlock(b.c, true, g)
 	}
-	sz := 2 + 5*len(b.sts)
-	for i, st := range b.sts {
-		if st == binStOK {
-			sz += len(b.vals[i])
-		}
-	}
-	p := make([]byte, 0, sz)
-	var u2 [2]byte
-	binLE.PutUint16(u2[:], uint16(len(b.sts)))
-	p = append(p, u2[:]...)
-	var u4 [4]byte
-	for i, st := range b.sts {
-		v := b.vals[i]
-		if st != binStOK {
-			v = nil
-		}
-		p = append(p, st)
-		binLE.PutUint32(u4[:], uint32(len(v)))
-		p = append(p, u4[:]...)
-		p = append(p, v...)
-	}
-	s.binRespondG(b.c, binStOK, binOpBMGet, b.id, p, true, g)
+	b.recycle()
 }

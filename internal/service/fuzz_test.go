@@ -7,6 +7,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"vantage/internal/textwire"
 )
 
 // Native Go fuzz targets for the memcached-style wire protocol. Two layers:
@@ -90,7 +92,7 @@ func FuzzParseRequest(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReaderSize(bytes.NewReader(data), 1<<10)
-		line, err := readLine(r)
+		line, err := textwire.ReadLine(r, maxLineLen)
 		if err != nil {
 			return
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vantage/internal/clock"
+	"vantage/internal/textwire"
 )
 
 // aLongTimeAgo is a time far in the past. Setting a connection deadline to
@@ -399,22 +400,27 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		statePool.Put(cs)
 	}()
+	// The first line runs inside the window armed for its first byte: a
+	// second arm would clear a poison that window's expiry had just set.
+	armed := rwd != nil && s.cfg.IdleTimeout > 0
 	for {
 		// The idle window is absolute across all reads of this command
 		// line: a slow-loris client dribbling bytes gets exactly IdleTimeout
 		// of wall clock for the whole line, same as a silent one.
-		if rwd != nil {
+		if armed {
+			armed = false
+		} else if rwd != nil {
 			if s.cfg.IdleTimeout > 0 {
 				rwd.arm(s.cfg.IdleTimeout)
 			} else {
 				rwd.disarm() // ReadTimeout-only: windows cover PUT payloads
 			}
 		}
-		line, err := readLine(r)
+		line, err := textwire.ReadLine(r, maxLineLen)
 		if err != nil {
 			if isTimeout(err) {
 				s.svc.deadlineCloses.Add(1)
-			} else if err == errLineTooLong {
+			} else if err == textwire.ErrLineTooLong {
 				// The rest of the line cannot be skipped without reading it;
 				// report and close.
 				w.WriteString("ERR line too long\r\n")
@@ -467,130 +473,13 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// errLineTooLong marks a command line over maxLineLen.
-var errLineTooLong = errors.New("line exceeds maximum length")
-
 // errShed is the reply for a data command refused by an in-flight limit.
 var errShed = errors.New("SHED server overloaded")
 
-// readLine returns the next command line with its EOL trimmed. The returned
-// slice aliases the reader's buffer and is valid until the next read. Lines
-// longer than the buffer (large MGETs) fall back to an allocated copy,
-// bounded at maxLineLen (errLineTooLong beyond that — an unbounded line
-// would otherwise grow the copy until memory ran out).
-func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadSlice('\n')
-	if err == nil {
-		return trimEOL(line), nil
-	}
-	if err != bufio.ErrBufferFull {
-		return nil, err
-	}
-	buf := append([]byte(nil), line...)
-	for {
-		// Enforce the cap before reading more: buf holds no newline yet, so
-		// at best its last byte is a '\r' about to be completed — anything
-		// past maxLineLen+1 accumulated bytes cannot trim to a legal line.
-		if len(buf) > maxLineLen+1 {
-			return nil, errLineTooLong
-		}
-		line, err = r.ReadSlice('\n')
-		buf = append(buf, line...)
-		if err == nil {
-			out := trimEOL(buf)
-			if len(out) > maxLineLen {
-				return nil, errLineTooLong
-			}
-			return out, nil
-		}
-		if err != bufio.ErrBufferFull {
-			return nil, err
-		}
-	}
-}
-
-func trimEOL(b []byte) []byte {
-	if n := len(b); n > 0 && b[n-1] == '\n' {
-		b = b[:n-1]
-	}
-	if n := len(b); n > 0 && b[n-1] == '\r' {
-		b = b[:n-1]
-	}
-	return b
-}
-
-// splitFields splits line on ASCII spaces and tabs into out (reused across
-// commands). The sub-slices alias line.
-func splitFields(line []byte, out [][]byte) [][]byte {
-	i := 0
-	for i < len(line) {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-		if i >= len(line) {
-			break
-		}
-		j := i
-		for j < len(line) && line[j] != ' ' && line[j] != '\t' {
-			j++
-		}
-		out = append(out, line[i:j])
-		i = j
-	}
-	return out
-}
-
-// cmdEq reports whether b equals the upper-case command word s,
-// ASCII-case-insensitively.
-func cmdEq(b []byte, s string) bool {
-	if len(b) != len(s) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		if c != s[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// parseUintB parses a small non-negative decimal integer.
-func parseUintB(b []byte) (int, bool) {
-	if len(b) == 0 || len(b) > 10 {
-		return 0, false
-	}
-	n := 0
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
 // writeUint appends n in decimal to w via the connection's scratch buffer.
 func (cs *connState) writeUint(w *bufio.Writer, n int) {
-	cs.num = appendUint(cs.num[:0], uint64(n))
+	cs.num = textwire.AppendUint(cs.num[:0], uint64(n))
 	w.Write(cs.num)
-}
-
-func appendUint(dst []byte, n uint64) []byte {
-	if n == 0 {
-		return append(dst, '0')
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return append(dst, buf[i:]...)
 }
 
 // writeValueResponse writes "VALUE <n>\r\n<bytes>\r\n" for a hit, or
@@ -689,13 +578,13 @@ func (s *Server) dataOp(op Op, tenant []byte) (release func(), drop, shed bool) 
 // copied first (see PUT). conn may be nil in tests that drive dispatch
 // directly; deadlines are then skipped.
 func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.Writer, cs *connState) (quit bool, err error) {
-	cs.fields = splitFields(line, cs.fields[:0])
+	cs.fields = textwire.SplitFields(line, cs.fields[:0])
 	fields := cs.fields
 	if len(fields) == 0 {
 		return false, nil // ignore empty lines
 	}
 	switch verb := fields[0]; {
-	case cmdEq(verb, "GET"):
+	case textwire.CmdEq(verb, "GET"):
 		if len(fields) != 3 {
 			return false, errors.New("usage: GET <tenant> <key>")
 		}
@@ -716,11 +605,11 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		cs.writeValueResponse(w, val, hit)
 		return false, nil
 
-	case cmdEq(verb, "MGET"):
+	case textwire.CmdEq(verb, "MGET"):
 		if len(fields) < 3 {
 			return false, errors.New("usage: MGET <tenant> <count> <key...>")
 		}
-		k, ok := parseUintB(fields[2])
+		k, ok := textwire.ParseUint(fields[2])
 		if !ok || k < 1 || k > maxBatchKeys {
 			return false, fmt.Errorf("bad MGET count %q (max %d)", fields[2], maxBatchKeys)
 		}
@@ -756,11 +645,11 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		s.svc.mgets.Add(1)
 		return false, nil
 
-	case cmdEq(verb, "PUT"):
+	case textwire.CmdEq(verb, "PUT"):
 		if len(fields) < 4 {
 			return false, errors.New("usage: PUT <tenant> <key> <bytes> [EXPIRE <ms>]")
 		}
-		n, ok := parseUintB(fields[3])
+		n, ok := textwire.ParseUint(fields[3])
 		if !ok {
 			return false, fmt.Errorf("bad value length %q", fields[3])
 		}
@@ -777,7 +666,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		// -2 = malformed clause (drain the block, then report).
 		ttlMS := -1
 		if len(fields) == 6 {
-			if v, ok := parseUintB(fields[5]); ok && cmdEq(fields[4], "EXPIRE") {
+			if v, ok := textwire.ParseUint(fields[5]); ok && textwire.CmdEq(fields[4], "EXPIRE") {
 				ttlMS = v
 			} else {
 				ttlMS = -2
@@ -798,7 +687,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 				}
 				return true, errors.New("short value")
 			}
-			discardEOL(r)
+			textwire.DiscardEOL(r)
 			if badArity {
 				return false, errors.New("usage: PUT <tenant> <key> <bytes> [EXPIRE <ms>]")
 			}
@@ -821,7 +710,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 			}
 			return true, errors.New("short value")
 		}
-		discardEOL(r)
+		textwire.DiscardEOL(r)
 		release, drop, shed := s.dataOp(OpPut, cs.tenant)
 		if drop {
 			return true, nil
@@ -843,7 +732,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		w.WriteString("STORED\r\n")
 		return false, nil
 
-	case cmdEq(verb, "DEL"):
+	case textwire.CmdEq(verb, "DEL"):
 		if len(fields) != 3 {
 			return false, errors.New("usage: DEL <tenant> <key>")
 		}
@@ -868,11 +757,11 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		}
 		return false, nil
 
-	case cmdEq(verb, "TOUCH"), cmdEq(verb, "EXPIRE"):
+	case textwire.CmdEq(verb, "TOUCH"), textwire.CmdEq(verb, "EXPIRE"):
 		if len(fields) != 4 {
 			return false, errors.New("usage: TOUCH <tenant> <key> <ms>")
 		}
-		ms, ok := parseUintB(fields[3])
+		ms, ok := textwire.ParseUint(fields[3])
 		if !ok {
 			return false, fmt.Errorf("bad TTL milliseconds %q", fields[3])
 		}
@@ -897,12 +786,12 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		}
 		return false, nil
 
-	case cmdEq(verb, "TENANT"):
+	case textwire.CmdEq(verb, "TENANT"):
 		if len(fields) < 2 {
 			return false, errors.New("usage: TENANT ADD|DEL|LIST ...")
 		}
 		switch sub := fields[1]; {
-		case cmdEq(sub, "ADD"):
+		case textwire.CmdEq(sub, "ADD"):
 			if len(fields) != 3 {
 				return false, errors.New("usage: TENANT ADD <name>")
 			}
@@ -913,7 +802,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 			w.WriteString("OK ")
 			cs.writeUint(w, part)
 			w.WriteString("\r\n")
-		case cmdEq(sub, "DEL"):
+		case textwire.CmdEq(sub, "DEL"):
 			if len(fields) != 3 {
 				return false, errors.New("usage: TENANT DEL <name>")
 			}
@@ -921,7 +810,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 				return false, err
 			}
 			w.WriteString("OK\r\n")
-		case cmdEq(sub, "LIST"):
+		case textwire.CmdEq(sub, "LIST"):
 			for _, ts := range s.svc.Stats().Tenants {
 				fmt.Fprintf(w, "TENANT %s %d\r\n", ts.Name, ts.Partition)
 			}
@@ -931,7 +820,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		}
 		return false, nil
 
-	case cmdEq(verb, "STATS"):
+	case textwire.CmdEq(verb, "STATS"):
 		if len(fields) > 2 {
 			return false, errors.New("usage: STATS [<tenant>]")
 		}
@@ -977,7 +866,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		w.WriteString("END\r\n")
 		return false, nil
 
-	case cmdEq(verb, "CLUSTER"):
+	case textwire.CmdEq(verb, "CLUSTER"):
 		// CLUSTER INFO reports this node's cluster view; CLUSTER MEMBERS
 		// <addr>... installs a new member set on the node's handler (the
 		// operator's join/leave entry point), answering "OK <rehomed>" with
@@ -990,7 +879,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 			return false, errors.New("usage: CLUSTER INFO|MEMBERS ...")
 		}
 		switch sub := fields[1]; {
-		case cmdEq(sub, "INFO"):
+		case textwire.CmdEq(sub, "INFO"):
 			if len(fields) != 2 {
 				return false, errors.New("usage: CLUSTER INFO")
 			}
@@ -1004,7 +893,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 				fmt.Fprintf(w, "MEMBER %s\r\n", m)
 			}
 			w.WriteString("END\r\n")
-		case cmdEq(sub, "MEMBERS"):
+		case textwire.CmdEq(sub, "MEMBERS"):
 			if len(fields) < 3 {
 				return false, errors.New("usage: CLUSTER MEMBERS <addr>...")
 			}
@@ -1024,11 +913,11 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		}
 		return false, nil
 
-	case cmdEq(verb, "PING"):
+	case textwire.CmdEq(verb, "PING"):
 		w.WriteString("PONG\r\n")
 		return false, nil
 
-	case cmdEq(verb, "QUIT"):
+	case textwire.CmdEq(verb, "QUIT"):
 		w.WriteString("BYE\r\n")
 		return true, nil
 
@@ -1049,17 +938,4 @@ func writeTenantStats(w *bufio.Writer, prefix string, ts TenantStats) {
 	fmt.Fprintf(w, "STAT %sdemotions %d\r\n", prefix, ts.Demotions)
 	fmt.Fprintf(w, "STAT %sforced_evictions %d\r\n", prefix, ts.ForcedEvictions)
 	fmt.Fprintf(w, "STAT %sshed %d\r\n", prefix, ts.Shed)
-}
-
-// discardEOL consumes the \r\n (or \n) terminating a value block.
-func discardEOL(r *bufio.Reader) {
-	if b, err := r.ReadByte(); err == nil && b != '\n' {
-		if b == '\r' {
-			if b2, err := r.ReadByte(); err == nil && b2 != '\n' {
-				r.UnreadByte()
-			}
-		} else {
-			r.UnreadByte()
-		}
-	}
 }
