@@ -250,8 +250,8 @@ type RehomeEntry struct {
 
 // RehomeBatch streams entries as pipelined REHOME frames and drains the
 // responses, returning which entries the peer acknowledged OK (frames
-// carry the entry index as their id, and responses are matched on it —
-// the server's per-shard rings may answer out of order). A transport
+// carry the entry index as their id, and responses are matched on it, as
+// the protocol requires of every client). A transport
 // error fails the batch; a non-OK status on one entry skips it without
 // failing the rest, so one oversized or raced key cannot wedge a drain.
 func (p *Peer) RehomeBatch(entries []RehomeEntry) ([]bool, error) {

@@ -883,7 +883,7 @@ func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
 
 // binBMGet validates one BMGET frame and scatters it by owner. Semantic
 // failures answer the same frame-level ERRs a node would, in the node's
-// order (binDispatchBMGet); framing violations return false and close the
+// order (service.binBMGet); framing violations return false and close the
 // client, mirroring node behavior.
 func (p *Proxy) binBMGet(bs *binProxySess, tch *touched, frame, tenant []byte, pd pend, count int) bool {
 	// No flags or TTL semantics are defined for BMGET in v1.

@@ -405,7 +405,7 @@ func TestProxyUnterminatedLineBounded(t *testing.T) {
 }
 
 // TestProxyBMGetValidation: the binary front answers a malformed BMGET the
-// way a node's binDispatchBMGet does — the body must tile before the count
+// way a node's service.binBMGet does — the body must tile before the count
 // is believed (a framing violation closes the client), then the same
 // frame-level ERRs in the same precedence, with the stream left usable.
 func TestProxyBMGetValidation(t *testing.T) {

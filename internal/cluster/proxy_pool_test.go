@@ -308,16 +308,15 @@ func (rb *rawBinConn) tenantOp(op uint8, id uint32, tenant string) uint8 {
 	return resp[0]
 }
 
-// TestConcurrentBinaryTenantAdds is the regression test for a distributed
-// poller deadlock: TENANT_ADD replicates to every peer synchronously, so
-// when it executed inline on the binary transport's event loop, two nodes
-// adding tenants at the same time each blocked their loop on the other's
-// RegOp reply — which the other loop, equally blocked, could not write —
-// until the 5s peer timeout broke the cycle (observed as reproducible
-// +10s stalls in the cluster/3node/proxy/bmget bench row). The add now
-// answers out of band, so concurrent adds on different nodes must complete
-// in milliseconds; the whole test failing its deadline means the loop
-// blocked again.
+// TestConcurrentBinaryTenantAdds is the regression gate for a distributed
+// deadlock: TENANT_ADD replicates to every peer synchronously, so a node
+// whose one transport goroutine executed it could not serve the peer's
+// REG_OP meanwhile; two nodes adding tenants at the same time each blocked
+// on the other's reply until the 5s peer timeout broke the cycle. Every
+// connection now has its own goroutine, so the add blocks only the
+// connection that sent it and concurrent adds on different nodes must
+// complete in milliseconds; the whole test failing its deadline means a
+// registry round trip can block another connection's frames again.
 func TestConcurrentBinaryTenantAdds(t *testing.T) {
 	nodes, _ := bootPoolCluster(t, cluster.ProxyConfig{})
 
@@ -348,7 +347,7 @@ func TestConcurrentBinaryTenantAdds(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(4 * time.Second):
-		t.Fatal("concurrent binary TENANT_ADDs did not finish in 4s: poller loop blocked on peer replication")
+		t.Fatal("concurrent binary TENANT_ADDs did not finish in 4s: peer replication blocked another connection")
 	}
 }
 

@@ -1,10 +1,16 @@
 package service
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vantage/internal/hash"
 )
@@ -85,6 +91,98 @@ func BenchmarkShardedAccess(b *testing.B) {
 			wg.Wait()
 			b.StopTimer()
 			b.ReportMetric(float64(ops.Load())/b.Elapsed().Seconds(), "ops/sec")
+		})
+	}
+}
+
+// BenchmarkBinaryConns sweeps the binary transport over connection count:
+// N connections on a 4-shard service, each pipelining 32 GETs over resident
+// keys per round trip. One op is one GET frame; it reports aggregate ops/s
+// and the round trip's p50.
+func BenchmarkBinaryConns(b *testing.B) {
+	const batch, resident = 32, 1024
+	for _, conns := range []int{1, 2, 8, 64} {
+		b.Run(fmt.Sprintf("conns=%d", conns), func(b *testing.B) {
+			svc, err := New(Config{Shards: 4, LinesPerShard: 8192, Seed: 26})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer svc.Close()
+			if _, err := svc.AddTenant("hot"); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < resident; i++ {
+				svc.Put("hot", fmt.Sprintf("k%04d", i), []byte("resident-value"))
+			}
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv := Serve(svc, lis)
+			defer srv.Close()
+
+			trips := (b.N + conns*batch - 1) / (conns * batch)
+			rtts := make([][]time.Duration, conns)
+			clients := make([]net.Conn, conns)
+			reqs := make([][]byte, conns)
+			for i := range clients {
+				conn, err := net.Dial("tcp", srv.Addr().String())
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer conn.Close()
+				ack := make([]byte, 4)
+				if _, err := conn.Write([]byte{binMagic, 'V', 'B', binVersion}); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := io.ReadFull(conn, ack); err != nil {
+					b.Fatal(err)
+				}
+				clients[i] = conn
+				for j := 0; j < batch; j++ {
+					key := fmt.Sprintf("k%04d", (i*batch+j)%resident)
+					reqs[i] = append(reqs[i], binFrame(binOpGet, 0, uint32(j), 0, "hot", key, "")...)
+				}
+				rtts[i] = make([]time.Duration, 0, trips)
+			}
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for i := range clients {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					r := bufio.NewReader(clients[i])
+					hdr := make([]byte, 4+binRespHdr)
+					for n := 0; n < trips; n++ {
+						t0 := time.Now()
+						if _, err := clients[i].Write(reqs[i]); err != nil {
+							b.Error(err)
+							return
+						}
+						for j := 0; j < batch; j++ {
+							if _, err := io.ReadFull(r, hdr); err != nil {
+								b.Error(err)
+								return
+							}
+							if hdr[4] != binStOK {
+								b.Errorf("GET status %d", hdr[4])
+								return
+							}
+							r.Discard(int(binary.LittleEndian.Uint32(hdr)) - binRespHdr)
+						}
+						rtts[i] = append(rtts[i], time.Since(t0))
+					}
+				}(i)
+			}
+			wg.Wait()
+			b.StopTimer()
+			var all []time.Duration
+			for _, r := range rtts {
+				all = append(all, r...)
+			}
+			slices.Sort(all)
+			b.ReportMetric(float64(trips*conns*batch)/b.Elapsed().Seconds(), "ops/s")
+			b.ReportMetric(float64(all[len(all)/2])/1e3, "rtt_p50_us")
 		})
 	}
 }

@@ -62,9 +62,9 @@
 //
 // in request key order, with per-key status OK (value follows), MISS or
 // SHED (vlen 0). The frame-level status is ERR only when the whole batch
-// failed (validation, unknown tenant, injected fault); per-key SHED covers
-// ring overflow and in-flight shedding of the shard sub-batches, so one
-// overloaded shard degrades its keys without failing the rest.
+// failed (validation, unknown tenant, injected fault); a frame refused by
+// the in-flight limits answers OK with every key SHED, so a client handles
+// overload per key in one shape.
 //
 // # Cluster frames
 //
@@ -83,41 +83,32 @@
 // violations close the connection, semantic errors answer ERR and the
 // stream continues.
 //
-// Responses to one connection may be written out of order relative to
-// other connections' requests but in practice arrive in request order per
-// connection (one MPSC ring per shard preserves per-shard FIFO); clients
-// must match on id regardless. Violating the framing itself (bad length,
-// bad reserved bytes, unknown opcode) closes the connection — unlike a
-// semantic error, a framing error means the byte stream can no longer be
-// trusted. Semantic errors (unknown tenant, oversized key) answer ERR on
-// the offending id and the stream continues: the length prefix means an
-// error can never desync later frames, which is the property the text
+// This server answers a connection's frames in request order; clients
+// match on id regardless, which is what lets a proxy pipeline many
+// clients' frames over one backend connection. Violating the framing itself
+// (bad length, bad reserved bytes, unknown opcode) closes the connection —
+// unlike a semantic error, a framing error means the byte stream can no
+// longer be trusted. Semantic errors (unknown tenant, oversized key) answer
+// ERR on the offending id and the stream continues: the length prefix means
+// an error can never desync later frames, which is the property the text
 // protocol's PUT-drain bugs had to hand-craft.
 //
 // # Concurrency model
 //
-// Binary connections do not get a goroutine each. On Linux a single
-// event-loop goroutine (binpoll_linux.go) multiplexes every binary
-// connection through epoll, decoding frames straight out of one shared
-// read buffer; elsewhere (and for non-TCP listeners or when the poller
-// cannot start) a portable goroutine-per-connection reader does the same
-// decoding. Either way, decoded requests are resolved once (tenant,
-// address, shard route) and pushed onto the target shard's bounded MPSC
-// ring (binring.go) — the UMON deferred-ring idiom generalized to whole
-// requests — where one worker goroutine per shard executes them against
-// the resolved fast paths (getAt/putAt/deleteAt/touchAt) with zero lock
-// handoffs between shards. A full ring sheds the request (SHED status)
-// instead of blocking the event loop: the same degrade-don't-collapse
-// discipline as the text path's in-flight limits, which the workers also
-// enforce (per-tenant immediate shed, global backpressure wait).
+// A binary connection is served like a text one: by its own goroutine,
+// which decodes each frame and executes it at once against the resolved
+// fast paths (getAt/putAt/deleteAt/touchAt), reading key and value straight
+// out of the connection's read buffer under the owning shard's mutex. The
+// gates are the text path's: dispatcher drop fault, in-flight reservation
+// (per-tenant immediate shed, global backpressure wait), injected faults.
+// Registry frames (TENANT_ADD/DEL, which replicate to peers synchronously)
+// block only their own connection, so a frame pipelined behind a
+// TENANT_ADD sees the tenant.
 //
-// Responses are coalesced writev-style: workers append frames to a
-// per-connection output buffer and flush only when the connection's
-// dispatched-frame count drains to zero or the buffer passes a high-water
-// mark, so a pipelined batch of K requests costs one write syscall, and
-// interleaved batches from many connections cost few: within one ring
-// drain the worker defers every flush decision to a single end-of-batch
-// scatter-gather pass over the connections it touched (binGather).
+// Responses are appended to a per-connection output buffer and written when
+// the connection would otherwise block on a read — the text path's "flush
+// when the read buffer drains" — or when the buffer passes a high-water
+// mark, so a pipelined batch of K frames costs one write syscall.
 package service
 
 import (
@@ -126,9 +117,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"vantage/internal/hash"
@@ -155,12 +143,6 @@ const (
 
 	// binFlagTTL marks a PUT whose ttl_ms field is authoritative.
 	binFlagTTL = 1 << 0
-
-	// binEnqFlush caps how many resolved requests a connection batches
-	// before handing runs to the shard rings mid-read, bounding both the
-	// transport's buffered work and the first frame's queue delay when a
-	// single read carries a very deep pipeline.
-	binEnqFlush = 64
 )
 
 // Request opcodes and response statuses.
@@ -188,78 +170,33 @@ const binFlagRegAdd = 1 << 0
 
 var binLE = binary.LittleEndian
 
-// errBadFrame marks a framing violation; the connection closes because the
-// stream can no longer be trusted.
-var errBadFrame = errors.New("binary framing violation")
+var (
+	// errBadFrame marks a framing violation; the connection closes because
+	// the stream can no longer be trusted.
+	errBadFrame = errors.New("binary framing violation")
+	// errDropConn marks a dispatcher drop fault: the connection closes
+	// without answering the frame, as on the text path.
+	errDropConn = errors.New("connection dropped by fault injection")
+)
 
-// errPollerDown reports that the event-loop poller declined a connection
-// (stopping, or platform without one); the caller falls back to the
-// portable goroutine transport.
-var errPollerDown = errors.New("binary poller unavailable")
-
-// binConn is one negotiated binary connection. Exactly one transport owns
-// it: nc (portable goroutine reader) or f/fd (the event-loop poller).
+// binConn is one negotiated binary connection. The goroutine serving it is
+// its only user.
 type binConn struct {
-	srv *Server
-
-	nc net.Conn // goroutine transport; nil under the poller
-
-	// Poller transport state. f owns the dup'd fd; registered and wantW
-	// are guarded by wmu; lastActive is poller-thread-private.
-	f          *os.File
-	fd         int
-	registered bool
-	wantW      bool
-	wantWSince atomic.Int64 // unix ns the current EPOLLOUT wait began; 0 = none
-	lastActive int64        // unix ns of the last completed frame
-
-	wmu sync.Mutex
-	out []byte    // coalesced, unflushed response frames
-	wwd *watchdog // goroutine-transport write watchdog, nil otherwise
-
-	pending atomic.Int64 // dispatched frames whose responses are unwritten
-	dying   atomic.Bool  // close requested; suppresses further writes
-	closed  atomic.Bool  // transport released (fd/conn closed)
-
-	in []byte // partial-frame carry between reads
-
-	// Per-shard enqueue runs, transport-thread-private: binDispatch batches
-	// resolved data ops here and binFeed hands each shard its run with one
-	// pushBatch, so a pipelined read pays one ring lock+wake per shard
-	// touched instead of per frame. Always drained before binFeed returns.
-	enqBy [][]*binReq
-	enqN  int
-
-	// bmShard is transport-thread scratch for BMGET dispatch: the one
-	// sub-request per shard the current frame is accumulating into.
-	bmShard []*binReq
-}
-
-// abort requests the connection's demise from a worker context: the
-// goroutine transport closes the net.Conn directly (its reader unblocks
-// and finishes the bookkeeping); the poller transport queues the close so
-// only the poller thread ever releases an fd (a worker closing it directly
-// could race a kernel fd reuse into the poller's read path).
-func (c *binConn) abort() {
-	if c.dying.Swap(true) {
-		return
-	}
-	if c.nc != nil {
-		c.nc.Close()
-		return
-	}
-	c.pollerRequestClose()
+	nc    net.Conn
+	r     *bufio.Reader
+	rwd   *watchdog // per-frame idle window; nil without IdleTimeout
+	wwd   *watchdog // per-flush write window; nil without WriteTimeout
+	armed bool      // rwd's window is running for the frame being read
+	out   []byte    // coalesced, unflushed response frames
+	dead  bool      // a write failed: the connection is closed
 }
 
 // handleBinary completes the negotiation for a connection whose first byte
-// was binMagic and hands it to a binary transport. The pooled text reader
-// is returned to its pool either way; bytes a client pipelined behind the
-// preamble are carried into the transport.
+// was binMagic and serves it on the calling goroutine. The pooled text
+// reader becomes the frame reader, so bytes a client pipelined behind the
+// preamble are already in it.
 func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, rwd *watchdog) {
-	drop := func(timeout bool) {
-		if timeout {
-			s.svc.deadlineCloses.Add(1)
-		}
+	defer func() {
 		if rwd != nil {
 			rwd.disarm()
 		}
@@ -269,198 +206,122 @@ func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, rwd *watchdog) {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
-	}
+	}()
 	var pre [4]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
-		drop(isTimeout(err))
+		if isTimeout(err) {
+			s.svc.deadlineCloses.Add(1)
+		}
 		return
 	}
 	if pre[1] != 'V' || pre[2] != 'B' {
-		drop(false)
 		return
 	}
 	// The ack always carries the server's version: a mismatched client
 	// learns what the server speaks before the close.
 	ack := [4]byte{binMagic, 'V', 'B', binVersion}
 	if _, err := conn.Write(ack[:]); err != nil || pre[3] != binVersion {
-		drop(false)
 		return
 	}
-	s.binOnce.Do(s.binStart)
 	s.svc.binConnsTotal.Add(1)
 	s.svc.binConns.Add(1)
-	var leftover []byte
-	if n := r.Buffered(); n > 0 {
-		peek, _ := r.Peek(n)
-		leftover = append(leftover, peek...)
+	defer s.svc.binConns.Add(-1)
+	c := &binConn{nc: conn, r: r}
+	if s.cfg.IdleTimeout > 0 {
+		// The handshake's window keeps running until the first blocking
+		// read arms a fresh one, whose arm also clears any poison it left.
+		c.rwd = rwd
 	}
-	if rwd != nil {
-		rwd.disarm()
-	}
-	// A watchdog that fired during the handshake may have poisoned the
-	// read deadline; the binary transports manage their own windows.
-	conn.SetReadDeadline(time.Time{})
-	r.Reset(nil)
-	readerPool.Put(r)
-	s.binAttach(conn, leftover)
-}
-
-// binAttach hands a negotiated connection to the best available transport:
-// the event-loop poller for TCP connections where one exists, else the
-// portable goroutine reader.
-func (s *Server) binAttach(conn net.Conn, leftover []byte) {
-	c := &binConn{srv: s}
-	if tc, ok := conn.(*net.TCPConn); ok && !s.binNoPoll {
-		if p := s.binPoller(); p != nil {
-			if p.attach(tc, c, leftover) == nil {
-				return
-			}
-		}
-	}
-	c.nc = conn
-	s.wg.Add(1)
-	go s.binServeConn(c, leftover)
-}
-
-// binPoller returns the lazily created event-loop poller, or nil when the
-// platform (or the kernel) does not provide one.
-func (s *Server) binPoller() *binPoller {
-	if p := s.binPoll.Load(); p != nil {
-		return p
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if p := s.binPoll.Load(); p != nil {
-		return p
-	}
-	if s.closed.Load() {
-		return nil
-	}
-	p := newBinPoller(s)
-	if p == nil {
-		return nil
-	}
-	s.binPoll.Store(p)
-	return p
-}
-
-// binServeConn is the portable binary transport: one goroutine reads and
-// decodes frames into the shard rings; workers write responses directly to
-// the connection. Used where the poller is unavailable, for non-TCP
-// listeners (unix sockets, in-memory pipes), and — via the binNoPoll test
-// seam — to exercise this path on platforms that have a poller.
-func (s *Server) binServeConn(c *binConn, leftover []byte) {
-	defer s.wg.Done()
-	conn := c.nc
 	if s.cfg.WriteTimeout > 0 {
 		c.wwd = newWatchdog(s.svc.clk, conn.SetWriteDeadline)
+		defer c.wwd.disarm()
 	}
-	var rwd *watchdog
-	if s.cfg.IdleTimeout > 0 {
-		rwd = newWatchdog(s.svc.clk, conn.SetReadDeadline)
-	}
-	defer func() {
-		c.dying.Store(true)
-		c.wmu.Lock()
-		c.closed.Store(true)
-		c.wmu.Unlock()
-		conn.Close()
-		if rwd != nil {
-			rwd.disarm()
-		}
-		if c.wwd != nil {
-			c.wwd.disarm()
-		}
-		s.svc.binConns.Add(-1)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	if len(leftover) > 0 {
-		if _, err := s.binFeed(c, leftover); err != nil {
-			return
-		}
-	}
-	buf := make([]byte, 32<<10)
-	armed := false
-	for {
-		if rwd != nil && !armed {
-			// Absolute window per frame — the binary analogue of the text
-			// protocol's per-command-line idle window. Re-armed only after
-			// progress (a completed frame), so a dribbling client cannot
-			// keep the connection alive.
-			rwd.arm(s.cfg.IdleTimeout)
-			armed = true
-		}
-		n, err := conn.Read(buf)
-		if n > 0 {
-			frames, ferr := s.binFeed(c, buf[:n])
-			if ferr != nil {
-				return
-			}
-			if frames > 0 {
-				armed = false
-			}
-		}
+	s.binServe(c)
+}
+
+// binServe reads and executes frames until EOF, a deadline, a framing
+// violation, a drop fault or a failed write. Responses already appended
+// are written before the connection closes, as the text path flushes
+// before a QUIT or a drop.
+func (s *Server) binServe(c *binConn) {
+	for !c.dead {
+		f, peeked, err := s.binRead(c)
 		if err != nil {
 			if isTimeout(err) {
 				s.svc.deadlineCloses.Add(1)
 			}
-			return
+			break
 		}
+		// A completed frame is progress: the next blocking read gets a
+		// fresh idle window, and a dribbled partial frame never does.
+		c.armed = false
+		if h := s.svc.latency; h != nil {
+			t0 := s.svc.clk.Now()
+			err = s.binExec(c, f)
+			h.Record(s.svc.clk.Now().Sub(t0))
+		} else {
+			err = s.binExec(c, f)
+		}
+		if err != nil {
+			break
+		}
+		c.r.Discard(peeked)
+	}
+	s.binFlush(c)
+}
+
+// binRead returns the next request frame's body and the count of buffered
+// bytes it occupies, which the caller discards once the frame has
+// executed. A frame too large for the reader's buffer (only a PUT value
+// over ~16 KiB) is read into a buffer of its own and occupies none.
+func (s *Server) binRead(c *binConn) (f []byte, peeked int, err error) {
+	hdr, err := s.binPeek(c, 4)
+	if err != nil {
+		return nil, 0, err
+	}
+	n := int(binLE.Uint32(hdr))
+	if n < binReqHdr || n > binMaxFrame {
+		return nil, 0, errBadFrame
+	}
+	if 4+n <= c.r.Size() {
+		if f, err = s.binPeek(c, 4+n); err != nil {
+			return nil, 0, err
+		}
+		return f[4:], 4 + n, nil
+	}
+	c.r.Discard(4)
+	s.binWait(c)
+	f = make([]byte, n)
+	_, err = io.ReadFull(c.r, f)
+	return f, 0, err
+}
+
+// binPeek returns the next n buffered bytes, first doing what binWait does
+// when they are not all buffered yet.
+func (s *Server) binPeek(c *binConn, n int) ([]byte, error) {
+	if c.r.Buffered() < n {
+		s.binWait(c)
+	}
+	return c.r.Peek(n)
+}
+
+// binWait runs before a read that may block: every response so far leaves
+// in one write, and the idle window for the frame being read starts unless
+// it already runs — it is absolute per frame, so a client dribbling bytes
+// cannot keep the connection alive.
+func (s *Server) binWait(c *binConn) {
+	s.binFlush(c)
+	if c.rwd != nil && !c.armed {
+		c.rwd.arm(s.cfg.IdleTimeout)
+		c.armed = true
 	}
 }
 
-// binFeed consumes a chunk of stream bytes, dispatching every complete
-// frame and carrying any partial tail to the next call. It returns the
-// number of frames dispatched; a non-nil error is a framing violation and
-// the caller must close the connection.
-func (s *Server) binFeed(c *binConn, data []byte) (int, error) {
-	b := data
-	if len(c.in) > 0 {
-		c.in = append(c.in, data...)
-		b = c.in
-	}
-	frames := 0
-	for {
-		if len(b) < 4 {
-			break
-		}
-		n := int(binLE.Uint32(b))
-		if n < binReqHdr || n > binMaxFrame {
-			s.binFlushEnq(c)
-			return frames, errBadFrame
-		}
-		if len(b) < 4+n {
-			break
-		}
-		if err := s.binDispatch(c, b[4:4+n]); err != nil {
-			// Frames decoded before the violation were valid; hand them to
-			// their shards before the caller tears the connection down.
-			s.binFlushEnq(c)
-			return frames, err
-		}
-		frames++
-		b = b[4+n:]
-	}
-	s.binFlushEnq(c)
-	if len(b) > 0 || len(c.in) > 0 {
-		// copy() under append handles the overlapping self-move when b
-		// still aliases c.in.
-		c.in = append(c.in[:0], b...)
-	}
-	if len(c.in) == 0 && cap(c.in) > binFlushHi {
-		c.in = nil // don't let one huge PUT pin a large carry buffer
-	}
-	return frames, nil
-}
-
-// binDispatch validates one request frame and routes it: PING and
-// TENANT_ADD answer inline (no shard state), data ops resolve the tenant
-// and line address once and enqueue on the owning shard's ring. The frame
-// bytes alias the read buffer and are copied into the pooled request
-// before this returns.
-func (s *Server) binDispatch(c *binConn, f []byte) error {
+// binExec validates one request frame and executes it, appending its
+// response to c.out. A non-nil error closes the connection: errBadFrame for
+// a framing violation, errDropConn for a drop fault. f aliases the read
+// buffer and is only valid for the duration of the call.
+func (s *Server) binExec(c *binConn, f []byte) error {
 	op := f[0]
 	flags := f[1]
 	tl := int(f[2])
@@ -476,75 +337,58 @@ func (s *Server) binDispatch(c *binConn, f []byte) error {
 	tenant := f[binReqHdr : binReqHdr+tl]
 	key := f[binReqHdr+tl : binReqHdr+tl+kl]
 	val := f[binReqHdr+tl+kl:]
-	s.svc.binFrames.Add(1)
+	svc := s.svc
+	svc.binFrames.Add(1)
 	switch op {
 	case binOpPing:
-		s.binRespond(c, binStOK, op, id, nil, false)
+		s.binRespond(c, binStOK, op, id, nil)
 		return nil
 	case binOpTenantAdd:
-		// AddTenant replicates to every peer synchronously, so it must
-		// never run on the poller loop: two nodes adding tenants
-		// concurrently would each block their loop on the other's RegOp
-		// reply — which the other loop, equally blocked, can never write —
-		// until the peer timeout breaks the cycle. The op takes a pending
-		// slot and answers out of band exactly like a shard op; a client
-		// pipelining data frames behind an unacknowledged TENANT_ADD may
-		// see "unknown tenant" for them, which is why every client in this
-		// repo awaits the add's ack before sending data.
-		name := string(tenant)
-		c.pending.Add(1)
-		go func() {
-			part, err := s.svc.AddTenant(name)
-			if err != nil {
-				s.binRespondErr(c, op, id, err.Error(), true)
-				return
-			}
-			var p [4]byte
-			binLE.PutUint32(p[:], uint32(part))
-			s.binRespond(c, binStOK, op, id, p[:], true)
-		}()
+		part, err := svc.AddTenant(string(tenant))
+		if err != nil {
+			s.binRespondErr(c, op, id, err.Error())
+			return nil
+		}
+		var p [4]byte
+		binLE.PutUint32(p[:], uint32(part))
+		s.binRespond(c, binStOK, op, id, p[:])
 		return nil
 	case binOpTenantDel:
 		if flags != 0 {
 			return errBadFrame
 		}
-		// Same broadcast, same poller-deadlock hazard as TENANT_ADD.
-		name := string(tenant)
-		c.pending.Add(1)
-		go func() {
-			if err := s.svc.RemoveTenant(name); err != nil {
-				s.binRespondErr(c, op, id, err.Error(), true)
-				return
-			}
-			s.binRespond(c, binStOK, op, id, nil, true)
-		}()
+		if err := svc.RemoveTenant(string(tenant)); err != nil {
+			s.binRespondErr(c, op, id, err.Error())
+			return nil
+		}
+		s.binRespond(c, binStOK, op, id, nil)
 		return nil
 	case binOpRegOp:
 		if flags&^byte(binFlagRegAdd) != 0 {
 			return errBadFrame
 		}
 		if kl != 0 || len(val) != 8 {
-			s.binRespondErr(c, op, id, "bad registry frame", false)
+			s.binRespondErr(c, op, id, "bad registry frame")
 			return nil
 		}
-		ver, err := s.svc.ApplyRegistryOp(binLE.Uint64(val), flags&binFlagRegAdd != 0, string(tenant))
+		ver, err := svc.ApplyRegistryOp(binLE.Uint64(val), flags&binFlagRegAdd != 0, string(tenant))
 		if err != nil {
-			s.binRespondErr(c, op, id, err.Error(), false)
+			s.binRespondErr(c, op, id, err.Error())
 			return nil
 		}
 		var p [8]byte
 		binLE.PutUint64(p[:], ver)
-		s.binRespond(c, binStOK, op, id, p[:], false)
+		s.binRespond(c, binStOK, op, id, p[:])
 		return nil
 	case binOpRegPull:
 		if flags != 0 {
 			return errBadFrame
 		}
 		if tl != 0 || kl != 0 || len(val) != 0 {
-			s.binRespondErr(c, op, id, "bad registry pull", false)
+			s.binRespondErr(c, op, id, "bad registry pull")
 			return nil
 		}
-		ver, names := s.svc.RegistrySnapshot()
+		ver, names := svc.RegistrySnapshot()
 		p := make([]byte, 12, 12+16*len(names))
 		binLE.PutUint64(p[0:8], ver)
 		binLE.PutUint32(p[8:12], uint32(len(names)))
@@ -552,10 +396,10 @@ func (s *Server) binDispatch(c *binConn, f []byte) error {
 			p = append(p, byte(len(n)))
 			p = append(p, n...)
 		}
-		s.binRespond(c, binStOK, op, id, p, false)
+		s.binRespond(c, binStOK, op, id, p)
 		return nil
 	case binOpBMGet:
-		return s.binDispatchBMGet(c, f, flags, id, ttlMS, tl, kl)
+		return s.binBMGet(c, f, flags, id, ttlMS, tl, kl)
 	case binOpGet, binOpPut, binOpDel, binOpTouch, binOpRehome:
 	default:
 		return errBadFrame
@@ -564,48 +408,102 @@ func (s *Server) binDispatch(c *binConn, f []byte) error {
 		return errBadFrame
 	}
 	if kl == 0 || kl > maxKeyLen {
-		s.binRespondErr(c, op, id, "bad key length", false)
+		s.binRespondErr(c, op, id, "bad key length")
 		return nil
 	}
 	if op != binOpPut && op != binOpRehome && len(val) != 0 {
-		s.binRespondErr(c, op, id, "unexpected value payload", false)
+		s.binRespondErr(c, op, id, "unexpected value payload")
 		return nil
 	}
 	if len(val) > maxValueLen {
-		s.binRespondErr(c, op, id, "value too long", false)
+		s.binRespondErr(c, op, id, "value too long")
 		return nil
 	}
-	t := s.svc.reg.Load().tenants[string(tenant)]
+	t := svc.reg.Load().tenants[string(tenant)]
 	if t == nil {
-		s.binRespondErr(c, op, id, "unknown tenant", false)
+		s.binRespondErr(c, op, id, "unknown tenant")
 		return nil
 	}
-	q := binReqPool.Get().(*binReq)
+	fop := binOpToOp(op)
+	if svc.fault.Load() != nil && svc.dropFault(fop, t.name) {
+		return errDropConn
+	}
+	release, ok := s.beginOpT(t)
+	if !ok {
+		s.binRespond(c, binStShed, op, id, nil)
+		return nil
+	}
+	if svc.fault.Load() != nil {
+		if err := svc.injectFault(fop, t.name); err != nil {
+			if release != nil {
+				release()
+			}
+			s.binRespondErr(c, op, id, err.Error())
+			return nil
+		}
+	}
 	addr := addrOfB(t.part, key)
-	q.c, q.op, q.id, q.t = c, op, id, t
-	q.addr, q.mixed = addr, hash.Mix64(addr)
-	q.ttlMS = ttlMS
-	q.hasTTL = flags&binFlagTTL != 0
-	q.key = append(q.key[:0], key...)
-	q.val = append(q.val[:0], val...)
-	si := int(s.svc.route.Hash(q.mixed) & s.svc.mask)
-	if c.enqBy == nil {
-		c.enqBy = make([][]*binReq, len(s.binRings))
+	mixed := hash.Mix64(addr)
+	status := uint8(binStOK)
+	var payload []byte
+	switch op {
+	case binOpGet:
+		if v, hit := svc.getAt(t, addr, mixed, key); hit {
+			payload = v
+		} else {
+			status = binStMiss
+		}
+	case binOpPut:
+		ttl := svc.cfg.DefaultTTL
+		if flags&binFlagTTL != 0 {
+			ttl = time.Duration(ttlMS) * time.Millisecond
+		}
+		svc.putAt(t, addr, mixed, key, val, ttl)
+	case binOpRehome:
+		// A re-homed key keeps exactly the TTL it had on the old owner: the
+		// flag carries the remaining TTL, no flag means it never expired —
+		// the receiver's DefaultTTL must not re-stamp it.
+		var ttl time.Duration
+		if flags&binFlagTTL != 0 {
+			ttl = time.Duration(ttlMS) * time.Millisecond
+		}
+		svc.putAt(t, addr, mixed, key, val, ttl)
+		svc.rehomedIn.Add(1)
+	case binOpDel:
+		if !svc.deleteAt(addr, mixed, key) {
+			status = binStMiss
+		}
+	case binOpTouch:
+		if !svc.touchAt(t, addr, mixed, key, time.Duration(ttlMS)*time.Millisecond) {
+			status = binStMiss
+		}
 	}
-	c.enqBy[si] = append(c.enqBy[si], q)
-	if c.enqN++; c.enqN >= binEnqFlush {
-		s.binFlushEnq(c)
+	if release != nil {
+		release()
 	}
+	s.binRespond(c, status, op, id, payload)
 	return nil
 }
 
-// binDispatchBMGet validates one BMGET frame and fans its keys out to the
-// owning shards as at most one pooled sub-request per shard, all sharing
-// one binBatch that re-merges per-key results into a single coalesced
-// response frame. The whole batch holds exactly one pending slot on the
-// connection — it produces exactly one response frame. count arrives in
-// the header's klen field; the key list must tile the body exactly.
-func (s *Server) binDispatchBMGet(c *binConn, f []byte, flags uint8, id, ttlMS uint32, tl, count int) error {
+// binOpToOp maps a wire opcode to the fault-injection Op taxonomy.
+func binOpToOp(op uint8) Op {
+	switch op {
+	case binOpPut, binOpRehome:
+		return OpPut
+	case binOpDel:
+		return OpDelete
+	case binOpTouch:
+		return OpTouch
+	}
+	return OpGet
+}
+
+// binBMGet validates one BMGET frame and executes its keys in request
+// order, encoding the coalesced response straight into c.out. The frame
+// holds one in-flight reservation and draws one fault, as a text MGET
+// does. count arrives in the header's klen field; the key list must tile
+// the body exactly.
+func (s *Server) binBMGet(c *binConn, f []byte, flags uint8, id, ttlMS uint32, tl, count int) error {
 	if flags != 0 || ttlMS != 0 {
 		return errBadFrame // no flags or TTL semantics are defined for BMGET in v1
 	}
@@ -634,220 +532,81 @@ func (s *Server) binDispatchBMGet(c *binConn, f []byte, flags uint8, id, ttlMS u
 	}
 	switch {
 	case count == 0:
-		s.binRespondErr(c, binOpBMGet, id, "empty key list", false)
+		s.binRespondErr(c, binOpBMGet, id, "empty key list")
 		return nil
 	case count > maxBatchKeys:
-		s.binRespondErr(c, binOpBMGet, id, "too many keys", false)
+		s.binRespondErr(c, binOpBMGet, id, "too many keys")
 		return nil
 	case badKey:
-		s.binRespondErr(c, binOpBMGet, id, "bad key length", false)
+		s.binRespondErr(c, binOpBMGet, id, "bad key length")
 		return nil
 	}
-	t := s.svc.reg.Load().tenants[string(tenant)]
+	svc := s.svc
+	t := svc.reg.Load().tenants[string(tenant)]
 	if t == nil {
-		s.binRespondErr(c, binOpBMGet, id, "unknown tenant", false)
+		s.binRespondErr(c, binOpBMGet, id, "unknown tenant")
 		return nil
 	}
-	s.svc.bmgetKeys.Add(uint64(count))
-	b := newBinBatch(c, id, count)
-	if c.enqBy == nil {
-		c.enqBy = make([][]*binReq, len(s.binRings))
+	svc.bmgetKeys.Add(uint64(count))
+	if svc.fault.Load() != nil && svc.dropFault(OpMGet, t.name) {
+		return errDropConn
 	}
-	if cap(c.bmShard) < len(s.binRings) {
-		c.bmShard = make([]*binReq, len(s.binRings))
+	release, ok := s.beginOpT(t)
+	if ok && svc.fault.Load() != nil {
+		if err := svc.injectFault(OpMGet, t.name); err != nil {
+			if release != nil {
+				release()
+			}
+			s.binRespondErr(c, binOpBMGet, id, err.Error())
+			return nil
+		}
 	}
-	reqs := c.bmShard[:len(s.binRings)]
-	for i := range reqs {
-		reqs[i] = nil
-	}
+	start := len(c.out)
+	c.out = appendBinRespHdr(c.out, binStOK, binOpBMGet, id, 0)
+	c.out = binLE.AppendUint16(c.out, uint16(count))
 	for i := 0; i < count; i++ {
 		kl := int(binLE.Uint16(list))
 		key := list[2 : 2+kl]
 		list = list[2+kl:]
-		addr := addrOfB(t.part, key)
-		mixed := hash.Mix64(addr)
-		si := int(s.svc.route.Hash(mixed) & s.svc.mask)
-		q := reqs[si]
-		if q == nil {
-			q = binReqPool.Get().(*binReq)
-			q.c, q.op, q.id, q.t = c, binOpBMGet, id, t
-			q.batch = b
-			q.bk = q.bk[:0]
-			q.kbuf = q.kbuf[:0]
-			reqs[si] = q
-			c.enqBy[si] = append(c.enqBy[si], q)
-			c.enqN++
+		st, v := uint8(binStShed), []byte(nil)
+		if ok {
+			addr := addrOfB(t.part, key)
+			st = binStMiss
+			if val, hit := svc.getAt(t, addr, hash.Mix64(addr), key); hit {
+				st, v = binStOK, val
+			}
 		}
-		off := int32(len(q.kbuf))
-		q.kbuf = append(q.kbuf, key...)
-		q.bk = append(q.bk, binBKey{addr: addr, mixed: mixed, off: off, ln: int32(kl), idx: int32(i)})
+		c.out = append(c.out, st)
+		c.out = binLE.AppendUint32(c.out, uint32(len(v)))
+		c.out = append(c.out, v...)
 	}
-	c.pending.Add(1)
-	if c.enqN >= binEnqFlush {
-		s.binFlushEnq(c)
+	if release != nil {
+		release()
+	}
+	binLE.PutUint32(c.out[start:], uint32(len(c.out)-start-4))
+	if len(c.out) >= binFlushHi {
+		s.binFlush(c)
 	}
 	return nil
 }
 
-// binFlushEnq hands the connection's accumulated per-shard runs to their
-// rings, one pushBatch (one lock, one wake) per shard touched. Requests a
-// full ring cannot accept are shed here with the same counters as an
-// in-flight shed, so dashboards see one overload signal. Transport-thread
-// context only.
-func (s *Server) binFlushEnq(c *binConn) {
-	if c.enqN == 0 {
-		return
-	}
-	for si, qs := range c.enqBy {
-		if len(qs) == 0 {
-			continue
-		}
-		// BMGET sub-requests don't hold pending slots of their own: the
-		// batch claimed its single slot at dispatch (one response frame).
-		pend := int64(0)
-		for _, q := range qs {
-			if q.batch == nil {
-				pend++
-			}
-		}
-		if pend > 0 {
-			c.pending.Add(pend)
-		}
-		n := s.binRings[si].pushBatch(qs)
-		for _, q := range qs[n:] {
-			q.t.shed.Add(1)
-			s.svc.requestsShed.Add(1)
-			if b := q.batch; b != nil {
-				for _, bk := range q.bk {
-					b.sts[bk.idx] = binStShed
-				}
-				done := len(q.bk)
-				q.recycle()
-				s.binBatchDone(b, done, nil)
-				continue
-			}
-			op, id := q.op, q.id
-			q.recycle()
-			s.binRespond(c, binStShed, op, id, nil, true)
-		}
-		for i := range qs {
-			qs[i] = nil
-		}
-		if cap(qs) > binEnqFlush*4 {
-			c.enqBy[si] = nil
-		} else {
-			c.enqBy[si] = qs[:0]
-		}
-	}
-	c.enqN = 0
-}
-
-// binRespond encodes one response frame onto c's output buffer and
-// flushes when the connection's batch drains (pending hits zero) or the
-// buffer passes the high-water mark. dec is true when this response
-// retires a dispatched data frame (PING/TENANT_ADD answer inline and never
-// took a pending slot).
-func (s *Server) binRespond(c *binConn, status, op uint8, id uint32, payload []byte, dec bool) {
-	s.binRespondG(c, status, op, id, payload, dec, nil)
-}
-
-// binRespondG is binRespond with an optional scatter-gather context: when
-// g is non-nil (shard-worker context) the flush decision is deferred to
-// the worker's end-of-batch binGatherFlush pass, so responses to many
-// connections executed in one popBatch run are written back-to-back in one
-// pass instead of deciding (and often syscalling) per response. The
-// high-water mark still flushes inline to bound buffered memory.
-func (s *Server) binRespondG(c *binConn, status, op uint8, id uint32, payload []byte, dec bool, g *binGather) {
-	if binRespLock(c, dec) {
-		c.out = appendBinResp(c.out, status, op, id, payload)
-		s.binRespUnlock(c, dec, g)
+// binRespond appends one response frame to c.out, flushing early past the
+// high-water mark.
+func (s *Server) binRespond(c *binConn, status, op uint8, id uint32, payload []byte) {
+	c.out = appendBinResp(c.out, status, op, id, payload)
+	if len(c.out) >= binFlushHi {
+		s.binFlush(c)
 	}
 }
 
-// binRespLock takes c.wmu for appending one response to c.out. It reports
-// false, with the lock released and the pending slot (dec) retired, when
-// the connection is going away and the response is dropped.
-func binRespLock(c *binConn, dec bool) bool {
-	c.wmu.Lock()
-	if c.dying.Load() || c.closed.Load() {
-		c.wmu.Unlock()
-		if dec {
-			c.pending.Add(-1)
-		}
-		return false
-	}
-	return true
+func (s *Server) binRespondErr(c *binConn, op uint8, id uint32, msg string) {
+	s.binRespond(c, binStErr, op, id, []byte(msg))
 }
 
-// binRespUnlock ends what binRespLock began once the frame is in c.out:
-// it retires the pending slot, makes the flush decision and releases c.wmu.
-func (s *Server) binRespUnlock(c *binConn, dec bool, g *binGather) {
-	var left int64
-	if dec {
-		left = c.pending.Add(-1)
-	} else {
-		left = c.pending.Load()
-	}
-	if g != nil {
-		if len(c.out) >= binFlushHi {
-			s.binFlushLocked(c)
-		}
-		c.wmu.Unlock()
-		g.add(c)
-		return
-	}
-	if left == 0 || len(c.out) >= binFlushHi {
-		s.binFlushLocked(c)
-	}
-	c.wmu.Unlock()
-}
-
-func (s *Server) binRespondErr(c *binConn, op uint8, id uint32, msg string, dec bool) {
-	s.binRespond(c, binStErr, op, id, []byte(msg), dec)
-}
-
-// binGather is a shard worker's per-popBatch set of touched connections.
-// Deferring the flush decision to one end-of-batch pass is the
-// cross-connection scatter-gather: K coalesced responses to M connections
-// cost at most M writes issued consecutively, not K flush checks each
-// potentially paying its own syscall.
-type binGather struct {
-	conns []*binConn
-}
-
-// add records a touched connection (deduplicated; M is small).
-func (g *binGather) add(c *binConn) {
-	for _, e := range g.conns {
-		if e == c {
-			return
-		}
-	}
-	g.conns = append(g.conns, c)
-}
-
-// binGatherFlush writes every gathered connection whose dispatched frames
-// have drained. A connection still owing responses keeps its buffer: the
-// worker that appends its last response gathers it again and this pass on
-// that worker flushes it, so no frame is ever stranded.
-func (s *Server) binGatherFlush(g *binGather) {
-	for i, c := range g.conns {
-		g.conns[i] = nil
-		c.wmu.Lock()
-		if len(c.out) > 0 && c.pending.Load() == 0 && !c.dying.Load() && !c.closed.Load() {
-			s.binFlushLocked(c)
-		}
-		c.wmu.Unlock()
-	}
-	g.conns = g.conns[:0]
-}
-
-// binFlushLocked writes c's buffered responses. Caller holds c.wmu.
-func (s *Server) binFlushLocked(c *binConn) {
-	if len(c.out) == 0 {
-		return
-	}
-	if c.nc == nil {
-		c.pollerFlushLocked()
+// binFlush writes c's buffered responses under the write window. A failed
+// write closes the connection and marks it dead.
+func (s *Server) binFlush(c *binConn) {
+	if len(c.out) == 0 || c.dead {
 		return
 	}
 	if c.wwd != nil {
@@ -865,7 +624,7 @@ func (s *Server) binFlushLocked(c *binConn) {
 		if isTimeout(err) {
 			s.svc.deadlineCloses.Add(1)
 		}
-		c.dying.Store(true)
+		c.dead = true
 		c.nc.Close()
 	}
 }

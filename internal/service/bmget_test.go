@@ -70,7 +70,7 @@ func parseBMGet(t *testing.T, payload []byte) []bmEntry {
 	return out
 }
 
-func newBMGetServer(t *testing.T, shards int, nopoll bool) (*Service, *Server) {
+func newBMGetServer(t *testing.T, shards int) (*Service, *Server) {
 	t.Helper()
 	svc := newTestService(t, Config{Shards: shards, LinesPerShard: 512, MaxTenants: 4, Seed: 41})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -78,98 +78,124 @@ func newBMGetServer(t *testing.T, shards int, nopoll bool) (*Service, *Server) {
 		t.Fatal(err)
 	}
 	srv := Serve(svc, lis)
-	srv.binNoPoll = nopoll
 	t.Cleanup(func() { srv.Close() })
 	return svc, srv
 }
 
 // TestBMGetRoundTrip: one frame carrying N keys answers one coalesced
-// frame with per-key results in request order, across shards, on both
-// transports.
+// frame with per-key results in request order, across shards. In
+// "default" the client reads each setup reply before sending the next
+// frame; in "nopoll" it writes the tenant, every PUT and the BMGET in one
+// segment without reading in between, so the BMGET must see every write
+// executed ahead of it in the same read.
 func TestBMGetRoundTrip(t *testing.T) {
 	for _, tr := range []struct {
-		name   string
-		nopoll bool
+		name      string
+		pipelined bool
 	}{{"default", false}, {"nopoll", true}} {
 		t.Run(tr.name, func(t *testing.T) {
-			svc, srv := newBMGetServer(t, 4, tr.nopoll)
-			c := dialBin(t, srv.Addr().String())
-			c.expect(binOpTenantAdd, 0, 1, 0, "alice", "", "", binStOK, "\x00\x00\x00\x00")
-
-			// Enough keys to land on several shards.
-			var keys []string
-			for i := 0; i < 20; i++ {
-				k := "key-" + strconv.Itoa(i)
-				keys = append(keys, k)
-				if i%3 != 2 { // every third key stays missing
-					c.expect(binOpPut, 0, uint32(10+i), 0, "alice", k, "v"+strconv.Itoa(i), binStOK, "")
-				}
-			}
-			if _, err := c.conn.Write(bmFrame(99, "alice", keys...)); err != nil {
-				t.Fatal(err)
-			}
-			r := c.resp()
-			if r.status != binStOK || r.op != binOpBMGet || r.id != 99 {
-				t.Fatalf("BMGET response: status=%d op=%d id=%d", r.status, r.op, r.id)
-			}
-			ents := parseBMGet(t, r.payload)
-			if len(ents) != len(keys) {
-				t.Fatalf("BMGET entries = %d, want %d", len(ents), len(keys))
-			}
-			for i, e := range ents {
-				if i%3 == 2 {
-					if e.status != binStMiss || e.val != "" {
-						t.Fatalf("key %d: got status=%d val=%q, want MISS", i, e.status, e.val)
-					}
-				} else if e.status != binStOK || e.val != "v"+strconv.Itoa(i) {
-					t.Fatalf("key %d: got status=%d val=%q, want OK v%d", i, e.status, e.val, i)
-				}
-			}
-
-			// Pipelined BMGETs with duplicate ids both answer (the id is
-			// echoed verbatim; cross-shard order is unspecified).
-			c.conn.Write(bmFrame(7, "alice", "key-0"))
-			c.conn.Write(bmFrame(7, "alice", "key-2"))
-			r1, r2 := c.resp(), c.resp()
-			if r1.id != 7 || r2.id != 7 {
-				t.Fatalf("dup-id responses: ids %d %d", r1.id, r2.id)
-			}
-			got1, got2 := parseBMGet(t, r1.payload), parseBMGet(t, r2.payload)
-			hits, misses := 0, 0
-			for _, e := range []bmEntry{got1[0], got2[0]} {
-				switch {
-				case e.status == binStOK && e.val == "v0":
-					hits++
-				case e.status == binStMiss:
-					misses++
-				}
-			}
-			if hits != 1 || misses != 1 {
-				t.Fatalf("dup-id payloads: %+v %+v", got1, got2)
-			}
-
-			if n := svc.Stats().BmgetKeys; n != uint64(len(keys)+2) {
-				t.Fatalf("BmgetKeys = %d, want %d", n, len(keys)+2)
-			}
-			tc := dialTest(t, srv.Addr().String())
-			tc.send("STATS")
-			var saw bool
-			for _, l := range tc.linesUntilEND() {
-				if strings.HasPrefix(l, "STAT bmget_keys ") {
-					saw = true
-				}
-			}
-			if !saw {
-				t.Fatal("STATS missing bmget_keys")
-			}
+			testBMGetRoundTrip(t, tr.pipelined)
 		})
+	}
+}
+
+func testBMGetRoundTrip(t *testing.T, pipelined bool) {
+	svc, srv := newBMGetServer(t, 4)
+	c := dialBin(t, srv.Addr().String())
+
+	// Enough keys to land on several shards.
+	var keys []string
+	var batch []byte
+	var ids []uint32
+	setup := func(op uint8, id uint32, tenant, key, val, wantPayload string) {
+		if pipelined {
+			batch = append(batch, binFrame(op, 0, id, 0, tenant, key, val)...)
+			ids = append(ids, id)
+		} else {
+			c.expect(op, 0, id, 0, tenant, key, val, binStOK, wantPayload)
+		}
+	}
+	setup(binOpTenantAdd, 1, "alice", "", "", "\x00\x00\x00\x00")
+	for i := 0; i < 20; i++ {
+		k := "key-" + strconv.Itoa(i)
+		keys = append(keys, k)
+		if i%3 != 2 { // every third key stays missing
+			setup(binOpPut, uint32(10+i), "alice", k, "v"+strconv.Itoa(i), "")
+		}
+	}
+	if pipelined {
+		batch = append(batch, bmFrame(99, "alice", keys...)...)
+		if _, err := c.conn.Write(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if r := c.resp(); r.status != binStOK || r.id != id {
+				t.Fatalf("pipelined setup reply: status=%d id=%d, want OK id=%d", r.status, r.id, id)
+			}
+		}
+	} else if _, err := c.conn.Write(bmFrame(99, "alice", keys...)); err != nil {
+		t.Fatal(err)
+	}
+	r := c.resp()
+	if r.status != binStOK || r.op != binOpBMGet || r.id != 99 {
+		t.Fatalf("BMGET response: status=%d op=%d id=%d", r.status, r.op, r.id)
+	}
+	ents := parseBMGet(t, r.payload)
+	if len(ents) != len(keys) {
+		t.Fatalf("BMGET entries = %d, want %d", len(ents), len(keys))
+	}
+	for i, e := range ents {
+		if i%3 == 2 {
+			if e.status != binStMiss || e.val != "" {
+				t.Fatalf("key %d: got status=%d val=%q, want MISS", i, e.status, e.val)
+			}
+		} else if e.status != binStOK || e.val != "v"+strconv.Itoa(i) {
+			t.Fatalf("key %d: got status=%d val=%q, want OK v%d", i, e.status, e.val, i)
+		}
+	}
+
+	// Pipelined BMGETs with duplicate ids both answer (the id is
+	// echoed verbatim; cross-shard order is unspecified).
+	c.conn.Write(bmFrame(7, "alice", "key-0"))
+	c.conn.Write(bmFrame(7, "alice", "key-2"))
+	r1, r2 := c.resp(), c.resp()
+	if r1.id != 7 || r2.id != 7 {
+		t.Fatalf("dup-id responses: ids %d %d", r1.id, r2.id)
+	}
+	got1, got2 := parseBMGet(t, r1.payload), parseBMGet(t, r2.payload)
+	hits, misses := 0, 0
+	for _, e := range []bmEntry{got1[0], got2[0]} {
+		switch {
+		case e.status == binStOK && e.val == "v0":
+			hits++
+		case e.status == binStMiss:
+			misses++
+		}
+	}
+	if hits != 1 || misses != 1 {
+		t.Fatalf("dup-id payloads: %+v %+v", got1, got2)
+	}
+
+	if n := svc.Stats().BmgetKeys; n != uint64(len(keys)+2) {
+		t.Fatalf("BmgetKeys = %d, want %d", n, len(keys)+2)
+	}
+	tc := dialTest(t, srv.Addr().String())
+	tc.send("STATS")
+	var saw bool
+	for _, l := range tc.linesUntilEND() {
+		if strings.HasPrefix(l, "STAT bmget_keys ") {
+			saw = true
+		}
+	}
+	if !saw {
+		t.Fatal("STATS missing bmget_keys")
 	}
 }
 
 // TestBMGetSemanticErrors: validation failures answer a frame-level ERR
 // and the stream continues.
 func TestBMGetSemanticErrors(t *testing.T) {
-	_, srv := newBMGetServer(t, 2, false)
+	_, srv := newBMGetServer(t, 2)
 	c := dialBin(t, srv.Addr().String())
 	c.expect(binOpTenantAdd, 0, 1, 0, "alice", "", "", binStOK, "\x00\x00\x00\x00")
 
@@ -217,7 +243,7 @@ func TestBMGetFramingViolations(t *testing.T) {
 	}
 	for name, frame := range frames {
 		t.Run(name, func(t *testing.T) {
-			_, srv := newBMGetServer(t, 1, false)
+			_, srv := newBMGetServer(t, 1)
 			c := dialBin(t, srv.Addr().String())
 			c.expect(binOpTenantAdd, 0, 1, 0, "alice", "", "", binStOK, "\x00\x00\x00\x00")
 			if _, err := c.conn.Write(frame); err != nil {

@@ -28,9 +28,7 @@ import (
 //   - FuzzBinFrames is FuzzServeConn for the binary protocol: the harness
 //     completes the negotiation, then the fuzzed bytes are the frame
 //     stream. Framing violations must close, semantic errors must answer
-//     ERR, and nothing may hang or panic — across the epoll and goroutine
-//     transports alike (the seed corpus runs under both via the binNoPoll
-//     seam in the unit tests; the fuzz target uses the default transport).
+//     ERR, and nothing may hang or panic.
 //
 // Regression inputs for anything these find live under
 // testdata/fuzz/<FuzzName>/ and run as ordinary test cases forever after.

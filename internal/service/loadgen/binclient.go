@@ -5,9 +5,9 @@
 // The wire constants below mirror the server's (which are unexported on
 // purpose: the frame layout is the contract, not a shared Go package). The
 // binary protocol has no MGET verb — a batch is simply Batch GET frames
-// written before one flush, which is what the server's shard rings and
-// response coalescing are built for. Responses within a batch arrive in
-// per-shard completion order and are matched back by the echoed request id.
+// written before one flush, which the server answers with one coalesced
+// write. Responses are matched back by the echoed request id, which the
+// protocol requires even though this server answers in request order.
 // mget and putPipelined therefore always drain every response of a batch,
 // even after a shed or fault reply: each frame gets exactly one response, so
 // the stream can never desync the way an aborted text MGET would without its
@@ -138,10 +138,9 @@ func readFullBuf(r *bufio.Reader, buf []byte) (int, error) {
 	return n, nil
 }
 
-// readResp reads one response frame. Responses to a pipelined batch arrive
-// in per-shard order, not request order — the shard ring workers complete
-// independently — so callers match the echoed id against their outstanding
-// window rather than assuming FIFO. The returned payload aliases the
+// readResp reads one response frame. The protocol does not promise
+// responses in request order, so callers match the echoed id against their
+// outstanding window rather than assuming FIFO. The returned payload aliases the
 // client's scratch buffer and is only valid until the next readResp.
 func (c *binClient) readResp() (status, op uint8, id uint32, payload []byte, err error) {
 	var lenb [4]byte

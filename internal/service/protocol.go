@@ -209,20 +209,6 @@ type Server struct {
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
-
-	// Binary-protocol state (see binproto.go, binring.go): per-shard request
-	// rings and their workers, started by the first binary handshake, plus
-	// the platform event-loop poller (nil where unsupported). Poller-owned
-	// connections leave s.conns (the poller owns their fds); binEpoll keeps
-	// them counted toward MaxConns.
-	binOnce  sync.Once
-	binRings []*binRing
-	binStop  chan struct{}
-	binPoll  atomic.Pointer[binPoller]
-	binEpoll atomic.Int64
-	// binNoPoll forces the portable goroutine-per-connection binary
-	// transport even where an event loop exists — a test seam.
-	binNoPoll bool
 }
 
 // Serve starts accepting connections on lis and handling them against svc,
@@ -237,7 +223,7 @@ func ServeWith(svc *Service, lis net.Listener, cfg ServerConfig) *Server {
 	if cfg.MaxInflight > 0 && cfg.InflightWait == 0 {
 		cfg.InflightWait = 10 * time.Millisecond
 	}
-	s := &Server{svc: svc, lis: lis, cfg: cfg, conns: make(map[net.Conn]struct{}), binStop: make(chan struct{})}
+	s := &Server{svc: svc, lis: lis, cfg: cfg, conns: make(map[net.Conn]struct{})}
 	if cfg.MaxInflight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInflight)
 	}
@@ -263,13 +249,6 @@ func (s *Server) Close() error {
 		c.Close()
 	}
 	s.mu.Unlock()
-	// Binary teardown: the poller closes its connections and exits, then
-	// binStop releases the shard workers (they drain their rings first, but
-	// writes to closed connections are suppressed).
-	if p := s.binPoll.Load(); p != nil {
-		p.stop()
-	}
-	close(s.binStop)
 	s.wg.Wait()
 	return err
 }
@@ -287,7 +266,7 @@ func (s *Server) acceptLoop() {
 			conn.Close()
 			return
 		}
-		if s.cfg.MaxConns > 0 && len(s.conns)+int(s.binEpoll.Load()) >= s.cfg.MaxConns {
+		if s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns {
 			s.mu.Unlock()
 			s.svc.connsRejected.Add(1)
 			// Fast-reject off the accept loop: a client that never reads
@@ -510,7 +489,7 @@ func (s *Server) beginOp(tenant []byte) (release func(), ok bool) {
 }
 
 // beginOpT is beginOp for callers that already resolved the tenant (the
-// binary shard workers). t may be nil (unknown tenant, or no per-tenant
+// binary executor). t may be nil (unknown tenant, or no per-tenant
 // limit configured).
 func (s *Server) beginOpT(t *Tenant) (release func(), ok bool) {
 	if s.cfg.MaxTenantInflight <= 0 {

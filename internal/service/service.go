@@ -490,11 +490,10 @@ func (s *Service) GetB(tenant, key []byte) ([]byte, bool, error) {
 	return val, hit, nil
 }
 
-// getAt is the resolved GET path shared by GetB and the binary shard
-// workers: the caller already resolved the tenant and computed the line
-// address and its Mix64 (binary dispatch resolves once at decode time and
-// routes on the mix, so the worker never rehashes). One zcache lookup
-// resolves the slot; a hit runs the controller's hit path on it.
+// getAt is the resolved GET path shared by GetB and the binary executor:
+// the caller already resolved the tenant and computed the line address and
+// its Mix64, which routes the shard as well. One zcache lookup resolves the
+// slot; a hit runs the controller's hit path on it.
 func (s *Service) getAt(t *Tenant, addr, mixed uint64, key []byte) ([]byte, bool) {
 	sh := s.shardOf(mixed)
 	var val []byte
@@ -563,8 +562,8 @@ func (s *Service) PutBTTL(tenant, key, val []byte, ttl time.Duration) error {
 	return nil
 }
 
-// putAt is the resolved PUT path shared by PutBTTL and the binary shard
-// workers: one controller access (a hit refreshes, a miss installs), then
+// putAt is the resolved PUT path shared by PutBTTL and the binary
+// executor: one controller access (a hit refreshes, a miss installs), then
 // the record in the slot it reports is overwritten. On a miss that record
 // is the evicted line's — the walk's relocations swapped it there — so an
 // eviction needs no separate removal. The value is a fresh copy (GET hands
@@ -619,8 +618,8 @@ func (s *Service) TouchB(tenant, key []byte, ttl time.Duration) (bool, error) {
 	return s.touchAt(t, addr, hash.Mix64(addr), key, ttl), nil
 }
 
-// touchAt is the resolved TOUCH path shared by TouchB and the binary shard
-// workers.
+// touchAt is the resolved TOUCH path shared by TouchB and the binary
+// executor.
 func (s *Service) touchAt(t *Tenant, addr, mixed uint64, key []byte, ttl time.Duration) bool {
 	sh := s.shardOf(mixed)
 	now := s.clk.Now()
@@ -676,7 +675,7 @@ func (s *Service) DeleteB(tenant, key []byte) (bool, error) {
 }
 
 // deleteAt is the resolved DELETE path shared by DeleteB and the binary
-// shard workers.
+// executor.
 func (s *Service) deleteAt(addr, mixed uint64, key []byte) bool {
 	sh := s.shardOf(mixed)
 	sh.mu.Lock()
