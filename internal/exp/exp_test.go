@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"vantage/internal/hash"
 	"vantage/internal/workload"
 )
 
@@ -437,10 +438,11 @@ func TestRunMixDeterministic(t *testing.T) {
 
 // TestParallelMatchesSequential: every parallel harness must produce
 // bit-identical results whether its work units run one at a time
-// (GOMAXPROCS=1) or concurrently (GOMAXPROCS=4) — simulations share no
-// mutable state, and shared recordings extend safely under concurrency.
+// (GOMAXPROCS=1) or concurrently (GOMAXPROCS=2 or 4) — simulations share
+// no mutable state, and shared recordings extend safely under concurrency.
+// A runner whose results depend on which worker ran a job fails here.
 // Covers the throughput sweep plus the other mix-fanning experiments:
-// RunSelected (Fig 6b), Fig 8 traces, and the Fig 9 sweep.
+// RunSelected (Fig 6b), RunFairness, Fig 8 traces, and the Fig 9 sweep.
 func TestParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
@@ -448,31 +450,103 @@ func TestParallelMatchesSequential(t *testing.T) {
 	m := SmallCMP(ScaleUnit)
 	m.InstrLimit, m.WarmupInstr = 20_000, 10_000
 
-	runBoth := func(name string, run func() any) {
+	runBoth := func(name string, procs int, run func() any) {
 		prev := runtime.GOMAXPROCS(1)
 		seq := run()
-		runtime.GOMAXPROCS(4)
+		runtime.GOMAXPROCS(procs)
 		par := run()
 		runtime.GOMAXPROCS(prev)
 		if !reflect.DeepEqual(seq, par) {
-			t.Errorf("%s: GOMAXPROCS=4 result differs from GOMAXPROCS=1", name)
+			t.Errorf("%s: GOMAXPROCS=%d result differs from GOMAXPROCS=1", name, procs)
 		}
 	}
 
-	runBoth("RunThroughput", func() any {
+	runBoth("RunThroughput", 4, func() any {
 		return RunThroughput(m, LRUBaseline(), []Scheme{DefaultVantageScheme()}, 6, nil)
 	})
-	runBoth("RunSelected", func() any {
+	// Two mixes of four runs on two workers, the shape sim-fig7 runs: each
+	// mix's runs execute on both workers, in an order that varies.
+	runBoth("Fig7/2mixes", 2, func() any {
+		return Fig7(m, 2, nil)
+	})
+	runBoth("RunSelected", 4, func() any {
 		return RunSelected(m, LRUBaseline(),
 			[]Scheme{DefaultVantageScheme(), WayPartScheme()},
 			[]string{"sftn1", "ttnn4", "ffnn3"})
 	})
-	runBoth("Fig8", func() any {
+	runBoth("RunFairness", 4, func() any {
+		return RunFairness(m, LRUBaseline(), []Scheme{DefaultVantageScheme(), PIPPScheme()}, 3, nil)
+	})
+	runBoth("Fig8", 4, func() any {
 		return RunFig8(m, "ttnn4", 0)
 	})
-	runBoth("Fig9", func() any {
+	runBoth("Fig9", 4, func() any {
 		return RunFig9(m, []float64{0.05, 0.25}, 4, nil)
 	})
+}
+
+// TestMachineMixesSubset: Mixes builds only the mixes it returns, and they
+// must be the ones a full per-class set followed by the class-shuffled pick
+// chooses, in the same order and with the same streams.
+func TestMachineMixesSubset(t *testing.T) {
+	// Apps size their working sets from the L2, and the pick does not look
+	// at it: a 512-line L2 keeps two 350-mix 32-core sets small in memory.
+	large := LargeCMP(ScaleUnit)
+	large.L2Lines = 512
+	for _, m := range []Machine{SmallCMP(ScaleUnit), large} {
+		for _, limit := range []int{1, 2, 34, 35, 36, 70, 0} {
+			got, want := m.Mixes(limit), referenceMixes(m, limit)
+			if len(got) != len(want) {
+				t.Fatalf("%s limit %d: %d mixes, want %d", m.Name, limit, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].ID != want[i].ID || len(got[i].Apps) != len(want[i].Apps) {
+					t.Fatalf("%s limit %d: mix %d is %s with %d apps, want %s with %d",
+						m.Name, limit, i, got[i].ID, len(got[i].Apps), want[i].ID, len(want[i].Apps))
+				}
+				for a, app := range want[i].Apps {
+					for r := 0; r < 4096; r++ {
+						wg, wa := app.Next()
+						if gg, ga := got[i].Apps[a].Next(); gg != wg || ga != wa {
+							t.Fatalf("%s limit %d: %s app %d reference %d is (%d, %#x), want (%d, %#x)",
+								m.Name, limit, want[i].ID, a, r, gg, ga, wg, wa)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// referenceMixes picks limit mixes from the machine's full per-class set:
+// mix i of every class, classes in the seeded shuffled order, before mix i+1.
+func referenceMixes(m Machine, limit int) []workload.Mix {
+	per := m.MixesPerClass
+	if limit > 0 {
+		per = min(per, (limit+34)/35)
+	}
+	all := workload.Mixes(m.Cores, per, workload.Params{CacheLines: m.L2Lines}, m.Seed)
+	if limit <= 0 || limit >= len(all) {
+		return all
+	}
+	order := make([]int, 35)
+	for i := range order {
+		order[i] = i
+	}
+	rng := hash.NewRand(m.Seed ^ 0x50f)
+	for i := len(order) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	var out []workload.Mix
+	for i := 0; i < per && len(out) < limit; i++ {
+		for _, c := range order {
+			if len(out) < limit {
+				out = append(out, all[c*per+i])
+			}
+		}
+	}
+	return out
 }
 
 func TestClassBreakdown(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"vantage/internal/analytic"
 	"vantage/internal/core"
@@ -37,17 +35,7 @@ func RunFig9(m Machine, us []float64, limit int, progress func(done, total int))
 	mixes := m.Mixes(limit)
 	base := LRUBaseline()
 	baseThr := make([]float64, len(mixes))
-	total := len(mixes) * (1 + len(us))
-	var done atomic.Int64
-	var progMu sync.Mutex
-	tick := func() {
-		d := int(done.Add(1))
-		if progress != nil {
-			progMu.Lock()
-			progress(d, total)
-			progMu.Unlock()
-		}
-	}
+	tick := newTicker(len(mixes)*(1+len(us)), progress)
 	forEachMix(len(mixes), func(i int) {
 		baseThr[i] = m.RunMix(mixes[i], base).Throughput
 		tick()

@@ -123,45 +123,48 @@ func LargeCMP(s Scale) Machine {
 
 // Mixes generates the machine's multiprogrammed workloads. For the paper's
 // full sets use limit <= 0 (35 × MixesPerClass); a positive limit caps the
-// count while preserving class coverage (classes round-robin first).
+// count while preserving class coverage (classes round-robin first). Only
+// the mixes returned are built: the (class, index) pairs are picked first.
 func (m Machine) Mixes(limit int) []workload.Mix {
+	classes := workload.Classes()
 	per := m.MixesPerClass
 	if limit > 0 {
-		need := (limit + 34) / 35
-		if need < per {
-			per = need
-		}
+		per = min(per, (limit+len(classes)-1)/len(classes))
 	}
-	all := workload.Mixes(m.Cores, per, workload.Params{CacheLines: m.L2Lines}, m.Seed)
-	if limit > 0 && limit < len(all) {
-		// Interleave by class — take mix i of every class before mix i+1 —
-		// with the classes visited in a deterministic shuffled order, so a
-		// small subset samples all four categories instead of the
-		// lexicographically-first (insensitive-heavy) classes.
-		order := make([]int, 35)
-		for i := range order {
-			order[i] = i
-		}
-		rng := hash.NewRand(m.Seed ^ 0x50f)
-		for i := len(order) - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			order[i], order[j] = order[j], order[i]
-		}
-		var out []workload.Mix
-		for i := 0; i < per && len(out) < limit; i++ {
-			for _, c := range order {
-				if len(out) >= limit {
-					break
-				}
-				idx := c*per + i
-				if idx < len(all) {
-					out = append(out, all[idx])
-				}
+	var out []workload.Mix
+	add := func(c, idx int) {
+		out = append(out, workload.NewMix(classes[c], idx, m.Cores/4, workload.Params{CacheLines: m.L2Lines}, m.Seed))
+	}
+	if limit <= 0 || limit >= len(classes)*per {
+		for c := range classes {
+			for idx := 1; idx <= per; idx++ {
+				add(c, idx)
 			}
 		}
 		return out
 	}
-	return all
+	// Interleave by class — take mix i of every class before mix i+1 — with
+	// the classes visited in a deterministic shuffled order, so a small
+	// subset samples all four categories instead of the
+	// lexicographically-first (insensitive-heavy) classes.
+	order := make([]int, len(classes))
+	for i := range order {
+		order[i] = i
+	}
+	rng := hash.NewRand(m.Seed ^ 0x50f)
+	for i := len(order) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		order[i], order[j] = order[j], order[i]
+	}
+	for idx := 1; len(out) < limit; idx++ {
+		for _, c := range order {
+			if len(out) == limit {
+				break
+			}
+			add(c, idx)
+		}
+	}
+	return out
 }
 
 // RunMix simulates one mix on one scheme and returns the result.

@@ -71,45 +71,40 @@ func speedupMetrics(cores []sim.CoreStats, solo []float64) (ws, hs float64) {
 }
 
 // RunFairness evaluates schemes on the fairness metrics over limit mixes.
-// Solo baselines are measured once per mix; mixes whose apps never finish
-// are skipped (none in practice).
+// The baseline and every scheme are jobs of runMixes, so each run reads its
+// mix's streams from reference zero; the solo runs, once per mix, use a
+// freshly built copy of the mix's apps.
 func RunFairness(m Machine, baseline Scheme, schemes []Scheme, limit int, progress func(done, total int)) FairnessResult {
 	mixes := m.Mixes(limit)
 	out := FairnessResult{Machine: m}
-	for _, sch := range schemes {
-		out.Schemes = append(out.Schemes, sch.Name)
+	for _, mix := range mixes {
+		out.MixIDs = append(out.MixIDs, mix.ID)
 	}
 	out.WeightedSpeedup = make([][]float64, len(schemes))
 	out.HarmonicSpeedup = make([][]float64, len(schemes))
-	total := len(mixes) * (1 + 1 + len(schemes)) // solo counts as one unit
-	done := 0
-	tick := func() {
-		done++
-		if progress != nil {
-			progress(done, total)
-		}
+	for si, sch := range schemes {
+		out.Schemes = append(out.Schemes, sch.Name)
+		out.WeightedSpeedup[si] = make([]float64, len(mixes))
+		out.HarmonicSpeedup[si] = make([]float64, len(mixes))
 	}
-	for _, mix := range mixes {
-		out.MixIDs = append(out.MixIDs, mix.ID)
-		solo := soloIPC(m, mix.Apps)
+	runs := append([]Scheme{baseline}, schemes...)
+	tick := newTicker(len(mixes)*(len(runs)+1), progress) // solo counts as one unit
+	m.runMixes(mixes, runs, tick, func(i int, res []sim.Result) {
+		solo := soloIPC(m, m.ReplayOrRemake(nil, mixes[i].ID).Apps)
 		tick()
-		baseRes := m.RunMix(mix, baseline)
-		baseWS, baseHS := speedupMetrics(baseRes.Cores, solo)
-		tick()
-		for si, sch := range schemes {
-			res := m.RunMix(mix, sch)
-			ws, hs := speedupMetrics(res.Cores, solo)
+		baseWS, baseHS := speedupMetrics(res[0].Cores, solo)
+		for si := range schemes {
+			ws, hs := speedupMetrics(res[si+1].Cores, solo)
 			if baseWS > 0 {
 				ws /= baseWS
 			}
 			if baseHS > 0 {
 				hs /= baseHS
 			}
-			out.WeightedSpeedup[si] = append(out.WeightedSpeedup[si], ws)
-			out.HarmonicSpeedup[si] = append(out.HarmonicSpeedup[si], hs)
-			tick()
+			out.WeightedSpeedup[si][i] = ws
+			out.HarmonicSpeedup[si][i] = hs
 		}
-	}
+	})
 	return out
 }
 

@@ -68,3 +68,24 @@ func TestRunFairnessSmoke(t *testing.T) {
 		t.Fatal("fairness table incomplete")
 	}
 }
+
+// TestRunFairnessSelfIsOne: a scheme compared with itself scores exactly 1
+// on every mix. Apps are stateful generators, so this holds only if every
+// run reads its mix's streams from reference zero instead of continuing
+// where an earlier run stopped.
+func TestRunFairnessSelfIsOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration experiment")
+	}
+	m := SmallCMP(ScaleUnit)
+	m.InstrLimit, m.WarmupInstr = 30_000, 30_000
+	r := RunFairness(m, LRUBaseline(), []Scheme{LRUBaseline()}, 3, nil)
+	if len(r.MixIDs) != 3 {
+		t.Fatalf("%d mixes, want 3", len(r.MixIDs))
+	}
+	for i, id := range r.MixIDs {
+		if ws, hs := r.WeightedSpeedup[0][i], r.HarmonicSpeedup[0][i]; ws != 1 || hs != 1 {
+			t.Errorf("%s: LRU vs itself: weighted %v, harmonic %v, want exactly 1", id, ws, hs)
+		}
+	}
+}

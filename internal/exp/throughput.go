@@ -15,10 +15,11 @@ import (
 	"vantage/internal/workload"
 )
 
-// forEachMix runs fn(i) for every mix index in parallel (bounded by
-// GOMAXPROCS workers). Each simulation is fully independent — every run
-// builds its own controller, allocator and apps — so mix-level parallelism
-// is safe and gives near-linear speedups on the big sweeps.
+// forEachMix runs fn(i) for every job index 0..n-1 on at most GOMAXPROCS
+// workers, each taking the next unstarted index as it frees up. Each
+// simulation is fully independent — every run builds its own controller,
+// allocator and streams — so job-level parallelism is safe and gives
+// near-linear speedups on the big sweeps.
 func forEachMix(n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -48,6 +49,73 @@ func forEachMix(n int, fn func(i int)) {
 	wg.Wait()
 }
 
+// newTicker returns a function that reports one more finished unit out of
+// total to progress, if any. It may be called from any goroutine; the counts
+// reach progress in increasing order.
+func newTicker(total int, progress func(done, total int)) func() {
+	var mu sync.Mutex
+	done := 0
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		if progress != nil {
+			progress(done, total)
+		}
+	}
+}
+
+// runMixes simulates every mix under every scheme of runs (runs[0] is the
+// baseline) and hands mix i's results, in runs order, to done(i, res). The
+// (mix, run) jobs form one flat list in mix-major order that forEachMix
+// executes, so at most GOMAXPROCS simulations are alive and no worker idles
+// while a job is left. The first job of a mix to start builds the mix's
+// streams under a sync.Once: a windowed post-L1 cursor per run (see
+// RecordMisses), raw replay cursors when the machine has no L1s, regenerated
+// apps when recording is disabled. Run ri always reads cursor ri from
+// reference zero, so no result depends on which worker ran which job. The
+// last job of the mix to finish drops the streams and calls done, on its own
+// worker. tick is called once per finished run.
+func (m Machine) runMixes(mixes []workload.Mix, runs []Scheme, tick func(), done func(i int, res []sim.Result)) {
+	type mixState struct {
+		once     sync.Once
+		miss     [][]*sim.MissReplay
+		replayed []workload.Mix
+		res      []sim.Result
+		left     atomic.Int64
+	}
+	states := make([]mixState, len(mixes))
+	forEachMix(len(mixes)*len(runs), func(j int) {
+		i, ri := j/len(runs), j%len(runs)
+		st := &states[i]
+		st.once.Do(func() {
+			st.res = make([]sim.Result, len(runs))
+			st.left.Store(int64(len(runs)))
+			rec := m.Record(mixes[i])
+			if recs := m.RecordMisses(rec); recs != nil {
+				st.miss = MissSets(recs, len(runs))
+			} else if rec != nil {
+				st.replayed = rec.ReplayAll(len(runs))
+			} else {
+				st.replayed = make([]workload.Mix, len(runs))
+				for r := range st.replayed {
+					st.replayed[r] = m.ReplayOrRemake(nil, mixes[i].ID)
+				}
+			}
+		})
+		if st.miss != nil {
+			st.res[ri] = m.RunMixMiss(mixes[i].ID, st.miss[ri], runs[ri])
+		} else {
+			st.res[ri] = m.RunMix(st.replayed[ri], runs[ri])
+		}
+		tick()
+		if st.left.Add(-1) == 0 {
+			st.miss, st.replayed = nil, nil
+			done(i, st.res)
+		}
+	})
+}
+
 // SchemeCurve is one line of a Fig 6a/7-style plot: per-mix throughput
 // relative to the LRU baseline, plus the sorted curve and summary.
 type SchemeCurve struct {
@@ -72,11 +140,10 @@ type ThroughputResult struct {
 
 // RunThroughput evaluates schemes against the baseline over the machine's
 // mixes (limit caps the mix count; <= 0 runs all 350). This is the engine
-// behind Figures 6a, 7, 9a, 10 and 11. Mixes run in parallel (they are
-// independent simulations). Each mix's app streams are recorded once and
-// replayed by the baseline and every scheme — identical references without
-// regenerating them per scheme — with the recording scoped to the mix's
-// work item so memory stays bounded by the number of in-flight mixes.
+// behind Figures 6a, 7, 9a, 10 and 11. Every (mix, scheme) run is a job of
+// runMixes: each mix's app streams are recorded once and replayed by the
+// baseline and every scheme, identical references without regenerating them
+// per scheme.
 func RunThroughput(m Machine, baseline Scheme, schemes []Scheme, limit int, progress func(done, total int)) ThroughputResult {
 	mixes := m.Mixes(limit)
 	res := ThroughputResult{
@@ -91,73 +158,15 @@ func RunThroughput(m Machine, baseline Scheme, schemes []Scheme, limit int, prog
 	for si, sch := range schemes {
 		curves[si] = SchemeCurve{Scheme: sch.Name, PerMix: make([]float64, len(mixes))}
 	}
-	total := len(mixes) * (len(schemes) + 1)
-	var done atomic.Int64
-	var progMu sync.Mutex
-	tick := func() {
-		if progress == nil {
-			done.Add(1)
-			return
-		}
-		// Increment under the same lock as the callback: a worker that
-		// incremented first but locked second would otherwise deliver its
-		// higher count before the earlier one, making progress jump
-		// backwards.
-		progMu.Lock()
-		progress(int(done.Add(1)), total)
-		progMu.Unlock()
-	}
-	forEachMix(len(mixes), func(i int) {
-		runs := len(schemes) + 1
-		rec := m.Record(mixes[i])
-		// Preferred path: memoize the post-L1 segment stream over the raw
-		// recording, so the private L1s run once per (mix, app) and every
-		// scheme replays the shared filtered stream (bit-identical results;
-		// see sim.MissRecorder). Falls back to raw replay when the machine
-		// has no L1s, and to live generation when recording is disabled.
-		var missSets [][]*sim.MissReplay
-		var replayed []workload.Mix
-		if recs := m.RecordMisses(rec); recs != nil {
-			missSets = MissSets(recs, runs)
-		} else if rec != nil {
-			replayed = rec.ReplayAll(runs)
-		} else {
-			replayed = make([]workload.Mix, runs)
-			for ri := range replayed {
-				replayed[ri] = m.ReplayOrRemake(nil, mixes[i].ID)
-			}
-		}
-		// Fan the baseline and every scheme out as goroutines sharing the
-		// windowed recording: each chunk is generated once (by whichever
-		// run gets there first) and consumed by all runs while it is still
-		// cache-hot, then dropped. The runs are independent simulations, so
-		// concurrency cannot change their results.
-		thr := make([]float64, runs)
-		var wg sync.WaitGroup
-		for ri := 0; ri < runs; ri++ {
-			wg.Add(1)
-			go func(ri int) {
-				defer wg.Done()
-				sch := baseline
-				if ri > 0 {
-					sch = schemes[ri-1]
-				}
-				if missSets != nil {
-					thr[ri] = m.RunMixMiss(mixes[i].ID, missSets[ri], sch).Throughput
-				} else {
-					thr[ri] = m.RunMix(replayed[ri], sch).Throughput
-				}
-				tick()
-			}(ri)
-		}
-		wg.Wait()
-		res.BaselineThroughput[i] = thr[0]
-		base := thr[0]
+	runs := append([]Scheme{baseline}, schemes...)
+	m.runMixes(mixes, runs, newTicker(len(mixes)*len(runs), progress), func(i int, r []sim.Result) {
+		res.BaselineThroughput[i] = r[0].Throughput
+		base := r[0].Throughput
 		if base <= 0 {
 			base = 1e-9
 		}
 		for si := range schemes {
-			curves[si].PerMix[i] = thr[si+1] / base
+			curves[si].PerMix[i] = r[si+1].Throughput / base
 		}
 	})
 	for si := range curves {
@@ -244,12 +253,8 @@ type SelectedMixes struct {
 }
 
 // RunSelected runs the Fig 6b experiment: the named mixes (paper: sftn1,
-// ffft4, ssst7, fffn7, ffnn3, ttnn4, sfff6, sssf6) across schemes. Every
-// (mix, scheme) run is an independent simulation, so they all run in
-// parallel; each replays its mix's shared recording from the start, so every
-// scheme sees identical app streams without regenerating them (replay
-// cursors are independent and extend the recording safely under
-// concurrency).
+// ffft4, ssst7, fffn7, ffnn3, ttnn4, sfff6, sssf6) across schemes, every
+// (mix, scheme) run a job of runMixes.
 func RunSelected(m Machine, baseline Scheme, schemes []Scheme, mixIDs []string) SelectedMixes {
 	out := SelectedMixes{Machine: m, MixIDs: mixIDs}
 	for _, sch := range schemes {
@@ -259,54 +264,19 @@ func RunSelected(m Machine, baseline Scheme, schemes []Scheme, mixIDs []string) 
 	for si := range schemes {
 		out.Improv[si] = make([]float64, len(mixIDs))
 	}
-	// One work unit per (mix, baseline-or-scheme) pair; ratios are taken
-	// after the barrier, once every absolute throughput is in. Each mix's
-	// runs share one windowed recording, with the cursor set built up front
-	// (chunks are dropped once every run of the mix has consumed them).
-	perMix := len(schemes) + 1
-	missSets := make([][][]*sim.MissReplay, len(mixIDs))
-	replayed := make([][]workload.Mix, len(mixIDs))
+	mixes := make([]workload.Mix, len(mixIDs))
 	for mi, id := range mixIDs {
 		mix, err := m.Mix(id)
 		if err != nil {
 			panic(fmt.Sprintf("exp: unknown mix %q: %v", id, err))
 		}
-		rec := m.Record(mix)
-		if recs := m.RecordMisses(rec); recs != nil {
-			missSets[mi] = MissSets(recs, perMix)
-		} else if rec != nil {
-			replayed[mi] = rec.ReplayAll(perMix)
-		} else {
-			replayed[mi] = make([]workload.Mix, perMix)
-			for si := range replayed[mi] {
-				replayed[mi][si] = m.ReplayOrRemake(nil, id)
-			}
-		}
+		mixes[mi] = mix
 	}
-	base := make([]float64, len(mixIDs))
-	forEachMix(len(mixIDs)*perMix, func(i int) {
-		mi, si := i/perMix, i%perMix
-		sch := baseline
-		if si > 0 {
-			sch = schemes[si-1]
-		}
-		var thr float64
-		if missSets[mi] != nil {
-			thr = m.RunMixMiss(mixIDs[mi], missSets[mi][si], sch).Throughput
-		} else {
-			thr = m.RunMix(replayed[mi][si], sch).Throughput
-		}
-		if si == 0 {
-			base[mi] = thr
-		} else {
-			out.Improv[si-1][mi] = thr
+	m.runMixes(mixes, append([]Scheme{baseline}, schemes...), func() {}, func(mi int, r []sim.Result) {
+		for si := range schemes {
+			out.Improv[si][mi] = (r[si+1].Throughput/r[0].Throughput - 1) * 100
 		}
 	})
-	for si := range schemes {
-		for mi := range mixIDs {
-			out.Improv[si][mi] = (out.Improv[si][mi]/base[mi] - 1) * 100
-		}
-	}
 	return out
 }
 

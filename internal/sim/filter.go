@@ -17,7 +17,7 @@ import (
 // simulator's hot loop by the L1 hit rate (roughly 3x fewer scheduler steps),
 // because runs of L1 hits collapse into a single cycle/instruction delta.
 //
-// Equivalence argument (locked down by TestFilteredRunEquivalence and the
+// Equivalence argument (locked down by TestFilteredMatchesUnfiltered and the
 // golden fingerprints in internal/exp):
 //
 //   - L1 hits touch no shared state, so only the interleaving of post-L1
@@ -315,15 +315,26 @@ func (r *MissReplay) NextChunk() []uint64 {
 // touch no shared state, so consuming them eagerly — ahead of their place in
 // the global cycle order — cannot change any other core's view; the clock
 // arithmetic and measurement bookkeeping are core-local and exact because
-// segments never span a regime change. The walk terminates because every
-// machine's workloads have working sets well beyond the tiny private L1, so
-// misses recur within a bounded number of references (filtered mode is not
-// meant for — and would spin on — an app that stops missing its L1 forever).
+// segments never span a regime change.
+//
+// A core still inside its measurement window freezes within a bounded
+// number of references. A frozen core may never miss its L1 again: an app
+// whose working set fits the L1 stops missing once it is warm. So a frozen
+// core that reads a whole chunk without a miss stops searching. It is
+// rescheduled at its own clock with no pending miss (hitsOnly), and
+// runFiltered resumes the search when it pops. Its eventual miss, if any, is
+// at or after that clock, so the L2 access order is unchanged.
 func (rs *runState) advanceMiss(c *coreState, ci int) {
+	fetched := false
 	for {
 		if c.mpos == len(c.msegs) {
+			if fetched && c.frozen {
+				c.missCycle, c.hitsOnly = c.cycle, true
+				return
+			}
 			c.msegs = c.mstream.NextChunk()
 			c.mpos = 0
+			fetched = true
 		}
 		w0, w1 := c.msegs[c.mpos], c.msegs[c.mpos+1]
 		c.mpos += 2
@@ -420,41 +431,47 @@ func (rs *runState) runFiltered(cfg *Config, res *Result) {
 		}
 		c := &rs.cores[ci]
 
-		// Fire every boundary at or below this miss. The per-reference loop
-		// spread these fires over intervening L1-hit steps, which mutate
-		// nothing the allocator or cache can see, so firing them back to
-		// back here leaves identical state for the access below.
-		for repartEnabled && c.missCycle >= nextRepart {
-			rs.repartition(cfg, res)
-			nextRepart += cfg.RepartitionCycles
-		}
+		if c.hitsOnly {
+			// A frozen core with no pending miss (see advanceMiss): it only
+			// reads on, with no L2 access and no repartition.
+			c.hitsOnly = false
+		} else {
+			// Fire every boundary at or below this miss. The per-reference
+			// loop spread these fires over intervening L1-hit steps, which
+			// mutate nothing the allocator or cache can see, so firing them
+			// back to back here leaves identical state for the access below.
+			for repartEnabled && c.missCycle >= nextRepart {
+				rs.repartition(cfg, res)
+				nextRepart += cfg.RepartitionCycles
+			}
 
-		lat, l2Hit := rs.accessL2(c.missAddr, ci)
-		now := c.missCycle + c.missGap
-		lat += int(rs.cont.l2Delay(c.missAddr, now))
-		if !l2Hit {
-			lat += int(rs.cont.memDelay(now))
-		}
-		measuring := c.warmLeft == 0 && !c.frozen
-		steps := c.segSteps
-		c.cycle = now + uint64(lat)
-		if measuring {
-			c.stats.L1Accesses += c.segHits + 1
-			c.stats.L1Misses++
-			c.stats.L2Accesses++
+			lat, l2Hit := rs.accessL2(c.missAddr, ci)
+			now := c.missCycle + c.missGap
+			lat += int(rs.cont.l2Delay(c.missAddr, now))
 			if !l2Hit {
-				c.stats.L2Misses++
+				lat += int(rs.cont.memDelay(now))
 			}
-			c.instrs += steps
-			if c.instrs >= cfg.InstrLimit {
-				rs.freeze(c)
-			}
-		} else if c.warmLeft > 0 {
-			if c.warmLeft > steps {
-				c.warmLeft -= steps
-			} else {
-				c.warmLeft = 0
-				c.startCycle = c.cycle
+			measuring := c.warmLeft == 0 && !c.frozen
+			steps := c.segSteps
+			c.cycle = now + uint64(lat)
+			if measuring {
+				c.stats.L1Accesses += c.segHits + 1
+				c.stats.L1Misses++
+				c.stats.L2Accesses++
+				if !l2Hit {
+					c.stats.L2Misses++
+				}
+				c.instrs += steps
+				if c.instrs >= cfg.InstrLimit {
+					rs.freeze(c)
+				}
+			} else if c.warmLeft > 0 {
+				if c.warmLeft > steps {
+					c.warmLeft -= steps
+				} else {
+					c.warmLeft = 0
+					c.startCycle = c.cycle
+				}
 			}
 		}
 		rs.advanceMiss(c, ci)

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"vantage/internal/cache"
 	"vantage/internal/core"
@@ -97,6 +98,43 @@ func TestFilteredMatchesUnfiltered(t *testing.T) {
 		if want.Repartitions > 0 && got.Repartitions == 0 {
 			t.Errorf("%s: filtered run never repartitioned", name)
 		}
+	}
+}
+
+// TestFilteredCoreThatStopsMissing: an app whose working set fits its L1
+// stops missing once warm, so after it freezes its filtered stream holds no
+// miss ever again. The run must still finish, as soon as the slow core
+// does, with the per-reference loop's Result.
+func TestFilteredCoreThatStopsMissing(t *testing.T) {
+	const (
+		l1Lines = 64
+		l1Ways  = 4
+		warmup  = 1000
+		limit   = 20000
+	)
+	apps := func() []workload.App {
+		return []workload.App{
+			workload.NewScanApp(workload.Insensitive, 16, 2, 1, 13),
+			workload.NewStreamApp(1<<20, 1, 1, 17),
+		}
+	}
+	want := Run(Config{Apps: apps(), L2: lruL2(1024), L1Lines: l1Lines, L1Ways: l1Ways, InstrLimit: limit, WarmupInstr: warmup})
+	if want.Cores[0].L1Misses != 0 {
+		t.Fatalf("the scan app missed its L1 %d times in the window; it must fit", want.Cores[0].L1Misses)
+	}
+	miss := make([]*MissReplay, 2)
+	for i, a := range apps() {
+		miss[i] = NewMissRecorder(a, l1Lines, l1Ways, DefaultLatencies(), warmup, limit).MissSet(1)[0]
+	}
+	done := make(chan Result)
+	go func() { done <- Run(Config{Miss: miss, L2: lruL2(1024), InstrLimit: limit, WarmupInstr: warmup}) }()
+	select {
+	case got := <-done:
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("filtered run diverges:\n got %+v\nwant %+v", got, want)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("filtered run still searching for an L1 miss after a minute")
 	}
 }
 

@@ -163,6 +163,9 @@ type coreState struct {
 	// running (so the cache keeps seeing their traffic, as in the paper's
 	// methodology) but their stats no longer change.
 	frozen bool
+	// hitsOnly marks a frozen core scheduled with no pending miss: its
+	// filtered-scheduler key is its own clock (see advanceMiss).
+	hitsOnly bool
 	// startCycle is the local clock value when the measurement window
 	// opened (end of warmup). Clocks are never reset: rewinding a core's
 	// clock would let the min-cycle scheduler run it solo for long

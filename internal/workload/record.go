@@ -366,11 +366,11 @@ func (mr *MixRecording) Replay() Mix {
 }
 
 // ReplayAll returns n replayed mixes whose cursors form a ReplaySet per
-// app: chunks are dropped as soon as all n readers have consumed them, so
-// n concurrent scheme runs share each generated chunk while it is still
-// cache-hot and resident memory tracks the spread between the slowest and
-// fastest run instead of the full stream length. Call once per recording,
-// before any reading.
+// app: chunks are dropped as soon as all n readers have consumed them. What
+// stays resident is the stretch between the slowest and the fastest reader;
+// a reader that has not started yet sits at chunk zero, so while one of the
+// n runs is still waiting to start, that is everything read so far. Call
+// once per recording, before any reading.
 func (mr *MixRecording) ReplayAll(n int) []Mix {
 	sets := make([][]*ReplayApp, len(mr.Recs))
 	for i, rec := range mr.Recs {
