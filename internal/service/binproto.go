@@ -96,12 +96,12 @@
 // # Concurrency model
 //
 // A binary connection is served like a text one: by its own goroutine,
-// which decodes each frame and executes it at once against the resolved
-// fast paths (getAt/putAt/deleteAt/touchAt), reading key and value straight
-// out of the connection's read buffer under the owning shard's mutex. The
-// gates are the text path's: dispatcher drop fault, in-flight reservation
-// (per-tenant immediate shed, global backpressure wait), injected faults.
-// Registry frames (TENANT_ADD/DEL, which replicate to peers synchronously)
+// which decodes each data frame into a request and executes it at once
+// through the admission path both codecs share (request.go: tenant, one
+// fault draw, drop, in-flight reservation, delay, injected error, then the
+// resolved fast path under the owning shard's mutex), with key and value
+// read straight out of the connection's read buffer. This file only
+// validates frames and renders verdicts. Registry frames (TENANT_ADD/DEL, which replicate to peers synchronously)
 // block only their own connection, so a frame pipelined behind a
 // TENANT_ADD sees the tenant.
 //
@@ -118,8 +118,6 @@ import (
 	"io"
 	"net"
 	"time"
-
-	"vantage/internal/hash"
 )
 
 const (
@@ -188,6 +186,7 @@ type binConn struct {
 	wwd   *watchdog // per-flush write window; nil without WriteTimeout
 	armed bool      // rwd's window is running for the frame being read
 	out   []byte    // coalesced, unflushed response frames
+	keys  [][]byte  // the BMGET being executed: its keys, aliasing the frame
 	dead  bool      // a write failed: the connection is closed
 }
 
@@ -419,90 +418,55 @@ func (s *Server) binExec(c *binConn, f []byte) error {
 		s.binRespondErr(c, op, id, "value too long")
 		return nil
 	}
-	t := svc.reg.Load().tenants[string(tenant)]
-	if t == nil {
-		s.binRespondErr(c, op, id, "unknown tenant")
-		return nil
-	}
-	fop := binOpToOp(op)
-	if svc.fault.Load() != nil && svc.dropFault(fop, t.name) {
-		return errDropConn
-	}
-	release, ok := s.beginOpT(t)
-	if !ok {
-		s.binRespond(c, binStShed, op, id, nil)
-		return nil
-	}
-	if svc.fault.Load() != nil {
-		if err := svc.injectFault(fop, t.name); err != nil {
-			if release != nil {
-				release()
-			}
-			s.binRespondErr(c, op, id, err.Error())
-			return nil
-		}
-	}
-	addr := addrOfB(t.part, key)
-	mixed := hash.Mix64(addr)
-	status := uint8(binStOK)
-	var payload []byte
+	fop, ttl, ttlSet := OpGet, time.Duration(0), false
 	switch op {
-	case binOpGet:
-		if v, hit := svc.getAt(t, addr, mixed, key); hit {
-			payload = v
-		} else {
-			status = binStMiss
-		}
-	case binOpPut:
-		ttl := svc.cfg.DefaultTTL
+	case binOpPut, binOpRehome:
+		fop = OpPut
 		if flags&binFlagTTL != 0 {
 			ttl = time.Duration(ttlMS) * time.Millisecond
 		}
-		svc.putAt(t, addr, mixed, key, val, ttl)
-	case binOpRehome:
 		// A re-homed key keeps exactly the TTL it had on the old owner: the
 		// flag carries the remaining TTL, no flag means it never expired —
 		// the receiver's DefaultTTL must not re-stamp it.
-		var ttl time.Duration
-		if flags&binFlagTTL != 0 {
-			ttl = time.Duration(ttlMS) * time.Millisecond
-		}
-		svc.putAt(t, addr, mixed, key, val, ttl)
-		svc.rehomedIn.Add(1)
+		ttlSet = flags&binFlagTTL != 0 || op == binOpRehome
 	case binOpDel:
-		if !svc.deleteAt(addr, mixed, key) {
-			status = binStMiss
-		}
+		fop = OpDelete
 	case binOpTouch:
-		if !svc.touchAt(t, addr, mixed, key, time.Duration(ttlMS)*time.Millisecond) {
-			status = binStMiss
-		}
+		fop, ttl = OpTouch, time.Duration(ttlMS)*time.Millisecond
 	}
-	if release != nil {
-		release()
+	// The record is built in place: assembling it in a variable first costs
+	// a struct copy per frame, measurable on pipelined hot reads.
+	v, payload := svc.serve(s, &request{op: fop, tenant: tenant, key: key, val: val,
+		ttl: ttl, ttlSet: ttlSet, rehome: op == binOpRehome}, nil)
+	switch v {
+	case outDone:
+		s.binRespond(c, binStOK, op, id, payload)
+	case outMiss:
+		s.binRespond(c, binStMiss, op, id, nil)
+	case outShed:
+		s.binRespond(c, binStShed, op, id, nil)
+	case outDrop:
+		return errDropConn
+	default:
+		s.binRespondErr(c, op, id, binErrMsg(v))
 	}
-	s.binRespond(c, status, op, id, payload)
 	return nil
 }
 
-// binOpToOp maps a wire opcode to the fault-injection Op taxonomy.
-func binOpToOp(op uint8) Op {
-	switch op {
-	case binOpPut, binOpRehome:
-		return OpPut
-	case binOpDel:
-		return OpDelete
-	case binOpTouch:
-		return OpTouch
+// binErrMsg is the ERR payload of a request the admission path refused or
+// failed.
+func binErrMsg(v verdict) string {
+	if v == outUnknownTenant {
+		return "unknown tenant"
 	}
-	return OpGet
+	return ErrInjected.Error()
 }
 
-// binBMGet validates one BMGET frame and executes its keys in request
-// order, encoding the coalesced response straight into c.out. The frame
-// holds one in-flight reservation and draws one fault, as a text MGET
-// does. count arrives in the header's klen field; the key list must tile
-// the body exactly.
+// binBMGet validates one BMGET frame and hands its keys to the admission
+// path as one batch (one reservation and one fault draw, as a text MGET),
+// encoding the coalesced response straight into c.out as the keys execute.
+// count arrives in the header's klen field; the key list must tile the body
+// exactly.
 func (s *Server) binBMGet(c *binConn, f []byte, flags uint8, id, ttlMS uint32, tl, count int) error {
 	if flags != 0 || ttlMS != 0 {
 		return errBadFrame // no flags or TTL semantics are defined for BMGET in v1
@@ -512,22 +476,25 @@ func (s *Server) binBMGet(c *binConn, f []byte, flags uint8, id, ttlMS uint32, t
 	// Structural pass: the declared count of (u16 len, key) entries must
 	// consume the body exactly. Truncation or trailing bytes mean the
 	// stream can no longer be trusted; key-length violations are semantic.
-	rest := list
+	c.keys = c.keys[:0]
 	badKey := false
 	for i := 0; i < count; i++ {
-		if len(rest) < 2 {
+		if len(list) < 2 {
 			return errBadFrame
 		}
-		kl := int(binLE.Uint16(rest))
-		if len(rest) < 2+kl {
+		kl := int(binLE.Uint16(list))
+		if len(list) < 2+kl {
 			return errBadFrame
 		}
 		if kl == 0 || kl > maxKeyLen {
 			badKey = true
 		}
-		rest = rest[2+kl:]
+		if count <= maxBatchKeys {
+			c.keys = append(c.keys, list[2:2+kl])
+		}
+		list = list[2+kl:]
 	}
-	if len(rest) != 0 {
+	if len(list) != 0 {
 		return errBadFrame
 	}
 	switch {
@@ -541,47 +508,34 @@ func (s *Server) binBMGet(c *binConn, f []byte, flags uint8, id, ttlMS uint32, t
 		s.binRespondErr(c, binOpBMGet, id, "bad key length")
 		return nil
 	}
-	svc := s.svc
-	t := svc.reg.Load().tenants[string(tenant)]
-	if t == nil {
-		s.binRespondErr(c, binOpBMGet, id, "unknown tenant")
-		return nil
-	}
-	svc.bmgetKeys.Add(uint64(count))
-	if svc.fault.Load() != nil && svc.dropFault(OpMGet, t.name) {
-		return errDropConn
-	}
-	release, ok := s.beginOpT(t)
-	if ok && svc.fault.Load() != nil {
-		if err := svc.injectFault(OpMGet, t.name); err != nil {
-			if release != nil {
-				release()
-			}
-			s.binRespondErr(c, binOpBMGet, id, err.Error())
-			return nil
-		}
-	}
 	start := len(c.out)
 	c.out = appendBinRespHdr(c.out, binStOK, binOpBMGet, id, 0)
 	c.out = binLE.AppendUint16(c.out, uint16(count))
-	for i := 0; i < count; i++ {
-		kl := int(binLE.Uint16(list))
-		key := list[2 : 2+kl]
-		list = list[2+kl:]
-		st, v := uint8(binStShed), []byte(nil)
-		if ok {
-			addr := addrOfB(t.part, key)
-			st = binStMiss
-			if val, hit := svc.getAt(t, addr, hash.Mix64(addr), key); hit {
-				st, v = binStOK, val
-			}
+	v, _ := s.svc.serve(s, &request{op: OpMGet, tenant: tenant, keys: c.keys}, func(val []byte, hit bool) {
+		st := uint8(binStMiss)
+		if hit {
+			st = binStOK
 		}
 		c.out = append(c.out, st)
-		c.out = binLE.AppendUint32(c.out, uint32(len(v)))
-		c.out = append(c.out, v...)
+		c.out = binLE.AppendUint32(c.out, uint32(len(val)))
+		c.out = append(c.out, val...)
+	})
+	if v != outUnknownTenant {
+		s.svc.bmgetKeys.Add(uint64(count))
 	}
-	if release != nil {
-		release()
+	switch v {
+	case outDone:
+	case outShed:
+		for range count {
+			c.out = append(c.out, binStShed, 0, 0, 0, 0) // status, u32 vlen 0
+		}
+	case outDrop:
+		c.out = c.out[:start]
+		return errDropConn
+	default:
+		c.out = c.out[:start]
+		s.binRespondErr(c, binOpBMGet, id, binErrMsg(v))
+		return nil
 	}
 	binLE.PutUint32(c.out[start:], uint32(len(c.out)-start-4))
 	if len(c.out) >= binFlushHi {

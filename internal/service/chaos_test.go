@@ -195,9 +195,10 @@ func (c *chaosClient) finishGet(resp, want string, counts *chaosCounts) error {
 	}
 }
 
-// mget issues one MGET and consumes its responses. A mid-batch ERR line
-// aborts the batch (the hardened protocol's contract) and is classified
-// like any other fault reply.
+// mget issues one MGET and consumes its responses. An ERR line ends the
+// batch wherever it appears (the server refuses a batch before its first
+// key, but the client does not rely on it) and is classified like any
+// other fault reply.
 func (c *chaosClient) mget(tenant string, keys []string, counts *chaosCounts) error {
 	cmd := "MGET " + tenant + " " + strconv.Itoa(len(keys)) + " " + strings.Join(keys, " ") + "\r\n"
 	if _, err := io.WriteString(c.conn, cmd); err != nil {

@@ -15,12 +15,14 @@ import (
 // Fault injection mirrors, at the serving layer, the measurement discipline
 // Vantage applies to the cache itself: the interesting behavior is what the
 // system does when demand exceeds what it can serve, so the failure paths
-// must be drivable on demand. A FaultInjector is consulted on every data
-// operation — in the shard path (Get/Put/Delete and their byte-slice
-// variants), where an injected fault delays the operation or fails it with
-// ErrInjected, and in the protocol dispatcher, where an injected fault drops
-// the connection. Chaos tests and the load generator's -chaos mode install
-// one to force every degradation branch.
+// must be drivable on demand. A FaultInjector is consulted once per data
+// request, at the one admission point every codec and the in-process API
+// share (Service.serve in request.go), and its Fault for that request is
+// applied in gate order: a drop closes the serving connection (the
+// in-process API ignores drops), a delay is slept once the request holds its
+// in-flight slots, and an error fails it with ErrInjected. An MGET or BMGET
+// batch is one request under OpMGet. Chaos tests and the load generator's
+// -chaos mode install one to force every degradation branch.
 
 // Op identifies a data operation for fault injection.
 type Op uint8
@@ -92,9 +94,9 @@ type FaultInjector interface {
 var ErrInjected = errors.New("FAULT injected")
 
 // FaultPlan is the built-in seeded FaultInjector: each matching operation
-// makes one uniform draw from a deterministic sequence (SplitMix64 over
-// Seed and a call counter) and the draw is partitioned into drop / error /
-// delay bands. Runs with the same seed and the same operation interleaving
+// (an MGET or BMGET batch is one) makes one uniform draw from a
+// deterministic sequence (SplitMix64 over Seed and a call counter) and the
+// draw is partitioned into drop / error / delay bands. Runs with the same seed and the same operation interleaving
 // inject the same faults, so chaos findings reproduce.
 type FaultPlan struct {
 	// Seed fixes the draw sequence.
@@ -246,34 +248,4 @@ func (s *Service) SetFaultInjector(fi FaultInjector) {
 		return
 	}
 	s.fault.Store(&faultHolder{fi: fi})
-}
-
-// injectFault applies any configured shard-path fault for op on tenant:
-// delay faults sleep before the operation, error faults fail it with
-// ErrInjected. Drop faults are a protocol-layer concern and are ignored
-// here.
-func (s *Service) injectFault(op Op, tenant string) error {
-	h := s.fault.Load()
-	if h == nil {
-		return nil
-	}
-	f := h.fi.Fault(op, tenant)
-	if f.Delay > 0 {
-		s.clk.Sleep(f.Delay)
-	}
-	if f.Err {
-		return ErrInjected
-	}
-	return nil
-}
-
-// dropFault reports whether the dispatcher should drop the connection
-// carrying op for tenant. The protocol layer calls this once per data
-// command, before executing it.
-func (s *Service) dropFault(op Op, tenant string) bool {
-	h := s.fault.Load()
-	if h == nil {
-		return false
-	}
-	return h.fi.Fault(op, tenant).Drop
 }

@@ -3,11 +3,18 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
+	"slices"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"vantage/internal/clock"
 	"vantage/internal/textwire"
 )
 
@@ -29,6 +36,10 @@ import (
 //     completes the negotiation, then the fuzzed bytes are the frame
 //     stream. Framing violations must close, semantic errors must answer
 //     ERR, and nothing may hang or panic.
+//
+//   - FuzzCodecsAgree is differential: the fuzzed bytes are a sequence of
+//     data ops played over a text and a binary connection to two identical
+//     services, and both codecs must answer and account every op alike.
 //
 // Regression inputs for anything these find live under
 // testdata/fuzz/<FuzzName>/ and run as ordinary test cases forever after.
@@ -230,6 +241,291 @@ func FuzzBinFrames(f *testing.F) {
 		tc.CloseWrite()
 		if _, err := io.Copy(io.Discard, conn); err != nil && isTimeout(err) {
 			t.Fatalf("binary server hung on input %q", data)
+		}
+	})
+}
+
+// pipeListener is a net.Listener over in-memory pipes: dial hands the
+// server end of a fresh net.Pipe to Accept.
+type pipeListener struct {
+	conns chan net.Conn
+	done  chan struct{}
+	once  sync.Once
+}
+
+func newPipeListener() *pipeListener {
+	return &pipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
+}
+
+func (l *pipeListener) Accept() (net.Conn, error) {
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *pipeListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
+}
+
+func (l *pipeListener) Addr() net.Addr { return &net.UnixAddr{Name: "pipe", Net: "pipe"} }
+
+func (l *pipeListener) dial() net.Conn {
+	client, server := net.Pipe()
+	l.conns <- server
+	return client
+}
+
+// codecOp is one FuzzCodecsAgree operation, decoded from four fuzz bytes.
+type codecOp struct {
+	kind    int // 0 GET, 1 PUT, 2 DEL, 3 TOUCH, 4 MGET (BMGET on binary)
+	tenant  string
+	keys    []string      // one key, or an MGET's one to four
+	val     string        // PUT
+	ttlMS   int           // PUT: -1 for the default TTL; TOUCH: the new TTL
+	advance time.Duration // clock advance before the op
+}
+
+// decodeCodecOp decodes op number i from b: two tenants and an unknown
+// one, 32 keys per tenant (the rig holds 64 lines, so keys get evicted),
+// values of 0 to 21 bytes and TTLs of 0 to 70 ms against clock steps of 0
+// to 60 ms and a 30 ms default TTL, so entries expire mid-sequence.
+func decodeCodecOp(b []byte, i int) codecOp {
+	o := codecOp{kind: int(b[0] % 5), tenant: "a", advance: time.Duration(b[3]%16) * 4 * time.Millisecond}
+	switch {
+	case b[0]>>5 == 7:
+		o.tenant = "ghost"
+	case b[0]&0x10 != 0:
+		o.tenant = "b"
+	}
+	n := 1
+	if o.kind == 4 {
+		n += int(b[1] >> 6)
+	}
+	for j := 0; j < n; j++ {
+		o.keys = append(o.keys, "k"+strconv.Itoa((int(b[1])+7*j)%32))
+	}
+	o.ttlMS = int(b[2]>>3&7) * 10
+	if o.kind == 1 {
+		o.val = strings.Repeat(string(rune('a'+i%26)), int(b[2]%8)*3)
+		if b[2]>>6 == 0 {
+			o.ttlMS = -1
+		}
+	}
+	return o
+}
+
+// codecRig is one side of FuzzCodecsAgree: a fresh Service on its own fake
+// clock, served over an in-memory pipe to one client connection that speaks
+// the text or the binary codec.
+type codecRig struct {
+	svc  *Service
+	clk  *clock.Fake
+	conn net.Conn
+	r    *bufio.Reader
+	bin  bool
+}
+
+func newCodecRig(t *testing.T, bin bool) *codecRig {
+	t.Helper()
+	clk := clock.NewFake(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC))
+	svc, err := New(Config{Shards: 2, LinesPerShard: 32, MaxTenants: 4, Seed: 28,
+		Clock: clk, DefaultTTL: 30 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if _, err := svc.AddTenant(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lis := newPipeListener()
+	srv := Serve(svc, lis)
+	conn := lis.dial()
+	t.Cleanup(func() {
+		conn.Close()
+		srv.Close()
+		svc.Close()
+	})
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	x := &codecRig{svc: svc, clk: clk, conn: conn, r: bufio.NewReader(conn), bin: bin}
+	if bin {
+		pre := []byte{binMagic, 'V', 'B', binVersion}
+		if _, err := conn.Write(pre); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(x.r, pre); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return x
+}
+
+// play sends o and returns its outcome in a form both codecs share:
+// "done", "miss", "err", or "hit:<value>" — comma-joined per key for a
+// batch.
+func (x *codecRig) play(t *testing.T, o codecOp, id uint32) string {
+	t.Helper()
+	x.clk.Advance(o.advance)
+	var msg []byte
+	if x.bin {
+		if o.kind == 4 {
+			msg = bmFrame(id, o.tenant, o.keys...)
+		} else {
+			var flags uint8
+			ttl := uint32(max(o.ttlMS, 0))
+			if o.kind == 1 && o.ttlMS >= 0 {
+				flags = binFlagTTL
+			}
+			op := []uint8{binOpGet, binOpPut, binOpDel, binOpTouch}[o.kind]
+			msg = binFrame(op, flags, id, ttl, o.tenant, o.keys[0], o.val)
+		}
+	} else {
+		switch o.kind {
+		case 0:
+			msg = fmt.Appendf(nil, "GET %s %s\r\n", o.tenant, o.keys[0])
+		case 1:
+			msg = fmt.Appendf(nil, "PUT %s %s %d", o.tenant, o.keys[0], len(o.val))
+			if o.ttlMS >= 0 {
+				msg = fmt.Appendf(msg, " EXPIRE %d", o.ttlMS)
+			}
+			msg = fmt.Appendf(msg, "\r\n%s\r\n", o.val)
+		case 2:
+			msg = fmt.Appendf(nil, "DEL %s %s\r\n", o.tenant, o.keys[0])
+		case 3:
+			msg = fmt.Appendf(nil, "TOUCH %s %s %d\r\n", o.tenant, o.keys[0], o.ttlMS)
+		case 4:
+			msg = fmt.Appendf(nil, "MGET %s %d %s\r\n", o.tenant, len(o.keys), strings.Join(o.keys, " "))
+		}
+	}
+	if _, err := x.conn.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	if x.bin {
+		return x.binOutcome(t, o, id)
+	}
+	return x.textOutcome(t, o)
+}
+
+func (x *codecRig) textOutcome(t *testing.T, o codecOp) string {
+	t.Helper()
+	line := func() string {
+		l, err := x.r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimRight(l, "\r\n")
+	}
+	value := func(l string) string {
+		n, err := strconv.Atoi(strings.TrimPrefix(l, "VALUE "))
+		if !strings.HasPrefix(l, "VALUE ") || err != nil {
+			return textReply(l)
+		}
+		body := make([]byte, n+2)
+		if _, err := io.ReadFull(x.r, body); err != nil {
+			t.Fatal(err)
+		}
+		return "hit:" + string(body[:n])
+	}
+	if o.kind != 4 {
+		return value(line())
+	}
+	var keys []string
+	for l := line(); l != "END"; l = line() {
+		if strings.HasPrefix(l, "ERR") {
+			return "err"
+		}
+		keys = append(keys, value(l))
+	}
+	return strings.Join(keys, ",")
+}
+
+// textReply maps a single-line text reply to its shared outcome.
+func textReply(l string) string {
+	switch {
+	case l == "STORED" || l == "DELETED" || l == "TOUCHED":
+		return "done"
+	case l == "MISS":
+		return "miss"
+	case strings.HasPrefix(l, "ERR"):
+		return "err"
+	}
+	return "unexpected " + l
+}
+
+func (x *codecRig) binOutcome(t *testing.T, o codecOp, id uint32) string {
+	t.Helper()
+	var lb [4]byte
+	if _, err := io.ReadFull(x.r, lb[:]); err != nil {
+		t.Fatal(err)
+	}
+	b := make([]byte, binary.LittleEndian.Uint32(lb[:]))
+	if _, err := io.ReadFull(x.r, b); err != nil {
+		t.Fatal(err)
+	}
+	if binary.LittleEndian.Uint32(b[4:8]) != id {
+		t.Fatalf("binary reply id %d, want %d", binary.LittleEndian.Uint32(b[4:8]), id)
+	}
+	status, payload := b[0], b[binRespHdr:]
+	switch {
+	case status == binStErr:
+		return "err"
+	case status == binStMiss:
+		return "miss"
+	case status != binStOK:
+		return "unexpected status " + strconv.Itoa(int(status))
+	case o.kind == 0:
+		return "hit:" + string(payload)
+	case o.kind != 4:
+		return "done"
+	}
+	var keys []string
+	for _, e := range parseBMGet(t, payload) {
+		if e.status == binStMiss {
+			keys = append(keys, "miss")
+		} else {
+			keys = append(keys, "hit:"+e.val)
+		}
+	}
+	return strings.Join(keys, ",")
+}
+
+// FuzzCodecsAgree plays one op sequence over a text and a binary
+// connection, each to its own fresh Service with the same Config and a fake
+// clock advanced identically between ops (MGET is BMGET on the binary
+// side), and requires the same outcome and value for every op and the same
+// per-tenant Stats at the end.
+func FuzzCodecsAgree(f *testing.F) {
+	// An op is four bytes: kind and tenant, key (and batch size), value
+	// length and TTL, clock step; see decodeCodecOp.
+	for _, seed := range [][]byte{
+		{1, 3, 0x02, 0, 0, 3, 0, 0},                   // PUT, GET: a hit
+		{1, 5, 0x02, 0, 0, 5, 0, 15},                  // PUT under the default TTL, GET 60 ms later: expired
+		{1, 5, 0x42, 0, 3, 5, 0x08, 0, 0, 5, 0, 3},    // PUT that never expires, TOUCH to 10 ms, GET 12 ms later
+		{1, 0xc1, 0x5a, 0, 4, 0xc1, 0, 0, 2, 1, 0, 0}, // PUT, MGET of four keys, DEL
+		{0xe2, 2, 0x02, 0, 0xe0, 0xc2, 0, 0},          // the unknown tenant: PUT, MGET
+		{0x10, 9, 0, 0, 0x14, 9, 0, 0, 0, 9, 0, 0},    // an empty value in tenant b, read from b and from a
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4<<10 {
+			t.Skip("oversized input")
+		}
+		tx, bx := newCodecRig(t, false), newCodecRig(t, true)
+		for i := 0; len(data) >= 4; i++ {
+			o := decodeCodecOp(data[:4], i)
+			data = data[4:]
+			if got, want := bx.play(t, o, uint32(i)), tx.play(t, o, uint32(i)); got != want {
+				t.Fatalf("op %d %+v: binary %q, text %q", i, o, got, want)
+			}
+		}
+		ts, bs := tx.svc.Stats(), bx.svc.Stats()
+		if !slices.Equal(ts.Tenants, bs.Tenants) {
+			t.Fatalf("tenant stats differ:\ntext   %+v\nbinary %+v", ts.Tenants, bs.Tenants)
 		}
 	})
 }

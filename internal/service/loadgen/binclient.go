@@ -247,11 +247,13 @@ func matchBatchID(id, base uint32, got []bool) (int, error) {
 }
 
 // mget pipelines one GET frame per key before a single flush — the binary
-// batch. Responses arrive in per-shard completion order, so each is matched
-// back to its key by the echoed id. Every frame gets exactly one response,
-// so unlike the text MGET (which aborts with a bare ERR line) the whole
-// batch is always drained; the first shed or fault reply is returned as the
-// error with the successfully-answered GETs still counted in hits/seen.
+// batch. A node answers a connection's frames in request order, but the
+// protocol only promises the echoed id, so each response is matched back
+// to its key by id. Every frame gets
+// exactly one response, so unlike a text MGET (refused as a whole with one
+// ERR line) the batch is answered key by key; the first shed or fault reply
+// is returned as the error with the successfully-answered GETs still
+// counted in hits/seen.
 func (c *binClient) mget(tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error) {
 	tok, err := c.mgetSend(tenant, keys)
 	if err != nil {
@@ -335,7 +337,7 @@ func (c *binClient) mgetRecv(base uint32, tenant string, keys []string, missBuf 
 
 // bmgetRecv reads and decodes the single BMGET response frame. The frame
 // answers id base+1; a frame-level ERR (unknown tenant, injected fault)
-// fails the whole batch with seen = 0, mirroring a text MGET abort.
+// fails the whole batch with seen = 0, mirroring a refused text MGET.
 func (c *binClient) bmgetRecv(base uint32, keys []string, missBuf []string) (hits, seen int, _ []string, _ error) {
 	status, payload, err := c.readRespFor(base + 1)
 	if err != nil {

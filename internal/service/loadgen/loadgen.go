@@ -630,10 +630,11 @@ func (c *client) get(tenant, key string) (bool, error) {
 
 // mget requests keys in one MGET round trip, returning the hit count, the
 // number of per-key responses actually received, and the missed keys
-// appended to missBuf. A server that sheds the batch or hits an injected
-// fault mid-batch aborts with a single ERR line in place of the remaining
-// responses and no END (the line stream stays in sync); that surfaces here
-// as ErrShed/ErrInjected with seen < len(keys).
+// appended to missBuf. A server that refuses the batch (shed, injected
+// fault) answers a single ERR line in place of the responses and no END
+// (the line stream stays in sync); that surfaces here as ErrShed/ErrInjected
+// with seen < len(keys). An ERR line is accepted after any number of
+// responses, so a server that aborts a batch midway is handled too.
 func (c *client) mget(tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error) {
 	tok, err := c.mgetSend(tenant, keys)
 	if err != nil {

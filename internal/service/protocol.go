@@ -122,7 +122,7 @@ func (w *watchdog) disarm() {
 //   - Connections beyond MaxConns are fast-rejected: the server writes the
 //     single line "BUSY" and closes, instead of letting the accept queue
 //     pile up. Rejections count toward vantaged_conns_rejected_total.
-//   - Data commands (GET/MGET/PUT/DEL) beyond MaxInflight wait up to
+//   - Data commands (GET/MGET/PUT/DEL/TOUCH) beyond MaxInflight wait up to
 //     InflightWait for a slot (backpressure), then are shed with
 //     "ERR SHED server overloaded"; the connection stays usable. Per-tenant
 //     MaxTenantInflight sheds immediately — blocking behind one saturated
@@ -140,12 +140,14 @@ func (w *watchdog) disarm() {
 //     "ERR line too long" and the connection closes (the line cannot be
 //     resynced without reading it).
 //
-// An installed FaultInjector (see fault.go) adds induced failures: shard-path
-// faults surface as "ERR FAULT injected" replies, dispatcher drop faults
-// close the connection before the command executes. An MGET whose per-key
-// reads fail mid-batch aborts with a single ERR line in place of the
-// remaining responses (no END); clients must treat an ERR line as
-// terminating the batch. The stream itself stays in sync.
+// Data commands are admitted by the path every codec shares (request.go),
+// which draws an installed FaultInjector (see fault.go) once per command:
+// an error fault answers "ERR FAULT injected", a drop fault closes the
+// connection before the command executes. An MGET is admitted once for the
+// whole batch, under OpMGet, so a refused MGET (unknown tenant, shed,
+// injected error) answers a single ERR line before any key's response; the
+// server never aborts a batch midway. Clients may still treat an ERR line
+// anywhere in a batch as its end.
 const (
 	maxKeyLen   = 250
 	maxValueLen = 1 << 20
@@ -452,9 +454,6 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// errShed is the reply for a data command refused by an in-flight limit.
-var errShed = errors.New("SHED server overloaded")
-
 // writeUint appends n in decimal to w via the connection's scratch buffer.
 func (cs *connState) writeUint(w *bufio.Writer, n int) {
 	cs.num = textwire.AppendUint(cs.num[:0], uint64(n))
@@ -475,80 +474,36 @@ func (cs *connState) writeValueResponse(w *bufio.Writer, val []byte, hit bool) {
 	w.WriteString("\r\n")
 }
 
-// beginOp reserves the in-flight slots a data command on tenant needs. It
-// returns release (nil when no limit is configured, so the unlimited path
-// costs two compares) and ok=false when the command must be shed. The
-// per-tenant reservation is taken first and sheds immediately; the global
-// reservation waits up to InflightWait (backpressure) before shedding.
-func (s *Server) beginOp(tenant []byte) (release func(), ok bool) {
-	var t *Tenant
-	if s.cfg.MaxTenantInflight > 0 {
-		t = s.svc.reg.Load().tenants[string(tenant)]
-	}
-	return s.beginOpT(t)
-}
+// textDone is a command's reply when it executed and found its key; a GET
+// hit and an MGET render their values instead.
+var textDone = [...]string{OpPut: "STORED\r\n", OpDelete: "DELETED\r\n", OpTouch: "TOUCHED\r\n"}
 
-// beginOpT is beginOp for callers that already resolved the tenant (the
-// binary executor). t may be nil (unknown tenant, or no per-tenant
-// limit configured).
-func (s *Server) beginOpT(t *Tenant) (release func(), ok bool) {
-	if s.cfg.MaxTenantInflight <= 0 {
-		t = nil // no per-tenant reservation: release must not decrement
+// serveText hands one decoded data command to the shared admission path
+// (request.go) and renders its verdict: a drop closes the connection, a
+// refusal is dispatch's ERR line, and an MGET's keys answer in order as
+// the batch executes, then END.
+func (s *Server) serveText(w *bufio.Writer, cs *connState, r *request) (quit bool, err error) {
+	var emit func(val []byte, hit bool)
+	if r.op == OpMGet {
+		emit = func(val []byte, hit bool) { cs.writeValueResponse(w, val, hit) }
 	}
-	if t != nil {
-		for {
-			cur := t.inflight.Load()
-			if cur >= int64(s.cfg.MaxTenantInflight) {
-				t.shed.Add(1)
-				s.svc.requestsShed.Add(1)
-				return nil, false
-			}
-			if t.inflight.CompareAndSwap(cur, cur+1) {
-				break
-			}
-		}
+	v, val := s.svc.serve(s, r, emit)
+	switch {
+	case v == outDrop:
+		return true, nil
+	case v == outMiss:
+		w.WriteString("MISS\r\n")
+	case v != outDone:
+		return false, v.err(r.tenant)
+	case r.op == OpGet:
+		cs.writeValueResponse(w, val, true)
+	case r.op == OpMGet:
+		w.WriteString("END\r\n")
+		s.svc.mgets.Add(1)
+	default:
+		w.WriteString(textDone[r.op])
 	}
-	if s.sem != nil {
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			timer := s.svc.clk.NewTimer(s.cfg.InflightWait)
-			select {
-			case s.sem <- struct{}{}:
-				timer.Stop()
-			case <-timer.C():
-				if t != nil {
-					t.inflight.Add(-1)
-					t.shed.Add(1)
-				}
-				s.svc.requestsShed.Add(1)
-				return nil, false
-			}
-		}
-	}
-	if t == nil && s.sem == nil {
-		return nil, true
-	}
-	return func() {
-		if s.sem != nil {
-			<-s.sem
-		}
-		if t != nil {
-			t.inflight.Add(-1)
-		}
-	}, true
-}
-
-// dataOp applies the per-command overload gates for a data command: the
-// dispatcher-path fault draw (drop) and the in-flight reservations. It
-// returns the release func (possibly nil), drop=true when the connection
-// must close without replying, and shed=true when the command is refused.
-func (s *Server) dataOp(op Op, tenant []byte) (release func(), drop, shed bool) {
-	if s.svc.fault.Load() != nil && s.svc.dropFault(op, string(tenant)) {
-		return nil, true, false
-	}
-	release, ok := s.beginOp(tenant)
-	return release, false, !ok
+	return false, nil
 }
 
 // dispatch executes one command line, writing the response to w. It returns
@@ -567,22 +522,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		if len(fields) != 3 {
 			return false, errors.New("usage: GET <tenant> <key>")
 		}
-		release, drop, shed := s.dataOp(OpGet, fields[1])
-		if drop {
-			return true, nil
-		}
-		if shed {
-			return false, errShed
-		}
-		val, hit, err := s.svc.GetB(fields[1], fields[2])
-		if release != nil {
-			release()
-		}
-		if err != nil {
-			return false, err
-		}
-		cs.writeValueResponse(w, val, hit)
-		return false, nil
+		return s.serveText(w, cs, &request{op: OpGet, tenant: fields[1], key: fields[2]})
 
 	case textwire.CmdEq(verb, "MGET"):
 		if len(fields) < 3 {
@@ -595,34 +535,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		if len(fields) != 3+k {
 			return false, fmt.Errorf("MGET count %d does not match %d keys", k, len(fields)-3)
 		}
-		// Resolve the tenant before writing anything so an unknown tenant
-		// yields a single ERR line, not a partial response.
-		if s.svc.reg.Load().tenants[string(fields[1])] == nil {
-			return false, fmt.Errorf("service: unknown tenant %q", fields[1])
-		}
-		release, drop, shed := s.dataOp(OpMGet, fields[1])
-		if drop {
-			return true, nil
-		}
-		if shed {
-			return false, errShed
-		}
-		if release != nil {
-			defer release()
-		}
-		for _, key := range fields[3 : 3+k] {
-			val, hit, err := s.svc.GetB(fields[1], key)
-			if err != nil {
-				// Mid-batch failure (an injected shard fault): the batch
-				// aborts with this ERR line in place of the remaining
-				// responses and no END. The line stream stays in sync.
-				return false, err
-			}
-			cs.writeValueResponse(w, val, hit)
-		}
-		w.WriteString("END\r\n")
-		s.svc.mgets.Add(1)
-		return false, nil
+		return s.serveText(w, cs, &request{op: OpMGet, tenant: fields[1], keys: fields[3 : 3+k]})
 
 	case textwire.CmdEq(verb, "PUT"):
 		if len(fields) < 4 {
@@ -690,51 +603,14 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 			return true, errors.New("short value")
 		}
 		textwire.DiscardEOL(r)
-		release, drop, shed := s.dataOp(OpPut, cs.tenant)
-		if drop {
-			return true, nil
-		}
-		if shed {
-			return false, errShed
-		}
-		if ttlMS >= 0 {
-			err = s.svc.PutBTTL(cs.tenant, cs.key, val, time.Duration(ttlMS)*time.Millisecond)
-		} else {
-			err = s.svc.PutB(cs.tenant, cs.key, val)
-		}
-		if release != nil {
-			release()
-		}
-		if err != nil {
-			return false, err
-		}
-		w.WriteString("STORED\r\n")
-		return false, nil
+		return s.serveText(w, cs, &request{op: OpPut, tenant: cs.tenant, key: cs.key, val: val,
+			ttl: time.Duration(max(ttlMS, 0)) * time.Millisecond, ttlSet: ttlMS >= 0})
 
 	case textwire.CmdEq(verb, "DEL"):
 		if len(fields) != 3 {
 			return false, errors.New("usage: DEL <tenant> <key>")
 		}
-		release, drop, shed := s.dataOp(OpDelete, fields[1])
-		if drop {
-			return true, nil
-		}
-		if shed {
-			return false, errShed
-		}
-		present, err := s.svc.DeleteB(fields[1], fields[2])
-		if release != nil {
-			release()
-		}
-		if err != nil {
-			return false, err
-		}
-		if present {
-			w.WriteString("DELETED\r\n")
-		} else {
-			w.WriteString("MISS\r\n")
-		}
-		return false, nil
+		return s.serveText(w, cs, &request{op: OpDelete, tenant: fields[1], key: fields[2]})
 
 	case textwire.CmdEq(verb, "TOUCH"), textwire.CmdEq(verb, "EXPIRE"):
 		if len(fields) != 4 {
@@ -744,26 +620,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		if !ok {
 			return false, fmt.Errorf("bad TTL milliseconds %q", fields[3])
 		}
-		release, drop, shed := s.dataOp(OpTouch, fields[1])
-		if drop {
-			return true, nil
-		}
-		if shed {
-			return false, errShed
-		}
-		live, err := s.svc.TouchB(fields[1], fields[2], time.Duration(ms)*time.Millisecond)
-		if release != nil {
-			release()
-		}
-		if err != nil {
-			return false, err
-		}
-		if live {
-			w.WriteString("TOUCHED\r\n")
-		} else {
-			w.WriteString("MISS\r\n")
-		}
-		return false, nil
+		return s.serveText(w, cs, &request{op: OpTouch, tenant: fields[1], key: fields[2], ttl: time.Duration(ms) * time.Millisecond})
 
 	case textwire.CmdEq(verb, "TENANT"):
 		if len(fields) < 2 {

@@ -1,6 +1,8 @@
 package service
 
 import (
+	"bufio"
+	"bytes"
 	"runtime"
 	"strconv"
 	"strings"
@@ -192,6 +194,65 @@ func TestGetHitZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("Get hit on a %d-byte key allocates %.1f times per op, want 0", len(key), allocs)
+		}
+	}
+
+	// The same hit through each codec, which decodes into a request record
+	// that must stay on the stack: a text GET through dispatch, a binary GET
+	// and a 32-key BMGET through binExec.
+	keys := make([]string, 32)
+	for i := range keys {
+		keys[i] = "hot" + strconv.Itoa(i)
+		if err := svc.Put("alice", keys[i], []byte("hotvalue")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := &Server{svc: svc}
+	cs := &connState{}
+	var text bytes.Buffer
+	w := bufio.NewWriter(&text)
+	line := []byte("GET alice hot0")
+	bc := &binConn{}
+	get := binFrame(binOpGet, 0, 1, 0, "alice", "hot0", "")[4:]
+	bmget := bmFrame(2, "alice", keys...)[4:]
+	for _, leg := range []struct {
+		name string
+		runs int
+		op   func()
+	}{
+		{"text GET", 1000, func() {
+			text.Reset()
+			if quit, err := srv.dispatch(nil, line, nil, w, cs); quit || err != nil {
+				t.Fatalf("dispatch: quit %v err %v", quit, err)
+			}
+			w.Flush()
+			if !bytes.Equal(text.Bytes(), []byte("VALUE 8\r\nhotvalue\r\n")) {
+				t.Fatalf("text GET answered %q", text.Bytes())
+			}
+		}},
+		{"binary GET", 1000, func() {
+			bc.out = bc.out[:0]
+			if err := srv.binExec(bc, get); err != nil || bc.out[4] != binStOK {
+				t.Fatalf("binary GET: err %v reply %q", err, bc.out)
+			}
+		}},
+		{"32-key BMGET", 100, func() {
+			bc.out = bc.out[:0]
+			if err := srv.binExec(bc, bmget); err != nil || bc.out[4] != binStOK {
+				t.Fatalf("BMGET: err %v reply %q", err, bc.out)
+			}
+			p := bc.out[4+binRespHdr+2:]
+			for range keys {
+				if p[0] != binStOK {
+					t.Fatalf("BMGET key missed: reply %q", bc.out)
+				}
+				p = p[5+binLE.Uint32(p[1:5]):]
+			}
+		}},
+	} {
+		svc.Repartition() // the measured reads only append to the UMON ring
+		if allocs := testing.AllocsPerRun(leg.runs, leg.op); allocs != 0 {
+			t.Errorf("%s hit allocates %.1f times per op, want 0", leg.name, allocs)
 		}
 	}
 }

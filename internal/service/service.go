@@ -271,8 +271,8 @@ type Service struct {
 	binFrames     atomic.Uint64 // binary request frames dispatched
 	bmgetKeys     atomic.Uint64 // keys carried by BMGET multi-key frames
 
-	// fault, when non-nil, injects delays/errors into the shard path and
-	// connection drops into the dispatcher (see fault.go).
+	// fault, when non-nil, is drawn once per data request at admission
+	// (see request.go) and may drop, delay or fail it (see fault.go).
 	fault atomic.Pointer[faultHolder]
 
 	// Cluster state (see cluster.go). clusterVersion is a Lamport-style
@@ -472,28 +472,18 @@ func (s *Service) Get(tenant, key string) ([]byte, bool, error) {
 	return s.GetB(bytesOf(tenant), bytesOf(key))
 }
 
-// GetB is Get with byte-slice tenant and key, for protocol handlers that
-// parse requests into shared buffers; it performs no allocation on any
-// path but the unknown-tenant error.
+// GetB is Get with byte-slice tenant and key, for callers that keep
+// requests in shared buffers; it performs no allocation on any path but the
+// unknown-tenant error.
 func (s *Service) GetB(tenant, key []byte) ([]byte, bool, error) {
-	if s.fault.Load() != nil {
-		if err := s.injectFault(OpGet, string(tenant)); err != nil {
-			return nil, false, err
-		}
-	}
-	t := s.reg.Load().tenants[string(tenant)]
-	if t == nil {
-		return nil, false, fmt.Errorf("service: unknown tenant %q", tenant)
-	}
-	addr := addrOfB(t.part, key)
-	val, hit := s.getAt(t, addr, hash.Mix64(addr), key)
-	return val, hit, nil
+	v, val := s.serve(nil, &request{op: OpGet, tenant: tenant, key: key}, nil)
+	return val, v == outDone, v.err(tenant)
 }
 
-// getAt is the resolved GET path shared by GetB and the binary executor:
-// the caller already resolved the tenant and computed the line address and
-// its Mix64, which routes the shard as well. One zcache lookup resolves the
-// slot; a hit runs the controller's hit path on it.
+// getAt is the resolved GET path (see serve): the caller already resolved
+// the tenant and computed the line address and its Mix64, which routes the
+// shard as well. One zcache lookup resolves the slot; a hit runs the
+// controller's hit path on it.
 func (s *Service) getAt(t *Tenant, addr, mixed uint64, key []byte) ([]byte, bool) {
 	sh := s.shardOf(mixed)
 	var val []byte
@@ -548,25 +538,14 @@ func (s *Service) PutB(tenant, key, val []byte) error {
 
 // PutBTTL is PutTTL with byte-slice tenant, key, and value.
 func (s *Service) PutBTTL(tenant, key, val []byte, ttl time.Duration) error {
-	if s.fault.Load() != nil {
-		if err := s.injectFault(OpPut, string(tenant)); err != nil {
-			return err
-		}
-	}
-	t := s.reg.Load().tenants[string(tenant)]
-	if t == nil {
-		return fmt.Errorf("service: unknown tenant %q", tenant)
-	}
-	addr := addrOfB(t.part, key)
-	s.putAt(t, addr, hash.Mix64(addr), key, val, ttl)
-	return nil
+	v, _ := s.serve(nil, &request{op: OpPut, tenant: tenant, key: key, val: val, ttl: ttl, ttlSet: true}, nil)
+	return v.err(tenant)
 }
 
-// putAt is the resolved PUT path shared by PutBTTL and the binary
-// executor: one controller access (a hit refreshes, a miss installs), then
-// the record in the slot it reports is overwritten. On a miss that record
-// is the evicted line's — the walk's relocations swapped it there — so an
-// eviction needs no separate removal. The value is a fresh copy (GET hands
+// putAt is the resolved PUT path: one controller access (a hit refreshes, a
+// miss installs), then the record in the slot it reports is overwritten. On
+// a miss that record is the evicted line's — the walk's relocations swapped
+// it there — so an eviction needs no separate removal. The value is a fresh copy (GET hands
 // out the stored slice); the key reuses the slot's buffer.
 func (s *Service) putAt(t *Tenant, addr, mixed uint64, key, val []byte, ttl time.Duration) {
 	sh := s.shardOf(mixed)
@@ -605,21 +584,11 @@ func (s *Service) Touch(tenant, key string, ttl time.Duration) (bool, error) {
 
 // TouchB is Touch with byte-slice tenant and key.
 func (s *Service) TouchB(tenant, key []byte, ttl time.Duration) (bool, error) {
-	if s.fault.Load() != nil {
-		if err := s.injectFault(OpTouch, string(tenant)); err != nil {
-			return false, err
-		}
-	}
-	t := s.reg.Load().tenants[string(tenant)]
-	if t == nil {
-		return false, fmt.Errorf("service: unknown tenant %q", tenant)
-	}
-	addr := addrOfB(t.part, key)
-	return s.touchAt(t, addr, hash.Mix64(addr), key, ttl), nil
+	v, _ := s.serve(nil, &request{op: OpTouch, tenant: tenant, key: key, ttl: ttl}, nil)
+	return v == outDone, v.err(tenant)
 }
 
-// touchAt is the resolved TOUCH path shared by TouchB and the binary
-// executor.
+// touchAt is the resolved TOUCH path.
 func (s *Service) touchAt(t *Tenant, addr, mixed uint64, key []byte, ttl time.Duration) bool {
 	sh := s.shardOf(mixed)
 	now := s.clk.Now()
@@ -661,21 +630,11 @@ func (s *Service) Delete(tenant, key string) (bool, error) {
 
 // DeleteB is Delete with byte-slice tenant and key.
 func (s *Service) DeleteB(tenant, key []byte) (bool, error) {
-	if s.fault.Load() != nil {
-		if err := s.injectFault(OpDelete, string(tenant)); err != nil {
-			return false, err
-		}
-	}
-	t := s.reg.Load().tenants[string(tenant)]
-	if t == nil {
-		return false, fmt.Errorf("service: unknown tenant %q", tenant)
-	}
-	addr := addrOfB(t.part, key)
-	return s.deleteAt(addr, hash.Mix64(addr), key), nil
+	v, _ := s.serve(nil, &request{op: OpDelete, tenant: tenant, key: key}, nil)
+	return v == outDone, v.err(tenant)
 }
 
-// deleteAt is the resolved DELETE path shared by DeleteB and the binary
-// executor.
+// deleteAt is the resolved DELETE path.
 func (s *Service) deleteAt(addr, mixed uint64, key []byte) bool {
 	sh := s.shardOf(mixed)
 	sh.mu.Lock()

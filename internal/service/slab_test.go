@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -283,5 +285,45 @@ func TestPutInsertAllocs(t *testing.T) {
 		}
 	}); got != 1 {
 		t.Fatalf("overwrite allocates %.1f times per op, want 1", got)
+	}
+
+	// The same evicting insert through each codec: the request record stays
+	// on the stack and the value copy is still the only allocation.
+	srv := &Server{svc: svc}
+	cs := &connState{}
+	w := bufio.NewWriter(io.Discard)
+	body := bufio.NewReader(strings.NewReader(strings.Repeat(string(val)+"\r\n", 1100)))
+	var line []byte
+	bc := &binConn{}
+	frame := binFrame(binOpPut, 0, 1, 0, "alice", string(key), string(val))[4:]
+	frameKey := frame[binReqHdr+len(tenant):][:len(key)]
+	for _, leg := range []struct {
+		name string
+		put  func(key []byte)
+	}{
+		{"text", func(key []byte) {
+			line = append(append(append(line[:0], "PUT alice "...), key...), " 16"...)
+			if quit, err := srv.dispatch(nil, line, body, w, cs); quit || err != nil {
+				t.Fatalf("text PUT: quit %v err %v", quit, err)
+			}
+		}},
+		{"binary", func(key []byte) {
+			copy(frameKey, key)
+			bc.out = bc.out[:0]
+			if err := srv.binExec(bc, frame); err != nil || bc.out[4] != binStOK {
+				t.Fatalf("binary PUT: err %v reply %q", err, bc.out)
+			}
+		}},
+	} {
+		before := svc.Stats().StoreEntries
+		if got := testing.AllocsPerRun(1000, func() {
+			next++
+			leg.put(fmtHex(kbuf[:0], next))
+		}); got != 1 {
+			t.Errorf("%s evicting insert allocates %.1f times per op, want 1", leg.name, got)
+		}
+		if after := svc.Stats().StoreEntries; after != before {
+			t.Errorf("%s: store went from %d to %d entries over 1000 inserts: not evicting", leg.name, before, after)
+		}
 	}
 }

@@ -19,7 +19,7 @@ type Tenant struct {
 
 	// inflight is the number of protocol data ops currently executing for
 	// this tenant; shed counts ops refused because inflight was at the
-	// per-tenant limit. Both belong to the serving layer (see protocol.go)
+	// per-tenant limit. Both belong to the serving layer (see request.go)
 	// but live here so the limit is enforced across every connection.
 	inflight atomic.Int64
 	shed     atomic.Uint64
