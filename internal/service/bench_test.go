@@ -247,7 +247,7 @@ func BenchmarkPutInsert(b *testing.B) {
 }
 
 // BenchmarkGetMiss measures a GET for a key that was never stored: one
-// zcache lookup that finds no tag, plus the UMON ring append.
+// zcache lookup that finds no tag, plus the UMON access.
 func BenchmarkGetMiss(b *testing.B) {
 	svc, tenants := newMixGeometry(b)
 	var key [16]byte

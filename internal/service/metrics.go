@@ -45,15 +45,20 @@ func (t TenantStats) HitRate() float64 {
 	return float64(t.Hits) / float64(t.Gets)
 }
 
-// Stats is a consistent-enough snapshot of the whole service (each shard is
-// snapshotted atomically; the service totals are atomics).
+// Stats is a consistent-enough snapshot of the whole service: each shard is
+// snapshotted atomically, its request counters included, so a snapshot never
+// sees half of a request's accounting; the serving layer's totals are
+// atomics.
 type Stats struct {
 	Tenants []TenantStats // sorted by name
 
 	Ops          uint64
 	MGets        uint64 // MGET batch commands served by the protocol layer
 	Repartitions uint64
-	UMONDrains   uint64 // deferred-UMON ring drains summed over shards
+
+	// Deprecated: UMONDrains is always 0. The UMONs are fed inline under
+	// the shard lock, so there is no deferred-sample ring to drain.
+	UMONDrains uint64
 
 	// TTL/expiry counters: reads that observed an expired entry, and the
 	// background sweeper's reclaimed lines and passes summed over shards.
@@ -105,7 +110,6 @@ func (st Stats) LatencyQuantile(q float64) time.Duration {
 // Stats snapshots the service.
 func (s *Service) Stats() Stats {
 	st := Stats{
-		Ops:                    s.ops.Load(),
 		MGets:                  s.mgets.Load(),
 		ConnsRejected:          s.connsRejected.Load(),
 		RequestsShed:           s.requestsShed.Load(),
@@ -115,7 +119,6 @@ func (s *Service) Stats() Stats {
 		BinFrames:              s.binFrames.Load(),
 		BmgetKeys:              s.bmgetKeys.Load(),
 		Repartitions:           s.repartitions.Load(),
-		Expired:                s.expired.Load(),
 		ClusterRegistryVersion: s.clusterVersion.Load(),
 		ClusterRehomedKeys:     s.rehomedOut.Load(),
 		ClusterRehomedIn:       s.rehomedIn.Load(),
@@ -138,44 +141,37 @@ func (s *Service) Stats() Stats {
 	}
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].name < tenants[j].name })
 
-	// Per-partition sums over shards, one snapshot call per shard lock hold.
-	sizes := make([]int, s.cfg.MaxTenants)
-	targets := make([]int, s.cfg.MaxTenants)
-	demotions := make([]uint64, s.cfg.MaxTenants)
+	// Per-partition sums over shards, one snapshot per shard lock hold.
+	parts := make([]TenantStats, s.cfg.MaxTenants)
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.snap = sh.ctl.SnapshotPartitions(sh.snap[:0])
 		for p, ps := range sh.snap {
-			sizes[p] += ps.Size
-			targets[p] += ps.Target
-			demotions[p] += ps.Demotions
+			ts, c := &parts[p], &sh.cnt[p]
+			ts.OccupancyLines += ps.Size
+			ts.TargetLines += ps.Target
+			ts.Demotions += ps.Demotions
+			ts.Gets += c.gets
+			ts.Puts += c.puts
+			ts.Hits += c.hits
+			ts.Misses += c.misses
+			ts.Expired += c.expired
+			ts.ForcedEvictions += c.forced
 		}
+		st.Ops += sh.ops
+		st.Expired += sh.expired
 		st.StoreEntries += sh.live
 		st.UnmanagedLines += sh.ctl.UnmanagedSize()
 		st.SweepLines += sh.sweepLines
 		st.SweepPasses += sh.sweepPasses
 		st.ExpHeapEntries += len(sh.exph)
 		sh.mu.Unlock()
-		sh.umu.Lock()
-		st.UMONDrains += sh.drains
-		sh.umu.Unlock()
 	}
 
 	for _, t := range tenants {
-		st.Tenants = append(st.Tenants, TenantStats{
-			Name:            t.name,
-			Partition:       t.part,
-			Gets:            t.gets.Load(),
-			Puts:            t.puts.Load(),
-			Hits:            t.hits.Load(),
-			Misses:          t.misses.Load(),
-			Expired:         t.expired.Load(),
-			OccupancyLines:  sizes[t.part],
-			TargetLines:     targets[t.part],
-			Demotions:       demotions[t.part],
-			ForcedEvictions: t.forced.Load(),
-			Shed:            t.shed.Load(),
-		})
+		ts := parts[t.part]
+		ts.Name, ts.Partition, ts.Shed = t.name, t.part, t.shed.Load()
+		st.Tenants = append(st.Tenants, ts)
 	}
 	return st
 }
@@ -218,7 +214,6 @@ func writeMetrics(b *strings.Builder, st Stats) {
 	counter("vantaged_requests_shed_total", "Data commands refused by in-flight limits.", st.RequestsShed)
 	counter("vantaged_deadline_closes_total", "Connections reaped by read/write deadlines.", st.DeadlineCloses)
 	counter("vantaged_repartitions_total", "Online UCP repartitionings.", st.Repartitions)
-	counter("vantaged_umon_drains_total", "Deferred-UMON ring drains.", st.UMONDrains)
 	counter("vantaged_expired_total", "Reads and touches that found an expired entry.", st.Expired)
 	counter("vantaged_sweep_lines_total", "Expired entries reclaimed by the background sweeper.", st.SweepLines)
 	counter("vantaged_sweep_passes_total", "Expiry sweep passes executed.", st.SweepPasses)

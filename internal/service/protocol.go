@@ -677,7 +677,6 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		fmt.Fprintf(w, "STAT requests_shed %d\r\n", st.RequestsShed)
 		fmt.Fprintf(w, "STAT deadline_closes %d\r\n", st.DeadlineCloses)
 		fmt.Fprintf(w, "STAT repartitions %d\r\n", st.Repartitions)
-		fmt.Fprintf(w, "STAT umon_drains %d\r\n", st.UMONDrains)
 		fmt.Fprintf(w, "STAT expired_total %d\r\n", st.Expired)
 		fmt.Fprintf(w, "STAT sweep_lines %d\r\n", st.SweepLines)
 		fmt.Fprintf(w, "STAT sweep_passes %d\r\n", st.SweepPasses)

@@ -182,10 +182,6 @@ func TestGetHitZeroAllocs(t *testing.T) {
 		if err := svc.Put("alice", key, []byte("hotvalue")); err != nil {
 			t.Fatal(err)
 		}
-		// Drain the UMON ring so the measured runs only append to it (the
-		// ring holds 4096 samples; the measurement performs ~1000 GETs).
-		svc.Repartition()
-
 		allocs := testing.AllocsPerRun(1000, func() {
 			_, hit, err := svc.Get("alice", key)
 			if err != nil || !hit {
@@ -250,7 +246,6 @@ func TestGetHitZeroAllocs(t *testing.T) {
 			}
 		}},
 	} {
-		svc.Repartition() // the measured reads only append to the UMON ring
 		if allocs := testing.AllocsPerRun(leg.runs, leg.op); allocs != 0 {
 			t.Errorf("%s hit allocates %.1f times per op, want 0", leg.name, allocs)
 		}

@@ -21,18 +21,17 @@
 // GET stream (the read stream defines utility; PUTs are the fill path), and
 // a background goroutine reruns Lookahead every RepartitionInterval.
 //
-// Concurrency model: each shard has two locks. sh.mu serializes the shard's
-// controller and value store — these stay coupled under one lock because
-// a record is addressed by the slot its tag occupies, and every install
-// moves tags. sh.umu guards the UCP monitors and a fixed-size ring of sampled
-// GET addresses: the request path only appends to the ring (a few stores),
-// and the expensive UMON auxiliary-tag walks happen when the ring drains —
-// in the repartition loop, or inline when the ring fills. The tenant
-// registry is a copy-on-write snapshot behind an atomic pointer, so the
-// request path resolves tenants without any lock; registry mutations
-// serialize on a writers-only mutex. Per-tenant request counters are
-// atomics. The repartition loop takes shard locks one at a time, so
-// reconfiguration never stops the world.
+// Concurrency model: one lock per shard. sh.mu serializes the shard's
+// controller, value store, UCP monitors and request counters, so a GET, PUT,
+// DEL or TOUCH takes exactly one lock and writes nothing another shard's
+// requests write: the controller and store are coupled because a record is
+// addressed by the slot its tag occupies, the UMON sees each GET as its
+// lookup happens, as UMON-DSS sits beside the tag array in the paper (§5),
+// and the counters are plain integers that Stats sums under the same locks.
+// The tenant registry is a copy-on-write snapshot behind an atomic pointer,
+// so the request path resolves tenants without any lock; registry mutations
+// serialize on a writers-only mutex. The repartition loop takes shard locks
+// one at a time, so reconfiguration never stops the world.
 //
 // The read path is allocation-free and a PUT allocates once, for its value
 // copy. GET returns the stored slice without copying, and callers (the
@@ -165,23 +164,16 @@ type entry struct {
 	live  bool
 }
 
-// umonSample is one deferred UMON access: the line address plus its Mix64,
-// computed once on the request path and reused at drain time.
-type umonSample struct {
-	addr  uint64
-	mixed uint64
-	part  int32
+// partCounters are one partition slot's request counters on one shard.
+// expired counts reads and touches that found an entry past its TTL; forced
+// counts the forced managed evictions the partition's fills caused.
+type partCounters struct {
+	gets, puts, hits, misses, expired, forced uint64
 }
 
-// umonRingSize is the per-shard capacity of the deferred-UMON ring. When
-// the ring fills between repartitions, the producer drains it inline, so no
-// sample is ever dropped and per-partition feed order is preserved — the
-// monitor state at allocation time is identical to feeding synchronously.
-const umonRingSize = 4096
-
 // shard is one bank of the service: a Vantage controller over a zcache tag
-// array plus the value store (both guarded by mu), and the UCP monitors
-// plus their deferred-access ring (guarded by umu).
+// array, the value store, the UCP monitors and the request counters, all
+// guarded by mu. A request takes mu once and does all of its work there.
 type shard struct {
 	mu      sync.Mutex
 	ctl     *core.Controller
@@ -191,8 +183,8 @@ type shard struct {
 	managed int          // partitionable lines (capacity minus unmanaged target)
 	snap    []ctrl.PartitionSnapshot
 
-	// Expiry state (under mu): a min-heap of (deadline, addr) hints pushed
-	// by TTL'd writes, and the sweeper's lifetime counters. Hints are not
+	// Expiry state: a min-heap of (deadline, addr) hints pushed by TTL'd
+	// writes, and the sweeper's lifetime counters. Hints are not
 	// authoritative — the entry's exp field is — so a hint whose entry was
 	// deleted, overwritten, or touched to a later deadline is simply
 	// discarded when popped.
@@ -201,36 +193,14 @@ type shard struct {
 	sweepLines  uint64 // expired entries reclaimed by the sweeper
 	sweepPasses uint64 // sweep passes executed
 
-	umu    sync.Mutex
-	alloc  *ucp.Policy
-	ring   []umonSample
-	ringN  int
-	drains uint64
-}
+	// alloc holds one UMON-DSS per partition slot, fed every live GET as
+	// its lookup happens (§5).
+	alloc *ucp.Policy
 
-// observe queues one GET address for the shard's UMONs. Appending is a few
-// stores under umu; the auxiliary-tag walk happens at drain time, off the
-// tag/store critical path.
-func (sh *shard) observe(part int, addr, mixed uint64) {
-	sh.umu.Lock()
-	if sh.ringN == len(sh.ring) {
-		sh.drainLocked()
-	}
-	sh.ring[sh.ringN] = umonSample{addr: addr, mixed: mixed, part: int32(part)}
-	sh.ringN++
-	sh.umu.Unlock()
-}
-
-// drainLocked feeds every queued sample into the UMONs. Caller holds umu.
-func (sh *shard) drainLocked() {
-	for i := 0; i < sh.ringN; i++ {
-		s := &sh.ring[i]
-		sh.alloc.AccessMixed(int(s.part), s.addr, s.mixed)
-	}
-	if sh.ringN > 0 {
-		sh.drains++
-	}
-	sh.ringN = 0
+	// Request counters: per partition slot, and the shard's totals of
+	// requests served and of reads/touches that found an expired entry.
+	cnt          []partCounters
+	ops, expired uint64
 }
 
 // registry is an immutable snapshot of the tenant population. The request
@@ -254,10 +224,8 @@ type Service struct {
 	reg   atomic.Pointer[registry]
 	regMu sync.Mutex // serializes registry writers
 
-	ops          atomic.Uint64
 	mgets        atomic.Uint64
 	repartitions atomic.Uint64
-	expired      atomic.Uint64 // reads that found an expired entry
 
 	// Overload counters, incremented by the protocol server(s) attached to
 	// this service (several Servers may share one Service; these aggregate).
@@ -358,7 +326,7 @@ func New(cfg Config) (*Service, error) {
 			recs:    recs,
 			alloc:   ucp.NewPolicy(cfg.MaxTenants, cfg.MonitorWays, cfg.LinesPerShard, ucp.GranLines, seed^0xa110c),
 			managed: cfg.LinesPerShard - unmanaged,
-			ring:    make([]umonSample, umonRingSize),
+			cnt:     make([]partCounters, cfg.MaxTenants),
 		})
 	}
 	// No tenants yet: park every partition at target 0 until traffic arrives.
@@ -483,36 +451,33 @@ func (s *Service) GetB(tenant, key []byte) ([]byte, bool, error) {
 // getAt is the resolved GET path (see serve): the caller already resolved
 // the tenant and computed the line address and its Mix64, which routes the
 // shard as well. One zcache lookup resolves the slot; a hit runs the
-// controller's hit path on it.
+// controller's hit path on it. The counters and the UMON access happen in the
+// same critical section.
 func (s *Service) getAt(t *Tenant, addr, mixed uint64, key []byte) ([]byte, bool) {
 	sh := s.shardOf(mixed)
 	var val []byte
-	hit, expired := false, false
+	hit := false
 	sh.mu.Lock()
-	if id, e := sh.find(addr, mixed, key); e != nil {
-		if e.exp != 0 && s.clk.Now().UnixNano() >= e.exp {
-			sh.expire(id, e)
-			expired = true
-		} else {
-			sh.ctl.Touch(id, t.part)
-			val, hit = e.val, true
-		}
-	}
-	sh.mu.Unlock()
-	if !expired {
-		sh.observe(t.part, addr, mixed) // UMON-DSS sees the live read stream
-	}
-	s.ops.Add(1)
-	t.gets.Add(1)
+	c := &sh.cnt[t.part]
+	c.gets++
+	sh.ops++
+	id, e := sh.find(addr, mixed, key)
 	switch {
-	case hit:
-		t.hits.Add(1)
-	case expired:
-		t.expired.Add(1)
-		s.expired.Add(1)
+	case e == nil:
+		c.misses++
+	case e.exp != 0 && s.clk.Now().UnixNano() >= e.exp:
+		sh.expire(id, e)
+		c.expired++
+		sh.expired++
+		sh.mu.Unlock()
+		return nil, false // no UMON access: see Get
 	default:
-		t.misses.Add(1)
+		sh.ctl.Touch(id, t.part)
+		val, hit = e.val, true
+		c.hits++
 	}
+	sh.alloc.AccessMixed(t.part, addr, mixed) // UMON-DSS sees the live read stream
+	sh.mu.Unlock()
 	return val, hit
 }
 
@@ -565,12 +530,13 @@ func (s *Service) putAt(t *Tenant, addr, mixed uint64, key, val []byte, ttl time
 	if exp != 0 {
 		sh.pushHint(expHint{at: exp, addr: addr})
 	}
-	sh.mu.Unlock()
-	s.ops.Add(1)
-	t.puts.Add(1)
+	c := &sh.cnt[t.part]
+	c.puts++
 	if res.ForcedManagedEviction {
-		t.forced.Add(1)
+		c.forced++
 	}
+	sh.ops++
+	sh.mu.Unlock()
 }
 
 // Touch resets key's TTL in tenant's partition: the entry now expires ttl
@@ -596,12 +562,13 @@ func (s *Service) touchAt(t *Tenant, addr, mixed uint64, key []byte, ttl time.Du
 	if ttl > 0 {
 		exp = now.Add(ttl).UnixNano()
 	}
-	live, expired := false, false
+	live := false
 	sh.mu.Lock()
 	if id, e := sh.find(addr, mixed, key); e != nil {
 		if e.exp != 0 && now.UnixNano() >= e.exp {
 			sh.expire(id, e)
-			expired = true
+			sh.cnt[t.part].expired++
+			sh.expired++
 		} else {
 			e.exp = exp
 			if exp != 0 {
@@ -611,12 +578,8 @@ func (s *Service) touchAt(t *Tenant, addr, mixed uint64, key []byte, ttl time.Du
 			live = true
 		}
 	}
+	sh.ops++
 	sh.mu.Unlock()
-	s.ops.Add(1)
-	if expired {
-		t.expired.Add(1)
-		s.expired.Add(1)
-	}
 	return live
 }
 
@@ -642,16 +605,16 @@ func (s *Service) deleteAt(addr, mixed uint64, key []byte) bool {
 	if e != nil {
 		sh.drop(e)
 	}
+	sh.ops++
 	sh.mu.Unlock()
-	s.ops.Add(1)
 	return e != nil
 }
 
-// Repartition reruns UCP once on every shard: each shard first drains its
-// deferred-UMON ring (so the monitors reflect the full GET stream), then
-// Lookahead distributes its managed capacity among the active tenants from
-// its own UMON curves, and the Vantage controllers converge to the new
-// targets by churn-based demotion. Safe to call concurrently with requests.
+// Repartition reruns UCP once on every shard: under the shard lock,
+// Lookahead distributes the shard's managed capacity among the active
+// tenants from its own UMON curves and installs the targets, and the Vantage
+// controllers then converge to them by churn-based demotion. Safe to call
+// concurrently with requests.
 func (s *Service) Repartition() {
 	reg := s.reg.Load()
 	active := make([]bool, s.cfg.MaxTenants)
@@ -659,12 +622,8 @@ func (s *Service) Repartition() {
 		active[t.part] = true
 	}
 	for _, sh := range s.shards {
-		sh.umu.Lock()
-		sh.drainLocked()
-		targets := sh.alloc.AllocateActive(sh.managed, active)
-		sh.umu.Unlock()
 		sh.mu.Lock()
-		sh.ctl.SetTargets(targets)
+		sh.ctl.SetTargets(sh.alloc.AllocateActive(sh.managed, active))
 		sh.mu.Unlock()
 	}
 	s.repartitions.Add(1)

@@ -5,17 +5,12 @@ import (
 	"sync/atomic"
 )
 
-// Tenant is one principal of the cache: a name bound to a partition slot,
-// with lifetime request counters. Counters are atomics so the request path
-// never takes a lock for accounting.
+// Tenant is one principal of the cache: a name bound to a partition slot.
+// Its request counters are not here: each shard counts its partition slots
+// under the shard lock the request already holds (see shard.cnt).
 type Tenant struct {
 	name string
 	part int
-
-	gets, puts   atomic.Uint64
-	hits, misses atomic.Uint64
-	expired      atomic.Uint64 // reads/touches that found an expired entry
-	forced       atomic.Uint64 // forced managed evictions caused by this tenant's fills
 
 	// inflight is the number of protocol data ops currently executing for
 	// this tenant; shed counts ops refused because inflight was at the
@@ -113,6 +108,15 @@ func (s *Service) addTenantInner(name string, origin bool) (int, error) {
 		s.regMu.Unlock()
 		return 0, fmt.Errorf("service: tenant limit %d reached", s.cfg.MaxTenants)
 	}
+	// The slot starts its counters at zero, before any request can resolve
+	// the new tenant. A request that resolved the slot's previous occupant
+	// and runs after this is counted to the new one, which is also where its
+	// data lands.
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		sh.cnt[part] = partCounters{}
+		sh.mu.Unlock()
+	}
 	t := &Tenant{name: name, part: part}
 	h := s.clusterHandler()
 	if origin && h != nil {
@@ -172,13 +176,8 @@ func (s *Service) removeTenantInner(name string, origin bool) error {
 
 	space := uint64(t.part+1) << 40
 	for _, sh := range s.shards {
-		// Flush pending monitor samples into the outgoing tenant's UMON
-		// before resetting it, so none leak into the slot's next occupant.
-		sh.umu.Lock()
-		sh.drainLocked()
-		sh.alloc.Monitor(t.part).Reset()
-		sh.umu.Unlock()
 		sh.mu.Lock()
+		sh.alloc.Monitor(t.part).Reset()
 		for id := range sh.recs {
 			if e := &sh.recs[id]; e.live && sh.lines[id].Addr&^(1<<40-1) == space {
 				sh.drop(e)
