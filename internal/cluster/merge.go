@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"vantage/internal/binwire"
 	"vantage/internal/textwire"
 )
 
@@ -89,10 +90,10 @@ func (sc *scatter) add(o int32, tenant, key []byte) {
 	sc.m.owner = append(sc.m.owner, o)
 	sb, f := &sc.m.subs[o], sc.sub[o]
 	if sb.n == 0 {
-		f = appendFrame(f[:0], peerOpBMGet, 0, 0, 0, tenant, []byte(nil), nil)
+		f = binwire.AppendReq(f[:0], binwire.OpBMGet, 0, 0, 0, tenant, nil, nil)
 	}
 	sb.n++
-	sc.sub[o] = append(peerLE.AppendUint16(f, uint16(len(key))), key...)
+	sc.sub[o] = binwire.AppendKey(f, key)
 }
 
 // send scatters the sub-frames; their answers come back through s.
@@ -101,8 +102,7 @@ func (p *Proxy) send(sc *scatter, tch *touched, s respSink) {
 	for o, f := range sc.sub {
 		if len(f) > 0 {
 			owners++
-			peerLE.PutUint32(f[0:4], uint32(len(f)-4))
-			peerLE.PutUint16(f[16:18], uint16(m.subs[o].n))
+			binwire.SealBMGet(f, m.subs[o].n)
 		}
 	}
 	m.remain.Store(owners)
@@ -122,12 +122,12 @@ func (p *Proxy) send(sc *scatter, tch *touched, s respSink) {
 func (m *bmMerge) absorb(o int32, status uint8, payload []byte) bool {
 	sb := &m.subs[o]
 	switch status {
-	case peerStOK:
+	case binwire.StOK:
 		sb.err = sb.fill(payload)
 		sb.failed = sb.err != ""
-	case peerStErr:
+	case binwire.StErr:
 		sb.failed, sb.err = true, string(payload)
-	case peerStShed:
+	case binwire.StShed:
 		// A node never sheds a whole BMGET frame (sheds are per-key), but a
 		// synthesized or future status maps to per-key sheds here.
 		sb.shed = true
@@ -137,29 +137,19 @@ func (m *bmMerge) absorb(o int32, status uint8, payload []byte) bool {
 	return m.remain.Add(-1) == 0
 }
 
-// fill validates one member's coalesced payload (u16 count, then per key u8
-// status / u32 vlen / value) and keeps its entries. Returns a non-empty
-// message on a malformed payload.
+// fill validates one member's coalesced payload and keeps its entries.
+// Returns a non-empty message on a malformed payload.
 func (sb *bmSub) fill(payload []byte) string {
-	if len(payload) < 2 {
-		return "backend sent short BMGET payload"
+	entries, err := binwire.CheckReply(payload, sb.n)
+	if err != nil {
+		return "backend sent a malformed BMGET reply"
 	}
-	if int(peerLE.Uint16(payload)) != sb.n {
-		return "backend BMGET count mismatch"
+	for b := entries; len(b) > 0; {
+		var st uint8
+		st, _, b = binwire.NextEntry(b)
+		sb.hasShed = sb.hasShed || st == binwire.StShed
 	}
-	p := payload[2:]
-	for i := 0; i < sb.n; i++ {
-		if len(p) < 5 {
-			return "backend BMGET entry truncated"
-		}
-		vl := int(peerLE.Uint32(p[1:5]))
-		if vl > len(p)-5 {
-			return "backend BMGET value truncated"
-		}
-		sb.hasShed = sb.hasShed || p[0] == peerStShed
-		p = p[5+vl:]
-	}
-	sb.arena = append(sb.arena[:0], payload[2:len(payload)-len(p)]...)
+	sb.arena = append(sb.arena[:0], entries...)
 	return ""
 }
 
@@ -176,7 +166,7 @@ func (m *bmMerge) render(dst []byte, text bool) []byte {
 			if text {
 				return appendTextErr(dst, sb.err)
 			}
-			return appendResp(dst, peerStErr, peerOpBMGet, m.id, sb.err)
+			return binwire.AppendResp(dst, binwire.StErr, binwire.OpBMGet, m.id, sb.err)
 		}
 		shed = shed || sb.shed || sb.hasShed
 		if sb.shed {
@@ -189,22 +179,21 @@ func (m *bmMerge) render(dst []byte, text bool) []byte {
 		return appendTextErr(dst, "SHED server overloaded")
 	}
 	if !text {
-		dst = appendRespHdr(dst, peerStOK, peerOpBMGet, m.id, size)
-		dst = peerLE.AppendUint16(dst, uint16(len(m.owner)))
+		dst = binwire.AppendRespHdr(dst, binwire.StOK, binwire.OpBMGet, m.id, size)
+		dst = le.AppendUint16(dst, uint16(len(m.owner)))
 	}
-	shedEntry := [5]byte{peerStShed}
 	for _, o := range m.owner {
-		sb, entry := &m.subs[o], shedEntry[:]
+		sb, st, val := &m.subs[o], uint8(binwire.StShed), []byte(nil)
 		if !sb.shed {
-			entry = sb.arena[sb.pos:]
-			entry = entry[:5+int(peerLE.Uint32(entry[1:5]))]
-			sb.pos += len(entry)
+			var rest []byte
+			st, val, rest = binwire.NextEntry(sb.arena[sb.pos:])
+			sb.pos = len(sb.arena) - len(rest)
 		}
 		switch {
 		case !text:
-			dst = append(dst, entry...)
-		case entry[0] == peerStOK:
-			dst = appendTextValue(dst, entry[5:])
+			dst = binwire.AppendEntry(dst, st, val)
+		case st == binwire.StOK:
+			dst = appendTextValue(dst, val)
 		default:
 			dst = append(dst, "MISS\r\n"...)
 		}
@@ -226,22 +215,22 @@ func (m *bmMerge) recycle() {
 // reply for the originating opcode.
 func appendTextResp(dst []byte, op, status uint8, payload []byte) []byte {
 	switch status {
-	case peerStOK:
+	case binwire.StOK:
 		switch op {
-		case peerOpGet:
+		case binwire.OpGet:
 			return appendTextValue(dst, payload)
-		case peerOpPut:
+		case binwire.OpPut:
 			return append(dst, "STORED\r\n"...)
-		case peerOpDel:
+		case binwire.OpDel:
 			return append(dst, "DELETED\r\n"...)
-		case peerOpTouch:
+		case binwire.OpTouch:
 			return append(dst, "TOUCHED\r\n"...)
-		case peerOpPing:
+		case binwire.OpPing:
 			return append(dst, "PONG\r\n"...)
 		}
-	case peerStMiss:
+	case binwire.StMiss:
 		return append(dst, "MISS\r\n"...)
-	case peerStShed:
+	case binwire.StShed:
 		return appendTextErr(dst, "SHED server overloaded")
 	}
 	return appendTextErr(dst, payload)
@@ -254,15 +243,4 @@ func appendTextValue(dst, val []byte) []byte {
 
 func appendTextErr[S ~string | ~[]byte](dst []byte, msg S) []byte {
 	return append(append(append(dst, "ERR "...), msg...), "\r\n"...)
-}
-
-// appendRespHdr appends the length prefix and header of a binary response
-// frame whose payload is n bytes; appendResp appends a whole frame.
-func appendRespHdr(dst []byte, status, op uint8, id uint32, n int) []byte {
-	dst = peerLE.AppendUint32(dst, uint32(peerRespHdr+n))
-	return peerLE.AppendUint32(append(dst, status, op, 0, 0), id)
-}
-
-func appendResp[S ~string | ~[]byte](dst []byte, status, op uint8, id uint32, payload S) []byte {
-	return append(appendRespHdr(dst, status, op, id, len(payload)), payload...)
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vantage/internal/binwire"
 	"vantage/internal/latency"
 )
 
@@ -121,14 +122,7 @@ func (pc *poolConn) dial() {
 	conn, err := net.DialTimeout("tcp", pc.addr, peerDialTimeout)
 	if err == nil {
 		conn.SetDeadline(time.Now().Add(peerDialTimeout))
-		pre := [4]byte{peerMagic, 'V', 'B', peerVersion}
-		if _, werr := conn.Write(pre[:]); werr != nil {
-			err = werr
-		} else if _, rerr := io.ReadFull(conn, pre[:]); rerr != nil {
-			err = rerr
-		} else if pre[0] != peerMagic || pre[3] != peerVersion {
-			err = errNegotiate
-		}
+		err = binwire.Handshake(conn, conn)
 		conn.SetDeadline(time.Time{})
 	}
 	if err != nil {
@@ -147,8 +141,6 @@ func (pc *poolConn) dial() {
 	go pc.readLoop()
 }
 
-var errNegotiate = &net.OpError{Op: "negotiate", Err: io.ErrUnexpectedEOF}
-
 func (pl *pool) drop(pc *poolConn) { pl.conns[pc.idx].CompareAndSwap(pc, nil) }
 
 // submit registers one forwarded frame and appends it to the connection's
@@ -166,7 +158,7 @@ func (pc *poolConn) submit(pd pend, frame []byte) {
 	}
 	pc.nextID++
 	id := pc.nextID
-	peerLE.PutUint32(frame[8:12], id)
+	binwire.SetID(frame, id)
 	pc.pending[id] = pd
 	pc.pmu.Unlock()
 
@@ -191,28 +183,16 @@ func (pc *poolConn) flush() {
 // the connection dies.
 func (pc *poolConn) readLoop() {
 	r := bufio.NewReaderSize(pc.conn, 64<<10)
-	var hdr [4]byte
 	var frame []byte
 	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		resp, err := binwire.ReadResp(r, &frame)
+		if err != nil {
 			break
 		}
-		n := int(peerLE.Uint32(hdr[:]))
-		if n < peerRespHdr || n > proxyMaxBody {
-			break
-		}
-		if cap(frame) < n {
-			frame = make([]byte, n)
-		}
-		frame = frame[:n]
-		if _, err := io.ReadFull(r, frame); err != nil {
-			break
-		}
-		id := peerLE.Uint32(frame[4:8])
 		pc.pmu.Lock()
-		pd, ok := pc.pending[id]
+		pd, ok := pc.pending[resp.ID]
 		if ok {
-			delete(pc.pending, id)
+			delete(pc.pending, resp.ID)
 		}
 		pc.pmu.Unlock()
 		if !ok {
@@ -221,7 +201,7 @@ func (pc *poolConn) readLoop() {
 		if pc.pl.lat != nil && pd.t0 != 0 && pd.m == nil {
 			pc.pl.lat.Record(time.Duration(time.Now().UnixNano() - pd.t0))
 		}
-		pd.s.deliver(pd, frame[0], frame[peerRespHdr:])
+		pd.s.deliver(pd, resp.Status, resp.Payload)
 		frame = keep(frame) // one huge response must not pin its buffer
 	}
 	pc.fail()
@@ -248,7 +228,7 @@ func (pc *poolConn) fail() {
 }
 
 func (pc *poolConn) failOne(pd pend) {
-	pd.s.deliver(pd, peerStErr, []byte("proxy: backend "+pc.addr+" lost"))
+	pd.s.deliver(pd, binwire.StErr, []byte("proxy: backend "+pc.addr+" lost"))
 }
 
 // close shuts every connection down; in-flight requests get synthesized

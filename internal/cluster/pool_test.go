@@ -8,6 +8,8 @@ import (
 	"net"
 	"sync"
 	"testing"
+
+	"vantage/internal/binwire"
 )
 
 // capSink reports the capacity of each delivered payload, i.e. (minus the
@@ -40,12 +42,12 @@ func TestPoolReaderDropsHugeFrame(t *testing.T) {
 			if _, err := io.ReadFull(c, lb[:]); err != nil {
 				return
 			}
-			req := make([]byte, peerLE.Uint32(lb[:]))
+			req := make([]byte, le.Uint32(lb[:]))
 			if _, err := io.ReadFull(c, req); err != nil {
 				return
 			}
-			payload := make([]byte, peerLE.Uint32(req[8:12]))
-			c.Write(appendResp(nil, peerStOK, req[0], peerLE.Uint32(req[4:8]), payload))
+			payload := make([]byte, le.Uint32(req[8:12]))
+			c.Write(binwire.AppendResp(nil, binwire.StOK, req[0], le.Uint32(req[4:8]), payload))
 		}
 	}()
 
@@ -63,7 +65,7 @@ func TestPoolReaderDropsHugeFrame(t *testing.T) {
 		{2 * poolKeepBuf, func(c int) bool { return c >= 2*poolKeepBuf }},
 		{64, func(c int) bool { return c <= poolKeepBuf }},
 	} {
-		pc.submit(pend{s: sink}, appendFrame(nil, peerOpGet, 0, 0, step.size, "t", "k", nil))
+		pc.submit(pend{s: sink}, binwire.AppendReq(nil, binwire.OpGet, 0, 0, step.size, "t", "k", nil))
 		pc.flush()
 		if c := <-sink; !step.ok(c) {
 			t.Fatalf("after a %d-byte response the reader's buffer holds %d bytes", step.size, c)
@@ -90,7 +92,7 @@ func TestTextSequencerWindowShrinks(t *testing.T) {
 		t.Fatalf("window holds %d slots with %d commands in flight", len(ts.slots), depth)
 	}
 	for i := depth - 1; i >= 0; i-- { // the head completes last
-		ts.complete(uint64(i), peerOpGet, peerStOK, fmt.Appendf(nil, "v%d", i), nil)
+		ts.complete(uint64(i), binwire.OpGet, binwire.StOK, fmt.Appendf(nil, "v%d", i), nil)
 	}
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Fatal("responses left out of command order")
@@ -106,8 +108,8 @@ func TestTextSequencerWindowShrinks(t *testing.T) {
 	// The window at rest reuses its slot buffers: that is what keeps
 	// ordinary out-of-order completions from allocating.
 	a, b := ts.allocSeq(), ts.allocSeq()
-	ts.complete(b, peerOpPing, peerStOK, nil, nil)
-	ts.complete(a, peerOpPing, peerStOK, nil, nil)
+	ts.complete(b, binwire.OpPing, binwire.StOK, nil, nil)
+	ts.complete(a, binwire.OpPing, binwire.StOK, nil, nil)
 	if ts.slots[b&(textWindow-1)].buf == nil {
 		t.Fatal("a slot of the resting window dropped its small buffer")
 	}

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vantage/internal/binwire"
 	"vantage/internal/latency"
 	"vantage/internal/textwire"
 )
@@ -80,10 +81,10 @@ func (st ProxyStats) LatencyQuantile(q float64) time.Duration {
 }
 
 // proxyMaxLine bounds one text command line (the session closes beyond it,
-// before buffering more); proxyMaxBody bounds one PUT value block or binary
-// frame. Both are generous — the backends enforce the real protocol limits
-// and their ERR/close is relayed — these only keep an endless line or a
-// garbage length field from making the proxy buffer gigabytes.
+// before buffering more); proxyMaxBody bounds one PUT value block on the
+// text fallback. Both are generous — the backends enforce the real protocol
+// limits and their ERR/close is relayed — these only keep an endless line
+// or a garbage length field from making the proxy buffer gigabytes.
 const (
 	proxyMaxLine = 1 << 20
 	proxyMaxBody = 64 << 20
@@ -92,18 +93,6 @@ const (
 // proxyFlushHi flushes a client-side response buffer early when merged
 // responses outgrow it, even though the batch hasn't fully drained.
 const proxyFlushHi = 48 << 10
-
-// Wire limits mirrored from internal/service's protocol. The proxy must
-// pre-validate what it pipelines onto shared backend connections (a
-// malformed frame would kill a connection other clients are riding) and
-// must answer whole-batch limits itself (a split BMGET would otherwise
-// slip past the node's per-frame caps). The cluster package cannot import
-// service for the canonical values without a cycle through loadgen.
-const (
-	proxyMaxKeyLen    = 250
-	proxyMaxValueLen  = 1 << 20
-	proxyMaxBatchKeys = 1024
-)
 
 // NewProxy starts a proxy for the given member list on lis.
 func NewProxy(lis net.Listener, members []string, vnodes int) (*Proxy, error) {
@@ -198,7 +187,7 @@ func (p *Proxy) serveConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	if first[0] == peerMagic {
+	if first[0] == binwire.Magic {
 		p.serveBinary(conn, r)
 		return
 	}
@@ -211,7 +200,7 @@ func (p *Proxy) serveConn(conn net.Conn) {
 func (p *Proxy) route(tch *touched, pd pend, owner int32, frame []byte) {
 	pc, err := p.pool.get(owner)
 	if err != nil {
-		pd.s.deliver(pd, peerStErr, []byte("proxy: backend "+p.members[owner]+" unavailable"))
+		pd.s.deliver(pd, binwire.StErr, []byte("proxy: backend "+p.members[owner]+" unavailable"))
 		return
 	}
 	pc.submit(pd, frame)
@@ -395,7 +384,7 @@ func (ts *textProxySess) deliver(pd pend, status uint8, payload []byte) {
 // speaks (anything else falls back to the text path, where the backend
 // produces its own exact error strings).
 func canPool(tenant, key []byte) bool {
-	return len(tenant) > 0 && len(tenant) <= 255 && len(key) <= proxyMaxKeyLen
+	return len(tenant) > 0 && len(tenant) <= 255 && len(key) <= binwire.MaxKey
 }
 
 // serveText runs the text front: hot data verbs are translated onto the
@@ -433,9 +422,9 @@ func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader) {
 				hot = false
 				break
 			}
-			op := uint8(peerOpGet)
+			op := uint8(binwire.OpGet)
 			if textwire.CmdEq(verb, "DEL") {
-				op = peerOpDel
+				op = binwire.OpDel
 			}
 			p.textRoute(ts, &tch, op, 0, fields[1], fields[2])
 
@@ -449,7 +438,7 @@ func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader) {
 				hot = false
 				break
 			}
-			p.textRoute(ts, &tch, peerOpTouch, uint32(ms), fields[1], fields[2])
+			p.textRoute(ts, &tch, binwire.OpTouch, uint32(ms), fields[1], fields[2])
 
 		case textwire.CmdEq(verb, "PUT"):
 			done, perr := p.textPutPooled(ts, r, &tch, fields)
@@ -463,12 +452,12 @@ func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader) {
 			hot = p.textMGetPooled(ts, &tch, fields)
 
 		case textwire.CmdEq(verb, "PING"):
-			ts.complete(ts.allocSeq(), peerOpPing, peerStOK, nil, nil)
+			ts.complete(ts.allocSeq(), binwire.OpPing, binwire.StOK, nil, nil)
 
 		case textwire.CmdEq(verb, "CLUSTER"):
 			// Membership is per node; issuing it through a proxy would be
 			// ambiguous about which node should drain.
-			ts.complete(ts.allocSeq(), 0, peerStErr, errClusterVerb, nil)
+			ts.complete(ts.allocSeq(), 0, binwire.StErr, errClusterVerb, nil)
 
 		case textwire.CmdEq(verb, "QUIT"):
 			ts.barrier(&tch)
@@ -511,7 +500,7 @@ func (ts *textProxySess) fatal(err error) {
 // textRoute pipelines one single-key command onto the pool.
 func (p *Proxy) textRoute(ts *textProxySess, tch *touched, op uint8, ttlMS uint32, tenant, key []byte) {
 	pd := pend{s: ts, op: op, seq: ts.allocSeq(), t0: p.now()}
-	ts.scratch = appendFrame(ts.scratch[:0], op, 0, 0, ttlMS, tenant, key, nil)
+	ts.scratch = binwire.AppendReq(ts.scratch[:0], op, 0, 0, ttlMS, tenant, key, nil)
 	p.route(tch, pd, p.ownerOf(tenant, key), ts.scratch)
 }
 
@@ -527,7 +516,7 @@ func (p *Proxy) textPutPooled(ts *textProxySess, r *bufio.Reader, tch *touched, 
 		return false, nil
 	}
 	n, ok := textwire.ParseUint(fields[3])
-	if !ok || n > proxyMaxValueLen {
+	if !ok || n > binwire.MaxValue {
 		return false, nil
 	}
 	var flags uint8
@@ -537,18 +526,18 @@ func (p *Proxy) textPutPooled(ts *textProxySess, r *bufio.Reader, tch *touched, 
 		if !ok || ms > math.MaxUint32 || !textwire.CmdEq(fields[4], "EXPIRE") {
 			return false, nil
 		}
-		flags, ttlMS = peerFlagTTL, uint32(ms)
+		flags, ttlMS = binwire.FlagTTL, uint32(ms)
 	}
 	// The line is pool-shaped: the value block belongs to this command, so
 	// consume it here (a short read means the client died mid-value). Owner
 	// and header first — reading the block overwrites the fields.
 	owner := p.ownerOf(fields[1], fields[2])
-	ts.scratch = appendFrame(ts.scratch[:0], peerOpPut, flags, 0, ttlMS, fields[1], fields[2], nil)
+	ts.scratch = binwire.AppendReq(ts.scratch[:0], binwire.OpPut, flags, 0, ttlMS, fields[1], fields[2], nil)
 	if err := ts.readValue(r, n); err != nil {
 		return false, err
 	}
-	peerLE.PutUint32(ts.scratch[0:4], uint32(len(ts.scratch)-4))
-	p.route(tch, pend{s: ts, op: peerOpPut, seq: ts.allocSeq(), t0: p.now()}, owner, ts.scratch)
+	binwire.SetLen(ts.scratch)
+	p.route(tch, pend{s: ts, op: binwire.OpPut, seq: ts.allocSeq(), t0: p.now()}, owner, ts.scratch)
 	ts.scratch = keep(ts.scratch)
 	return true, nil
 }
@@ -573,14 +562,14 @@ func (p *Proxy) textMGetPooled(ts *textProxySess, tch *touched, fields [][]byte)
 		return false
 	}
 	k, ok := textwire.ParseUint(fields[2])
-	if !ok || k < 1 || k > proxyMaxBatchKeys || len(fields) != 3+k {
+	if !ok || k < 1 || k > binwire.MaxBatchKeys || len(fields) != 3+k {
 		return false
 	}
 	for _, key := range fields[3:] {
-		if len(key) > proxyMaxKeyLen {
+		if len(key) > binwire.MaxKey {
 			// The owner's BMGET would refuse the batch with this reply; past
 			// 64 KiB the key would not even fit the sub-frame's u16 length.
-			ts.complete(ts.allocSeq(), 0, peerStErr, errKeyLength, nil)
+			ts.complete(ts.allocSeq(), 0, binwire.StErr, errKeyLength, nil)
 			return true
 		}
 	}
@@ -769,7 +758,9 @@ type binProxySess struct {
 	// written when it drains (the batch boundary) or on the high-water mark.
 	outstanding atomic.Int64
 
-	sc scatter // reading goroutine only
+	// Reading goroutine only.
+	req binwire.Req
+	sc  scatter
 }
 
 // deliver writes one pooled backend response (or finished merge) back to
@@ -789,7 +780,7 @@ func (bs *binProxySess) deliver(pd pend, status uint8, payload []byte) {
 
 func (bs *binProxySess) writeFrame(status, op uint8, id uint32, payload []byte) {
 	bs.wmu.Lock()
-	bs.out = appendResp(bs.out, status, op, id, payload)
+	bs.out = binwire.AppendResp(bs.out, status, op, id, payload)
 	bs.sentLocked()
 	bs.wmu.Unlock()
 }
@@ -806,21 +797,15 @@ func (bs *binProxySess) sentLocked() {
 }
 
 // serveBinary runs the binary front: negotiate with the client, then
-// parse each request frame just enough to validate and route it, rewrite
-// its id, and pipeline it through the shared pool.
+// validate each request frame with the node's own framing rule
+// (binwire.Req.Parse), rewrite its id, and pipeline it through the shared
+// pool. A frame the rule refuses closes this client's session, as a node
+// closes a connection; forwarded, it would make the node close the pooled
+// connection that every other client's requests ride on.
 func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
-	var pre [4]byte
-	if _, err := io.ReadFull(r, pre[:]); err != nil {
+	if ok, _ := binwire.Accept(r, conn); !ok {
 		return
 	}
-	if pre[0] != peerMagic || pre[1] != 'V' || pre[2] != 'B' {
-		return
-	}
-	ack := [4]byte{peerMagic, 'V', 'B', peerVersion}
-	if _, err := conn.Write(ack[:]); err != nil || pre[3] != peerVersion {
-		return
-	}
-
 	bs := &binProxySess{p: p, conn: conn}
 	var tch touched
 	defer tch.flush()
@@ -831,8 +816,8 @@ func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
 		if _, err := io.ReadFull(r, hdr); err != nil {
 			return
 		}
-		n := int(peerLE.Uint32(hdr))
-		if n < peerReqHdr || n > proxyMaxBody {
+		n := int(le.Uint32(hdr))
+		if !binwire.ReqLen(n) {
 			return
 		}
 		if cap(frame) < 4+n {
@@ -843,37 +828,25 @@ func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
 		if _, err := io.ReadFull(r, frame[4:]); err != nil {
 			return
 		}
-		op := frame[4]
-		tl := int(frame[6])
-		id := peerLE.Uint32(frame[8:12])
-		kl := int(peerLE.Uint16(frame[16:18]))
-		if peerReqHdr+tl > n {
-			return // framing violation, same as a node would treat it
+		q := &bs.req
+		if !q.Parse(frame[4:]) {
+			return
 		}
-		tenant := frame[4+peerReqHdr : 4+peerReqHdr+tl]
-		pd := pend{s: bs, id: id, op: op, t0: p.now()}
+		pd := pend{s: bs, id: q.ID, op: q.Op, t0: p.now()}
 
 		bs.outstanding.Add(1)
-		switch op {
-		case peerOpPing:
+		switch q.Op {
+		case binwire.OpPing:
 			// Answered locally: PING probes the proxy's own liveness.
-			bs.writeFrame(peerStOK, op, id, nil)
-		case peerOpBMGet:
-			if !p.binBMGet(bs, &tch, frame, tenant, pd, kl) {
-				return
-			}
-		case peerOpTenantAdd, peerOpTenantDel, peerOpRegOp:
-			p.route(&tch, pd, p.ownerOf(tenant, nil), frame)
-		case peerOpRegPull:
+			bs.writeFrame(binwire.StOK, q.Op, q.ID, nil)
+		case binwire.OpBMGet:
+			p.binBMGet(bs, &tch, pd)
+		case binwire.OpTenantAdd, binwire.OpTenantDel, binwire.OpRegOp:
+			p.route(&tch, pd, p.ownerOf(q.Tenant, nil), frame)
+		case binwire.OpRegPull:
 			p.route(&tch, pd, 0, frame)
-		case peerOpGet, peerOpPut, peerOpDel, peerOpTouch, peerOpRehome:
-			if peerReqHdr+tl+kl > n {
-				return
-			}
-			key := frame[4+peerReqHdr+tl : 4+peerReqHdr+tl+kl]
-			p.route(&tch, pd, p.ownerOf(tenant, key), frame)
 		default:
-			return // unknown opcode: the stream can't be trusted
+			p.route(&tch, pd, p.ownerOf(q.Tenant, q.Key), frame)
 		}
 		if r.Buffered() == 0 {
 			tch.flush()
@@ -881,55 +854,19 @@ func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
 	}
 }
 
-// binBMGet validates one BMGET frame and scatters it by owner. Semantic
-// failures answer the same frame-level ERRs a node would, in the node's
-// order (service.binBMGet); framing violations return false and close the
-// client, mirroring node behavior.
-func (p *Proxy) binBMGet(bs *binProxySess, tch *touched, frame, tenant []byte, pd pend, count int) bool {
-	// No flags or TTL semantics are defined for BMGET in v1.
-	if frame[5] != 0 || peerLE.Uint32(frame[12:16]) != 0 {
-		return false
-	}
-	// Structural pass before anything is sized from the header's count: the
-	// declared entries must tile the body exactly.
-	list := frame[4+peerReqHdr+len(tenant):]
-	rest, badKey := list, false
-	for i := 0; i < count; i++ {
-		if len(rest) < 2 {
-			return false
-		}
-		kl := int(peerLE.Uint16(rest))
-		if len(rest) < 2+kl {
-			return false
-		}
-		badKey = badKey || kl == 0 || kl > proxyMaxKeyLen
-		rest = rest[2+kl:]
-	}
-	if len(rest) != 0 {
-		return false
-	}
-	// Semantic validation mirrors the node's: the proxy must answer these
-	// itself because a split batch would otherwise slip past the node's
-	// whole-frame limits (and an empty batch has no owner to route to).
-	msg := ""
-	switch {
-	case count == 0:
-		msg = "empty key list"
-	case count > proxyMaxBatchKeys:
-		msg = "too many keys"
-	case badKey:
-		msg = "bad key length"
-	}
-	if msg != "" {
-		bs.writeFrame(peerStErr, peerOpBMGet, pd.id, []byte(msg))
-		return true
+// binBMGet scatters a parsed BMGET by owner. Its frame-level ERRs come from
+// the parse, in the node's order; the proxy answers them itself because a
+// split batch would otherwise slip past the node's whole-frame limits (and
+// an empty batch has no owner to route to).
+func (p *Proxy) binBMGet(bs *binProxySess, tch *touched, pd pend) {
+	q := &bs.req
+	if q.BatchErr != "" {
+		bs.writeFrame(binwire.StErr, binwire.OpBMGet, pd.id, []byte(q.BatchErr))
+		return
 	}
 	bs.sc.begin(len(p.members), pd.id, 0, pd.t0)
-	for len(list) > 0 {
-		kl := int(peerLE.Uint16(list))
-		bs.sc.add(p.ownerOf(tenant, list[2:2+kl]), tenant, list[2:2+kl])
-		list = list[2+kl:]
+	for _, k := range q.Keys {
+		bs.sc.add(p.ownerOf(q.Tenant, k), q.Tenant, k)
 	}
 	p.send(&bs.sc, tch, bs)
-	return true
 }

@@ -472,3 +472,99 @@ func TestProxyMGetOversizedKey(t *testing.T) {
 		t.Fatal("the pooled connection did not survive the oversized key")
 	}
 }
+
+// TestProxyFramingViolationSparesPool: a frame a node would close on for
+// its framing closes the sending client's session at the proxy and never
+// reaches the pooled backend connection every client shares. Forwarded, it
+// made the node close that connection: every other client's in-flight
+// request on it failed with "backend lost" and the pool redialed.
+func TestProxyFramingViolationSparesPool(t *testing.T) {
+	nodes, p := bootPoolCluster(t, cluster.ProxyConfig{})
+	addrs := make([]string, len(nodes))
+	for i, pn := range nodes {
+		addrs[i] = pn.addr
+	}
+	ring, err := cluster.NewRing(addrs, scaleVNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys []string // all owned by one backend, so all share its pooled connection
+	for i := 0; len(keys) < 8; i++ {
+		if k := "f" + strconv.Itoa(i); ring.Owner("t", k) == addrs[0] {
+			keys = append(keys, k)
+		}
+	}
+	a := dialFront(t, p.Addr().String(), true)
+	a.binHeader(6, 0, 0, 0, "t") // TENANT_ADD
+	a.flush()
+	if st, _, _ := a.binFrame(); st != 0 {
+		t.Fatalf("TENANT_ADD status %d", st)
+	}
+	a.fill("t", keys[:4])
+	// get pipelines a GET of every key, leaving the answers in flight.
+	get := func() {
+		for i, k := range keys {
+			a.binHeader(1, uint32(i), len(k), len(k), "t")
+			a.out = append(a.out, k...)
+		}
+		a.flush()
+	}
+	answered := func(name string) {
+		for range keys {
+			if st, _, payload := a.binFrame(); st != 0 && st != 1 {
+				t.Fatalf("%s: a bystander's GET answered status %d %q", name, st, payload)
+			}
+		}
+	}
+	get()
+	answered("warm-up")
+	before := p.Stats().PoolConnsTotal
+
+	k := keys[0]
+	for _, c := range []struct {
+		name  string
+		op    uint8
+		value int
+		off   int // header byte to set to 0x80; -1 for none
+	}{
+		{"reserved u8", 1, 0, 3},
+		{"reserved u16", 1, 0, 14},
+		{"undefined flag", 1, 0, 1},
+		{"PUT over the max frame", 2, 2 << 20, -1},
+	} {
+		b := dialFront(t, p.Addr().String(), true)
+		b.binHeader(c.op, 7, len(k), len(k)+c.value, "t")
+		if c.off >= 0 {
+			b.out[4+c.off] = 0x80
+		}
+		b.out = append(b.out, k...)
+		b.out = append(b.out, make([]byte, c.value)...)
+		get()
+		b.c.SetDeadline(time.Now().Add(5 * time.Second))
+		b.c.Write(b.out) // the proxy may close before it has read all of it
+		if st, _, payload, err := readAny(b.r); err == nil {
+			t.Fatalf("%s: the session answered status %d %q, want it closed", c.name, st, payload)
+		} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("%s: the session was left open", c.name)
+		}
+		answered(c.name)
+		get()
+		answered(c.name + ", next batch")
+		if after := p.Stats().PoolConnsTotal; after != before {
+			t.Fatalf("%s: the pool dialed %d -> %d backend connections", c.name, before, after)
+		}
+	}
+}
+
+// readAny reads one response frame, or the error that ends the session.
+func readAny(r *bufio.Reader) (status uint8, id uint32, payload []byte, err error) {
+	var hdr [4]byte
+	if _, err = io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, nil, err
+	}
+	b := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err = io.ReadFull(r, b); err != nil {
+		return 0, 0, nil, err
+	}
+	return b[0], binary.LittleEndian.Uint32(b[4:8]), b[8:], nil
+}

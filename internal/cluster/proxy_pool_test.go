@@ -257,8 +257,8 @@ func TestProxyStatsAndLatency(t *testing.T) {
 }
 
 // rawBinConn is a minimal binary-protocol client speaking the wire bytes
-// directly (the frame layout is the contract, deliberately not a shared Go
-// package — same stance as the Peer client).
+// directly, independently of package binwire, so it also checks that the
+// bytes on the wire stay what the protocol says.
 type rawBinConn struct {
 	t *testing.T
 	c net.Conn

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"vantage/internal/binwire"
 	"vantage/internal/hash"
 )
 
@@ -132,7 +133,7 @@ func BenchmarkBinaryConns(b *testing.B) {
 				}
 				defer conn.Close()
 				ack := make([]byte, 4)
-				if _, err := conn.Write([]byte{binMagic, 'V', 'B', binVersion}); err != nil {
+				if _, err := conn.Write([]byte{binwire.Magic, 'V', 'B', binwire.Version}); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := io.ReadFull(conn, ack); err != nil {
@@ -141,7 +142,7 @@ func BenchmarkBinaryConns(b *testing.B) {
 				clients[i] = conn
 				for j := 0; j < batch; j++ {
 					key := fmt.Sprintf("k%04d", (i*batch+j)%resident)
-					reqs[i] = append(reqs[i], binFrame(binOpGet, 0, uint32(j), 0, "hot", key, "")...)
+					reqs[i] = append(reqs[i], binFrame(binwire.OpGet, 0, uint32(j), 0, "hot", key, "")...)
 				}
 				rtts[i] = make([]time.Duration, 0, trips)
 			}
@@ -152,7 +153,7 @@ func BenchmarkBinaryConns(b *testing.B) {
 				go func(i int) {
 					defer wg.Done()
 					r := bufio.NewReader(clients[i])
-					hdr := make([]byte, 4+binRespHdr)
+					hdr := make([]byte, 4+binwire.RespHdr)
 					for n := 0; n < trips; n++ {
 						t0 := time.Now()
 						if _, err := clients[i].Write(reqs[i]); err != nil {
@@ -164,11 +165,11 @@ func BenchmarkBinaryConns(b *testing.B) {
 								b.Error(err)
 								return
 							}
-							if hdr[4] != binStOK {
+							if hdr[4] != binwire.StOK {
 								b.Errorf("GET status %d", hdr[4])
 								return
 							}
-							r.Discard(int(binary.LittleEndian.Uint32(hdr)) - binRespHdr)
+							r.Discard(int(binary.LittleEndian.Uint32(hdr)) - binwire.RespHdr)
 						}
 						rtts[i] = append(rtts[i], time.Since(t0))
 					}

@@ -9,12 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"vantage/internal/binwire"
 	"vantage/internal/clock"
 )
 
 // binFrame encodes one binary request frame (length prefix included).
 func binFrame(op, flags uint8, id, ttlMS uint32, tenant, key, val string) []byte {
-	n := binReqHdr + len(tenant) + len(key) + len(val)
+	n := binwire.ReqHdr + len(tenant) + len(key) + len(val)
 	b := make([]byte, 4+n)
 	binary.LittleEndian.PutUint32(b[0:4], uint32(n))
 	b[4] = op
@@ -23,7 +24,7 @@ func binFrame(op, flags uint8, id, ttlMS uint32, tenant, key, val string) []byte
 	binary.LittleEndian.PutUint32(b[8:12], id)
 	binary.LittleEndian.PutUint32(b[12:16], ttlMS)
 	binary.LittleEndian.PutUint16(b[16:18], uint16(len(key)))
-	p := b[4+binReqHdr:]
+	p := b[4+binwire.ReqHdr:]
 	copy(p, tenant)
 	copy(p[len(tenant):], key)
 	copy(p[len(tenant)+len(key):], val)
@@ -51,14 +52,14 @@ func dialBin(t *testing.T, addr string) *binTestClient {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if _, err := conn.Write([]byte{binMagic, 'V', 'B', binVersion}); err != nil {
+	if _, err := conn.Write([]byte{binwire.Magic, 'V', 'B', binwire.Version}); err != nil {
 		t.Fatal(err)
 	}
 	var ack [4]byte
 	if _, err := io.ReadFull(conn, ack[:]); err != nil {
 		t.Fatalf("negotiation ack: %v", err)
 	}
-	if want := [4]byte{binMagic, 'V', 'B', binVersion}; ack != want {
+	if want := [4]byte{binwire.Magic, 'V', 'B', binwire.Version}; ack != want {
 		t.Fatalf("negotiation ack = %v, want %v", ack, want)
 	}
 	return &binTestClient{t: t, conn: conn}
@@ -79,7 +80,7 @@ func (c *binTestClient) resp() binResp {
 		c.t.Fatalf("response length: %v", err)
 	}
 	n := binary.LittleEndian.Uint32(lb[:])
-	if n < binRespHdr || n > binMaxFrame {
+	if n < binwire.RespHdr || n > binwire.MaxFrame {
 		c.t.Fatalf("response frame length %d out of range", n)
 	}
 	b := make([]byte, n)
@@ -90,7 +91,7 @@ func (c *binTestClient) resp() binResp {
 		status:  b[0],
 		op:      b[1],
 		id:      binary.LittleEndian.Uint32(b[4:8]),
-		payload: b[binRespHdr:],
+		payload: b[binwire.RespHdr:],
 	}
 }
 
@@ -122,22 +123,22 @@ func TestBinaryRoundTrip(t *testing.T) {
 	svc, srv := newTestServer(t)
 	c := dialBin(t, srv.Addr().String())
 
-	c.expect(binOpPing, 0, 1, 0, "", "", "", binStOK, "")
-	c.expect(binOpTenantAdd, 0, 2, 0, "alice", "", "", binStOK, "\x00\x00\x00\x00")
-	c.expect(binOpTenantAdd, 0, 3, 0, "alice", "", "", binStOK, "\x00\x00\x00\x00") // idempotent
+	c.expect(binwire.OpPing, 0, 1, 0, "", "", "", binwire.StOK, "")
+	c.expect(binwire.OpTenantAdd, 0, 2, 0, "alice", "", "", binwire.StOK, "\x00\x00\x00\x00")
+	c.expect(binwire.OpTenantAdd, 0, 3, 0, "alice", "", "", binwire.StOK, "\x00\x00\x00\x00") // idempotent
 
-	c.expect(binOpPut, 0, 4, 0, "alice", "greeting", "hello", binStOK, "")
-	c.expect(binOpGet, 0, 5, 0, "alice", "greeting", "", binStOK, "hello")
-	c.expect(binOpGet, 0, 6, 0, "alice", "nosuch", "", binStMiss, "")
-	c.expect(binOpTouch, 0, 7, 60000, "alice", "greeting", "", binStOK, "")
-	c.expect(binOpTouch, 0, 8, 60000, "alice", "nosuch", "", binStMiss, "")
-	c.expect(binOpDel, 0, 9, 0, "alice", "greeting", "", binStOK, "")
-	c.expect(binOpDel, 0, 10, 0, "alice", "greeting", "", binStMiss, "")
+	c.expect(binwire.OpPut, 0, 4, 0, "alice", "greeting", "hello", binwire.StOK, "")
+	c.expect(binwire.OpGet, 0, 5, 0, "alice", "greeting", "", binwire.StOK, "hello")
+	c.expect(binwire.OpGet, 0, 6, 0, "alice", "nosuch", "", binwire.StMiss, "")
+	c.expect(binwire.OpTouch, 0, 7, 60000, "alice", "greeting", "", binwire.StOK, "")
+	c.expect(binwire.OpTouch, 0, 8, 60000, "alice", "nosuch", "", binwire.StMiss, "")
+	c.expect(binwire.OpDel, 0, 9, 0, "alice", "greeting", "", binwire.StOK, "")
+	c.expect(binwire.OpDel, 0, 10, 0, "alice", "greeting", "", binwire.StMiss, "")
 
 	// Explicit-TTL PUT (flag set): stored and readable; ttl_ms=0 with the
 	// flag means "never expire" and must not round-trip through the default.
-	c.expect(binOpPut, binFlagTTL, 11, 0, "alice", "pinned", "v", binStOK, "")
-	c.expect(binOpGet, 0, 12, 0, "alice", "pinned", "", binStOK, "v")
+	c.expect(binwire.OpPut, binwire.FlagTTL, 11, 0, "alice", "pinned", "v", binwire.StOK, "")
+	c.expect(binwire.OpGet, 0, 12, 0, "alice", "pinned", "", binwire.StOK, "v")
 
 	// A text client on the same listener is untouched by the binary traffic.
 	tc := dialTest(t, srv.Addr().String())
@@ -148,7 +149,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 
 	// And the binary connection still works after the text exchange.
-	c.expect(binOpGet, 0, 13, 0, "alice", "pinned", "", binStOK, "v")
+	c.expect(binwire.OpGet, 0, 13, 0, "alice", "pinned", "", binwire.StOK, "v")
 
 	st := svc.Stats()
 	if st.BinConns != 1 || st.BinConnsActive != 1 || st.BinFrames == 0 {
@@ -177,7 +178,7 @@ func TestBinaryVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte{binMagic, 'V', 'B', binVersion + 9}); err != nil {
+	if _, err := conn.Write([]byte{binwire.Magic, 'V', 'B', binwire.Version + 9}); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -185,8 +186,8 @@ func TestBinaryVersionMismatch(t *testing.T) {
 	if _, err := io.ReadFull(conn, ack[:]); err != nil {
 		t.Fatalf("no ack on version mismatch: %v", err)
 	}
-	if ack[3] != binVersion {
-		t.Fatalf("ack version = %d, want %d", ack[3], binVersion)
+	if ack[3] != binwire.Version {
+		t.Fatalf("ack version = %d, want %d", ack[3], binwire.Version)
 	}
 	if _, err := conn.Read(make([]byte, 1)); err == nil {
 		t.Fatal("connection left open after version mismatch")
@@ -202,7 +203,7 @@ func TestBinaryBadPreamble(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte{binMagic, 'X', 'B', binVersion}); err != nil {
+	if _, err := conn.Write([]byte{binwire.Magic, 'X', 'B', binwire.Version}); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -217,15 +218,15 @@ func TestBinaryBadPreamble(t *testing.T) {
 func TestBinaryPipelined(t *testing.T) {
 	_, srv := newTestServer(t)
 	c := dialBin(t, srv.Addr().String())
-	c.expect(binOpTenantAdd, 0, 0, 0, "t", "", "", binStOK, "\x00\x00\x00\x00")
+	c.expect(binwire.OpTenantAdd, 0, 0, 0, "t", "", "", binwire.StOK, "\x00\x00\x00\x00")
 
 	const k = 64
 	var batch []byte
 	for i := 0; i < k; i++ {
 		if i%2 == 0 {
-			batch = append(batch, binFrame(binOpPut, 0, uint32(100+i), 0, "t", "key", "value")...)
+			batch = append(batch, binFrame(binwire.OpPut, 0, uint32(100+i), 0, "t", "key", "value")...)
 		} else {
-			batch = append(batch, binFrame(binOpGet, 0, uint32(100+i), 0, "t", "key", "")...)
+			batch = append(batch, binFrame(binwire.OpGet, 0, uint32(100+i), 0, "t", "key", "")...)
 		}
 	}
 	if _, err := c.conn.Write(batch); err != nil {
@@ -236,7 +237,7 @@ func TestBinaryPipelined(t *testing.T) {
 		if r.id != uint32(100+i) {
 			t.Fatalf("response %d: id=%d, want %d", i, r.id, 100+i)
 		}
-		if r.status != binStOK {
+		if r.status != binwire.StOK {
 			t.Fatalf("response %d: status=%d", i, r.status)
 		}
 		if i%2 == 1 && string(r.payload) != "value" {
@@ -251,16 +252,16 @@ func TestBinaryPipelined(t *testing.T) {
 func TestBinaryPipelinedAfterTenantAdd(t *testing.T) {
 	_, srv := newTestServer(t)
 	c := dialBin(t, srv.Addr().String())
-	batch := binFrame(binOpTenantAdd, 0, 1, 0, "t", "", "")
-	batch = append(batch, binFrame(binOpPut, 0, 2, 0, "t", "k", "v")...)
-	batch = append(batch, binFrame(binOpGet, 0, 3, 0, "t", "k", "")...)
+	batch := binFrame(binwire.OpTenantAdd, 0, 1, 0, "t", "", "")
+	batch = append(batch, binFrame(binwire.OpPut, 0, 2, 0, "t", "k", "v")...)
+	batch = append(batch, binFrame(binwire.OpGet, 0, 3, 0, "t", "k", "")...)
 	if _, err := c.conn.Write(batch); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []binResp{
-		{binStOK, binOpTenantAdd, 1, []byte("\x00\x00\x00\x00")},
-		{binStOK, binOpPut, 2, nil},
-		{binStOK, binOpGet, 3, []byte("v")},
+		{binwire.StOK, binwire.OpTenantAdd, 1, []byte("\x00\x00\x00\x00")},
+		{binwire.StOK, binwire.OpPut, 2, nil},
+		{binwire.StOK, binwire.OpGet, 3, []byte("v")},
 	} {
 		r := c.resp()
 		if r.status != want.status || r.op != want.op || r.id != want.id || string(r.payload) != string(want.payload) {
@@ -279,7 +280,7 @@ func TestBinaryFramingViolationCloses(t *testing.T) {
 
 	t.Run("reserved-byte", func(t *testing.T) {
 		c := dialBin(t, addr)
-		f := binFrame(binOpPing, 0, 1, 0, "", "", "")
+		f := binFrame(binwire.OpPing, 0, 1, 0, "", "", "")
 		f[4+3] = 1 // rsvd u8
 		c.conn.Write(f)
 		c.closedSoon()
@@ -292,7 +293,7 @@ func TestBinaryFramingViolationCloses(t *testing.T) {
 	t.Run("oversized-length", func(t *testing.T) {
 		c := dialBin(t, addr)
 		var lb [4]byte
-		binary.LittleEndian.PutUint32(lb[:], uint32(binMaxFrame+1))
+		binary.LittleEndian.PutUint32(lb[:], uint32(binwire.MaxFrame+1))
 		c.conn.Write(lb[:])
 		c.closedSoon()
 	})
@@ -305,7 +306,7 @@ func TestBinaryFramingViolationCloses(t *testing.T) {
 	})
 	t.Run("header-overruns-frame", func(t *testing.T) {
 		c := dialBin(t, addr)
-		f := binFrame(binOpGet, 0, 1, 0, "t", "k", "")
+		f := binFrame(binwire.OpGet, 0, 1, 0, "t", "k", "")
 		f[4+2] = 200 // tlen says 200, frame holds 2 bytes of body
 		c.conn.Write(f)
 		c.closedSoon()
@@ -319,14 +320,14 @@ func TestBinarySemanticErrorContinues(t *testing.T) {
 	_, srv := newTestServer(t)
 	c := dialBin(t, srv.Addr().String())
 
-	c.expect(binOpGet, 0, 1, 0, "ghost", "k", "", binStErr, "unknown tenant")
-	c.expect(binOpPing, 0, 2, 0, "", "", "", binStOK, "")
+	c.expect(binwire.OpGet, 0, 1, 0, "ghost", "k", "", binwire.StErr, "unknown tenant")
+	c.expect(binwire.OpPing, 0, 2, 0, "", "", "", binwire.StOK, "")
 
-	c.expect(binOpTenantAdd, 0, 3, 0, "t", "", "", binStOK, "\x00\x00\x00\x00")
+	c.expect(binwire.OpTenantAdd, 0, 3, 0, "t", "", "", binwire.StOK, "\x00\x00\x00\x00")
 	longKey := strings.Repeat("k", maxKeyLen+1)
-	c.expect(binOpGet, 0, 4, 0, "t", longKey, "", binStErr, "bad key length")
-	c.expect(binOpGet, 0, 5, 0, "t", "k", "value-on-a-get", binStErr, "unexpected value payload")
-	c.expect(binOpPing, 0, 6, 0, "", "", "", binStOK, "")
+	c.expect(binwire.OpGet, 0, 4, 0, "t", longKey, "", binwire.StErr, "bad key length")
+	c.expect(binwire.OpGet, 0, 5, 0, "t", "k", "value-on-a-get", binwire.StErr, "unexpected value payload")
+	c.expect(binwire.OpPing, 0, 6, 0, "", "", "", binwire.StOK, "")
 }
 
 // TestBinaryShed: the binary path honors the same global in-flight gate as
@@ -350,8 +351,8 @@ func TestBinaryShed(t *testing.T) {
 
 	tc.send("GET slow k") // text conn holds the single in-flight slot
 	time.Sleep(100 * time.Millisecond)
-	bc.expect(binOpGet, 0, 1, 0, "fast", "k", "", binStShed, "")
-	bc.expect(binOpPing, 0, 2, 0, "", "", "", binStOK, "") // conn survives
+	bc.expect(binwire.OpGet, 0, 1, 0, "fast", "k", "", binwire.StShed, "")
+	bc.expect(binwire.OpPing, 0, 2, 0, "", "", "", binwire.StOK, "") // conn survives
 
 	if got := tc.line(); got != "MISS" {
 		t.Fatalf("slow GET: %q", got)
@@ -360,7 +361,7 @@ func TestBinaryShed(t *testing.T) {
 		t.Fatal("RequestsShed not incremented")
 	}
 	// Slot free again: the same request succeeds.
-	bc.expect(binOpGet, 0, 3, 0, "fast", "k", "", binStMiss, "")
+	bc.expect(binwire.OpGet, 0, 3, 0, "fast", "k", "", binwire.StMiss, "")
 }
 
 // waitBinaryReaped drives a parked binary connection against a fake clock:
@@ -493,8 +494,8 @@ func TestBinaryIdleConnFootprint(t *testing.T) {
 		return conn
 	}
 	text := footprint(func() net.Conn { return dial([]byte("PING\r\n"), len("PONG\r\n")) })
-	binHello := append([]byte{binMagic, 'V', 'B', binVersion}, binFrame(binOpPing, 0, 1, 0, "", "", "")...)
-	bin := footprint(func() net.Conn { return dial(binHello, 4+4+binRespHdr) })
+	binHello := append([]byte{binwire.Magic, 'V', 'B', binwire.Version}, binFrame(binwire.OpPing, 0, 1, 0, "", "", "")...)
+	bin := footprint(func() net.Conn { return dial(binHello, 4+4+binwire.RespHdr) })
 	t.Logf("bytes per parked connection: text %d, binary %d", text, bin)
 	if bin > text {
 		t.Fatalf("a parked binary connection holds %d bytes, a text one %d", bin, text)
@@ -511,8 +512,8 @@ func TestBinaryLeftoverAfterPreamble(t *testing.T) {
 	}
 	t.Cleanup(func() { conn.Close() })
 
-	buf := []byte{binMagic, 'V', 'B', binVersion}
-	buf = append(buf, binFrame(binOpPing, 0, 77, 0, "", "", "")...)
+	buf := []byte{binwire.Magic, 'V', 'B', binwire.Version}
+	buf = append(buf, binFrame(binwire.OpPing, 0, 77, 0, "", "", "")...)
 	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +523,7 @@ func TestBinaryLeftoverAfterPreamble(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := c.resp()
-	if r.status != binStOK || r.id != 77 {
+	if r.status != binwire.StOK || r.id != 77 {
 		t.Fatalf("pipelined-with-preamble PING: %+v", r)
 	}
 }
@@ -538,10 +539,10 @@ func TestBinaryWriteBackpressure(t *testing.T) {
 	if tc, ok := c.conn.(*net.TCPConn); ok {
 		tc.SetReadBuffer(32 << 10) // shrink the client's window to force EAGAIN sooner
 	}
-	c.expect(binOpTenantAdd, 0, 0, 0, "t", "", "", binStOK, "\x00\x00\x00\x00")
+	c.expect(binwire.OpTenantAdd, 0, 0, 0, "t", "", "", binwire.StOK, "\x00\x00\x00\x00")
 
 	val := strings.Repeat("v", 512<<10)
-	c.expect(binOpPut, 0, 1, 0, "t", "big", val, binStOK, "")
+	c.expect(binwire.OpPut, 0, 1, 0, "t", "big", val, binwire.StOK, "")
 
 	// 64 GETs x 512 KiB = 32 MiB of responses, far beyond what the kernel
 	// will buffer on either end, so the server must hit a short write and
@@ -549,7 +550,7 @@ func TestBinaryWriteBackpressure(t *testing.T) {
 	const k = 64
 	var batch []byte
 	for i := 0; i < k; i++ {
-		batch = append(batch, binFrame(binOpGet, 0, uint32(10+i), 0, "t", "big", "")...)
+		batch = append(batch, binFrame(binwire.OpGet, 0, uint32(10+i), 0, "t", "big", "")...)
 	}
 	if _, err := c.conn.Write(batch); err != nil {
 		t.Fatal(err)
@@ -557,11 +558,11 @@ func TestBinaryWriteBackpressure(t *testing.T) {
 	time.Sleep(200 * time.Millisecond) // let the server wedge against full buffers
 	for i := 0; i < k; i++ {
 		r := c.resp()
-		if r.status != binStOK || r.id != uint32(10+i) || len(r.payload) != len(val) {
+		if r.status != binwire.StOK || r.id != uint32(10+i) || len(r.payload) != len(val) {
 			t.Fatalf("response %d: status=%d id=%d payload=%d bytes", i, r.status, r.id, len(r.payload))
 		}
 	}
-	c.expect(binOpPing, 0, 999, 0, "", "", "", binStOK, "")
+	c.expect(binwire.OpPing, 0, 999, 0, "", "", "", binwire.StOK, "")
 }
 
 // TestBinaryDropFaultAborts: a dispatcher drop fault on a binary data op
@@ -569,16 +570,16 @@ func TestBinaryWriteBackpressure(t *testing.T) {
 func TestBinaryDropFaultAborts(t *testing.T) {
 	svc, srv := newTestServer(t)
 	c := dialBin(t, srv.Addr().String())
-	c.expect(binOpTenantAdd, 0, 1, 0, "t", "", "", binStOK, "\x00\x00\x00\x00")
+	c.expect(binwire.OpTenantAdd, 0, 1, 0, "t", "", "", binwire.StOK, "\x00\x00\x00\x00")
 
 	svc.SetFaultInjector(injectorFunc(func(op Op, tenant string) Fault {
 		return Fault{Drop: true}
 	}))
-	c.send(binOpGet, 0, 2, 0, "t", "k", "")
+	c.send(binwire.OpGet, 0, 2, 0, "t", "k", "")
 	c.closedSoon()
 
 	// The server survives the abort and keeps serving new connections.
 	svc.SetFaultInjector(nil)
 	c2 := dialBin(t, srv.Addr().String())
-	c2.expect(binOpPing, 0, 3, 0, "", "", "", binStOK, "")
+	c2.expect(binwire.OpPing, 0, 3, 0, "", "", "", binwire.StOK, "")
 }

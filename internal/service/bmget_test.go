@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"vantage/internal/binwire"
 )
 
 // bmFrameN encodes a BMGET request frame with full control over the
@@ -20,10 +22,10 @@ func bmFrameN(flags uint8, id, ttlMS uint32, tenant string, count int, keys []st
 		body = append(body, k...)
 	}
 	body = append(body, extra...)
-	n := binReqHdr + len(tenant) + len(body)
-	b := make([]byte, 4+binReqHdr, 4+n)
+	n := binwire.ReqHdr + len(tenant) + len(body)
+	b := make([]byte, 4+binwire.ReqHdr, 4+n)
 	binary.LittleEndian.PutUint32(b[0:4], uint32(n))
-	b[4] = binOpBMGet
+	b[4] = binwire.OpBMGet
 	b[5] = flags
 	b[6] = uint8(len(tenant))
 	binary.LittleEndian.PutUint32(b[8:12], id)
@@ -112,15 +114,15 @@ func testBMGetRoundTrip(t *testing.T, pipelined bool) {
 			batch = append(batch, binFrame(op, 0, id, 0, tenant, key, val)...)
 			ids = append(ids, id)
 		} else {
-			c.expect(op, 0, id, 0, tenant, key, val, binStOK, wantPayload)
+			c.expect(op, 0, id, 0, tenant, key, val, binwire.StOK, wantPayload)
 		}
 	}
-	setup(binOpTenantAdd, 1, "alice", "", "", "\x00\x00\x00\x00")
+	setup(binwire.OpTenantAdd, 1, "alice", "", "", "\x00\x00\x00\x00")
 	for i := 0; i < 20; i++ {
 		k := "key-" + strconv.Itoa(i)
 		keys = append(keys, k)
 		if i%3 != 2 { // every third key stays missing
-			setup(binOpPut, uint32(10+i), "alice", k, "v"+strconv.Itoa(i), "")
+			setup(binwire.OpPut, uint32(10+i), "alice", k, "v"+strconv.Itoa(i), "")
 		}
 	}
 	if pipelined {
@@ -129,7 +131,7 @@ func testBMGetRoundTrip(t *testing.T, pipelined bool) {
 			t.Fatal(err)
 		}
 		for _, id := range ids {
-			if r := c.resp(); r.status != binStOK || r.id != id {
+			if r := c.resp(); r.status != binwire.StOK || r.id != id {
 				t.Fatalf("pipelined setup reply: status=%d id=%d, want OK id=%d", r.status, r.id, id)
 			}
 		}
@@ -137,7 +139,7 @@ func testBMGetRoundTrip(t *testing.T, pipelined bool) {
 		t.Fatal(err)
 	}
 	r := c.resp()
-	if r.status != binStOK || r.op != binOpBMGet || r.id != 99 {
+	if r.status != binwire.StOK || r.op != binwire.OpBMGet || r.id != 99 {
 		t.Fatalf("BMGET response: status=%d op=%d id=%d", r.status, r.op, r.id)
 	}
 	ents := parseBMGet(t, r.payload)
@@ -146,10 +148,10 @@ func testBMGetRoundTrip(t *testing.T, pipelined bool) {
 	}
 	for i, e := range ents {
 		if i%3 == 2 {
-			if e.status != binStMiss || e.val != "" {
+			if e.status != binwire.StMiss || e.val != "" {
 				t.Fatalf("key %d: got status=%d val=%q, want MISS", i, e.status, e.val)
 			}
-		} else if e.status != binStOK || e.val != "v"+strconv.Itoa(i) {
+		} else if e.status != binwire.StOK || e.val != "v"+strconv.Itoa(i) {
 			t.Fatalf("key %d: got status=%d val=%q, want OK v%d", i, e.status, e.val, i)
 		}
 	}
@@ -166,9 +168,9 @@ func testBMGetRoundTrip(t *testing.T, pipelined bool) {
 	hits, misses := 0, 0
 	for _, e := range []bmEntry{got1[0], got2[0]} {
 		switch {
-		case e.status == binStOK && e.val == "v0":
+		case e.status == binwire.StOK && e.val == "v0":
 			hits++
-		case e.status == binStMiss:
+		case e.status == binwire.StMiss:
 			misses++
 		}
 	}
@@ -197,7 +199,7 @@ func testBMGetRoundTrip(t *testing.T, pipelined bool) {
 func TestBMGetSemanticErrors(t *testing.T) {
 	_, srv := newBMGetServer(t, 2)
 	c := dialBin(t, srv.Addr().String())
-	c.expect(binOpTenantAdd, 0, 1, 0, "alice", "", "", binStOK, "\x00\x00\x00\x00")
+	c.expect(binwire.OpTenantAdd, 0, 1, 0, "alice", "", "", binwire.StOK, "\x00\x00\x00\x00")
 
 	cases := []struct {
 		name  string
@@ -215,12 +217,12 @@ func TestBMGetSemanticErrors(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := c.resp()
-		if r.status != binStErr || r.op != binOpBMGet || string(r.payload) != tcase.msg {
+		if r.status != binwire.StErr || r.op != binwire.OpBMGet || string(r.payload) != tcase.msg {
 			t.Fatalf("%s: got status=%d payload=%q, want ERR %q", tcase.name, r.status, r.payload, tcase.msg)
 		}
 	}
 	// The stream survives every semantic error.
-	c.expect(binOpPing, 0, 9, 0, "", "", "", binStOK, "")
+	c.expect(binwire.OpPing, 0, 9, 0, "", "", "", binwire.StOK, "")
 }
 
 func manyKeys(n int) []string {
@@ -245,7 +247,7 @@ func TestBMGetFramingViolations(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			_, srv := newBMGetServer(t, 1)
 			c := dialBin(t, srv.Addr().String())
-			c.expect(binOpTenantAdd, 0, 1, 0, "alice", "", "", binStOK, "\x00\x00\x00\x00")
+			c.expect(binwire.OpTenantAdd, 0, 1, 0, "alice", "", "", binwire.StOK, "\x00\x00\x00\x00")
 			if _, err := c.conn.Write(frame); err != nil {
 				t.Fatal(err)
 			}

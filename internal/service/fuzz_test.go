@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"vantage/internal/binwire"
 	"vantage/internal/clock"
 	"vantage/internal/textwire"
 )
@@ -186,20 +187,20 @@ func FuzzBinFrames(f *testing.F) {
 	addr := srv.Addr().String()
 
 	seeds := [][]byte{
-		binFrame(binOpPing, 0, 1, 0, "", "", ""),
-		binFrame(binOpTenantAdd, 0, 2, 0, "u", "", ""),
-		binFrame(binOpPut, 0, 3, 0, "t", "k", "hello"),
-		binFrame(binOpGet, 0, 4, 0, "t", "k", ""),
-		binFrame(binOpDel, 0, 5, 0, "t", "k", ""),
-		binFrame(binOpTouch, 0, 6, 250, "t", "k", ""),
-		binFrame(binOpPut, binFlagTTL, 7, 100, "t", "k", "v"),
-		binFrame(binOpGet, 0, 8, 0, "ghost", "k", ""),   // unknown tenant: ERR
-		binFrame(binOpGet, 0, 9, 0, "t", "", ""),        // zero-length key: ERR
-		binFrame(binOpGet, 0, 10, 0, "t", "k", "extra"), // value on a GET: ERR
-		binFrame(99, 0, 11, 0, "", "", ""),              // unknown opcode: close
-		{4, 0, 0, 0, 1, 0},                              // truncated frame
-		{255, 255, 255, 255},                            // absurd length: close
-		append(binFrame(binOpPing, 0, 12, 0, "", "", ""), binFrame(binOpPing, 0, 13, 0, "", "", "")...),
+		binFrame(binwire.OpPing, 0, 1, 0, "", "", ""),
+		binFrame(binwire.OpTenantAdd, 0, 2, 0, "u", "", ""),
+		binFrame(binwire.OpPut, 0, 3, 0, "t", "k", "hello"),
+		binFrame(binwire.OpGet, 0, 4, 0, "t", "k", ""),
+		binFrame(binwire.OpDel, 0, 5, 0, "t", "k", ""),
+		binFrame(binwire.OpTouch, 0, 6, 250, "t", "k", ""),
+		binFrame(binwire.OpPut, binwire.FlagTTL, 7, 100, "t", "k", "v"),
+		binFrame(binwire.OpGet, 0, 8, 0, "ghost", "k", ""),   // unknown tenant: ERR
+		binFrame(binwire.OpGet, 0, 9, 0, "t", "", ""),        // zero-length key: ERR
+		binFrame(binwire.OpGet, 0, 10, 0, "t", "k", "extra"), // value on a GET: ERR
+		binFrame(99, 0, 11, 0, "", "", ""),                   // unknown opcode: close
+		{4, 0, 0, 0, 1, 0},                                   // truncated frame
+		{255, 255, 255, 255},                                 // absurd length: close
+		append(binFrame(binwire.OpPing, 0, 12, 0, "", "", ""), binFrame(binwire.OpPing, 0, 13, 0, "", "", "")...),
 		// BMGET: valid multi-key, empty list (semantic ERR), truncated key
 		// list and trailing bytes (framing: close), oversized count, and two
 		// pipelined frames sharing an id.
@@ -208,14 +209,14 @@ func FuzzBinFrames(f *testing.F) {
 		bmFrameN(0, 16, 0, "t", 3, []string{"k"}, ""),
 		bmFrameN(0, 17, 0, "t", 1, []string{"k"}, "junk"),
 		bmFrameN(0, 18, 0, "t", maxBatchKeys+1, []string{"k"}, ""),
-		bmFrameN(binFlagTTL, 19, 250, "t", 1, []string{"k"}, ""),
+		bmFrameN(binwire.FlagTTL, 19, 250, "t", 1, []string{"k"}, ""),
 		append(bmFrame(20, "t", "k"), bmFrame(20, "t", "k", "k2")...),
 	}
 	for _, seed := range seeds {
 		f.Add(seed)
 	}
 
-	preamble := []byte{binMagic, 'V', 'B', binVersion}
+	preamble := []byte{binwire.Magic, 'V', 'B', binwire.Version}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip("oversized input")
@@ -353,7 +354,7 @@ func newCodecRig(t *testing.T, bin bool) *codecRig {
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	x := &codecRig{svc: svc, clk: clk, conn: conn, r: bufio.NewReader(conn), bin: bin}
 	if bin {
-		pre := []byte{binMagic, 'V', 'B', binVersion}
+		pre := []byte{binwire.Magic, 'V', 'B', binwire.Version}
 		if _, err := conn.Write(pre); err != nil {
 			t.Fatal(err)
 		}
@@ -378,9 +379,9 @@ func (x *codecRig) play(t *testing.T, o codecOp, id uint32) string {
 			var flags uint8
 			ttl := uint32(max(o.ttlMS, 0))
 			if o.kind == 1 && o.ttlMS >= 0 {
-				flags = binFlagTTL
+				flags = binwire.FlagTTL
 			}
-			op := []uint8{binOpGet, binOpPut, binOpDel, binOpTouch}[o.kind]
+			op := []uint8{binwire.OpGet, binwire.OpPut, binwire.OpDel, binwire.OpTouch}[o.kind]
 			msg = binFrame(op, flags, id, ttl, o.tenant, o.keys[0], o.val)
 		}
 	} else {
@@ -469,13 +470,13 @@ func (x *codecRig) binOutcome(t *testing.T, o codecOp, id uint32) string {
 	if binary.LittleEndian.Uint32(b[4:8]) != id {
 		t.Fatalf("binary reply id %d, want %d", binary.LittleEndian.Uint32(b[4:8]), id)
 	}
-	status, payload := b[0], b[binRespHdr:]
+	status, payload := b[0], b[binwire.RespHdr:]
 	switch {
-	case status == binStErr:
+	case status == binwire.StErr:
 		return "err"
-	case status == binStMiss:
+	case status == binwire.StMiss:
 		return "miss"
-	case status != binStOK:
+	case status != binwire.StOK:
 		return "unexpected status " + strconv.Itoa(int(status))
 	case o.kind == 0:
 		return "hit:" + string(payload)
@@ -484,7 +485,7 @@ func (x *codecRig) binOutcome(t *testing.T, o codecOp, id uint32) string {
 	}
 	var keys []string
 	for _, e := range parseBMGet(t, payload) {
-		if e.status == binStMiss {
+		if e.status == binwire.StMiss {
 			keys = append(keys, "miss")
 		} else {
 			keys = append(keys, "hit:"+e.val)

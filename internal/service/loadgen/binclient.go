@@ -1,10 +1,8 @@
 // The binary-protocol client: the same per-connection surface as the text
 // client (see the proto interface in loadgen.go), speaking the
-// length-prefixed frames of internal/service/binproto.go.
+// length-prefixed frames of package binwire.
 //
-// The wire constants below mirror the server's (which are unexported on
-// purpose: the frame layout is the contract, not a shared Go package). The
-// binary protocol has no MGET verb — a batch is simply Batch GET frames
+// The binary protocol has no MGET verb — a batch is simply Batch GET frames
 // written before one flush, which the server answers with one coalesced
 // write. Responses are matched back by the echoed request id, which the
 // protocol requires even though this server answers in request order.
@@ -16,33 +14,12 @@ package loadgen
 
 import (
 	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync/atomic"
-)
 
-// Wire constants, mirrored from internal/service/binproto.go.
-const (
-	binMagic   = 0x83
-	binVersion = 1
-	binReqHdr  = 16
-	binRespHdr = 8
-
-	binOpGet       = 1
-	binOpPut       = 2
-	binOpDel       = 3
-	binOpTouch     = 4
-	binOpPing      = 5
-	binOpTenantAdd = 6
-	binOpBMGet     = 11
-
-	binStOK   = 0
-	binStMiss = 1
-	binStErr  = 2
-	binStShed = 3
-
-	binFlagTTL = 1 << 0
+	"vantage/internal/binwire"
 )
 
 // binClient is a blocking binary-protocol client over one TCP connection.
@@ -51,7 +28,8 @@ type binClient struct {
 	r     *bufio.Reader
 	w     *bufio.Writer
 	id    uint32 // request id counter; responses echo it back in order
-	rbuf  []byte // response body scratch, grown as needed
+	out   []byte // request frame scratch
+	rbuf  []byte // response frame scratch, grown as needed
 	bmget bool   // batch reads as one BMGET frame instead of pipelined GETs
 }
 
@@ -66,28 +44,15 @@ func dialBin(addr, tenant string, bmget bool) (*binClient, error) {
 		return nil, err
 	}
 	c := &binClient{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn), bmget: bmget}
-	if _, err := conn.Write([]byte{binMagic, 'V', 'B', binVersion}); err != nil {
+	if err := binwire.Handshake(conn, c.r); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("%w (%v)", ErrBusy, err)
-	}
-	var ack [4]byte
-	if _, err := readFullBuf(c.r, ack[:]); err != nil {
-		conn.Close()
-		if isConnErr(err) {
+		if errors.Is(err, binwire.ErrNotBinary) || isConnErr(err) {
 			return nil, fmt.Errorf("%w (%v)", ErrBusy, err)
 		}
-		return nil, err
-	}
-	if ack[0] != binMagic {
-		conn.Close()
-		return nil, ErrBusy
-	}
-	if ack[3] != binVersion {
-		conn.Close()
-		return nil, fmt.Errorf("loadgen: binary version mismatch: server speaks v%d, client v%d", ack[3], binVersion)
+		return nil, fmt.Errorf("loadgen: %w", err)
 	}
 	id := c.nextID()
-	c.writeFrame(binOpTenantAdd, 0, id, 0, tenant, "", nil)
+	c.writeFrame(binwire.OpTenantAdd, 0, id, 0, tenant, "", nil)
 	if err := c.w.Flush(); err != nil {
 		conn.Close()
 		return nil, err
@@ -97,7 +62,7 @@ func dialBin(addr, tenant string, bmget bool) (*binClient, error) {
 		conn.Close()
 		return nil, err
 	}
-	if status != binStOK {
+	if status != binwire.StOK {
 		conn.Close()
 		return nil, fmt.Errorf("loadgen: binary TENANT_ADD: %s", payload)
 	}
@@ -110,75 +75,31 @@ func (c *binClient) nextID() uint32 { return atomic.AddUint32(&c.id, 1) }
 
 // writeFrame appends one request frame to the buffered writer.
 func (c *binClient) writeFrame(op, flags uint8, id, ttlMS uint32, tenant, key string, val []byte) {
-	var hdr [4 + binReqHdr]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(binReqHdr+len(tenant)+len(key)+len(val)))
-	hdr[4] = op
-	hdr[5] = flags
-	hdr[6] = uint8(len(tenant))
-	binary.LittleEndian.PutUint32(hdr[8:], id)
-	binary.LittleEndian.PutUint32(hdr[12:], ttlMS)
-	binary.LittleEndian.PutUint16(hdr[16:], uint16(len(key)))
-	c.w.Write(hdr[:])
-	c.w.WriteString(tenant)
-	c.w.WriteString(key)
-	c.w.Write(val)
-}
-
-// readFullBuf is io.ReadFull without the import dance around the text
-// client's helpers.
-func readFullBuf(r *bufio.Reader, buf []byte) (int, error) {
-	n := 0
-	for n < len(buf) {
-		m, err := r.Read(buf[n:])
-		n += m
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// readResp reads one response frame. The protocol does not promise
-// responses in request order, so callers match the echoed id against their
-// outstanding window rather than assuming FIFO. The returned payload aliases the
-// client's scratch buffer and is only valid until the next readResp.
-func (c *binClient) readResp() (status, op uint8, id uint32, payload []byte, err error) {
-	var lenb [4]byte
-	if _, err := readFullBuf(c.r, lenb[:]); err != nil {
-		return 0, 0, 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(lenb[:])
-	if n < binRespHdr || n > 1<<21 {
-		return 0, 0, 0, nil, fmt.Errorf("loadgen: bad binary response length %d", n)
-	}
-	if cap(c.rbuf) < int(n) {
-		c.rbuf = make([]byte, n)
-	}
-	body := c.rbuf[:n]
-	if _, err := readFullBuf(c.r, body); err != nil {
-		return 0, 0, 0, nil, err
-	}
-	return body[0], body[1], binary.LittleEndian.Uint32(body[4:]), body[binRespHdr:], nil
+	c.out = binwire.AppendReq(c.out[:0], op, flags, id, ttlMS, tenant, key, val)
+	c.w.Write(c.out)
 }
 
 // readRespFor reads the next response and requires it to answer wantID —
-// for callers with exactly one frame outstanding.
+// for callers with exactly one frame outstanding. The protocol does not
+// promise responses in request order, so callers with a batch outstanding
+// match each echoed id against their window instead (matchBatchID). A
+// payload aliases c.rbuf and is only valid until the next read.
 func (c *binClient) readRespFor(wantID uint32) (status uint8, payload []byte, err error) {
-	status, _, id, payload, err := c.readResp()
+	resp, err := binwire.ReadResp(c.r, &c.rbuf)
 	if err != nil {
 		return 0, nil, err
 	}
-	if id != wantID {
-		return 0, nil, fmt.Errorf("loadgen: binary response id %d, want %d (stream desynced)", id, wantID)
+	if resp.ID != wantID {
+		return 0, nil, fmt.Errorf("loadgen: binary response id %d, want %d (stream desynced)", resp.ID, wantID)
 	}
-	return status, payload, nil
+	return resp.Status, resp.Payload, nil
 }
 
 // classifyBinErr maps a status byte to the overload sentinels the chaos
 // counters understand. ERR payloads from the fault injector start with
 // "FAULT" (the text protocol prefixes the same message with "ERR ").
 func classifyBinErr(ctx string, status uint8, payload []byte) error {
-	if status == binStShed {
+	if status == binwire.StShed {
 		return ErrShed
 	}
 	if len(payload) >= 5 && string(payload[:5]) == "FAULT" {
@@ -190,7 +111,7 @@ func classifyBinErr(ctx string, status uint8, payload []byte) error {
 // get returns whether key hit. The value payload is read and discarded.
 func (c *binClient) get(tenant, key string) (bool, error) {
 	id := c.nextID()
-	c.writeFrame(binOpGet, 0, id, 0, tenant, key, nil)
+	c.writeFrame(binwire.OpGet, 0, id, 0, tenant, key, nil)
 	if err := c.w.Flush(); err != nil {
 		return false, err
 	}
@@ -199,9 +120,9 @@ func (c *binClient) get(tenant, key string) (bool, error) {
 		return false, err
 	}
 	switch status {
-	case binStOK:
+	case binwire.StOK:
 		return true, nil
-	case binStMiss:
+	case binwire.StMiss:
 		return false, nil
 	default:
 		return false, classifyBinErr("GET", status, payload)
@@ -211,13 +132,8 @@ func (c *binClient) get(tenant, key string) (bool, error) {
 // put stores val under key; ttlMS >= 0 sets the TTL flag and deadline.
 func (c *binClient) put(tenant, key string, val []byte, ttlMS int) error {
 	id := c.nextID()
-	var flags uint8
-	var ttl uint32
-	if ttlMS >= 0 {
-		flags = binFlagTTL
-		ttl = uint32(ttlMS)
-	}
-	c.writeFrame(binOpPut, flags, id, ttl, tenant, key, val)
+	flags, ttl := binwire.TTL(int64(ttlMS))
+	c.writeFrame(binwire.OpPut, flags, id, ttl, tenant, key, val)
 	if err := c.w.Flush(); err != nil {
 		return err
 	}
@@ -225,7 +141,7 @@ func (c *binClient) put(tenant, key string, val []byte, ttlMS int) error {
 	if err != nil {
 		return err
 	}
-	if status != binStOK {
+	if status != binwire.StOK {
 		return classifyBinErr("PUT", status, payload)
 	}
 	return nil
@@ -262,39 +178,17 @@ func (c *binClient) mget(tenant string, keys []string, missBuf []string) (hits, 
 	return c.mgetRecv(tok, tenant, keys, missBuf)
 }
 
-// writeBMGetFrame appends one BMGET request frame: the header's klen field
-// carries the key count and the body is tenant then count x (u16 len, key).
-func (c *binClient) writeBMGetFrame(id uint32, tenant string, keys []string) {
-	n := binReqHdr + len(tenant)
-	for _, k := range keys {
-		n += 2 + len(k)
-	}
-	var hdr [4 + binReqHdr]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(n))
-	hdr[4] = binOpBMGet
-	hdr[6] = uint8(len(tenant))
-	binary.LittleEndian.PutUint32(hdr[8:], id)
-	binary.LittleEndian.PutUint16(hdr[16:], uint16(len(keys)))
-	c.w.Write(hdr[:])
-	c.w.WriteString(tenant)
-	var kl [2]byte
-	for _, k := range keys {
-		binary.LittleEndian.PutUint16(kl[:], uint16(len(k)))
-		c.w.Write(kl[:])
-		c.w.WriteString(k)
-	}
-}
-
 // mgetSend writes the batch's read frames — one BMGET frame in bmget mode,
 // Batch pipelined GETs otherwise — and flushes. The returned token is the
 // base id mgetRecv matches responses against.
 func (c *binClient) mgetSend(tenant string, keys []string) (uint32, error) {
 	base := c.id
 	if c.bmget {
-		c.writeBMGetFrame(c.nextID(), tenant, keys)
+		c.out = binwire.AppendBMGet(c.out[:0], c.nextID(), tenant, keys)
+		c.w.Write(c.out)
 	} else {
 		for _, k := range keys {
-			c.writeFrame(binOpGet, 0, c.nextID(), 0, tenant, k, nil)
+			c.writeFrame(binwire.OpGet, 0, c.nextID(), 0, tenant, k, nil)
 		}
 	}
 	return base, c.w.Flush()
@@ -311,24 +205,24 @@ func (c *binClient) mgetRecv(base uint32, tenant string, keys []string, missBuf 
 	got := make([]bool, len(keys))
 	var firstErr error
 	for range keys {
-		status, _, id, payload, err := c.readResp()
+		resp, err := binwire.ReadResp(c.r, &c.rbuf)
 		if err != nil {
 			return hits, seen, missBuf, err // transport loss: stream is gone
 		}
-		idx, err := matchBatchID(id, base, got)
+		idx, err := matchBatchID(resp.ID, base, got)
 		if err != nil {
 			return hits, seen, missBuf, err
 		}
-		switch status {
-		case binStOK:
+		switch resp.Status {
+		case binwire.StOK:
 			hits++
 			seen++
-		case binStMiss:
+		case binwire.StMiss:
 			missBuf = append(missBuf, keys[idx])
 			seen++
 		default:
 			if firstErr == nil {
-				firstErr = classifyBinErr("GET", status, payload)
+				firstErr = classifyBinErr("GET", resp.Status, resp.Payload)
 			}
 		}
 	}
@@ -343,34 +237,22 @@ func (c *binClient) bmgetRecv(base uint32, keys []string, missBuf []string) (hit
 	if err != nil {
 		return 0, 0, missBuf, err
 	}
-	if status != binStOK {
+	if status != binwire.StOK {
 		return 0, 0, missBuf, classifyBinErr("BMGET", status, payload)
 	}
-	if len(payload) < 2 {
-		return 0, 0, missBuf, fmt.Errorf("loadgen: short BMGET payload (%d bytes)", len(payload))
+	b, err := binwire.CheckReply(payload, len(keys))
+	if err != nil {
+		return 0, 0, missBuf, fmt.Errorf("loadgen: %w", err)
 	}
-	count := int(binary.LittleEndian.Uint16(payload))
-	if count != len(keys) {
-		return 0, 0, missBuf, fmt.Errorf("loadgen: BMGET answered %d keys, want %d", count, len(keys))
-	}
-	p := payload[2:]
 	var firstErr error
-	for i := 0; i < count; i++ {
-		if len(p) < 5 {
-			return hits, seen, missBuf, fmt.Errorf("loadgen: truncated BMGET entry %d", i)
-		}
-		st := p[0]
-		vl := int(binary.LittleEndian.Uint32(p[1:5]))
-		p = p[5:]
-		if len(p) < vl {
-			return hits, seen, missBuf, fmt.Errorf("loadgen: truncated BMGET value %d", i)
-		}
-		p = p[vl:]
+	for i := range keys {
+		var st uint8
+		st, _, b = binwire.NextEntry(b)
 		switch st {
-		case binStOK:
+		case binwire.StOK:
 			hits++
 			seen++
-		case binStMiss:
+		case binwire.StMiss:
 			missBuf = append(missBuf, keys[i])
 			seen++
 		default:
@@ -399,14 +281,9 @@ func (c *binClient) putPipelined(tenant string, keys []string, val []byte, ttlMS
 // batchProto split); the returned token is the base id for putRecv.
 func (c *binClient) putSend(tenant string, keys []string, val []byte, ttlMS int) (uint32, error) {
 	base := c.id
-	var flags uint8
-	var ttl uint32
-	if ttlMS >= 0 {
-		flags = binFlagTTL
-		ttl = uint32(ttlMS)
-	}
+	flags, ttl := binwire.TTL(int64(ttlMS))
 	for _, key := range keys {
-		c.writeFrame(binOpPut, flags, c.nextID(), ttl, tenant, key, val)
+		c.writeFrame(binwire.OpPut, flags, c.nextID(), ttl, tenant, key, val)
 	}
 	return base, c.w.Flush()
 }
@@ -416,18 +293,18 @@ func (c *binClient) putRecv(base uint32, n int, chaos bool, tr *TenantResult) (s
 	got := make([]bool, n)
 	var firstErr error
 	for i := 0; i < n; i++ {
-		status, _, id, payload, err := c.readResp()
+		resp, err := binwire.ReadResp(c.r, &c.rbuf)
 		if err != nil {
 			return stored, err
 		}
-		if _, err := matchBatchID(id, base, got); err != nil {
+		if _, err := matchBatchID(resp.ID, base, got); err != nil {
 			return stored, err
 		}
-		if status == binStOK {
+		if resp.Status == binwire.StOK {
 			stored++
 			continue
 		}
-		err = classifyBinErr("PUT", status, payload)
+		err = classifyBinErr("PUT", resp.Status, resp.Payload)
 		if !chaos {
 			if firstErr == nil {
 				firstErr = err

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"vantage/internal/clock"
 	"vantage/internal/service"
 	"vantage/internal/workload"
 )
@@ -14,11 +15,18 @@ import (
 // are deterministic and isolated.
 func newBenchServer(t *testing.T, cfg service.ServerConfig) (addr string) {
 	t.Helper()
+	return newBenchServerAt(t, cfg, nil)
+}
+
+// newBenchServerAt is newBenchServer on clk (nil: the system clock).
+func newBenchServerAt(t *testing.T, cfg service.ServerConfig, clk clock.Clock) (addr string) {
+	t.Helper()
 	svc, err := service.New(service.Config{
 		Shards:        2,
 		LinesPerShard: 1024,
 		MaxTenants:    4,
 		Seed:          2011,
+		Clock:         clk,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +126,22 @@ func TestBinaryTTLFills(t *testing.T) {
 	}
 	if res2.Tenants[0].Misses == 0 {
 		t.Fatal("expected misses after TTL expiry, got none")
+	}
+
+	// A TTL past the u32 ttl_ms field saturates at ~49.7 days: a 50-day TTL
+	// once wrapped to about seven hours and was gone after eight.
+	clk := clock.NewFake(time.Unix(0, 0))
+	c, err := dialBin(newBenchServerAt(t, service.ServerConfig{}, clk), "t", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	if err := c.put("t", "k", []byte("v"), Tenant{TTL: 50 * 24 * time.Hour}.ttlMS()); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(8 * time.Hour)
+	if hit, err := c.get("t", "k"); err != nil || !hit {
+		t.Fatalf("a 50-day TTL expired within 8 hours (hit %v, %v)", hit, err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vantage/internal/binwire"
 	"vantage/internal/clock"
 	"vantage/internal/textwire"
 )
@@ -148,25 +149,16 @@ func (w *watchdog) disarm() {
 // injected error) answers a single ERR line before any key's response; the
 // server never aborts a batch midway. Clients may still treat an ERR line
 // anywhere in a batch as its end.
+//
+// The key, value and batch limits are the binary protocol's (binwire).
 const (
-	maxKeyLen   = 250
-	maxValueLen = 1 << 20
-	// maxBatchKeys bounds the keys per MGET command.
-	maxBatchKeys = 1024
+	maxKeyLen    = binwire.MaxKey
+	maxValueLen  = binwire.MaxValue
+	maxBatchKeys = binwire.MaxBatchKeys
 	// maxLineLen bounds one command line. The largest legitimate line is an
 	// MGET of maxBatchKeys maximum-length keys (~256 KiB); 512 KiB leaves
 	// headroom while still bounding what a hostile client can pin.
 	maxLineLen = 512 << 10
-)
-
-// Wire limits mirrored by ring-aware clients and the cluster proxy, which
-// must pre-validate frames before pipelining them onto shared backend
-// connections (a malformed frame would kill a connection other clients
-// are riding).
-const (
-	MaxKeyLen    = maxKeyLen
-	MaxValueLen  = maxValueLen
-	MaxBatchKeys = maxBatchKeys
 )
 
 // ServerConfig are the serving-layer overload knobs. The zero value imposes
@@ -198,7 +190,7 @@ type ServerConfig struct {
 }
 
 // Server serves the wire protocols over a listener. Create with Serve or
-// ServeWith. A connection's first byte selects the protocol: binMagic
+// ServeWith. A connection's first byte selects the protocol: binwire.Magic
 // (0x83, which can never start a CRLF verb) negotiates the binary framing
 // (see binproto.go), anything else is the text protocol.
 type Server struct {
@@ -323,13 +315,13 @@ func (s *Server) handle(conn net.Conn) {
 	if s.cfg.IdleTimeout > 0 || s.cfg.ReadTimeout > 0 {
 		rwd = newWatchdog(s.svc.clk, conn.SetReadDeadline)
 	}
-	// Protocol negotiation on the first byte: binMagic can never start a
+	// Protocol negotiation on the first byte: binwire.Magic can never start a
 	// text verb, and no text command starts with a byte >= 0x80, so one
 	// peek is unambiguous. The idle window covers the wait for that byte.
 	if rwd != nil && s.cfg.IdleTimeout > 0 {
 		rwd.arm(s.cfg.IdleTimeout)
 	}
-	if first, err := r.Peek(1); err != nil || first[0] == binMagic {
+	if first, err := r.Peek(1); err != nil || first[0] == binwire.Magic {
 		if err == nil {
 			s.handleBinary(conn, r, rwd)
 			return

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"vantage/internal/binwire"
 )
 
 // TestDeletedKeyTagAgesOut covers the dead-tag promotion bug: a GET whose tag
@@ -209,7 +211,7 @@ func TestGetHitZeroAllocs(t *testing.T) {
 	w := bufio.NewWriter(&text)
 	line := []byte("GET alice hot0")
 	bc := &binConn{}
-	get := binFrame(binOpGet, 0, 1, 0, "alice", "hot0", "")[4:]
+	get := binFrame(binwire.OpGet, 0, 1, 0, "alice", "hot0", "")[4:]
 	bmget := bmFrame(2, "alice", keys...)[4:]
 	for _, leg := range []struct {
 		name string
@@ -228,18 +230,18 @@ func TestGetHitZeroAllocs(t *testing.T) {
 		}},
 		{"binary GET", 1000, func() {
 			bc.out = bc.out[:0]
-			if err := srv.binExec(bc, get); err != nil || bc.out[4] != binStOK {
+			if err := srv.binExec(bc, get); err != nil || bc.out[4] != binwire.StOK {
 				t.Fatalf("binary GET: err %v reply %q", err, bc.out)
 			}
 		}},
 		{"32-key BMGET", 100, func() {
 			bc.out = bc.out[:0]
-			if err := srv.binExec(bc, bmget); err != nil || bc.out[4] != binStOK {
+			if err := srv.binExec(bc, bmget); err != nil || bc.out[4] != binwire.StOK {
 				t.Fatalf("BMGET: err %v reply %q", err, bc.out)
 			}
-			p := bc.out[4+binRespHdr+2:]
+			p := bc.out[4+binwire.RespHdr+2:]
 			for range keys {
-				if p[0] != binStOK {
+				if p[0] != binwire.StOK {
 					t.Fatalf("BMGET key missed: reply %q", bc.out)
 				}
 				p = p[5+binLE.Uint32(p[1:5]):]

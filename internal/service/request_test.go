@@ -4,6 +4,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"vantage/internal/binwire"
 )
 
 // countingInjector counts Fault calls and injects nothing.
@@ -30,7 +32,7 @@ func TestOneFaultDrawPerOp(t *testing.T) {
 		if _, err := bc.conn.Write(bmFrame(9, "t", "a", "b", "c")); err != nil {
 			t.Fatal(err)
 		}
-		if r := bc.resp(); r.status != binStOK || len(parseBMGet(t, r.payload)) != 3 {
+		if r := bc.resp(); r.status != binwire.StOK || len(parseBMGet(t, r.payload)) != 3 {
 			t.Fatalf("BMGET: status %d payload %q", r.status, r.payload)
 		}
 	}
@@ -58,10 +60,10 @@ func TestOneFaultDrawPerOp(t *testing.T) {
 				t.Fatalf("MGET: %q", got)
 			}
 		}},
-		{"binary GET", func() { bc.expect(binOpGet, 0, 1, 0, "t", "k", "", binStMiss, "") }},
-		{"binary PUT", func() { bc.expect(binOpPut, 0, 2, 0, "t", "k", "v", binStOK, "") }},
-		{"binary TOUCH", func() { bc.expect(binOpTouch, 0, 3, 1000, "t", "k", "", binStOK, "") }},
-		{"binary DEL", func() { bc.expect(binOpDel, 0, 4, 0, "t", "k", "", binStOK, "") }},
+		{"binary GET", func() { bc.expect(binwire.OpGet, 0, 1, 0, "t", "k", "", binwire.StMiss, "") }},
+		{"binary PUT", func() { bc.expect(binwire.OpPut, 0, 2, 0, "t", "k", "v", binwire.StOK, "") }},
+		{"binary TOUCH", func() { bc.expect(binwire.OpTouch, 0, 3, 1000, "t", "k", "", binwire.StOK, "") }},
+		{"binary DEL", func() { bc.expect(binwire.OpDel, 0, 4, 0, "t", "k", "", binwire.StOK, "") }},
 		{"binary BMGET", expectBMGet},
 		{"in-process GET", func() { _, hit, err := svc.GetB(tenant, key); inProcess(!hit, err) }},
 		{"in-process PUT", func() { inProcess(true, svc.PutBTTL(tenant, key, []byte("v"), 0)) }},
@@ -77,7 +79,7 @@ func TestOneFaultDrawPerOp(t *testing.T) {
 	// An unknown tenant is answered before the draw, on every codec.
 	before := ci.n.Load()
 	tc.expect("GET ghost k", `ERR service: unknown tenant "ghost"`)
-	bc.expect(binOpGet, 0, 5, 0, "ghost", "k", "", binStErr, "unknown tenant")
+	bc.expect(binwire.OpGet, 0, 5, 0, "ghost", "k", "", binwire.StErr, "unknown tenant")
 	if _, _, err := svc.Get("ghost", "k"); err == nil {
 		t.Fatal("in-process GET for an unknown tenant succeeded")
 	}
@@ -108,7 +110,7 @@ func TestMGetFaultsPerBatch(t *testing.T) {
 	tc.expect("MGET t 2 a b", "ERR FAULT injected")
 	tc.expect("PING", "PONG") // nothing of the batch follows the ERR line
 	bc.conn.Write(bmFrame(1, "t", "a", "b"))
-	if r := bc.resp(); r.status != binStErr || string(r.payload) != "FAULT injected" {
+	if r := bc.resp(); r.status != binwire.StErr || string(r.payload) != "FAULT injected" {
 		t.Fatalf("BMGET under an OpMGet fault: status %d payload %q", r.status, r.payload)
 	}
 	tc.expect("GET t a", "VALUE 2") // single-key reads are not OpMGet
@@ -127,10 +129,10 @@ func TestMGetFaultsPerBatch(t *testing.T) {
 	}
 	bc.conn.Write(bmFrame(2, "t", "a", "b"))
 	r := bc.resp()
-	if r.status != binStOK {
+	if r.status != binwire.StOK {
 		t.Fatalf("BMGET under an OpGet fault: status %d payload %q", r.status, r.payload)
 	}
-	if got := parseBMGet(t, r.payload); got[0] != (bmEntry{binStOK, "va"}) || got[1] != (bmEntry{binStMiss, ""}) {
+	if got := parseBMGet(t, r.payload); got[0] != (bmEntry{binwire.StOK, "va"}) || got[1] != (bmEntry{binwire.StMiss, ""}) {
 		t.Fatalf("BMGET under an OpGet fault: %+v", got)
 	}
 	tc.expect("GET t a", "ERR FAULT injected")

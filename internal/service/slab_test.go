@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"vantage/internal/binwire"
 	"vantage/internal/cache"
 	"vantage/internal/clock"
 	"vantage/internal/hash"
@@ -295,8 +296,8 @@ func TestPutInsertAllocs(t *testing.T) {
 	body := bufio.NewReader(strings.NewReader(strings.Repeat(string(val)+"\r\n", 1100)))
 	var line []byte
 	bc := &binConn{}
-	frame := binFrame(binOpPut, 0, 1, 0, "alice", string(key), string(val))[4:]
-	frameKey := frame[binReqHdr+len(tenant):][:len(key)]
+	frame := binFrame(binwire.OpPut, 0, 1, 0, "alice", string(key), string(val))[4:]
+	frameKey := frame[binwire.ReqHdr+len(tenant):][:len(key)]
 	for _, leg := range []struct {
 		name string
 		put  func(key []byte)
@@ -310,7 +311,7 @@ func TestPutInsertAllocs(t *testing.T) {
 		{"binary", func(key []byte) {
 			copy(frameKey, key)
 			bc.out = bc.out[:0]
-			if err := srv.binExec(bc, frame); err != nil || bc.out[4] != binStOK {
+			if err := srv.binExec(bc, frame); err != nil || bc.out[4] != binwire.StOK {
 				t.Fatalf("binary PUT: err %v reply %q", err, bc.out)
 			}
 		}},
