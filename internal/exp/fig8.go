@@ -31,20 +31,12 @@ type Fig8Result struct {
 }
 
 // RunFig8 traces partition `part` of the given mix under way-partitioning,
-// Vantage and PIPP.
+// Vantage and PIPP. Each scheme runs a fresh copy of the mix, from reference
+// zero.
 func RunFig8(m Machine, mixID string, part int) Fig8Result {
-	all := m.Mixes(0)
-	var mix workload.Mix
-	found := false
 	canonical := workload.CanonicalMixID(mixID)
-	for _, cand := range all {
-		if cand.ID == canonical {
-			mix, found = cand, true
-			break
-		}
-	}
-	if !found {
-		panic(fmt.Sprintf("exp: unknown mix %q", mixID))
+	if _, err := m.Mix(canonical); err != nil {
+		panic(fmt.Sprintf("exp: unknown mix %q: %v", mixID, err))
 	}
 	schemes := []Scheme{WayPartScheme(), DefaultVantageScheme(), PIPPScheme()}
 	out := Fig8Result{
@@ -70,7 +62,7 @@ func RunFig8(m Machine, mixID string, part int) Fig8Result {
 		}
 		alloc := ucp.NewPolicy(m.Cores, m.BaselineWays, m.L2Lines, sch.Granularity, m.Seed^0xa110c)
 		sim.Run(sim.Config{
-			Apps:               mix.Apps,
+			Apps:               m.ReplayOrRemake(nil, canonical).Apps,
 			L2:                 l2,
 			L1Lines:            m.L1Lines,
 			L1Ways:             m.L1Ways,

@@ -167,7 +167,6 @@ func (m Machine) Mixes(limit int) []workload.Mix {
 	return out
 }
 
-// RunMix simulates one mix on one scheme and returns the result.
 // Mix regenerates the single named mix with fresh app state. Mix generation
 // is deterministic per (class, index, machine seed), so the returned mix has
 // byte-identical app streams to the same entry of Mixes — but its own stream
@@ -184,6 +183,9 @@ func (m Machine) Mix(id string) (workload.Mix, error) {
 	return workload.NewMix(class, idx, m.Cores/4, workload.Params{CacheLines: m.L2Lines}, m.Seed), nil
 }
 
+// RunMix simulates one mix on one scheme and returns the result. The run
+// records the mix's post-L1 streams itself (see sim.Config.Apps), so it
+// consumes mix.Apps past the references it simulates: pass fresh apps.
 func (m Machine) RunMix(mix workload.Mix, sch Scheme) sim.Result {
 	cfg := m.runConfig(mix.ID, sch)
 	cfg.Apps = mix.Apps
@@ -192,7 +194,8 @@ func (m Machine) RunMix(mix workload.Mix, sch Scheme) sim.Result {
 
 // RunMixMiss simulates one mix on one scheme over memoized post-L1 segment
 // streams (see RecordMisses): bit-identical results to RunMix on the same
-// mix, with the private L1s' work done once instead of once per scheme.
+// mix, with the private L1s' work done once per mix instead of once per
+// scheme.
 func (m Machine) RunMixMiss(mixID string, miss []*sim.MissReplay, sch Scheme) sim.Result {
 	cfg := m.runConfig(mixID, sch)
 	cfg.Miss = miss
@@ -274,10 +277,11 @@ func (m Machine) Record(mix workload.Mix) *workload.MixRecording {
 // the baseline plus every scheme replay the shared post-L1 stream. Each
 // recorder consumes the raw recording through its own single replay cursor,
 // so raw chunks release right behind the filter and past the raw budget the
-// cursor claims the live source transparently. Returns nil — callers fall
-// back to raw replay — when recording is disabled or the machine has no L1s.
+// cursor claims the live source transparently. A machine without L1s gets
+// recorders whose every reference is a miss segment. Returns nil when
+// recording is disabled (rec == nil).
 func (m Machine) RecordMisses(rec *workload.MixRecording) []*sim.MissRecorder {
-	if rec == nil || m.L1Lines <= 0 {
+	if rec == nil {
 		return nil
 	}
 	out := make([]*sim.MissRecorder, len(rec.Recs))

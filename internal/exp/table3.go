@@ -47,10 +47,14 @@ func RunTable3(m Machine, appsPerCat int, progress func(done, total int)) Table3
 	done := 0
 	for cat := workload.Insensitive; cat <= workload.Thrashing; cat++ {
 		for k := 0; k < appsPerCat; k++ {
+			// Every size runs the app from reference zero: a copy of the
+			// generator state rebuilds it draw for draw.
+			drawn := *rng
 			app := workload.NewApp(cat, params, rng)
 			row := Table3Row{App: app.Name(), Intended: cat}
 			for _, lines := range sizes {
-				row.MPKI = append(row.MPKI, soloRun(m, app, lines))
+				fresh := drawn
+				row.MPKI = append(row.MPKI, soloRun(m, workload.NewApp(cat, params, &fresh), lines))
 				done++
 				if progress != nil {
 					progress(done, total)

@@ -71,8 +71,7 @@ func newTicker(total int, progress func(done, total int)) func() {
 // executes, so at most GOMAXPROCS simulations are alive and no worker idles
 // while a job is left. The first job of a mix to start builds the mix's
 // streams under a sync.Once: a windowed post-L1 cursor per run (see
-// RecordMisses), raw replay cursors when the machine has no L1s, regenerated
-// apps when recording is disabled. Run ri always reads cursor ri from
+// RecordMisses), or regenerated apps when recording is disabled. Run ri always reads cursor ri from
 // reference zero, so no result depends on which worker ran which job. The
 // last job of the mix to finish drops the streams and calls done, on its own
 // worker. tick is called once per finished run.
@@ -91,11 +90,8 @@ func (m Machine) runMixes(mixes []workload.Mix, runs []Scheme, tick func(), done
 		st.once.Do(func() {
 			st.res = make([]sim.Result, len(runs))
 			st.left.Store(int64(len(runs)))
-			rec := m.Record(mixes[i])
-			if recs := m.RecordMisses(rec); recs != nil {
+			if recs := m.RecordMisses(m.Record(mixes[i])); recs != nil {
 				st.miss = MissSets(recs, len(runs))
-			} else if rec != nil {
-				st.replayed = rec.ReplayAll(len(runs))
 			} else {
 				st.replayed = make([]workload.Mix, len(runs))
 				for r := range st.replayed {

@@ -7,43 +7,49 @@ import (
 	"vantage/internal/workload"
 )
 
-// This file memoizes the post-L1 reference stream. The private L1s are
-// feedback-free: lookups, fills, evictions and the coarse LRU timestamp are
-// pure functions of the address sequence (nothing flows back from the shared
-// L2), and every scheme run of a mix drives identical L1 geometry with
-// identical recorded streams. The L1 hit/miss sequence is therefore
-// scheme-independent and can be computed once per (mix, app) and shared by
-// the baseline and every partitioning scheme — which also shrinks the
-// simulator's hot loop by the L1 hit rate (roughly 3x fewer scheduler steps),
-// because runs of L1 hits collapse into a single cycle/instruction delta.
+// This file memoizes the post-L1 reference stream, which is what every Run
+// simulates. The private L1s are feedback-free: lookups, fills, evictions
+// and the coarse LRU timestamp are pure functions of the address sequence
+// (nothing flows back from the shared L2), and every scheme run of a mix
+// drives identical L1 geometry with identical streams. The L1 hit/miss
+// sequence is therefore scheme-independent and can be computed once per
+// (mix, app) and shared by the baseline and every partitioning scheme. It
+// also shrinks the scheduler's work by the L1 hit rate (roughly 3x fewer
+// steps), because runs of L1 hits collapse into a single cycle/instruction
+// delta.
 //
-// Equivalence argument (locked down by TestFilteredMatchesUnfiltered and the
-// golden fingerprints in internal/exp):
+// Equivalence argument, against the reference-by-reference simulation of the
+// same machine that the tests keep as their reference (runReference; locked
+// down by TestFilteredMatchesUnfiltered and the golden fingerprints in
+// internal/exp):
 //
 //   - L1 hits touch no shared state, so only the interleaving of post-L1
-//     accesses matters. The per-reference scheduler steps cores in
-//     (cycle, index) order; its L2 accesses therefore execute in
-//     (missCycle, coreIndex) order. The filtered scheduler keys its heap on
-//     exactly that pair, so the shared cache and the UMONs observe the same
-//     access sequence.
+//     accesses matters. The reference steps cores in (cycle, index) order;
+//     its L2 accesses therefore execute in (missCycle, coreIndex) order. Run
+//     keys its scheduler on exactly that pair, so the shared cache and the
+//     UMONs observe the same access sequence.
 //   - UCP repartitions when the global cycle low-water mark crosses a
-//     boundary. In the per-reference loop the low-water mark advances by at
-//     most one reference's cycles per step, so each boundary fires at the
-//     first step at or past it — after every L2 access below the boundary
-//     and before every L2 access at or above it, with only shared-state-free
-//     L1 hit steps in between. The filtered loop fires each boundary at the
-//     first popped miss at or past it, which is the same point in the L2
-//     access (and UMON mutation) sequence.
+//     boundary. In the reference the low-water mark advances by at most one
+//     reference's cycles per step, so each boundary fires at the first step
+//     at or past it: after every L2 access below the boundary and before
+//     every L2 access at or above it, with only shared-state-free L1 hit
+//     steps in between. Run fires each boundary at the first miss at or past
+//     it, which is the same point in the L2 access (and UMON mutation)
+//     sequence.
 //   - Measurement bookkeeping is exact because segments never span a regime
 //     change: the recorder splits at the warmup-to-measurement transition
 //     and at the instruction-limit crossing, so warmup credit, IPC windows,
 //     freeze cycles and hit/miss counters aggregate to identical values.
 //
-// Residual divergence: Result.Repartitions can omit trailing boundary
-// crossings that the per-reference loop still flushed after the last L2
-// access (allocator decisions that no access ever observes), and
-// OnRepartition cycle stamps would differ — Run therefore rejects filtered
-// configs with an OnRepartition observer.
+// Residual divergence, all of it after or beside the measured behaviour:
+//
+//   - Result.Repartitions can omit trailing boundary crossings that the
+//     reference still flushes on L1-hit steps after the last L2 access:
+//     allocator decisions that no access ever observes.
+//   - The controller state after the last freeze can differ by those same
+//     decisions: Run stops at the last freeze without them.
+//   - OnRepartition is stamped with the boundary cycle k*RepartitionCycles,
+//     not with the clock of the step that crossed it.
 
 // A filtered stream is a sequence of packed two-word segments, each "a run of
 // L1 hits, optionally terminated by one L1 miss":
@@ -58,10 +64,11 @@ import (
 // address and missGap (15 bits) its instruction gap: the miss occurs at
 // clock+preHits, issues at clock+preHits+missGap, and its (scheme-dependent)
 // latency stays in the simulator. Hit-only segments (hasMiss == 0) appear
-// where the recorder was forced to split. The field widths hold by
-// construction: addresses are recorded (packed) form, gaps are geometric
-// with small means, and the hits bound forces a split; emit panics loudly on
-// violation rather than truncating.
+// where the recorder was forced to split. The hits, preHits and steps fields
+// hold by construction: the recorder splits before they overflow. The gap
+// and address fields bound what an app may produce (gaps of at most 2^15-1,
+// line addresses below 2^32), and extendLocked panics on a reference outside
+// them rather than truncating it.
 const (
 	missChunkSegs = 1 << 13 // segments per chunk: two words each, 128 KiB
 	// missChunkRefs caps the raw references filtered per chunk, so a chunk is
@@ -77,29 +84,24 @@ const (
 	segHitsMax   = 1<<16 - 1
 	segAddrMask  = 1<<32 - 1
 	segPreMax    = 1<<32 - 1
-
-	// flatSchedCores is the core count at or below which runFiltered's
-	// scheduler uses a flat argmin scan instead of the 8-ary heap.
-	flatSchedCores = 64
 )
 
 // MissRecorder computes and memoizes one app's post-L1 segment stream. It is
 // safe for concurrent readers: all chunk-table state is guarded by mu (reads
-// lock only once per chunk), published chunks are immutable, and the table
-// entries behind every reader of the MissSet are dropped so resident memory
-// tracks the reader spread, not the stream length.
+// lock only once per chunk), and a chunk every reader of the MissSet has
+// finished is recycled, so resident memory tracks the reader spread, not the
+// stream length.
 type MissRecorder struct {
 	mu sync.Mutex
 
-	// Raw reference source (typically a windowed replay cursor over the raw
-	// recording, which releases raw chunks right behind this reader) and its
-	// packed fast path.
-	src    workload.App
-	packed workload.PackedApp
-	refs   []uint64
-	refPos int
+	// Raw reference source: typically a windowed replay cursor over the raw
+	// recording, which releases raw chunks right behind this reader.
+	src workload.RefReader
+	// core is the core index a misfit reference's panic names; -1 if the
+	// recorder was not built by Run.
+	core int
 
-	l1       *l1Cache
+	l1       *l1Cache // nil without private L1s: every reference misses
 	latL1Hit uint64
 
 	// Warmup/measurement replica of the simulator's per-core bookkeeping,
@@ -117,6 +119,7 @@ type MissRecorder struct {
 	chunks   [][]uint64
 	filled   int
 	building []uint64
+	spare    []uint64 // the last finished chunk's buffer, emptied, or nil
 
 	cursorPos []int
 	released  int
@@ -124,9 +127,10 @@ type MissRecorder struct {
 
 // NewMissRecorder wraps a raw reference stream in a post-L1 segment
 // recorder. src must start at reference zero; l1Lines/l1Ways and lat must
-// match the simulator configuration the replays will run under, and
-// warmupInstr/instrLimit must match so regime splits land on the exact
-// references where the simulator's bookkeeping transitions.
+// match the simulator configuration the replays will run under (l1Lines 0:
+// no L1, every reference is a miss), and warmupInstr/instrLimit must match
+// so regime splits land on the exact references where the simulator's
+// bookkeeping transitions.
 func NewMissRecorder(src workload.App, l1Lines, l1Ways int, lat Latencies, warmupInstr, instrLimit uint64) *MissRecorder {
 	if src == nil {
 		panic("sim: NewMissRecorder requires a source stream")
@@ -138,19 +142,21 @@ func NewMissRecorder(src workload.App, l1Lines, l1Ways int, lat Latencies, warmu
 		lat = DefaultLatencies()
 	}
 	mr := &MissRecorder{
-		src:      src,
-		l1:       newL1Cache(l1Lines, l1Ways),
+		src:      workload.NewRefReader(src),
+		core:     -1,
 		latL1Hit: uint64(lat.L1Hit),
 		warmLeft: warmupInstr,
 		limit:    instrLimit,
 	}
-	mr.packed, _ = src.(workload.PackedApp)
+	if l1Lines > 0 {
+		mr.l1 = newL1Cache(l1Lines, l1Ways)
+	}
 	return mr
 }
 
 // MissSet returns n independent read cursors over the segment stream and
-// enables windowed release: a chunk is dropped once every cursor has moved
-// past it. Call once, before any reading.
+// enables windowed recycling: a chunk's buffer is reused once every cursor
+// has fetched the chunk after it. Call once, before any reading.
 func (mr *MissRecorder) MissSet(n int) []*MissReplay {
 	if n <= 0 {
 		panic("sim: MissSet needs at least one cursor")
@@ -166,23 +172,6 @@ func (mr *MissRecorder) MissSet(n int) []*MissReplay {
 		out[i] = &MissReplay{mr: mr, idx: i}
 	}
 	return out
-}
-
-// nextRef pulls one raw reference. Callers hold mr.mu.
-func (mr *MissRecorder) nextRef() (gap int, addr uint64) {
-	if mr.refPos < len(mr.refs) {
-		gap, addr = workload.UnpackRef(mr.refs[mr.refPos])
-		mr.refPos++
-		return gap, addr
-	}
-	if mr.packed != nil {
-		if mr.refs = mr.packed.NextPacked(); len(mr.refs) > 0 {
-			mr.refPos = 1
-			return workload.UnpackRef(mr.refs[0])
-		}
-		mr.packed = nil // source fell through to live generation
-	}
-	return mr.src.Next()
 }
 
 // emit appends one segment to the chunk under construction. Callers hold
@@ -205,16 +194,19 @@ func (mr *MissRecorder) flushHits() {
 // publishes it — full in the common case, shorter when the reference cap is
 // reached first (rare misses). Callers hold mr.mu.
 func (mr *MissRecorder) extendLocked() {
-	if mr.building == nil {
+	if mr.building, mr.spare = mr.spare, nil; mr.building == nil {
 		mr.building = make([]uint64, 0, 2*missChunkSegs)
 	}
 	for budget := missChunkRefs; budget > 0 && len(mr.building) < 2*missChunkSegs; budget-- {
-		gap, addr := mr.nextRef()
-		if gap < 0 || uint64(gap) > segGapMax || addr > segAddrMask {
-			panic(fmt.Sprintf("sim: reference does not fit segment form (gap=%d addr=%#x)", gap, addr))
+		gap, addr := mr.src.Next()
+		if gap < 0 || gap > segGapMax {
+			panic(fmt.Sprintf("sim: core %d: instruction gap %d outside 0..%d", mr.core, gap, segGapMax))
+		}
+		if addr > segAddrMask {
+			panic(fmt.Sprintf("sim: core %d: line address %#x not below 2^32", mr.core, addr))
 		}
 		steps := uint64(gap) + 1
-		if mr.l1.access(addr) {
+		if mr.l1 != nil && mr.l1.access(addr) {
 			mr.pendHits++
 			mr.pendPre += uint64(gap) + mr.latL1Hit
 			mr.pendSteps += steps
@@ -266,8 +258,10 @@ func (mr *MissRecorder) track(steps uint64) bool {
 	return false
 }
 
-// releaseLocked drops chunk-table entries every cursor has passed. Callers
-// hold mr.mu.
+// releaseLocked drops the chunks every cursor has finished and keeps the
+// last one's buffer for the next extension. A cursor is still reading the
+// chunk it fetched last, so a chunk is finished only once every cursor has
+// fetched the one after it. Callers hold mr.mu.
 func (mr *MissRecorder) releaseLocked() {
 	lo := mr.cursorPos[0]
 	for _, p := range mr.cursorPos[1:] {
@@ -275,7 +269,8 @@ func (mr *MissRecorder) releaseLocked() {
 			lo = p
 		}
 	}
-	for ; mr.released < lo; mr.released++ {
+	for ; mr.released < lo-1; mr.released++ {
+		mr.spare = mr.chunks[mr.released][:0]
 		mr.chunks[mr.released] = nil
 	}
 }
@@ -290,9 +285,11 @@ type MissReplay struct {
 }
 
 // NextChunk returns the next chunk of packed segments and advances past it,
-// extending the recording as needed. The stream never ends (the raw source
-// falls through to live generation past its own budget); chunks are full in
-// the common case and shorter when the per-chunk reference cap hit first.
+// extending the recording as needed. The chunk stays valid until this
+// cursor's next NextChunk call; after that its buffer may be recycled. The
+// stream never ends (the raw source falls through to live generation past
+// its own budget); chunks are full in the common case and shorter when the
+// per-chunk reference cap hit first.
 func (r *MissReplay) NextChunk() []uint64 {
 	mr := r.mr
 	mr.mu.Lock()
@@ -321,23 +318,23 @@ func (r *MissReplay) NextChunk() []uint64 {
 // number of references. A frozen core may never miss its L1 again: an app
 // whose working set fits the L1 stops missing once it is warm. So a frozen
 // core that reads a whole chunk without a miss stops searching. It is
-// rescheduled at its own clock with no pending miss (hitsOnly), and
-// runFiltered resumes the search when it pops. Its eventual miss, if any, is
-// at or after that clock, so the L2 access order is unchanged.
+// rescheduled at its own clock with no pending miss (hitsOnly), and Run
+// resumes the search when it pops. Its eventual miss, if any, is at or
+// after that clock, so the L2 access order is unchanged.
 func (rs *runState) advanceMiss(c *coreState, ci int) {
 	fetched := false
 	for {
-		if c.mpos == len(c.msegs) {
+		if c.pos == len(c.segs) {
 			if fetched && c.frozen {
 				c.missCycle, c.hitsOnly = c.cycle, true
 				return
 			}
-			c.msegs = c.mstream.NextChunk()
-			c.mpos = 0
+			c.segs = c.stream.NextChunk()
+			c.pos = 0
 			fetched = true
 		}
-		w0, w1 := c.msegs[c.mpos], c.msegs[c.mpos+1]
-		c.mpos += 2
+		w0, w1 := c.segs[c.pos], c.segs[c.pos+1]
+		c.pos += 2
 		pre, steps := w1>>32, w1&segPreMax
 		if w0&segMissFlag != 0 {
 			c.missCycle = c.cycle + pre
@@ -347,152 +344,10 @@ func (rs *runState) advanceMiss(c *coreState, ci int) {
 			c.segSteps = steps
 			return
 		}
-		hits := w0 >> segHitsShift & segHitsMax
-		measuring := c.warmLeft == 0 && !c.frozen
+		if c.warmLeft == 0 && !c.frozen {
+			c.stats.L1Accesses += w0 >> segHitsShift & segHitsMax
+		}
 		c.cycle += pre
-		if measuring {
-			c.stats.L1Accesses += hits
-			c.instrs += steps
-			if c.instrs >= rs.instrLimit {
-				rs.freeze(c)
-			}
-		} else if c.warmLeft > 0 {
-			if c.warmLeft > steps {
-				c.warmLeft -= steps
-			} else {
-				c.warmLeft = 0
-				c.startCycle = c.cycle
-			}
-		}
-	}
-}
-
-// runFiltered is the main loop over memoized post-L1 segments: the scheduler
-// heap keys each core by the cycle of its next pending L2 access, so pops
-// replay exactly the (missCycle, coreIndex) order the per-reference loop
-// produces (see the equivalence argument at the top of this file).
-func (rs *runState) runFiltered(cfg *Config, res *Result) {
-	n := len(rs.cores)
-	rs.instrLimit = cfg.InstrLimit
-	for i := range rs.cores {
-		rs.advanceMiss(&rs.cores[i], i)
-		rs.heap[i] = rs.cores[i].missCycle<<rs.ciBits | uint64(i)
-	}
-	// At small core counts the scheduler drops the heap entirely: rs.heap
-	// becomes a flat per-core key array (slot i always holds core i's key)
-	// plus a cached minimum per group of eight cores. An event then costs
-	// one scan over the group minima (pop) and one eight-wide rescan of the
-	// updated core's group — about a dozen branch-predictable compares with
-	// no sift writes. The packed keys are unique (the core index is in the
-	// low bits), so the strict-< minimum over group minima is exactly the
-	// heap's pop and the replay order is unchanged.
-	flat := n <= flatSchedCores
-	var gmin []uint64
-	keys := rs.heap[:n]
-	if flat {
-		gmin = make([]uint64, (n+7)/8)
-		for g := range gmin {
-			lo := g << 3
-			hi := lo + 8
-			if hi > n {
-				hi = n
-			}
-			m := keys[lo]
-			for _, k := range keys[lo+1 : hi] {
-				if k < m {
-					m = k
-				}
-			}
-			gmin[g] = m
-		}
-	} else {
-		// Unlike the all-zero per-reference start, initial miss cycles are
-		// arbitrary, so establish the heap invariant explicitly (bottom-up
-		// from the last slot with children in the 8-ary layout).
-		for i := (n - 2) / 8; i >= 0; i-- {
-			rs.siftDown(i)
-		}
-	}
-
-	nextRepart := cfg.RepartitionCycles
-	repartEnabled := rs.alloc != nil && cfg.RepartitionCycles > 0
-	for rs.remaining > 0 {
-		var ci int
-		if flat {
-			min := gmin[0]
-			for _, k := range gmin[1:] {
-				if k < min {
-					min = k
-				}
-			}
-			ci = int(min & rs.ciMask)
-		} else {
-			ci = int(rs.heap[0] & rs.ciMask)
-		}
-		c := &rs.cores[ci]
-
-		if c.hitsOnly {
-			// A frozen core with no pending miss (see advanceMiss): it only
-			// reads on, with no L2 access and no repartition.
-			c.hitsOnly = false
-		} else {
-			// Fire every boundary at or below this miss. The per-reference
-			// loop spread these fires over intervening L1-hit steps, which
-			// mutate nothing the allocator or cache can see, so firing them
-			// back to back here leaves identical state for the access below.
-			for repartEnabled && c.missCycle >= nextRepart {
-				rs.repartition(cfg, res)
-				nextRepart += cfg.RepartitionCycles
-			}
-
-			lat, l2Hit := rs.accessL2(c.missAddr, ci)
-			now := c.missCycle + c.missGap
-			lat += int(rs.cont.l2Delay(c.missAddr, now))
-			if !l2Hit {
-				lat += int(rs.cont.memDelay(now))
-			}
-			measuring := c.warmLeft == 0 && !c.frozen
-			steps := c.segSteps
-			c.cycle = now + uint64(lat)
-			if measuring {
-				c.stats.L1Accesses += c.segHits + 1
-				c.stats.L1Misses++
-				c.stats.L2Accesses++
-				if !l2Hit {
-					c.stats.L2Misses++
-				}
-				c.instrs += steps
-				if c.instrs >= cfg.InstrLimit {
-					rs.freeze(c)
-				}
-			} else if c.warmLeft > 0 {
-				if c.warmLeft > steps {
-					c.warmLeft -= steps
-				} else {
-					c.warmLeft = 0
-					c.startCycle = c.cycle
-				}
-			}
-		}
-		rs.advanceMiss(c, ci)
-		if flat {
-			keys[ci] = c.missCycle<<rs.ciBits | uint64(ci)
-			g := ci >> 3
-			lo := g << 3
-			hi := lo + 8
-			if hi > n {
-				hi = n
-			}
-			m := keys[lo]
-			for _, k := range keys[lo+1 : hi] {
-				if k < m {
-					m = k
-				}
-			}
-			gmin[g] = m
-		} else {
-			rs.heap[0] = c.missCycle<<rs.ciBits | uint64(ci)
-			rs.fixRoot()
-		}
+		rs.retire(c, steps)
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"vantage/internal/cache"
 	"vantage/internal/core"
 	"vantage/internal/ctrl"
+	"vantage/internal/trace"
 	"vantage/internal/ucp"
 	"vantage/internal/workload"
 )
@@ -37,66 +39,63 @@ func filterRecorders(l1Lines, l1Ways int, warmup, limit uint64) []*MissRecorder 
 	return out
 }
 
-// TestFilteredMatchesUnfiltered is the bit-identity contract of the filtered
-// path: Config.Miss must reproduce the per-reference loop's Result exactly —
-// per-core counters, IPC, throughput and finish cycles — on both an
-// unpartitioned LRU baseline and a repartitioning Vantage+UCP scheme
-// (covering warmup splits, freeze splits and repartition firing).
+// TestFilteredMatchesUnfiltered is the bit-identity contract of the segment
+// scheduler: Run must reproduce the reference-by-reference loop's Result
+// exactly — per-core counters, IPC, throughput and finish cycles — on an
+// unpartitioned LRU baseline, a repartitioning Vantage+UCP scheme (covering
+// warmup splits, freeze splits and repartition firing), and a machine
+// without L1s.
 func TestFilteredMatchesUnfiltered(t *testing.T) {
 	const (
-		l1Lines = 64
-		l1Ways  = 4
-		warmup  = 150000
-		limit   = 300000
+		l1Ways = 4
+		warmup = 150000
+		limit  = 300000
 	)
 	type build func() (ctrl.Controller, Allocator, int)
-	schemes := map[string]build{
-		"lru": func() (ctrl.Controller, Allocator, int) {
-			return lruL2(1024), nil, 0
-		},
-		"vantage-ucp": func() (ctrl.Controller, Allocator, int) {
-			arr := cache.NewZCache(1024, 4, 52, 21)
-			vc := core.New(arr, core.Config{Partitions: 4, UnmanagedFrac: 0.05, AMax: 0.5, Slack: 0.1})
-			return vc, ucp.NewPolicy(4, 16, 1024, ucp.GranLines, 23), 972
-		},
+	lru := func() (ctrl.Controller, Allocator, int) { return lruL2(1024), nil, 0 }
+	vantageUCP := func() (ctrl.Controller, Allocator, int) {
+		arr := cache.NewZCache(1024, 4, 52, 21)
+		vc := core.New(arr, core.Config{Partitions: 4, UnmanagedFrac: 0.05, AMax: 0.5, Slack: 0.1})
+		return vc, ucp.NewPolicy(4, 16, 1024, ucp.GranLines, 23), 972
 	}
-	for name, mk := range schemes {
-		l2, alloc, partLines := mk()
-		want := Run(Config{
-			Apps:               filterApps(),
-			L2:                 l2,
-			L1Lines:            l1Lines,
-			L1Ways:             l1Ways,
-			InstrLimit:         limit,
-			WarmupInstr:        warmup,
-			Alloc:              alloc,
-			RepartitionCycles:  200000,
-			PartitionableLines: partLines,
-		})
-		recs := filterRecorders(l1Lines, l1Ways, warmup, limit)
-		miss := make([]*MissReplay, len(recs))
-		for i, mr := range recs {
-			miss[i] = mr.MissSet(1)[0]
+	for _, sc := range []struct {
+		name    string
+		l1Lines int
+		mk      build
+	}{
+		{"lru", 64, lru},
+		{"vantage-ucp", 64, vantageUCP},
+		{"lru-noL1", 0, lru},
+	} {
+		cfg := func() Config {
+			l2, alloc, partLines := sc.mk()
+			return Config{
+				L2:                 l2,
+				L1Lines:            sc.l1Lines,
+				L1Ways:             l1Ways,
+				InstrLimit:         limit,
+				WarmupInstr:        warmup,
+				Alloc:              alloc,
+				RepartitionCycles:  200000,
+				PartitionableLines: partLines,
+			}
 		}
-		l2, alloc, partLines = mk()
-		got := Run(Config{
-			Miss:               miss,
-			L2:                 l2,
-			InstrLimit:         limit,
-			WarmupInstr:        warmup,
-			Alloc:              alloc,
-			RepartitionCycles:  200000,
-			PartitionableLines: partLines,
-		})
-		if !reflect.DeepEqual(got.Cores, want.Cores) {
-			t.Errorf("%s: filtered per-core stats diverge:\n got %+v\nwant %+v", name, got.Cores, want.Cores)
+		ref := cfg()
+		ref.Apps = filterApps()
+		want := runReference(ref)
+
+		got := cfg()
+		got.Apps = filterApps()
+		res := Run(got)
+		if !reflect.DeepEqual(res.Cores, want.Cores) {
+			t.Errorf("%s: per-core stats diverge:\n got %+v\nwant %+v", sc.name, res.Cores, want.Cores)
 		}
-		if got.Throughput != want.Throughput || got.WeightedCycles != want.WeightedCycles {
-			t.Errorf("%s: filtered aggregate diverges: throughput %.6f/%.6f cycles %d/%d",
-				name, got.Throughput, want.Throughput, got.WeightedCycles, want.WeightedCycles)
+		if res.Throughput != want.Throughput || res.WeightedCycles != want.WeightedCycles {
+			t.Errorf("%s: aggregate diverges: throughput %.6f/%.6f cycles %d/%d",
+				sc.name, res.Throughput, want.Throughput, res.WeightedCycles, want.WeightedCycles)
 		}
-		if want.Repartitions > 0 && got.Repartitions == 0 {
-			t.Errorf("%s: filtered run never repartitioned", name)
+		if want.Repartitions > 0 && res.Repartitions == 0 {
+			t.Errorf("%s: never repartitioned", sc.name)
 		}
 	}
 }
@@ -118,7 +117,7 @@ func TestFilteredCoreThatStopsMissing(t *testing.T) {
 			workload.NewStreamApp(1<<20, 1, 1, 17),
 		}
 	}
-	want := Run(Config{Apps: apps(), L2: lruL2(1024), L1Lines: l1Lines, L1Ways: l1Ways, InstrLimit: limit, WarmupInstr: warmup})
+	want := runReference(Config{Apps: apps(), L2: lruL2(1024), L1Lines: l1Lines, L1Ways: l1Ways, InstrLimit: limit, WarmupInstr: warmup})
 	if want.Cores[0].L1Misses != 0 {
 		t.Fatalf("the scan app missed its L1 %d times in the window; it must fit", want.Cores[0].L1Misses)
 	}
@@ -220,15 +219,6 @@ func TestMissRecorderPanics(t *testing.T) {
 		mr.MissSet(1)
 		mr.MissSet(1)
 	})
-	expectPanic("OnRepartition with Miss", func() {
-		mr := NewMissRecorder(app(), 32, 4, Latencies{}, 0, 1000)
-		Run(Config{
-			Miss:          mr.MissSet(1),
-			L2:            lruL2(256),
-			InstrLimit:    1000,
-			OnRepartition: func(uint64, []int, []int) {},
-		})
-	})
 	expectPanic("Apps/Miss length mismatch", func() {
 		mr := NewMissRecorder(app(), 32, 4, Latencies{}, 0, 1000)
 		Run(Config{
@@ -238,4 +228,28 @@ func TestMissRecorderPanics(t *testing.T) {
 			InstrLimit: 1000,
 		})
 	})
+	// A reference the segment form cannot hold panics, naming the core and
+	// the value, instead of aliasing another core's address space.
+	for _, bad := range []struct {
+		rec  trace.Record
+		want string
+	}{
+		{trace.Record{Gap: 1 << 15, Addr: 7}, "core 1: instruction gap 32768"},
+		{trace.Record{Gap: 1, Addr: 1 << 32}, "core 1: line address 0x100000000"},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, bad.want) {
+					t.Errorf("out-of-range app: panic %q, want it to contain %q", msg, bad.want)
+				}
+			}()
+			Run(Config{
+				Apps:       []workload.App{app(), trace.NewApp("bad", workload.Thrashing, []trace.Record{bad.rec})},
+				L2:         lruL2(256),
+				L1Lines:    32,
+				L1Ways:     4,
+				InstrLimit: 1000,
+			})
+		}()
+	}
 }

@@ -76,12 +76,18 @@ func DefaultLatencies() Latencies { return Latencies{L1Hit: 1, L2Hit: 12, Memory
 
 // Config describes one simulation run.
 type Config struct {
-	// Apps is the mix, one App per core.
+	// Apps is the mix, one App per core. Run records each app's post-L1
+	// stream (see MissRecorder), which bounds what an app may produce:
+	// instruction gaps of at most 2^15-1 and line addresses below 2^32. Run
+	// panics, naming the core and the value, on a reference outside either.
+	// The recorder reads ahead of the simulation, so an app is consumed
+	// past the last reference the run needs.
 	Apps []workload.App
 	// L2 is the shared cache controller under test (one partition per core
 	// unless the controller is unpartitioned).
 	L2 ctrl.Controller
-	// L1Lines and L1Ways size the private L1s (0 lines disables them).
+	// L1Lines and L1Ways size the private L1s (0 lines disables them, and
+	// every reference reaches the L2).
 	L1Lines, L1Ways int
 	// Lat are the hierarchy latencies.
 	Lat Latencies
@@ -98,14 +104,14 @@ type Config struct {
 	Alloc              Allocator
 	RepartitionCycles  uint64
 	PartitionableLines int
-	// OnRepartition, if set, observes every repartitioning decision.
+	// OnRepartition, if set, observes every repartitioning decision. cycle
+	// is the boundary that fired it, k*RepartitionCycles; actual holds the
+	// partition sizes right after the new targets were applied.
 	OnRepartition func(cycle uint64, targets, actual []int)
-	// Miss, if non-nil, replaces per-reference simulation with memoized
-	// post-L1 segment streams (one cursor per core; see MissRecorder). The
-	// private L1s are then not modeled per run — their behavior is baked
-	// into the segments — so L1Lines/L1Ways and Apps are ignored. Mutually
-	// exclusive with OnRepartition (cycle stamps would differ; see
-	// filter.go).
+	// Miss, if non-nil, supplies the post-L1 segment streams directly, one
+	// cursor per core (see MissRecorder), so several runs can share one
+	// recording. The L1s' behaviour is then baked into the segments, and
+	// Apps, L1Lines and L1Ways are ignored.
 	Miss []*MissReplay
 	// Contention optionally models L2 bank conflicts and memory bandwidth
 	// (zero value: the paper's zero-load latencies).
@@ -137,20 +143,11 @@ type Result struct {
 
 // coreState is one core's runtime state.
 type coreState struct {
-	app workload.App
-	// packed is app's zero-copy bulk read path (recorded streams), or nil.
-	// refs/refPos are the current packed view; when packed reads run dry
-	// (budget fall-through) packed is cleared and the core reverts to
-	// per-reference app.Next calls.
-	packed workload.PackedApp
-	refs   []uint64
-	refPos int
-	l1     *l1Cache
-	// Filtered-stream state (Config.Miss): the segment cursor, the current
-	// chunk view, and the decoded pending miss the scheduler key points at.
-	mstream   *MissReplay
-	msegs     []uint64
-	mpos      int
+	// The segment cursor, the current chunk view, and the decoded pending
+	// miss the scheduler key points at.
+	stream    *MissReplay
+	segs      []uint64
+	pos       int
 	missCycle uint64 // clock at the pending miss (clock + hit-prefix cycles)
 	missAddr  uint64 // core-tagged line address of the pending miss
 	missGap   uint64
@@ -164,7 +161,7 @@ type coreState struct {
 	// methodology) but their stats no longer change.
 	frozen bool
 	// hitsOnly marks a frozen core scheduled with no pending miss: its
-	// filtered-scheduler key is its own clock (see advanceMiss).
+	// scheduler key is its own clock (see advanceMiss).
 	hitsOnly bool
 	// startCycle is the local clock value when the measurement window
 	// opened (end of warmup). Clocks are never reset: rewinding a core's
@@ -175,24 +172,16 @@ type coreState struct {
 	stats      CoreStats
 }
 
-// runState is the execution state of one Run with every per-reference
-// dynamic decision resolved up front: latencies and capability probes
-// (mixed fast paths, insertion-policy hooks) live in flat fields instead of
-// being re-derived from Config inside the hot loop.
-//
-// Each scheduler heap slot packs a core's local clock and its index into one
-// uint64, cycle<<ciBits | ci. Because ci < 1<<ciBits, plain integer order on
-// the packed key equals lexicographic (cycle, index) order, so the sift-down
-// compares one word per slot and the heap is half the size of a struct-based
-// one. Clocks stay far below 1<<(64-ciBits) (2^58 even at 64 cores), so the
-// shift cannot overflow in any configured run.
+// runState is the execution state of one Run with every per-access dynamic
+// decision resolved up front: latencies and capability probes (mixed fast
+// paths, insertion-policy hooks) live in flat fields instead of being
+// re-derived from Config inside the hot loop.
 type runState struct {
 	cores      []coreState
-	heap       []uint64 // min-heap of cycle<<ciBits | core index
-	ciBits     uint     // bits reserved for the core index in a heap key
+	ciBits     uint // bits reserved for the core index in a scheduler key
 	ciMask     uint64
 	remaining  int    // cores still inside their measurement window
-	instrLimit uint64 // cached for the filtered loop's hit-segment freezes
+	instrLimit uint64 // cached for advanceMiss's hit-segment freezes
 
 	l2         ctrl.Controller
 	l2Mixed    ctrl.MixedController // l2's mixed fast path, or nil
@@ -201,25 +190,15 @@ type runState struct {
 	chooser    PolicyChooser         // alloc's insertion-policy choices, or nil
 	setter     InsertionPolicySetter // l2's insertion-policy hook, or nil
 
-	latL1Hit  int
 	latL2Hit  int
 	latL2Miss int // L2 hit latency plus memory latency
 
 	cont *contentionState
 }
 
-// Run executes the configured simulation to completion.
-func Run(cfg Config) Result {
-	n := len(cfg.Apps)
-	if len(cfg.Miss) > 0 {
-		if n > 0 && n != len(cfg.Miss) {
-			panic("sim: Apps and Miss lengths differ")
-		}
-		if cfg.OnRepartition != nil {
-			panic("sim: OnRepartition requires unfiltered streams (see filter.go)")
-		}
-		n = len(cfg.Miss)
-	}
+// newRunState checks cfg, fills in its default latencies, and returns the
+// state of an n-core run with every core at cycle zero.
+func newRunState(cfg *Config, n int) *runState {
 	if n == 0 {
 		panic("sim: no apps")
 	}
@@ -233,127 +212,139 @@ func Run(cfg Config) Result {
 		cfg.Lat = DefaultLatencies()
 	}
 	rs := &runState{
-		cores:     make([]coreState, n),
-		heap:      make([]uint64, n),
-		ciBits:    uint(bits.Len(uint(n - 1))),
-		l2:        cfg.L2,
-		alloc:     cfg.Alloc,
-		latL1Hit:  cfg.Lat.L1Hit,
-		latL2Hit:  cfg.Lat.L2Hit,
-		latL2Miss: cfg.Lat.L2Hit + cfg.Lat.Memory,
-		cont:      newContentionState(cfg.Contention),
+		cores:      make([]coreState, n),
+		ciBits:     uint(bits.Len(uint(n - 1))),
+		remaining:  n,
+		instrLimit: cfg.InstrLimit,
+		l2:         cfg.L2,
+		alloc:      cfg.Alloc,
+		latL2Hit:   cfg.Lat.L2Hit,
+		latL2Miss:  cfg.Lat.L2Hit + cfg.Lat.Memory,
+		cont:       newContentionState(cfg.Contention),
 	}
 	rs.ciMask = 1<<rs.ciBits - 1
 	rs.l2Mixed, _ = cfg.L2.(ctrl.MixedController)
 	rs.allocMixed, _ = cfg.Alloc.(MixedAllocator)
 	rs.chooser, _ = cfg.Alloc.(PolicyChooser)
 	rs.setter, _ = cfg.L2.(InsertionPolicySetter)
-	rs.remaining = n
 	for i := range rs.cores {
-		c := &rs.cores[i]
-		c.warmLeft = cfg.WarmupInstr
-		if len(cfg.Miss) > 0 {
-			c.mstream = cfg.Miss[i]
-			continue
+		rs.cores[i].warmLeft = cfg.WarmupInstr
+	}
+	return rs
+}
+
+// Run executes the configured simulation to completion. Every run replays
+// post-L1 segments: with Apps, Run records each app's stream itself.
+//
+// The scheduler steps the core whose next L2 access comes first, in
+// (missCycle, core index) order, so shared-cache accesses interleave in
+// time order; filter.go argues why this replays exactly what a
+// reference-by-reference simulation of the same machine does. Each core's
+// key packs both into one word, missCycle<<ciBits | ci: because
+// ci < 1<<ciBits, integer order on keys is (cycle, index) order, and clocks
+// stay far below 1<<(64-ciBits) in any configured run. Keys sit in a flat
+// per-core array with a cached minimum per group of eight cores, so a step
+// costs one scan over the group minima and one rescan of the stepped core's
+// group. Keys are unique, so the minimum is too.
+func Run(cfg Config) Result {
+	miss := cfg.Miss
+	n := len(cfg.Apps)
+	if len(miss) > 0 {
+		if n > 0 && n != len(miss) {
+			panic("sim: Apps and Miss lengths differ")
 		}
-		c.app = cfg.Apps[i]
-		c.packed, _ = cfg.Apps[i].(workload.PackedApp)
-		if cfg.L1Lines > 0 {
-			c.l1 = newL1Cache(cfg.L1Lines, cfg.L1Ways)
+		n = len(miss)
+	}
+	rs := newRunState(&cfg, n)
+	if len(miss) == 0 {
+		miss = make([]*MissReplay, n)
+		for i, app := range cfg.Apps {
+			mr := NewMissRecorder(app, cfg.L1Lines, cfg.L1Ways, cfg.Lat, cfg.WarmupInstr, cfg.InstrLimit)
+			mr.core = i
+			miss[i] = mr.MissSet(1)[0]
 		}
-		// The identity order is a valid heap: all clocks start at zero and
-		// ties order by core index, so every parent precedes its children.
-		rs.heap[i] = uint64(i) // cycle 0 packed with index i
+	}
+
+	keys := make([]uint64, n)
+	for i := range rs.cores {
+		rs.cores[i].stream = miss[i]
+		rs.advanceMiss(&rs.cores[i], i)
+		keys[i] = rs.cores[i].missCycle<<rs.ciBits | uint64(i)
+	}
+	gmin := make([]uint64, (n+7)/8)
+	for g := range gmin {
+		gmin[g] = groupMin(keys, g)
 	}
 
 	var res Result
-	if len(cfg.Miss) > 0 {
-		rs.runFiltered(&cfg, &res)
-		return rs.finish(res)
-	}
 	nextRepart := cfg.RepartitionCycles
 	repartEnabled := rs.alloc != nil && cfg.RepartitionCycles > 0
 	for rs.remaining > 0 {
-		// Step the core with the lowest local clock (the global low-water
-		// mark), so shared-cache accesses interleave in time order. Frozen
-		// cores keep running so the cache keeps seeing their traffic. Only
-		// the stepped core's clock changes, so restoring heap order after
-		// the step is a single sift-down from the root.
-		ci := int(rs.heap[0] & rs.ciMask)
+		next := gmin[0]
+		for _, k := range gmin[1:] {
+			if k < next {
+				next = k
+			}
+		}
+		ci := int(next & rs.ciMask)
 		c := &rs.cores[ci]
 
-		// Repartition when global time crosses the boundary.
-		if repartEnabled && c.cycle >= nextRepart {
-			targets := rs.repartition(&cfg, &res)
-			if cfg.OnRepartition != nil {
-				actual := make([]int, rs.l2.NumPartitions())
-				for p := range actual {
-					actual[p] = rs.l2.Size(p)
-				}
-				cfg.OnRepartition(c.cycle, targets, actual)
-			}
-			nextRepart += cfg.RepartitionCycles
-		}
-
-		var gap int
-		var addr uint64
-		if c.refPos < len(c.refs) {
-			// Recorded-stream fast path: one load from the packed chunk,
-			// no interface call.
-			gap, addr = workload.UnpackRef(c.refs[c.refPos])
-			c.refPos++
-		} else if c.packed != nil {
-			if c.refs = c.packed.NextPacked(); len(c.refs) > 0 {
-				gap, addr = workload.UnpackRef(c.refs[0])
-				c.refPos = 1
-			} else {
-				// Budget fall-through: the replay cursor went live.
-				c.packed = nil
-				gap, addr = c.app.Next()
-			}
+		if c.hitsOnly {
+			// A frozen core with no pending miss (see advanceMiss): it only
+			// reads on, with no L2 access and no repartition.
+			c.hitsOnly = false
 		} else {
-			gap, addr = c.app.Next()
-		}
-		addr = uint64(ci+1)<<40 | addr // disjoint address spaces
-		lat, l1Miss, l2Hit, l2Acc := rs.access(c, addr, ci)
-		if l2Acc {
-			now := c.cycle + uint64(gap)
-			lat += int(rs.cont.l2Delay(addr, now))
+			// Fire every boundary at or below this miss. Between two L2
+			// accesses only L1 hits run, which mutate nothing the allocator
+			// or cache can see, so firing them back to back here leaves the
+			// state the access below would see at any firing point.
+			for repartEnabled && c.missCycle >= nextRepart {
+				targets := rs.repartition(&cfg, &res)
+				if cfg.OnRepartition != nil {
+					actual := make([]int, rs.l2.NumPartitions())
+					for p := range actual {
+						actual[p] = rs.l2.Size(p)
+					}
+					cfg.OnRepartition(nextRepart, targets, actual)
+				}
+				nextRepart += cfg.RepartitionCycles
+			}
+
+			lat, l2Hit := rs.accessL2(c.missAddr, ci)
+			now := c.missCycle + c.missGap
+			lat += int(rs.cont.l2Delay(c.missAddr, now))
 			if !l2Hit {
 				lat += int(rs.cont.memDelay(now))
 			}
-		}
-
-		measuring := c.warmLeft == 0 && !c.frozen
-		steps := uint64(gap) + 1
-		c.cycle += uint64(gap) + uint64(lat)
-		if measuring {
-			c.stats.L1Accesses++
-			if l1Miss {
+			c.cycle = now + uint64(lat)
+			if c.warmLeft == 0 && !c.frozen {
+				c.stats.L1Accesses += c.segHits + 1
 				c.stats.L1Misses++
-			}
-			if l2Acc {
 				c.stats.L2Accesses++
 				if !l2Hit {
 					c.stats.L2Misses++
 				}
 			}
-			c.instrs += steps
-			if c.instrs >= cfg.InstrLimit {
-				rs.freeze(c)
-			}
-		} else if c.warmLeft > 0 {
-			if c.warmLeft > steps {
-				c.warmLeft -= steps
-			} else {
-				c.warmLeft = 0
-				c.startCycle = c.cycle
-			}
+			rs.retire(c, c.segSteps)
 		}
-		rs.heap[0] = c.cycle<<rs.ciBits | uint64(ci)
-		rs.fixRoot()
+		rs.advanceMiss(c, ci)
+		keys[ci] = c.missCycle<<rs.ciBits | uint64(ci)
+		gmin[ci>>3] = groupMin(keys, ci>>3)
 	}
 	return rs.finish(res)
+}
+
+// groupMin returns the smallest key of group g (cores 8g to 8g+7).
+func groupMin(keys []uint64, g int) uint64 {
+	lo := g << 3
+	hi := min(lo+8, len(keys))
+	m := keys[lo]
+	for _, k := range keys[lo+1 : hi] {
+		if k < m {
+			m = k
+		}
+	}
+	return m
 }
 
 // repartition runs one allocator invocation and applies its decisions.
@@ -367,6 +358,25 @@ func (rs *runState) repartition(cfg *Config, res *Result) []int {
 	}
 	res.Repartitions++
 	return targets
+}
+
+// retire credits steps instructions, which ended at the core's current
+// clock, to its warmup or its measurement window, opening the window when
+// warmup runs out and freezing the core when the window fills.
+func (rs *runState) retire(c *coreState, steps uint64) {
+	switch {
+	case c.frozen:
+	case c.warmLeft == 0:
+		c.instrs += steps
+		if c.instrs >= rs.instrLimit {
+			rs.freeze(c)
+		}
+	case c.warmLeft > steps:
+		c.warmLeft -= steps
+	default:
+		c.warmLeft = 0
+		c.startCycle = c.cycle
+	}
 }
 
 // freeze closes a core's measurement window at its current clock.
@@ -399,16 +409,6 @@ func (rs *runState) finish(res Result) Result {
 	return res
 }
 
-// access performs one memory reference through the hierarchy and returns
-// its latency plus what happened at each level.
-func (rs *runState) access(c *coreState, addr uint64, core int) (lat int, l1Miss, l2Hit, l2Acc bool) {
-	if c.l1 != nil && c.l1.access(addr) {
-		return rs.latL1Hit, false, false, false
-	}
-	lat, l2Hit = rs.accessL2(addr, core)
-	return lat, true, l2Hit, true
-}
-
 // accessL2 performs one post-L1 reference: it feeds the allocator's monitors
 // and the shared controller, and returns the access latency and whether the
 // L2 hit. The address is mixed once here and the value shared between the
@@ -431,55 +431,6 @@ func (rs *runState) accessL2(addr uint64, core int) (lat int, hit bool) {
 		return rs.latL2Hit, true
 	}
 	return rs.latL2Miss, false
-}
-
-// fixRoot restores the heap invariant after the root core's clock advanced:
-// a hole-based sift-down (children move up into the hole, the root key is
-// written once at its final level). Keys pack (cycle, index) so each
-// comparison is a single integer compare; the order is a strict total order
-// (core indices are unique), so the minimum core is unique and any valid
-// heap shape pops the same schedule as the original linear min-scan (strict
-// less-than keeps the lowest-index minimum).
-//
-// The heap is 8-ary: a stepped core usually traverses the sift in full (its
-// clock jumps past most peers every step), so depth dominates the cost. The
-// wide fan-out keeps every configured core count within two levels (a 32-core
-// heap is 3 levels at 4-ary, 2 at 8-ary) and each level's children share at
-// most two cache lines. Because the packed keys form a strict total order,
-// the popped schedule is arity-independent — any valid heap shape yields the
-// same unique minimum — so widening preserves bit-identical runs. The
-// identity layout remains a valid initial heap: every parent index is below
-// its children's, matching the all-zero-clock tie order.
-func (rs *runState) fixRoot() { rs.siftDown(0) }
-
-// siftDown restores the heap invariant below slot i after its key grew.
-func (rs *runState) siftDown(i int) {
-	h := rs.heap
-	n := len(h)
-	root := h[i]
-	for {
-		c0 := 8*i + 1
-		if c0 >= n {
-			break
-		}
-		end := c0 + 8
-		if end > n {
-			end = n
-		}
-		best := c0
-		bk := h[c0]
-		for j := c0 + 1; j < end; j++ {
-			if h[j] < bk {
-				best, bk = j, h[j]
-			}
-		}
-		if bk >= root {
-			break
-		}
-		h[i] = h[best]
-		i = best
-	}
-	h[i] = root
 }
 
 // String formats a result compactly.

@@ -184,37 +184,62 @@ func TestVantageProtectsFittingAppFromStream(t *testing.T) {
 	}
 }
 
+// TestOnRepartitionObserved pins the observer's contract on both inputs:
+// one call per Result.Repartitions, each stamped with its boundary cycle (a
+// strictly increasing multiple of RepartitionCycles), with targets that
+// cover the partitionable capacity.
 func TestOnRepartitionObserved(t *testing.T) {
-	apps := []workload.App{
-		workload.NewStreamApp(1<<18, 2, 1, 31),
-		workload.NewStreamApp(1<<18, 2, 1, 37),
+	const period = 100000
+	apps := func() []workload.App {
+		return []workload.App{
+			workload.NewStreamApp(1<<18, 2, 1, 31),
+			workload.NewStreamApp(1<<18, 2, 1, 37),
+		}
 	}
-	arr := cache.NewZCache(512, 4, 16, 41)
-	vc := core.New(arr, core.Config{Partitions: 2, UnmanagedFrac: 0.1, AMax: 0.5, Slack: 0.1})
-	pol := ucp.NewPolicy(2, 16, 512, ucp.GranLines, 43)
-	calls := 0
-	Run(Config{
-		Apps:               apps,
-		L2:                 vc,
-		L1Lines:            32,
-		L1Ways:             4,
-		InstrLimit:         100000,
-		Alloc:              pol,
-		RepartitionCycles:  100000,
-		PartitionableLines: 460,
-		OnRepartition: func(cycle uint64, targets, actual []int) {
-			calls++
+	cfg := func() Config {
+		arr := cache.NewZCache(512, 4, 16, 41)
+		return Config{
+			L2:                 core.New(arr, core.Config{Partitions: 2, UnmanagedFrac: 0.1, AMax: 0.5, Slack: 0.1}),
+			L1Lines:            32,
+			L1Ways:             4,
+			InstrLimit:         100000,
+			Alloc:              ucp.NewPolicy(2, 16, 512, ucp.GranLines, 43),
+			RepartitionCycles:  period,
+			PartitionableLines: 460,
+		}
+	}
+	viaApps := cfg()
+	viaApps.Apps = apps()
+	viaMiss := cfg()
+	for _, a := range apps() {
+		viaMiss.Miss = append(viaMiss.Miss, NewMissRecorder(a, 32, 4, Latencies{}, 0, 100000).MissSet(1)[0])
+	}
+	for _, run := range []struct {
+		how string
+		cfg Config
+	}{{"Apps", viaApps}, {"Miss", viaMiss}} {
+		var stamps []uint64
+		run.cfg.OnRepartition = func(cycle uint64, targets, actual []int) {
+			stamps = append(stamps, cycle)
 			if len(targets) != 2 || len(actual) != 2 {
-				t.Fatalf("bad callback shapes: %v %v", targets, actual)
+				t.Fatalf("%s: bad callback shapes: %v %v", run.how, targets, actual)
 			}
-			sum := targets[0] + targets[1]
-			if sum != 460 {
-				t.Fatalf("targets sum to %d, want 460", sum)
+			if sum := targets[0] + targets[1]; sum != 460 {
+				t.Fatalf("%s: targets sum to %d, want 460", run.how, sum)
 			}
-		},
-	})
-	if calls == 0 {
-		t.Fatal("repartition callback never fired")
+		}
+		res := Run(run.cfg)
+		if len(stamps) == 0 {
+			t.Fatalf("%s: repartition callback never fired", run.how)
+		}
+		if uint64(len(stamps)) != res.Repartitions {
+			t.Errorf("%s: %d callbacks for %d repartitions", run.how, len(stamps), res.Repartitions)
+		}
+		for k, c := range stamps {
+			if c != uint64(k+1)*period {
+				t.Fatalf("%s: callback %d stamped %d, want boundary %d", run.how, k, c, uint64(k+1)*period)
+			}
+		}
 	}
 }
 

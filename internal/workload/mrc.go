@@ -28,28 +28,11 @@ func MissRateCurve(app App, n int, sizes []int) []float64 {
 	}
 	hist := make([]int, maxSize+1)
 	infinite := 0 // cold misses / distances beyond maxSize
-	// Consume the stream through the packed bulk path when the app offers
-	// one (replay cursors do): one chunk load instead of an interface call
-	// per reference, same draws either way.
-	packed, _ := app.(PackedApp)
-	var refs []uint64
-	pos := 0
+	// A RefReader takes the packed bulk path when the app offers one
+	// (replay cursors do): same draws, no interface call per reference.
+	rr := NewRefReader(app)
 	for i := 0; i < n; i++ {
-		var addr uint64
-		if pos < len(refs) {
-			_, addr = UnpackRef(refs[pos])
-			pos++
-		} else if packed != nil {
-			if refs = packed.NextPacked(); len(refs) > 0 {
-				_, addr = UnpackRef(refs[0])
-				pos = 1
-			} else {
-				packed = nil // budget fall-through: cursor went live
-				_, addr = app.Next()
-			}
-		} else {
-			_, addr = app.Next()
-		}
+		_, addr := rr.Next()
 		dist := d.access(addr)
 		if dist < 0 || dist >= len(hist) {
 			infinite++

@@ -45,6 +45,41 @@ type PackedApp interface {
 	NextPacked() []uint64
 }
 
+// RefReader reads an app's references one at a time, through its packed
+// bulk path when it offers one: a load from the current chunk instead of an
+// interface call per reference. Once packed reads run dry (a replay cursor
+// past its budget goes live), it falls back to Next. The draws are the same
+// either way.
+type RefReader struct {
+	app    App
+	packed PackedApp // nil once packed reads ran dry, or if app has none
+	refs   []uint64
+	pos    int
+}
+
+// NewRefReader returns a reader positioned at app's next reference.
+func NewRefReader(app App) RefReader {
+	r := RefReader{app: app}
+	r.packed, _ = app.(PackedApp)
+	return r
+}
+
+// Next returns the app's next reference.
+func (r *RefReader) Next() (gap int, addr uint64) {
+	if r.pos < len(r.refs) {
+		r.pos++
+		return UnpackRef(r.refs[r.pos-1])
+	}
+	if r.packed != nil {
+		if r.refs = r.packed.NextPacked(); len(r.refs) > 0 {
+			r.pos = 1
+			return UnpackRef(r.refs[0])
+		}
+		r.packed = nil
+	}
+	return r.app.Next()
+}
+
 // Recording memoizes one app's reference stream. An App's output is a pure
 // function of its construction seed (Next has no feedback from the cache),
 // so the stream can be generated once and replayed by every scheme that
@@ -363,26 +398,4 @@ func (mr *MixRecording) Replay() Mix {
 		apps[i] = rec.Replay()
 	}
 	return Mix{ID: mr.ID, Class: mr.Class, Apps: apps}
-}
-
-// ReplayAll returns n replayed mixes whose cursors form a ReplaySet per
-// app: chunks are dropped as soon as all n readers have consumed them. What
-// stays resident is the stretch between the slowest and the fastest reader;
-// a reader that has not started yet sits at chunk zero, so while one of the
-// n runs is still waiting to start, that is everything read so far. Call
-// once per recording, before any reading.
-func (mr *MixRecording) ReplayAll(n int) []Mix {
-	sets := make([][]*ReplayApp, len(mr.Recs))
-	for i, rec := range mr.Recs {
-		sets[i] = rec.ReplaySet(n)
-	}
-	out := make([]Mix, n)
-	for r := range out {
-		apps := make([]App, len(mr.Recs))
-		for i := range mr.Recs {
-			apps[i] = sets[i][r]
-		}
-		out[r] = Mix{ID: mr.ID, Class: mr.Class, Apps: apps}
-	}
-	return out
 }

@@ -168,6 +168,18 @@ func TestReplayBudgetFallThrough(t *testing.T) {
 	}
 	checkSeq(t, "third", third, gaps[len(bg):], addrs[len(bg):])
 
+	// A RefReader over a cursor reads packed chunks while the budget lasts
+	// and falls through to Next mid-stream.
+	rr := NewRefReader(NewRecording(mk(), mk, chunkRefs).Replay())
+	for i := range gaps {
+		if g, a := rr.Next(); g != gaps[i] || a != addrs[i] {
+			t.Fatalf("RefReader draw %d mismatch: (%d,%d) want (%d,%d)", i, g, a, gaps[i], addrs[i])
+		}
+	}
+	if rr.packed != nil {
+		t.Fatal("RefReader should have left the packed path past the budget")
+	}
+
 	// A zero budget records nothing but still replays correctly.
 	rec0 := NewRecording(mk(), mk, 0)
 	checkSeq(t, "zero-budget", rec0.Replay(), gaps, addrs)

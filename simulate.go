@@ -8,7 +8,9 @@ import (
 
 // Simulation types.
 type (
-	// SimConfig configures one multicore simulation run.
+	// SimConfig configures one multicore simulation run. Every app's
+	// instruction gaps must be at most 2^15-1 and its line addresses below
+	// 2^32; Simulate panics, naming the core and the value, otherwise.
 	SimConfig = sim.Config
 	// SimResult is its outcome.
 	SimResult = sim.Result
