@@ -51,8 +51,8 @@ func NewSetAssoc(numLines, ways int, hashed bool, seed uint64) *SetAssoc {
 		panic(fmt.Sprintf("cache: set count %d is not a power of two", sets))
 	}
 	a := &SetAssoc{
-		sets:  sets,
-		ways:  ways,
+		sets:   sets,
+		ways:   ways,
 		lines:  make([]Line, numLines),
 		tags:   make([]uint64, numLines),
 		sig:    make([]uint64, sets),

@@ -106,10 +106,10 @@ type partState struct {
 	currentTS    uint8
 	setpointTS   uint8
 	candsSeen    uint8
-	setpointRRPV uint8  // ModeRRIP state
-	brrip        bool   // ModeRRIP: current insertion policy
-	extPolicy    bool   // ModeRRIP: insertion policy set externally (UMON-RRIP)
-	psel         int16  // ModeRRIP: per-partition SRRIP/BRRIP duel selector
+	setpointRRPV uint8 // ModeRRIP state
+	brrip        bool  // ModeRRIP: current insertion policy
+	extPolicy    bool  // ModeRRIP: insertion policy set externally (UMON-RRIP)
+	psel         int16 // ModeRRIP: per-partition SRRIP/BRRIP duel selector
 	actual       int
 	target       int
 	accessCtr    int

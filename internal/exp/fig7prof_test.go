@@ -16,6 +16,18 @@ func BenchmarkFig7Microcosm(b *testing.B) {
 	}
 }
 
+// BenchmarkFig7Window is one window of the sim-fig7 benchmark workload:
+// Fig 7 on LargeCMP at ScaleUnit, 2 mixes, a 25k-instruction window. It is
+// the in-package row that attributes simulator gains; compare a change with
+// its parent by alternating the two test binaries.
+func BenchmarkFig7Window(b *testing.B) {
+	m := LargeCMP(ScaleUnit)
+	m.InstrLimit = 25_000
+	for i := 0; i < b.N; i++ {
+		Fig7(m, 2, nil)
+	}
+}
+
 // TestWarmupSensitivity documents why cache warmup, the single biggest
 // wall-clock lever, may not be shortened: Fig 7 gmeans are still converging
 // at the configured 250k-instruction warmup, so any cut shifts per-scheme

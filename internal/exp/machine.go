@@ -214,7 +214,7 @@ func (m Machine) runConfig(mixID string, sch Scheme) sim.Config {
 		if sch.BuildAllocator != nil {
 			alloc = sch.BuildAllocator(m, m.Seed^0xa110c)
 		} else {
-			alloc = ucp.NewPolicy(m.Cores, m.BaselineWays, m.L2Lines, sch.Granularity, m.Seed^0xa110c)
+			alloc = m.ucpPolicy(sch.Granularity)
 		}
 		partLines = sch.PartitionableLines(m.L2Lines)
 	}
@@ -229,6 +229,12 @@ func (m Machine) runConfig(mixID string, sch Scheme) sim.Config {
 		PartitionableLines: partLines,
 		Contention:         m.Contention,
 	}
+}
+
+// ucpPolicy is the schemes' default UCP allocator; RecordMisses attaches one's
+// monitors to its recorders, so every run's policy only counts their codes.
+func (m Machine) ucpPolicy(gran ucp.Granularity) *ucp.Policy {
+	return ucp.NewPolicy(m.Cores, m.BaselineWays, m.L2Lines, gran, m.Seed^0xa110c)
 }
 
 // streamBudget is the per-app recorded-reference budget. Consumption is not
@@ -278,16 +284,20 @@ func (m Machine) Record(mix workload.Mix) *workload.MixRecording {
 // recorder consumes the raw recording through its own single replay cursor,
 // so raw chunks release right behind the filter and past the raw budget the
 // cursor claims the live source transparently. A machine without L1s gets
-// recorders whose every reference is a miss segment. Returns nil when
-// recording is disabled (rec == nil).
+// recorders whose every reference is a miss segment. Each recorder also runs
+// the default UCP policy's monitor for its core (see ucpPolicy), so the UMONs
+// observe each mix once, however many runs count. Returns nil when recording
+// is disabled (rec == nil).
 func (m Machine) RecordMisses(rec *workload.MixRecording) []*sim.MissRecorder {
 	if rec == nil {
 		return nil
 	}
+	mons := m.ucpPolicy(ucp.GranWays)
 	out := make([]*sim.MissRecorder, len(rec.Recs))
 	for i, r := range rec.Recs {
 		out[i] = sim.NewMissRecorder(r.ReplaySet(1)[0], m.L1Lines, m.L1Ways,
 			sim.DefaultLatencies(), m.WarmupInstr, m.InstrLimit)
+		out[i].AttachMonitor(i, mons.Monitor(i))
 	}
 	return out
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 
+	"vantage/internal/hash"
+	"vantage/internal/ucp"
 	"vantage/internal/workload"
 )
 
@@ -17,6 +19,12 @@ import (
 // also shrinks the scheduler's work by the L1 hit rate (roughly 3x fewer
 // steps), because runs of L1 hits collapse into a single cycle/instruction
 // delta.
+//
+// A core's UMON is feedback-free too: its tag directory sees only that core's
+// post-L1 addresses, in order, and only its counters meet the allocator. So
+// the recorder runs the directory once per (mix, app) and stores each miss's
+// code in its segment, and a run whose monitors have the same ucp.Spec counts
+// the codes in L2 access order, exactly as feeding the addresses would.
 //
 // Equivalence argument, against the reference-by-reference simulation of the
 // same machine that the tests keep as their reference (runReference; locked
@@ -54,17 +62,19 @@ import (
 // A filtered stream is a sequence of packed two-word segments, each "a run of
 // L1 hits, optionally terminated by one L1 miss":
 //
-//	w0 = hasMiss<<63 | missGap<<48 | hits<<32 | missAddr
+//	w0 = hasMiss<<63 | missGap<<48 | umonCode<<41 | hits<<32 | missAddr
 //	w1 = preHits<<32 | steps
 //
-// hits (16 bits) counts leading L1 hits; preHits (32 bits) is the cycles
+// hits (9 bits) counts leading L1 hits; preHits (32 bits) is the cycles
 // they advance the core's clock (their gaps plus L1 hit latencies); steps
 // (32 bits) is the whole segment's instruction count (gap+1 per reference).
 // For miss-terminated segments, missAddr (32 bits) is the untagged line
 // address and missGap (15 bits) its instruction gap: the miss occurs at
 // clock+preHits, issues at clock+preHits+missGap, and its (scheme-dependent)
-// latency stays in the simulator. Hit-only segments (hasMiss == 0) appear
-// where the recorder was forced to split. The hits, preHits and steps fields
+// latency stays in the simulator. umonCode (7 bits) is the miss's
+// ucp.UMON.Observe code when the recorder has a monitor, else 0. Hit-only
+// segments (hasMiss == 0) appear where the recorder was forced to split,
+// including every 511 hits. The hits, preHits and steps fields
 // hold by construction: the recorder splits before they overflow. The gap
 // and address fields bound what an app may produce (gaps of at most 2^15-1,
 // line addresses below 2^32), and extendLocked panics on a reference outside
@@ -81,7 +91,9 @@ const (
 	segGapShift  = 48
 	segGapMax    = 1<<15 - 1
 	segHitsShift = 32
-	segHitsMax   = 1<<16 - 1
+	segHitsMax   = 1<<9 - 1
+	segCodeShift = 41
+	segCodeMax   = 1<<7 - 1
 	segAddrMask  = 1<<32 - 1
 	segPreMax    = 1<<32 - 1
 )
@@ -97,9 +109,11 @@ type MissRecorder struct {
 	// Raw reference source: typically a windowed replay cursor over the raw
 	// recording, which releases raw chunks right behind this reader.
 	src workload.RefReader
-	// core is the core index a misfit reference's panic names; -1 if the
-	// recorder was not built by Run.
+	// core is the core index a misfit reference's panic names and the
+	// monitor's address tag; -1 if the recorder has no core.
 	core int
+	// mon, if set, observes every miss at record time (see AttachMonitor).
+	mon *ucp.UMON
 
 	l1       *l1Cache // nil without private L1s: every reference misses
 	latL1Hit uint64
@@ -152,6 +166,24 @@ func NewMissRecorder(src workload.App, l1Lines, l1Ways int, lat Latencies, warmu
 		mr.l1 = newL1Cache(l1Lines, l1Ways)
 	}
 	return mr
+}
+
+// AttachMonitor makes the recorder observe each miss in mon's tag directory,
+// under the address the simulator gives core's access, (core+1)<<40 | addr,
+// and store the code in the miss segment. The recorder owns mon's directory
+// from here on, and runs count its codes into policy monitors of equal Spec,
+// which must start as empty as mon. Call before any reading; mon's codes
+// must fit the segment.
+func (mr *MissRecorder) AttachMonitor(core int, mon *ucp.UMON) {
+	if int(ucp.CodeHit)+mon.Ways()-1 > segCodeMax {
+		panic(fmt.Sprintf("sim: a %d-way monitor's codes exceed the segment's %d", mon.Ways(), segCodeMax))
+	}
+	mr.mu.Lock()
+	defer mr.mu.Unlock()
+	if mr.filled > 0 {
+		panic("sim: AttachMonitor after the recording started")
+	}
+	mr.core, mr.mon = core, mon
 }
 
 // MissSet returns n independent read cursors over the segment stream and
@@ -217,8 +249,13 @@ func (mr *MissRecorder) extendLocked() {
 			}
 			continue
 		}
+		var code uint64
+		if mr.mon != nil {
+			tagged := uint64(mr.core+1)<<40 | addr
+			code = uint64(mr.mon.Observe(tagged, hash.Mix64(tagged)))
+		}
 		mr.emit(
-			segMissFlag|uint64(gap)<<segGapShift|mr.pendHits<<segHitsShift|addr,
+			segMissFlag|uint64(gap)<<segGapShift|code<<segCodeShift|mr.pendHits<<segHitsShift|addr,
 			mr.pendPre<<32|(mr.pendSteps+steps),
 		)
 		mr.pendHits, mr.pendPre, mr.pendSteps = 0, 0, 0
@@ -341,6 +378,7 @@ func (rs *runState) advanceMiss(c *coreState, ci int) {
 			c.missGap = w0 >> segGapShift & segGapMax
 			c.missAddr = uint64(ci+1)<<40 | w0&segAddrMask
 			c.segHits = w0 >> segHitsShift & segHitsMax
+			c.missCode = uint8(w0 >> segCodeShift & segCodeMax)
 			c.segSteps = steps
 			return
 		}

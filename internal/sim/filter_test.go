@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +195,97 @@ func TestMissReplayConcurrentCursors(t *testing.T) {
 	}
 }
 
+// TestCountedMatchesFed is the contract of monitoring once per mix: a
+// ucp.Policy that only counts the UMON codes its recorders stored must run
+// exactly as the same policy fed every access, and as the reference loop:
+// same Result, same repartition decisions, and the same final monitor
+// counters (the decisions alone tolerate small curve errors). Recorders
+// whose monitors were seeded differently do not match the policy's, so that
+// run must be fed.
+func TestCountedMatchesFed(t *testing.T) {
+	const (
+		l1Lines = 64
+		l1Ways  = 4
+		warmup  = 50000
+		limit   = 120000
+	)
+	type repart struct {
+		cycle           uint64
+		targets, actual []int
+	}
+	policy := func(seed uint64) *ucp.Policy { return ucp.NewPolicy(4, 16, 1024, ucp.GranLines, seed) }
+	run := func(run func(Config) Result, cfg Config) (Result, []repart) {
+		var log []repart
+		cfg.L2 = core.New(cache.NewZCache(1024, 4, 52, 21), core.Config{Partitions: 4, UnmanagedFrac: 0.05, AMax: 0.5, Slack: 0.1})
+		cfg.L1Lines, cfg.L1Ways = l1Lines, l1Ways
+		cfg.InstrLimit, cfg.WarmupInstr = limit, warmup
+		cfg.RepartitionCycles, cfg.PartitionableLines = 200000, 972
+		cfg.OnRepartition = func(cycle uint64, targets, actual []int) {
+			log = append(log, repart{cycle, targets, actual})
+		}
+		return run(cfg), log
+	}
+	// streams records the mix, with monitors from a policy of the given
+	// seed attached (0: none), and checks whether a run's policy counts.
+	streams := func(monSeed uint64, counts bool) ([]*MissReplay, *ucp.Policy) {
+		var mons *ucp.Policy
+		if monSeed != 0 {
+			mons = policy(monSeed)
+		}
+		recs := filterRecorders(l1Lines, l1Ways, warmup, limit)
+		miss := make([]*MissReplay, len(recs))
+		for i, mr := range recs {
+			if mons != nil {
+				mr.AttachMonitor(i, mons.Monitor(i))
+			}
+			miss[i] = mr.MissSet(1)[0]
+		}
+		p := policy(23)
+		if got := countedMonitors(p, miss) != nil; got != counts {
+			t.Fatalf("monitors seeded %d: counted %v, want %v", monSeed, got, counts)
+		}
+		return miss, p
+	}
+
+	miss, fed := streams(0, false)
+	want, wantLog := run(Run, Config{Miss: miss, Alloc: fed})
+	if len(wantLog) < 3 {
+		t.Fatalf("only %d repartitions; the test needs several", len(wantLog))
+	}
+	for _, c := range []struct {
+		name    string
+		monSeed uint64
+		counts  bool
+	}{
+		{"counted", 23, true},
+		{"mismatched seed", 24, false},
+	} {
+		miss, p := streams(c.monSeed, c.counts)
+		got, log := run(Run, Config{Miss: miss, Alloc: p})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: result diverges from the fed run:\n got %+v\nwant %+v", c.name, got, want)
+		}
+		if !reflect.DeepEqual(log, wantLog) {
+			t.Errorf("%s: repartition decisions diverge from the fed run", c.name)
+		}
+		for i := range miss {
+			m, w := p.Monitor(i), fed.Monitor(i)
+			if !slices.Equal(m.HitCurve(), w.HitCurve()) || !slices.Equal(m.MissCurve(), w.MissCurve()) || m.Accesses() != w.Accesses() {
+				t.Errorf("%s: core %d's monitor counters diverge from the fed run's", c.name, i)
+			}
+		}
+	}
+
+	ref, refLog := run(runReference, Config{Apps: filterApps(), Alloc: policy(23)})
+	if !reflect.DeepEqual(ref.Cores, want.Cores) || ref.Throughput != want.Throughput || ref.WeightedCycles != want.WeightedCycles {
+		t.Errorf("reference loop diverges:\n got %+v\nwant %+v", ref, want)
+	}
+	// The reference may flush trailing boundaries no access observes.
+	if len(refLog) < len(wantLog) || !reflect.DeepEqual(refLog[:len(wantLog)], wantLog) {
+		t.Errorf("reference loop's repartition decisions diverge")
+	}
+}
+
 // TestMissRecorderPanics pins the loud-failure contract of the filtered path.
 func TestMissRecorderPanics(t *testing.T) {
 	expectPanic := func(name string, fn func()) {
@@ -218,6 +310,15 @@ func TestMissRecorderPanics(t *testing.T) {
 		mr := NewMissRecorder(app(), 32, 4, Latencies{}, 0, 1000)
 		mr.MissSet(1)
 		mr.MissSet(1)
+	})
+	expectPanic("monitor too wide for the code", func() {
+		NewMissRecorder(app(), 32, 4, Latencies{}, 0, 1000).AttachMonitor(0, ucp.NewUMON(segCodeMax, 64, 64, 1))
+	})
+	NewMissRecorder(app(), 32, 4, Latencies{}, 0, 1000).AttachMonitor(0, ucp.NewUMON(segCodeMax-1, 64, 64, 1))
+	expectPanic("monitor attached after recording", func() {
+		mr := NewMissRecorder(app(), 32, 4, Latencies{}, 0, 1000)
+		mr.MissSet(1)[0].NextChunk()
+		mr.AttachMonitor(0, ucp.NewUMON(16, 64, 64, 1))
 	})
 	expectPanic("Apps/Miss length mismatch", func() {
 		mr := NewMissRecorder(app(), 32, 4, Latencies{}, 0, 1000)

@@ -6,7 +6,7 @@ package sim
 // by a plain linear scan), draws one reference from its app, runs it through
 // the core's private L1 and, on an L1 miss, through the shared L2. A
 // repartition boundary fires at the first step whose core clock is at or
-// past it. OnRepartition and Miss are not supported.
+// past it, and OnRepartition sees it as Run's does. Miss is not supported.
 func runReference(cfg Config) Result {
 	n := len(cfg.Apps)
 	rs := newRunState(&cfg, n)
@@ -28,7 +28,7 @@ func runReference(cfg Config) Result {
 		}
 		c := &rs.cores[ci]
 		if repartEnabled && c.cycle >= nextRepart {
-			rs.repartition(&cfg, &res)
+			rs.repartition(&cfg, &res, nextRepart)
 			nextRepart += cfg.RepartitionCycles
 		}
 
@@ -38,7 +38,7 @@ func runReference(cfg Config) Result {
 		lat, l2Hit := cfg.Lat.L1Hit, false
 		if !l1Hit {
 			now := c.cycle + uint64(gap)
-			lat, l2Hit = rs.accessL2(addr, ci)
+			lat, l2Hit = rs.accessL2(addr, ci, 0)
 			lat += int(rs.cont.l2Delay(addr, now))
 			if !l2Hit {
 				lat += int(rs.cont.memDelay(now))

@@ -100,7 +100,9 @@ type Config struct {
 	// Alloc, if non-nil, repartitions the L2 every RepartitionCycles;
 	// PartitionableLines is the capacity handed to the allocator (for
 	// Vantage, the managed region). ucp.Policy is the paper's allocator;
-	// any Allocator (e.g. ucp.Static) can drive the schemes.
+	// any Allocator (e.g. ucp.Static) can drive the schemes. A ucp.Policy
+	// whose monitors match the streams' only counts their codes (see
+	// MissRecorder.AttachMonitor); any other allocator is fed each access.
 	Alloc              Allocator
 	RepartitionCycles  uint64
 	PartitionableLines int
@@ -153,6 +155,7 @@ type coreState struct {
 	missGap   uint64
 	segHits   uint64
 	segSteps  uint64
+	missCode  uint8 // the pending miss's UMON code (see AttachMonitor)
 	cycle     uint64
 	instrs    uint64 // instructions retired in the measurement window
 	warmLeft  uint64
@@ -187,6 +190,7 @@ type runState struct {
 	l2Mixed    ctrl.MixedController // l2's mixed fast path, or nil
 	alloc      Allocator
 	allocMixed MixedAllocator        // alloc's mixed fast path, or nil
+	counted    []*ucp.UMON           // per core, the monitor that counts codes, or nil
 	chooser    PolicyChooser         // alloc's insertion-policy choices, or nil
 	setter     InsertionPolicySetter // l2's insertion-policy hook, or nil
 
@@ -256,13 +260,20 @@ func Run(cfg Config) Result {
 		n = len(miss)
 	}
 	rs := newRunState(&cfg, n)
+	policy, _ := cfg.Alloc.(*ucp.Policy)
 	if len(miss) == 0 {
 		miss = make([]*MissReplay, n)
 		for i, app := range cfg.Apps {
 			mr := NewMissRecorder(app, cfg.L1Lines, cfg.L1Ways, cfg.Lat, cfg.WarmupInstr, cfg.InstrLimit)
 			mr.core = i
+			if policy != nil {
+				mr.AttachMonitor(i, policy.Monitor(i))
+			}
 			miss[i] = mr.MissSet(1)[0]
 		}
+	}
+	if policy != nil {
+		rs.counted = countedMonitors(policy, miss)
 	}
 
 	keys := make([]uint64, n)
@@ -299,18 +310,11 @@ func Run(cfg Config) Result {
 			// or cache can see, so firing them back to back here leaves the
 			// state the access below would see at any firing point.
 			for repartEnabled && c.missCycle >= nextRepart {
-				targets := rs.repartition(&cfg, &res)
-				if cfg.OnRepartition != nil {
-					actual := make([]int, rs.l2.NumPartitions())
-					for p := range actual {
-						actual[p] = rs.l2.Size(p)
-					}
-					cfg.OnRepartition(nextRepart, targets, actual)
-				}
+				rs.repartition(&cfg, &res, nextRepart)
 				nextRepart += cfg.RepartitionCycles
 			}
 
-			lat, l2Hit := rs.accessL2(c.missAddr, ci)
+			lat, l2Hit := rs.accessL2(c.missAddr, ci, c.missCode)
 			now := c.missCycle + c.missGap
 			lat += int(rs.cont.l2Delay(c.missAddr, now))
 			if !l2Hit {
@@ -334,6 +338,19 @@ func Run(cfg Config) Result {
 	return rs.finish(res)
 }
 
+// countedMonitors returns policy's per-core monitors if every stream's codes
+// come from a monitor of equal ucp.Spec on the same core, else nil.
+func countedMonitors(policy *ucp.Policy, miss []*MissReplay) []*ucp.UMON {
+	mons := make([]*ucp.UMON, len(miss))
+	for i, r := range miss {
+		mons[i] = policy.Monitor(i)
+		if r.mr.mon == nil || r.mr.core != i || r.mr.mon.Spec() != mons[i].Spec() {
+			return nil
+		}
+	}
+	return mons
+}
+
 // groupMin returns the smallest key of group g (cores 8g to 8g+7).
 func groupMin(keys []uint64, g int) uint64 {
 	lo := g << 3
@@ -347,8 +364,9 @@ func groupMin(keys []uint64, g int) uint64 {
 	return m
 }
 
-// repartition runs one allocator invocation and applies its decisions.
-func (rs *runState) repartition(cfg *Config, res *Result) []int {
+// repartition runs one allocator invocation at boundary cycle, applies its
+// decisions and reports them to OnRepartition.
+func (rs *runState) repartition(cfg *Config, res *Result, cycle uint64) {
 	targets := rs.alloc.Allocate(cfg.PartitionableLines)
 	rs.l2.SetTargets(targets)
 	if rs.chooser != nil && rs.setter != nil {
@@ -357,7 +375,13 @@ func (rs *runState) repartition(cfg *Config, res *Result) []int {
 		}
 	}
 	res.Repartitions++
-	return targets
+	if cfg.OnRepartition != nil {
+		actual := make([]int, rs.l2.NumPartitions())
+		for p := range actual {
+			actual[p] = rs.l2.Size(p)
+		}
+		cfg.OnRepartition(cycle, targets, actual)
+	}
 }
 
 // retire credits steps instructions, which ended at the core's current
@@ -409,16 +433,19 @@ func (rs *runState) finish(res Result) Result {
 	return res
 }
 
-// accessL2 performs one post-L1 reference: it feeds the allocator's monitors
-// and the shared controller, and returns the access latency and whether the
-// L2 hit. The address is mixed once here and the value shared between the
-// monitors and the controller's hashed arrays; the L1 indexes by low address
-// bits, so hits there never need the mix.
-func (rs *runState) accessL2(addr uint64, core int) (lat int, hit bool) {
+// accessL2 performs one post-L1 reference: it counts code into the core's
+// monitor or feeds the allocator, accesses the shared controller, and returns
+// the access latency and whether the L2 hit. The address is mixed once here
+// and shared between the allocator and the controller's hashed arrays; the
+// L1 indexes by low address bits, so hits there never need the mix.
+func (rs *runState) accessL2(addr uint64, core int, code uint8) (lat int, hit bool) {
 	mixed := hash.Mix64(addr)
-	if rs.allocMixed != nil {
+	switch {
+	case rs.counted != nil:
+		rs.counted[core].Count(code)
+	case rs.allocMixed != nil:
 		rs.allocMixed.AccessMixed(core, addr, mixed)
-	} else if rs.alloc != nil {
+	case rs.alloc != nil:
 		rs.alloc.Access(core, addr)
 	}
 	var r ctrl.AccessResult

@@ -22,11 +22,14 @@ import (
 // hits per LRU stack position plus misses. The monitor observes one core's
 // L2 access stream and estimates the hits the core would achieve if it had
 // 1..W ways of the cache to itself.
+//
+// Observe runs the tag directory and returns the access's outcome as a code;
+// Count applies a code to the counters. The directory never reads the
+// counters, so any monitor of the same Spec can count another's codes as if
+// it had observed the stream itself, and one that only counts never builds
+// its directory.
 type UMON struct {
-	ways      int
-	totalSets int // sets of the modeled cache (cacheLines / ways)
-	sampled   int // instantiated ATD sets
-	ratio     int // totalSets / sampled, a power of two
+	spec Spec
 	// sampleMask (ratio-1) and ratioShift (log2 ratio) express the sampling
 	// filter and set compaction as mask/shift: the filter runs on every
 	// monitored access and a runtime-divisor modulo would dominate it.
@@ -39,8 +42,7 @@ type UMON struct {
 	// walk reads contiguous memory with no per-set slice header.
 	tags      []uint64
 	occupancy []int
-	hits      []uint64 // per stack position
-	misses    uint64
+	tally     []uint64 // indexed by code-CodeMiss: misses, then hits per stack depth
 	accesses  uint64
 	// decision memo: whether an address maps to a sampled set (and which
 	// compacted set) is a pure function of the address, so it is cached in a
@@ -55,6 +57,24 @@ type UMON struct {
 	sig    []uint64
 	sigCnt []uint8
 }
+
+// Spec is a monitor's ways, modeled sets, sampled sets and seed. Monitors of
+// equal Spec observing the same addresses return the same codes.
+type Spec struct {
+	Ways, Sets, Sampled int
+	Seed                uint64
+}
+
+// Observe codes: CodeFiltered outside the sampled sets, CodeMiss for a tag
+// miss, CodeHit+k for a hit at LRU stack depth k.
+const (
+	CodeFiltered uint8 = iota
+	CodeMiss
+	CodeHit
+)
+
+// maxWays is the largest associativity whose codes fit in a uint8 (254).
+const maxWays = 256 - int(CodeHit)
 
 // decEntry is one decision-memo slot: the address and its encoded decision
 // (decUnknown empty, decFiltered not sampled, else compacted set + 1). The
@@ -75,11 +95,12 @@ const (
 )
 
 // NewUMON returns a monitor modeling a cache with the given associativity
-// and totalSets sets, instantiating at most sampledSets auxiliary-tag sets
-// (dynamic set sampling; the paper uses 64). The monitor's set geometry must
-// mirror the modeled cache so per-set LRU stack depths are faithful.
+// (at most 254) and totalSets sets, instantiating at most sampledSets
+// auxiliary-tag sets (dynamic set sampling; the paper uses 64). The
+// monitor's set geometry must mirror the modeled cache so per-set LRU stack
+// depths are faithful. The tag directory is built on the first Observe.
 func NewUMON(ways, totalSets, sampledSets int, seed uint64) *UMON {
-	if ways <= 0 || totalSets <= 0 || totalSets&(totalSets-1) != 0 {
+	if ways <= 0 || ways > maxWays || totalSets <= 0 || totalSets&(totalSets-1) != 0 {
 		panic(fmt.Sprintf("ucp: bad UMON geometry ways=%d sets=%d", ways, totalSets))
 	}
 	if sampledSets <= 0 {
@@ -93,29 +114,33 @@ func NewUMON(ways, totalSets, sampledSets int, seed uint64) *UMON {
 		sampledSets--
 	}
 	ratio := totalSets / sampledSets
-	u := &UMON{
-		ways:       ways,
-		totalSets:  totalSets,
-		sampled:    sampledSets,
-		ratio:      ratio,
+	return &UMON{
+		spec:       Spec{Ways: ways, Sets: totalSets, Sampled: sampledSets, Seed: seed},
 		sampleMask: ratio - 1,
 		ratioShift: uint(bits.TrailingZeros(uint(ratio))),
-		h:          hash.NewH3(32, hash.Mix64(seed^0x0e0e)),
-		tags:       make([]uint64, sampledSets*ways),
-		occupancy:  make([]int, sampledSets),
-		hits:       make([]uint64, ways),
-		dec:        make([]decEntry, decEntries),
-		sig:        make([]uint64, sampledSets),
-		sigCnt:     make([]uint8, sampledSets*64),
+		tally:      make([]uint64, 1+ways),
 	}
-	return u
 }
 
+// build allocates the tag directory, the decision memo and the hash.
+func (u *UMON) build() {
+	s := u.spec
+	u.h = hash.NewH3(32, hash.Mix64(s.Seed^0x0e0e))
+	u.tags = make([]uint64, s.Sampled*s.Ways)
+	u.occupancy = make([]int, s.Sampled)
+	u.dec = make([]decEntry, decEntries)
+	u.sig = make([]uint64, s.Sampled)
+	u.sigCnt = make([]uint8, s.Sampled*64)
+}
+
+// Spec returns the monitor's geometry and seed.
+func (u *UMON) Spec() Spec { return u.spec }
+
 // Ways returns the monitor associativity.
-func (u *UMON) Ways() int { return u.ways }
+func (u *UMON) Ways() int { return u.spec.Ways }
 
 // SampledSets returns the number of instantiated ATD sets.
-func (u *UMON) SampledSets() int { return u.sampled }
+func (u *UMON) SampledSets() int { return u.spec.Sampled }
 
 // Access feeds one address from the monitored core's access stream. Only
 // addresses mapping to sampled sets touch the auxiliary tags.
@@ -128,64 +153,80 @@ func (u *UMON) Access(addr uint64) {
 // structures (shard routing, the controller's array, the UMON) compute the
 // mix once and share it; the result is identical to Access(addr).
 func (u *UMON) AccessMixed(addr, mixed uint64) {
+	u.Count(u.Observe(addr, mixed))
+}
+
+// Observe runs one address (with mixed = hash.Mix64(addr)) through the tag
+// directory and returns its code. It leaves the counters alone.
+func (u *UMON) Observe(addr, mixed uint64) uint8 {
+	if u.dec == nil {
+		u.build()
+	}
 	// The sampled-set decision (H3 hash, filter mask, set compaction) is a
 	// pure function of the address; consult the memo before hashing.
 	var set int
 	e := &u.dec[int(mixed)&decMask]
 	if e.addr == addr && e.set != decUnknown {
 		if e.set == decFiltered {
-			return
+			return CodeFiltered
 		}
 		set = int(e.set) - 1
 	} else {
 		hv := u.h.Hash(mixed)
-		modelSet := int(hv) & (u.totalSets - 1)
+		modelSet := int(hv) & (u.spec.Sets - 1)
 		e.addr = addr
 		if modelSet&u.sampleMask != 0 {
 			e.set = decFiltered
-			return
+			return CodeFiltered
 		}
 		set = modelSet >> u.ratioShift
 		e.set = int32(set) + 1
 	}
-	u.accesses++
-	stack := u.tags[set*u.ways : (set+1)*u.ways]
+	ways := u.spec.Ways
+	stack := u.tags[set*ways : (set+1)*ways]
 	n := u.occupancy[set]
 	bit := uint64(1) << (addr & 63)
 	if u.sig[set]&bit != 0 {
 		// The tag may be resident: run the exact stack scan.
 		for k := 0; k < n; k++ {
 			if stack[k] == addr {
-				u.hits[k]++
 				copy(stack[1:k+1], stack[:k])
 				stack[0] = addr
-				return
+				return CodeHit + uint8(k)
 			}
 		}
 	}
-	u.misses++
-	if n < u.ways {
+	if n < ways {
 		copy(stack[1:n+1], stack[:n])
 		n++
 		u.occupancy[set] = n
 	} else {
-		evb := set<<6 | int(stack[u.ways-1]&63)
+		evb := set<<6 | int(stack[ways-1]&63)
 		if u.sigCnt[evb]--; u.sigCnt[evb] == 0 {
 			u.sig[set] &^= uint64(1) << (evb & 63)
 		}
-		copy(stack[1:], stack[:u.ways-1])
+		copy(stack[1:], stack[:ways-1])
 	}
 	stack[0] = addr
 	u.sigCnt[set<<6|int(addr&63)]++
 	u.sig[set] |= bit
+	return CodeMiss
+}
+
+// Count applies one Observe code to the hit and miss counters.
+func (u *UMON) Count(code uint8) {
+	if code != CodeFiltered {
+		u.accesses++
+		u.tally[code-CodeMiss]++
+	}
 }
 
 // HitCurve returns the estimated hits with w = 0..Ways() ways: element w is
 // the number of sampled accesses that hit within LRU stack depth w.
 func (u *UMON) HitCurve() []uint64 {
-	curve := make([]uint64, u.ways+1)
-	for w := 1; w <= u.ways; w++ {
-		curve[w] = curve[w-1] + u.hits[w-1]
+	curve := make([]uint64, u.spec.Ways+1)
+	for w := 1; w <= u.spec.Ways; w++ {
+		curve[w] = curve[w-1] + u.tally[w]
 	}
 	return curve
 }
@@ -193,7 +234,7 @@ func (u *UMON) HitCurve() []uint64 {
 // MissCurve returns estimated misses with w = 0..Ways() ways.
 func (u *UMON) MissCurve() []uint64 {
 	hc := u.HitCurve()
-	total := u.misses + hc[u.ways]
+	total := u.tally[0] + hc[u.spec.Ways]
 	out := make([]uint64, len(hc))
 	for w := range hc {
 		out[w] = total - hc[w]
@@ -217,19 +258,18 @@ func (u *UMON) Reset() {
 	for i := range u.sigCnt {
 		u.sigCnt[i] = 0
 	}
-	for i := range u.hits {
-		u.hits[i] = 0
+	for i := range u.tally {
+		u.tally[i] = 0
 	}
-	u.misses, u.accesses = 0, 0
+	u.accesses = 0
 }
 
 // Decay halves all counters, aging the estimates across repartitioning
 // intervals as UCP prescribes.
 func (u *UMON) Decay() {
-	for i := range u.hits {
-		u.hits[i] /= 2
+	for i := range u.tally {
+		u.tally[i] /= 2
 	}
-	u.misses /= 2
 	u.accesses /= 2
 }
 

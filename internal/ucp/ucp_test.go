@@ -1,6 +1,7 @@
 package ucp
 
 import (
+	"slices"
 	"testing"
 
 	"vantage/internal/hash"
@@ -8,7 +9,7 @@ import (
 
 func TestNewUMONPanics(t *testing.T) {
 	cases := []struct{ ways, sets, bits int }{
-		{0, 64, 5}, {16, 0, 5}, {16, 63, 5}, {16, 64, -1}, {16, 64, 0},
+		{0, 64, 5}, {maxWays + 1, 64, 5}, {16, 0, 5}, {16, 63, 5}, {16, 64, -1}, {16, 64, 0},
 	}
 	for _, c := range cases {
 		func() {
@@ -94,6 +95,80 @@ func TestUMONAccessMixedMatchesAccess(t *testing.T) {
 	for w := range ca {
 		if ca[w] != cb[w] {
 			t.Fatalf("hit curves differ at way %d: %d vs %d", w, ca[w], cb[w])
+		}
+	}
+}
+
+// TestUMONObserveCountMatchesAccess is the contract that lets one monitor
+// observe a stream and another count its codes: over random streams with
+// Decay and Reset interleaved, a monitor fed by AccessMixed and one that only
+// Counts a twin's Observe codes agree on every curve after every step. The
+// streams include addresses that share a decision-memo slot, and one
+// geometry sits at maxWays with every address in one set, so the deepest
+// stack hit produces the largest code.
+func TestUMONObserveCountMatchesAccess(t *testing.T) {
+	// colliding returns n addresses that share decision-memo slot slot.
+	colliding := func(slot, n int) []uint64 {
+		var out []uint64
+		for a := uint64(1); len(out) < n; a++ {
+			if int(hash.Mix64(a))&decMask == slot {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name                 string
+		ways, sets, sampled  int
+		pool                 []uint64
+		deepest, decayPeriod int
+	}{
+		{"sampled", 16, 2048, 64, append(colliding(7, 40), colliding(300, 40)...), 0, 997},
+		{"all-sampled", 8, 64, 64, colliding(11, 600), 0, 501},
+		{"max-ways", maxWays, 1, 1, colliding(5, maxWays+8), maxWays - 1, 4001},
+	} {
+		fed := NewUMON(c.ways, c.sets, c.sampled, 31)
+		observer := NewUMON(c.ways, c.sets, c.sampled, 31)
+		counter := NewUMON(c.ways, c.sets, c.sampled, 31)
+		if observer.Spec() != counter.Spec() {
+			t.Fatalf("%s: equal geometries give specs %+v and %+v", c.name, observer.Spec(), counter.Spec())
+		}
+		rng := hash.NewRand(uint64(len(c.pool)))
+		deepest := uint8(0)
+		for step := 1; step <= 30000; step++ {
+			var addr uint64
+			if c.deepest > 0 {
+				addr = c.pool[step%(c.deepest+1)] // a cycle of ways lines hits at the last slot
+			} else {
+				addr = c.pool[rng.Intn(len(c.pool))]
+			}
+			mixed := hash.Mix64(addr)
+			fed.AccessMixed(addr, mixed)
+			code := observer.Observe(addr, mixed)
+			counter.Count(code)
+			deepest = max(deepest, code)
+			switch {
+			case step%c.decayPeriod == 0:
+				fed.Decay()
+				counter.Decay()
+			case step%(7*c.decayPeriod) == 3:
+				fed.Reset()
+				observer.Reset()
+				counter.Reset()
+			}
+			if !slices.Equal(fed.HitCurve(), counter.HitCurve()) ||
+				!slices.Equal(fed.MissCurve(), counter.MissCurve()) ||
+				fed.Accesses() != counter.Accesses() {
+				t.Fatalf("%s: step %d: counted monitor diverges:\n fed %v %v %d\n got %v %v %d", c.name, step,
+					fed.HitCurve(), fed.MissCurve(), fed.Accesses(),
+					counter.HitCurve(), counter.MissCurve(), counter.Accesses())
+			}
+		}
+		if c.deepest > 0 && deepest != CodeHit+uint8(c.deepest) {
+			t.Errorf("%s: deepest code %d, want %d", c.name, deepest, CodeHit+uint8(c.deepest))
+		}
+		if counter.dec != nil || counter.tags != nil || counter.h != nil {
+			t.Errorf("%s: a monitor that only counts built its tag directory", c.name)
 		}
 	}
 }
