@@ -75,20 +75,27 @@ func (b *Banked) AccessMixed(addr, mixed uint64, part int) AccessResult {
 }
 
 // SetTargets implements Controller: global line targets are divided evenly
-// across banks (remainders to the lower banks).
+// across banks (see SplitEven).
 func (b *Banked) SetTargets(targets []int) {
-	n := len(b.banks)
-	per := make([]int, len(targets))
+	var per []int
 	for bi, bank := range b.banks {
-		for p, t := range targets {
-			share := t / n
-			if bi < t%n {
-				share++
-			}
-			per[p] = share
-		}
+		per = SplitEven(per, targets, bi, len(b.banks))
 		bank.SetTargets(per)
 	}
+}
+
+// SplitEven returns bank's shares of the targets split evenly over n banks,
+// remainders to the lower banks, in dst resized to len(targets).
+func SplitEven(dst, targets []int, bank, n int) []int {
+	dst = dst[:0]
+	for _, t := range targets {
+		share := t / n
+		if bank < t%n {
+			share++
+		}
+		dst = append(dst, share)
+	}
+	return dst
 }
 
 // Size implements Controller: the sum over banks.

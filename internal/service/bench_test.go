@@ -260,3 +260,47 @@ func BenchmarkGetMiss(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRepartition measures one Repartition on 4 shards of 8,192 lines
+// with 16 and 256 tenants. Between calls, untimed, every tenant reads keys
+// of its own working-set size (64 to 2,048 keys), so each call allocates
+// from monitors that hold fresh traffic rather than decayed ones.
+func BenchmarkRepartition(b *testing.B) {
+	for _, n := range []int{16, 256} {
+		b.Run(fmt.Sprintf("tenants=%d", n), func(b *testing.B) {
+			svc, err := New(Config{Shards: 4, LinesPerShard: 8192, MaxTenants: n, Seed: 2011})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { svc.Close() })
+			tenants := make([][]byte, n)
+			for i := range tenants {
+				tenants[i] = []byte(fmt.Sprintf("t%d", i))
+				if _, err := svc.AddTenant(string(tenants[i])); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rng := hash.NewRand(7)
+			var key [16]byte
+			val := make([]byte, 16)
+			traffic := func() {
+				for i := 0; i < 32768; i++ {
+					t := rng.Intn(n)
+					k := fmtHex(key[:0], 1<<63|uint64(t)<<32|uint64(rng.Intn(64<<(t%6))))
+					if _, hit, _ := svc.GetB(tenants[t], k); !hit {
+						svc.PutB(tenants[t], k, val)
+					}
+				}
+			}
+			traffic()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				traffic()
+				b.StartTimer()
+				svc.Repartition()
+			}
+		})
+	}
+}

@@ -17,9 +17,9 @@
 // aperture, a shared unmanaged region absorbing churn — on real traffic.
 //
 // Capacity targets are set online by utility-based cache partitioning: each
-// shard owns a ucp.Policy whose UMON-DSS monitors are fed the shard's live
-// GET stream (the read stream defines utility; PUTs are the fill path), and
-// a background goroutine reruns Lookahead every RepartitionInterval.
+// shard's UMON-DSS monitors are fed its live GET stream (the read stream
+// defines utility; PUTs are the fill path), and every RepartitionInterval
+// one Lookahead over the shards' summed curves retargets every shard.
 //
 // Concurrency model: one lock per shard. sh.mu serializes the shard's
 // controller, value store, UCP monitors and request counters, so a GET, PUT,
@@ -226,6 +226,7 @@ type Service struct {
 
 	mgets        atomic.Uint64
 	repartitions atomic.Uint64
+	rp           repartState
 
 	// Overload counters, incremented by the protocol server(s) attached to
 	// this service (several Servers may share one Service; these aggregate).
@@ -298,6 +299,8 @@ func New(cfg Config) (*Service, error) {
 		tenants: make(map[string]*Tenant),
 		byPart:  make([]*Tenant, cfg.MaxTenants),
 	})
+	s.rp.hits = make([][]uint64, cfg.MaxTenants)
+	s.rp.sums = make([]uint64, cfg.MaxTenants*(cfg.MonitorWays+1))
 	for i := 0; i < cfg.Shards; i++ {
 		seed := hash.Mix64(cfg.Seed ^ uint64(i)*0x9e3779b97f4a7c15)
 		arr := cache.NewZCache(cfg.LinesPerShard, cfg.Ways, cfg.Candidates, seed)
@@ -610,23 +613,58 @@ func (s *Service) deleteAt(addr, mixed uint64, key []byte) bool {
 	return e != nil
 }
 
-// Repartition reruns UCP once on every shard: under the shard lock,
-// Lookahead distributes the shard's managed capacity among the active
-// tenants from its own UMON curves and installs the targets, and the Vantage
-// controllers then converge to them by churn-based demotion. Safe to call
-// concurrently with requests.
+// Repartition runs UCP once for the whole service (§5): it sums each active
+// tenant's hit curves over the shards, taking one shard lock at a time, runs
+// Lookahead on the sums with no shard lock held, and installs each target
+// split evenly across the shards, zero for a slot no longer active by then.
+// Calls are serialized; they are safe concurrently with requests.
 func (s *Service) Repartition() {
-	reg := s.reg.Load()
-	active := make([]bool, s.cfg.MaxTenants)
-	for _, t := range reg.tenants {
-		active[t.part] = true
+	r := &s.rp
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ways := s.cfg.MonitorWays + 1
+	clear(r.hits)
+	clear(r.sums)
+	for _, t := range s.reg.Load().tenants {
+		r.hits[t.part] = r.sums[t.part*ways : (t.part+1)*ways]
 	}
+	managed := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.ctl.SetTargets(sh.alloc.AllocateActive(sh.managed, active))
+		for p, h := range r.hits {
+			m := sh.alloc.Monitor(p)
+			if h != nil {
+				m.AddHitCurve(h)
+			}
+			m.Decay()
+		}
+		sh.mu.Unlock()
+		managed += sh.managed
+	}
+	r.targets = ucp.AllocateCurves(&r.sc, r.targets, r.hits, managed, ucp.GranLines)
+	for i, sh := range s.shards {
+		r.per = ctrl.SplitEven(r.per, r.targets, i, len(s.shards))
+		sh.mu.Lock()
+		reg := s.reg.Load()
+		for p, t := range r.per {
+			if tn := reg.byPart[p]; t != 0 && (tn == nil || reg.tenants[tn.name] != tn) {
+				r.per[p] = 0 // removed, or still purging, since the solve
+			}
+		}
+		sh.ctl.SetTargets(r.per)
 		sh.mu.Unlock()
 	}
 	s.repartitions.Add(1)
+}
+
+// repartState is Repartition's lock, which no request takes, and scratch.
+type repartState struct {
+	mu      sync.Mutex
+	hits    [][]uint64 // per slot: the shards' summed hit curve, nil if inactive
+	sums    []uint64   // the backing array of hits, MonitorWays+1 per slot
+	targets []int      // per slot: the global target
+	per     []int      // per slot: one shard's share of targets
+	sc      ucp.Scratch
 }
 
 func (s *Service) repartitionLoop() {

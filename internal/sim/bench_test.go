@@ -103,12 +103,22 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement under -short")
 	}
+	const runs = 5
 	run := func(instr uint64) func() {
+		// The apps are built before measuring: their names go through fmt,
+		// whose printer pool drops entries at random under -race, and those
+		// allocations are setup, not Run's. AllocsPerRun calls f runs+1 times.
+		sets := make([][]workload.App, runs+1)
+		for i := range sets {
+			sets[i] = benchApps(4)
+		}
 		return func() {
+			apps := sets[0]
+			sets = sets[1:]
 			arr := cache.NewZCache(1024, 4, 16, 99)
 			l2 := ctrl.NewUnpartitioned(arr, repl.NewLRUTimestamp(1024), 4)
 			Run(Config{
-				Apps:       benchApps(4),
+				Apps:       apps,
 				L2:         l2,
 				L1Lines:    128,
 				L1Ways:     4,
@@ -117,8 +127,8 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	const base = 50000
-	short := testing.AllocsPerRun(5, run(base))
-	long := testing.AllocsPerRun(5, run(2*base))
+	short := testing.AllocsPerRun(runs, run(base))
+	long := testing.AllocsPerRun(runs, run(2*base))
 	if extra := long - short; extra > 4 {
 		t.Fatalf("steady state allocates: %d extra instructions cost %.0f allocations (%.0f vs %.0f)",
 			base, extra, long, short)

@@ -130,6 +130,10 @@ type MissRecorder struct {
 	pendPre   uint64
 	pendSteps uint64
 
+	// chunks holds the published chunks not yet released: chunk i of the
+	// stream is chunks[i-released], and filled counts all ever published.
+	// Dropping released chunks from the table, not just their buffers,
+	// keeps its length at the reader spread however long the stream runs.
 	chunks   [][]uint64
 	filled   int
 	building []uint64
@@ -306,9 +310,12 @@ func (mr *MissRecorder) releaseLocked() {
 			lo = p
 		}
 	}
-	for ; mr.released < lo-1; mr.released++ {
-		mr.spare = mr.chunks[mr.released][:0]
-		mr.chunks[mr.released] = nil
+	if n := lo - 1 - mr.released; n > 0 {
+		mr.spare = mr.chunks[n-1][:0]
+		k := copy(mr.chunks, mr.chunks[n:])
+		clear(mr.chunks[k:])
+		mr.chunks = mr.chunks[:k]
+		mr.released += n
 	}
 }
 
@@ -333,10 +340,10 @@ func (r *MissReplay) NextChunk() []uint64 {
 	for mr.filled <= r.next {
 		mr.extendLocked()
 	}
-	chunk := mr.chunks[r.next]
-	if chunk == nil {
+	if r.next < mr.released {
 		panic("sim: miss replay cursor read a released chunk")
 	}
+	chunk := mr.chunks[r.next-mr.released]
 	r.next++
 	mr.cursorPos[r.idx] = r.next
 	mr.releaseLocked()

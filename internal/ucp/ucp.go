@@ -225,10 +225,18 @@ func (u *UMON) Count(code uint8) {
 // the number of sampled accesses that hit within LRU stack depth w.
 func (u *UMON) HitCurve() []uint64 {
 	curve := make([]uint64, u.spec.Ways+1)
-	for w := 1; w <= u.spec.Ways; w++ {
-		curve[w] = curve[w-1] + u.tally[w]
-	}
+	u.AddHitCurve(curve)
 	return curve
+}
+
+// AddHitCurve adds the hit curve into dst (len Ways()+1): summed over the
+// slices of an address-interleaved cache, it estimates the whole stream's.
+func (u *UMON) AddHitCurve(dst []uint64) {
+	var hits uint64
+	for w := 1; w <= u.spec.Ways; w++ {
+		hits += u.tally[w]
+		dst[w] += hits
+	}
 }
 
 // MissCurve returns estimated misses with w = 0..Ways() ways.
@@ -296,6 +304,11 @@ func (u *UMON) Decay() {
 // greater beats, so the smallest distance and then the lowest partition
 // index win), so the allocation is bit-identical to the naive algorithm's.
 func Lookahead(curves [][]float64, total, minPer int) []int {
+	return new(Scratch).lookahead(curves, total, minPer)
+}
+
+// lookahead is Lookahead in sc's buffers; the result is sc.shares.
+func (sc *Scratch) lookahead(curves [][]float64, total, minPer int) []int {
 	p := len(curves)
 	if p == 0 {
 		return nil
@@ -304,18 +317,16 @@ func Lookahead(curves [][]float64, total, minPer int) []int {
 		panic(fmt.Sprintf("ucp: cannot give %d partitions %d units each out of %d", p, minPer, total))
 	}
 	units := len(curves[0]) - 1
-	alloc := make([]int, p)
+	// Champion cache: chD[i]/chMU[i] hold partition i's best (distance,
+	// marginal utility) for its current allocation; chD[i] < 0 marks an
+	// entry that is not current.
+	alloc, chD, chMU := resize(sc.shares, p), resize(sc.chD, p), resize(sc.chMU, p)
+	sc.shares, sc.chD, sc.chMU = alloc, chD, chMU
 	remaining := total
 	for i := range alloc {
-		alloc[i] = minPer
+		alloc[i], chD[i] = minPer, -1
 		remaining -= minPer
 	}
-	// Champion cache: chD[i]/chMU[i] hold partition i's best (distance,
-	// marginal utility) for its current allocation; chValid[i] marks entries
-	// that are current.
-	chD := make([]int, p)
-	chMU := make([]float64, p)
-	chValid := make([]bool, p)
 	for remaining > 0 {
 		bestPart, bestD, bestMU := -1, 0, 0.0
 		for i := 0; i < p; i++ {
@@ -323,7 +334,7 @@ func Lookahead(curves [][]float64, total, minPer int) []int {
 			if a >= units {
 				continue
 			}
-			if !chValid[i] || chD[i] > remaining {
+			if chD[i] < 0 || chD[i] > remaining {
 				maxD := units - a
 				if maxD > remaining {
 					maxD = remaining
@@ -337,7 +348,7 @@ func Lookahead(curves [][]float64, total, minPer int) []int {
 						d0, mu0 = d, mu
 					}
 				}
-				chD[i], chMU[i], chValid[i] = d0, mu0, true
+				chD[i], chMU[i] = d0, mu0
 			}
 			if chMU[i] > bestMU {
 				bestPart, bestD, bestMU = i, chD[i], chMU[i]
@@ -356,7 +367,7 @@ func Lookahead(curves [][]float64, total, minPer int) []int {
 		}
 		alloc[bestPart] += bestD
 		remaining -= bestD
-		chValid[bestPart] = false
+		chD[bestPart] = -1
 	}
 	return alloc
 }
@@ -364,11 +375,15 @@ func Lookahead(curves [][]float64, total, minPer int) []int {
 // InterpolateCurve linearly resamples a way-granularity hit curve
 // (len W+1) onto n+1 points, the paper's 256-point refinement for Vantage.
 func InterpolateCurve(curve []uint64, n int) []float64 {
-	w := len(curve) - 1
+	return interpolate(make([]float64, max(n, 0)+1), curve)
+}
+
+// interpolate is InterpolateCurve into out, whose length sets n+1.
+func interpolate(out []float64, curve []uint64) []float64 {
+	w, n := len(curve)-1, len(out)-1
 	if w <= 0 || n <= 0 {
 		panic("ucp: bad interpolation input")
 	}
-	out := make([]float64, n+1)
 	for j := 0; j <= n; j++ {
 		x := float64(j) * float64(w) / float64(n)
 		lo := int(x)
@@ -404,7 +419,8 @@ const linePoints = 256
 type Policy struct {
 	monitors []*UMON
 	gran     Granularity
-	ways     int
+	hits     [][]uint64 // per partition: Allocate's copy of its hit curve
+	sc       Scratch
 }
 
 // NewPolicy returns a UCP policy for parts partitions over a cache of
@@ -425,7 +441,7 @@ func NewPolicy(parts, ways, cacheLines int, gran Granularity, seed uint64) *Poli
 	for ts < totalSets {
 		ts <<= 1
 	}
-	p := &Policy{gran: gran, ways: ways}
+	p := &Policy{gran: gran, hits: make([][]uint64, parts)}
 	for i := 0; i < parts; i++ {
 		p.monitors = append(p.monitors, NewUMON(ways, ts, 64, hash.Mix64(seed+uint64(i))))
 	}
@@ -447,67 +463,80 @@ func (p *Policy) Monitor(part int) *UMON { return p.monitors[part] }
 // Allocate computes the next per-partition targets in lines, summing to
 // totalLines (the partitionable capacity), and decays the monitors.
 func (p *Policy) Allocate(totalLines int) []int {
-	return p.AllocateActive(totalLines, nil)
+	for i, m := range p.monitors {
+		p.hits[i] = resize(p.hits[i], m.Ways()+1)
+		m.AddHitCurve(p.hits[i])
+		m.Decay()
+	}
+	return AllocateCurves(&p.sc, nil, p.hits, totalLines, p.gran)
 }
 
-// AllocateActive is Allocate restricted to a subset of partitions: capacity
-// is distributed among the partitions with active[i] true only (a nil slice
-// means all are active); the rest get zero-line targets — the paper's §3.4
-// partition-deletion idiom, used by serving layers whose tenant population
-// changes at runtime. All monitors are decayed, active or not.
-func (p *Policy) AllocateActive(totalLines int, active []bool) []int {
-	parts := len(p.monitors)
-	allocs := make([]int, parts)
-	idx := make([]int, 0, parts)
-	for i := 0; i < parts; i++ {
-		if active == nil || (i < len(active) && active[i]) {
+// Scratch is AllocateCurves' working memory, reused from call to call. The
+// zero value is ready; a Scratch serves one call at a time.
+type Scratch struct {
+	idx    []int
+	curves [][]float64
+	points []float64 // the backing array of curves
+	shares []int     // Lookahead's result
+	chD    []int
+	chMU   []float64
+}
+
+// resize returns s with length n, zeroed, reusing its array if it can.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	clear(s[:n])
+	return s[:n]
+}
+
+// AllocateCurves is UCP's allocation: Lookahead distributes totalLines, in
+// ways (GranWays) or in 256ths on curves interpolated to 256 points
+// (GranLines), among the partitions i with a way-granular hit curve hits[i],
+// at least one unit each. A nil curve gets 0, the §3.4 deletion idiom. The
+// targets, summing to totalLines, are written to dst resized to len(hits).
+func AllocateCurves(sc *Scratch, dst []int, hits [][]uint64, totalLines int, gran Granularity) []int {
+	dst = resize(dst, len(hits))
+	idx := sc.idx[:0]
+	for i, h := range hits {
+		if h != nil {
 			idx = append(idx, i)
 		}
 	}
-	if len(idx) > 0 {
-		curves := make([][]float64, len(idx))
-		var units int
-		switch p.gran {
-		case GranWays:
-			units = p.ways
-			for k, i := range idx {
-				hc := p.monitors[i].HitCurve()
-				f := make([]float64, len(hc))
-				for j, v := range hc {
-					f[j] = float64(v)
-				}
-				curves[k] = f
-			}
-		case GranLines:
-			units = linePoints
-			for k, i := range idx {
-				curves[k] = InterpolateCurve(p.monitors[i].HitCurve(), linePoints)
-			}
-		default:
-			panic("ucp: unknown granularity")
-		}
-		shares := Lookahead(curves, units, 1)
-		for k, i := range idx {
-			allocs[i] = totalLines * shares[k] / units
-		}
-		// Fix rounding drift so the targets sum exactly to totalLines.
-		sum := 0
-		for _, a := range allocs {
-			sum += a
-		}
-		for k := 0; sum < totalLines; k = (k + 1) % len(idx) {
-			allocs[idx[k]]++
-			sum++
-		}
-		for k := 0; sum > totalLines; k = (k + 1) % len(idx) {
-			if allocs[idx[k]] > 0 {
-				allocs[idx[k]]--
-				sum--
-			}
-		}
+	if sc.idx = idx; len(idx) == 0 {
+		return dst
 	}
-	for _, m := range p.monitors {
-		m.Decay()
+	units := linePoints
+	if gran == GranWays {
+		units = len(hits[idx[0]]) - 1
+	} else if gran != GranLines {
+		panic("ucp: unknown granularity")
 	}
-	return allocs
+	sc.points = resize(sc.points, len(idx)*(units+1))
+	for k, i := range idx {
+		f := sc.points[k*(units+1) : (k+1)*(units+1)]
+		if gran == GranLines {
+			interpolate(f, hits[i])
+		} else {
+			for j, v := range hits[i] {
+				f[j] = float64(v)
+			}
+		}
+		sc.curves = append(sc.curves[:k], f)
+	}
+	shares := sc.lookahead(sc.curves, units, 1)
+	for k, i := range idx {
+		dst[i] = totalLines * shares[k] / units
+	}
+	// The shares sum to units, so rounding down leaves a drift to hand out.
+	sum := 0
+	for _, a := range dst {
+		sum += a
+	}
+	for k := 0; sum < totalLines; k = (k + 1) % len(idx) {
+		dst[idx[k]]++
+		sum++
+	}
+	return dst
 }

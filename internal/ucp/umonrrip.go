@@ -196,8 +196,8 @@ func (u *UMONRRIP) Decay() {
 // granularity) and the per-partition SRRIP/BRRIP choice.
 type PolicyRRIP struct {
 	monitors []*UMONRRIP
-	ways     int
 	prefer   []bool
+	sc       Scratch
 }
 
 // NewPolicyRRIP returns a Vantage-DRRIP allocation policy for parts
@@ -215,7 +215,7 @@ func NewPolicyRRIP(parts, ways, cacheLines int, seed uint64) *PolicyRRIP {
 	for ts < totalSets {
 		ts <<= 1
 	}
-	p := &PolicyRRIP{ways: ways, prefer: make([]bool, parts)}
+	p := &PolicyRRIP{prefer: make([]bool, parts)}
 	for i := 0; i < parts; i++ {
 		p.monitors = append(p.monitors, NewUMONRRIP(ways, ts, 64, hash.Mix64(seed+uint64(i))))
 	}
@@ -236,27 +236,13 @@ func (p *PolicyRRIP) Monitor(part int) *UMONRRIP { return p.monitors[part] }
 // Allocate computes line targets (like Policy.Allocate at line granularity)
 // and refreshes the per-partition insertion-policy choices.
 func (p *PolicyRRIP) Allocate(totalLines int) []int {
-	parts := len(p.monitors)
-	curves := make([][]float64, parts)
+	hits := make([][]uint64, len(p.monitors))
 	for i, m := range p.monitors {
-		curves[i] = InterpolateCurve(m.HitCurve(), linePoints)
+		hits[i] = m.HitCurve()
 		p.prefer[i] = m.PreferBRRIP()
-	}
-	pts := Lookahead(curves, linePoints, 1)
-	allocs := make([]int, parts)
-	sum := 0
-	for i, n := range pts {
-		allocs[i] = totalLines * n / linePoints
-		sum += allocs[i]
-	}
-	for i := 0; sum < totalLines; i = (i + 1) % parts {
-		allocs[i]++
-		sum++
-	}
-	for _, m := range p.monitors {
 		m.Decay()
 	}
-	return allocs
+	return AllocateCurves(&p.sc, nil, hits, totalLines, GranLines)
 }
 
 // InsertionPolicies returns the current per-partition choices (true =
