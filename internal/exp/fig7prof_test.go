@@ -28,6 +28,23 @@ func BenchmarkFig7Window(b *testing.B) {
 	}
 }
 
+// BenchmarkRunMixWindow is the sim-fig7 workload's setup: one whole Vantage
+// RunMix of Fig 7's first mix on the same machine, recording its own post-L1
+// streams from Apps. Run it at -cpu 1,2 to see what recording ahead of the
+// run on a second goroutine buys, and that it costs nothing on one CPU.
+func BenchmarkRunMixWindow(b *testing.B) {
+	m := LargeCMP(ScaleUnit)
+	m.InstrLimit = 25_000
+	id := m.Mixes(1)[0].ID
+	for i := 0; i < b.N; i++ {
+		mix, err := m.Mix(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.RunMix(mix, DefaultVantageScheme())
+	}
+}
+
 // TestWarmupSensitivity documents why cache warmup, the single biggest
 // wall-clock lever, may not be shortened: Fig 7 gmeans are still converging
 // at the configured 250k-instruction warmup, so any cut shifts per-scheme

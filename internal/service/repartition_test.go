@@ -200,6 +200,34 @@ func TestRepartitionUnderTenantChurn(t *testing.T) {
 	checkSplit(t, svc)
 }
 
+// TestRepartitionPastLinePoints: line-granular UCP works in 256ths of the
+// capacity, at least one each, so the 257th active tenant used to make
+// Lookahead panic and take the repartition loop, and the daemon, with it.
+// With 300 tenants on one 4,096-line shard every Repartition must still
+// hand out every managed line and give each active tenant at least one.
+func TestRepartitionPastLinePoints(t *testing.T) {
+	svc := newTestService(t, Config{Shards: 1, LinesPerShard: 4096, MaxTenants: 300, Seed: 47})
+	for i := 0; i < 300; i++ {
+		name := "t" + strconv.Itoa(i)
+		if _, err := svc.AddTenant(name); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.PutB([]byte(name), []byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		svc.Repartition()
+		checkSplit(t, svc)
+		svc.rp.mu.Lock()
+		targets := slices.Clone(svc.rp.targets)
+		svc.rp.mu.Unlock()
+		for p, tg := range targets[:i+1] {
+			if tg < 1 {
+				t.Fatalf("with %d tenants, slot %d's target is %d lines", i+1, p, tg)
+			}
+		}
+	}
+}
+
 // TestConcurrentRepartitionsDecayOnce: two concurrent Repartition calls leave
 // the monitors and targets two sequential calls leave, so no call decays a
 // monitor twice or installs a half-built split.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"vantage/internal/cache"
@@ -132,5 +134,34 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	if extra := long - short; extra > 4 {
 		t.Fatalf("steady state allocates: %d extra instructions cost %.0f allocations (%.0f vs %.0f)",
 			base, extra, long, short)
+	}
+}
+
+// TestRunMemoryBounded: a run with Apps records 128 KiB segment chunks per
+// core, and with more than one P a second goroutine records ahead of the
+// cursors, but chunk buffers are recycled, so the bytes a run allocates do
+// not grow with its length. Quadrupling the instruction budget records
+// several more chunks per core and may not add even 4 KiB.
+func TestRunMemoryBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement under -short")
+	}
+	bytes := func(instr uint64) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			apps := benchApps(4) // setup, as in TestRunSteadyStateAllocs
+			l2 := ctrl.NewUnpartitioned(cache.NewZCache(1024, 4, 16, 99), repl.NewLRUTimestamp(1024), 4)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			Run(Config{Apps: apps, L2: l2, L1Lines: 128, L1Ways: 4, InstrLimit: instr})
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	const base = 100000
+	if short, long := bytes(base), bytes(4*base); long > short+4<<10 {
+		t.Fatalf("a run's memory grows with its length: %d instructions allocate %d bytes, %d allocate %d",
+			base, short, 4*base, long)
 	}
 }

@@ -26,6 +26,11 @@ import (
 // code in its segment, and a run whose monitors have the same ucp.Spec counts
 // the codes in L2 access order, exactly as feeding the addresses would.
 //
+// Nor does it matter who records. A run with Apps records on a second
+// goroutine, readAhead chunks ahead of each cursor, whose panics the cursor
+// re-raises (recordAhead); a cursor whose chunk is not ready records it. Both
+// run extendLocked under mu, in chunk order, on state nothing else touches.
+//
 // Equivalence argument, against the reference-by-reference simulation of the
 // same machine that the tests keep as their reference (runReference; locked
 // down by TestFilteredMatchesUnfiltered and the golden fingerprints in
@@ -96,6 +101,8 @@ const (
 	segCodeMax   = 1<<7 - 1
 	segAddrMask  = 1<<32 - 1
 	segPreMax    = 1<<32 - 1
+
+	readAhead = 1 // chunks recordAhead records past a cursor; see there
 )
 
 // MissRecorder computes and memoizes one app's post-L1 segment stream. It is
@@ -141,6 +148,11 @@ type MissRecorder struct {
 
 	cursorPos []int
 	released  int
+
+	// wake, if set, wakes recordAhead's goroutine when a cursor advances;
+	// failed is a panic it met, re-raised by the cursor that gets there.
+	wake   chan struct{}
+	failed any
 }
 
 // NewMissRecorder wraps a raw reference stream in a post-L1 segment
@@ -333,11 +345,15 @@ type MissReplay struct {
 // cursor's next NextChunk call; after that its buffer may be recycled. The
 // stream never ends (the raw source falls through to live generation past
 // its own budget); chunks are full in the common case and shorter when the
-// per-chunk reference cap hit first.
+// per-chunk reference cap hit first. Recording panics raise here, mu free.
 func (r *MissReplay) NextChunk() []uint64 {
 	mr := r.mr
 	mr.mu.Lock()
+	defer mr.mu.Unlock()
 	for mr.filled <= r.next {
+		if mr.failed != nil {
+			panic(mr.failed)
+		}
 		mr.extendLocked()
 	}
 	if r.next < mr.released {
@@ -347,8 +363,66 @@ func (r *MissReplay) NextChunk() []uint64 {
 	r.next++
 	mr.cursorPos[r.idx] = r.next
 	mr.releaseLocked()
-	mr.mu.Unlock()
+	select {
+	case mr.wake <- struct{}{}:
+	default: // no goroutine (nil wake), or a wake-up already pending
+	}
 	return chunk
+}
+
+// recordAhead records the next chunk of each cursor in miss, its recorder's
+// only one, before it asks, on one goroutine that parks while none lacks it,
+// and returns the function that stops and joins it. With readAhead 1 it holds
+// mu only for the chunk a cursor needs next, never for one the cursor has.
+func recordAhead(miss []*MissReplay) (stop func()) {
+	wake, done := make(chan struct{}, 1), make(chan struct{})
+	for _, r := range miss {
+		r.mr.wake = wake
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			recorded := false
+			for _, r := range miss {
+				select {
+				case <-done:
+					return
+				default:
+					recorded = r.mr.extendAhead() || recorded
+				}
+			}
+			if !recorded {
+				select {
+				case <-done:
+					return
+				case <-wake:
+				}
+			}
+		}
+	}()
+	return func() { close(done); wg.Wait() }
+}
+
+// extendAhead records mr's next chunk unless readAhead are ready, a cursor
+// holds mu (it signals wake before unlocking, so no work is lost) or a panic
+// was kept in failed, and reports whether it did.
+func (mr *MissRecorder) extendAhead() (recorded bool) {
+	if !mr.mu.TryLock() {
+		return false
+	}
+	defer mr.mu.Unlock()
+	if mr.failed != nil || mr.filled >= mr.cursorPos[0]+readAhead {
+		return false
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			mr.failed = p
+		}
+	}()
+	mr.extendLocked()
+	return true
 }
 
 // advanceMiss consumes a core's segments until it holds a pending miss,

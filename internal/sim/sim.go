@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
 
 	"vantage/internal/ctrl"
 	"vantage/internal/hash"
@@ -80,8 +81,8 @@ type Config struct {
 	// stream (see MissRecorder), which bounds what an app may produce:
 	// instruction gaps of at most 2^15-1 and line addresses below 2^32. Run
 	// panics, naming the core and the value, on a reference outside either.
-	// The recorder reads ahead of the simulation, so an app is consumed
-	// past the last reference the run needs.
+	// With GOMAXPROCS > 1 a goroutine records ahead of each core (Run joins
+	// it and re-raises its panics), so apps are read past the run's needs.
 	Apps []workload.App
 	// L2 is the shared cache controller under test (one partition per core
 	// unless the controller is unpartitioned).
@@ -267,9 +268,13 @@ func Run(cfg Config) Result {
 			mr := NewMissRecorder(app, cfg.L1Lines, cfg.L1Ways, cfg.Lat, cfg.WarmupInstr, cfg.InstrLimit)
 			mr.core = i
 			if policy != nil {
-				mr.AttachMonitor(i, policy.Monitor(i))
+				// A copy: the run alone touches the policy's monitor.
+				mr.AttachMonitor(i, policy.Monitor(i).Clone())
 			}
 			miss[i] = mr.MissSet(1)[0]
+		}
+		if runtime.GOMAXPROCS(0) > 1 {
+			defer recordAhead(miss)()
 		}
 	}
 	if policy != nil {

@@ -13,6 +13,7 @@ package ucp
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"vantage/internal/hash"
 )
@@ -131,6 +132,16 @@ func (u *UMON) build() {
 	u.dec = make([]decEntry, decEntries)
 	u.sig = make([]uint64, s.Sampled)
 	u.sigCnt = make([]uint8, s.Sampled*64)
+}
+
+// Clone returns an independent copy of the monitor, directory and counters:
+// from here on it observes a stream exactly as u would. A monitor that only
+// counts has no directory, and neither has its copy.
+func (u *UMON) Clone() *UMON {
+	c := *u // the H3 hash is read-only once built, so the copy shares it
+	c.tags, c.occupancy, c.tally = slices.Clone(u.tags), slices.Clone(u.occupancy), slices.Clone(u.tally)
+	c.dec, c.sig, c.sigCnt = slices.Clone(u.dec), slices.Clone(u.sig), slices.Clone(u.sigCnt)
+	return &c
 }
 
 // Spec returns the monitor's geometry and seed.
@@ -496,6 +507,8 @@ func resize[T any](s []T, n int) []T {
 // (GranLines), among the partitions i with a way-granular hit curve hits[i],
 // at least one unit each. A nil curve gets 0, the §3.4 deletion idiom. The
 // targets, summing to totalLines, are written to dst resized to len(hits).
+// GranLines with more than 256 partitions refines to one unit per
+// partition, so each still gets a unit (and a line, given as many lines).
 func AllocateCurves(sc *Scratch, dst []int, hits [][]uint64, totalLines int, gran Granularity) []int {
 	dst = resize(dst, len(hits))
 	idx := sc.idx[:0]
@@ -507,7 +520,7 @@ func AllocateCurves(sc *Scratch, dst []int, hits [][]uint64, totalLines int, gra
 	if sc.idx = idx; len(idx) == 0 {
 		return dst
 	}
-	units := linePoints
+	units := max(linePoints, len(idx))
 	if gran == GranWays {
 		units = len(hits[idx[0]]) - 1
 	} else if gran != GranLines {

@@ -105,7 +105,8 @@ func TestUMONAccessMixedMatchesAccess(t *testing.T) {
 // Counts a twin's Observe codes agree on every curve after every step. The
 // streams include addresses that share a decision-memo slot, and one
 // geometry sits at maxWays with every address in one set, so the deepest
-// stack hit produces the largest code.
+// stack hit produces the largest code. A Clone of the fed monitor taken
+// mid-stream and fed the rest stays equal to it, so it shares no state.
 func TestUMONObserveCountMatchesAccess(t *testing.T) {
 	// colliding returns n addresses that share decision-memo slot slot.
 	colliding := func(slot, n int) []uint64 {
@@ -135,7 +136,11 @@ func TestUMONObserveCountMatchesAccess(t *testing.T) {
 		}
 		rng := hash.NewRand(uint64(len(c.pool)))
 		deepest := uint8(0)
+		var twin *UMON // fed's Clone from mid-stream on, fed the same
 		for step := 1; step <= 30000; step++ {
+			if step == 10001 {
+				twin = fed.Clone()
+			}
 			var addr uint64
 			if c.deepest > 0 {
 				addr = c.pool[step%(c.deepest+1)] // a cycle of ways lines hits at the last slot
@@ -144,6 +149,9 @@ func TestUMONObserveCountMatchesAccess(t *testing.T) {
 			}
 			mixed := hash.Mix64(addr)
 			fed.AccessMixed(addr, mixed)
+			if twin != nil {
+				twin.AccessMixed(addr, mixed)
+			}
 			code := observer.Observe(addr, mixed)
 			counter.Count(code)
 			deepest = max(deepest, code)
@@ -151,10 +159,19 @@ func TestUMONObserveCountMatchesAccess(t *testing.T) {
 			case step%c.decayPeriod == 0:
 				fed.Decay()
 				counter.Decay()
+				if twin != nil {
+					twin.Decay()
+				}
 			case step%(7*c.decayPeriod) == 3:
 				fed.Reset()
 				observer.Reset()
 				counter.Reset()
+				if twin != nil {
+					twin.Reset()
+				}
+			}
+			if twin != nil && (!slices.Equal(fed.HitCurve(), twin.HitCurve()) || fed.Accesses() != twin.Accesses()) {
+				t.Fatalf("%s: step %d: a clone diverges from its original", c.name, step)
 			}
 			if !slices.Equal(fed.HitCurve(), counter.HitCurve()) ||
 				!slices.Equal(fed.MissCurve(), counter.MissCurve()) ||
