@@ -4,7 +4,9 @@
 //
 // Usage:
 //
-//	mixgen [-cores 4|8|...|32] [-per 10] [-lines 32768] [-seed 2011] [-class sftn]
+//	mixgen [-cores 4|8|...|32] [-per 10] [-lines 32768] [-seed 2011] [-class sftn] [-mrc [-mrc-refs 200000]]
+//
+// Bad flag values print one line on stderr and exit with status 2.
 package main
 
 import (
@@ -25,10 +27,10 @@ func main() {
 	mrcRefs := flag.Int("mrc-refs", 200000, "references per app for -mrc")
 	flag.Parse()
 
-	filter := ""
-	if *class != "" {
-		filter = workload.CanonicalMixID(*class + "1")
-		filter = filter[:4]
+	filter, err := checkFlags(*cores, *lines, *mrcRefs, *mrc, *class)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mixgen:", err)
+		os.Exit(2)
 	}
 
 	mixes := workload.Mixes(*cores, *per, workload.Params{CacheLines: *lines}, *seed)
@@ -45,22 +47,10 @@ func main() {
 		}
 		fmt.Println()
 		if *mrc {
-			for ai, app := range m.Apps {
-				// Compute the curve over a recording of a fresh app instance
-				// rather than consuming the mix's app in place: the listed
-				// mix stays at reference zero, and the recorded stream is
-				// shared if more consumers appear. The budget covers the
-				// full pass; the remake factory only runs past it.
-				ai, id := ai, m.ID
-				remake := func() workload.App {
-					cls, idx, err := workload.ParseMixID(id)
-					if err != nil {
-						panic(fmt.Sprintf("mixgen: cannot rebuild mix %q: %v", id, err))
-					}
-					return workload.NewMix(cls, idx, *cores/4, workload.Params{CacheLines: *lines}, *seed).Apps[ai]
-				}
-				rec := workload.NewRecording(remake(), remake, *mrcRefs+64)
-				curve := workload.MissRateCurveRecorded(rec, *mrcRefs, sizes)
+			for _, app := range m.Apps {
+				// The app was built by Mixes above and nothing has read it,
+				// so the curve starts at its reference zero.
+				curve := workload.MissRateCurve(app, *mrcRefs, sizes)
 				fmt.Printf("  %-28s miss%%:", app.Name())
 				for i, v := range curve {
 					fmt.Printf(" %d:%0.1f", sizes[i], 100*v)
@@ -74,4 +64,27 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "%d mixes, %d apps each\n", count, *cores)
+}
+
+// checkFlags rejects flag values the generator cannot serve and returns the
+// canonical spelling of class ("" lists every class).
+func checkFlags(cores, lines, mrcRefs int, mrc bool, class string) (filter string, err error) {
+	if cores <= 0 || cores%4 != 0 {
+		return "", fmt.Errorf("-cores %d is not a positive multiple of 4", cores)
+	}
+	if mrc && mrcRefs <= 0 {
+		return "", fmt.Errorf("-mrc-refs %d is not positive", mrcRefs)
+	}
+	if mrc && lines < 4 {
+		// The curve's sizes, lines/16 up to 2*lines, must ascend.
+		return "", fmt.Errorf("-mrc needs -lines of at least 4, not %d", lines)
+	}
+	if class == "" {
+		return "", nil
+	}
+	c, _, err := workload.ParseMixID(class + "1")
+	if err != nil || len(class) != 4 {
+		return "", fmt.Errorf("-class %q is not four letters from n, f, t and s", class)
+	}
+	return c.String(), nil
 }

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"vantage/internal/exp"
+	"vantage/internal/workload"
 )
 
 func main() {
@@ -127,6 +128,10 @@ func main() {
 		writeCSV("fig7.csv", r.CSV())
 	case "fig8":
 		m := applyContention(exp.SmallCMP(sc))
+		if err := checkFig8(m, *mixID, *partition); err != nil {
+			fmt.Fprintln(os.Stderr, "vantage-sim:", err)
+			os.Exit(2)
+		}
 		r := exp.RunFig8(m, *mixID, *partition)
 		fmt.Println(r.Table())
 		for i := range r.Schemes {
@@ -179,4 +184,16 @@ func main() {
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "total: %.1fs\n", time.Since(start).Seconds())
 	}
+}
+
+// checkFig8 rejects a -mix the machine does not have and a -partition
+// outside its cores, before the run starts.
+func checkFig8(m exp.Machine, mixID string, part int) error {
+	if _, err := m.Mix(workload.CanonicalMixID(mixID)); err != nil {
+		return fmt.Errorf("-mix %q: %v", mixID, err)
+	}
+	if part < 0 || part >= m.Cores {
+		return fmt.Errorf("-partition %d is outside 0..%d", part, m.Cores-1)
+	}
+	return nil
 }

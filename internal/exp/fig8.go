@@ -35,9 +35,6 @@ type Fig8Result struct {
 // zero.
 func RunFig8(m Machine, mixID string, part int) Fig8Result {
 	canonical := workload.CanonicalMixID(mixID)
-	if _, err := m.Mix(canonical); err != nil {
-		panic(fmt.Sprintf("exp: unknown mix %q: %v", mixID, err))
-	}
 	schemes := []Scheme{WayPartScheme(), DefaultVantageScheme(), PIPPScheme()}
 	out := Fig8Result{
 		Machine:         m,
@@ -46,6 +43,10 @@ func RunFig8(m Machine, mixID string, part int) Fig8Result {
 		HeatSliceCycles: m.RepartitionCycles,
 	}
 	for _, sch := range schemes {
+		mix, err := m.Mix(canonical)
+		if err != nil {
+			panic(fmt.Sprintf("exp: unknown mix %q: %v", mixID, err))
+		}
 		out.Schemes = append(out.Schemes, sch.Name)
 		target := &stats.Series{Name: sch.Name + "-target"}
 		actual := &stats.Series{Name: sch.Name + "-actual"}
@@ -62,7 +63,7 @@ func RunFig8(m Machine, mixID string, part int) Fig8Result {
 		}
 		alloc := ucp.NewPolicy(m.Cores, m.BaselineWays, m.L2Lines, sch.Granularity, m.Seed^0xa110c)
 		sim.Run(sim.Config{
-			Apps:               m.ReplayOrRemake(nil, canonical).Apps,
+			Apps:               mix.Apps,
 			L2:                 l2,
 			L1Lines:            m.L1Lines,
 			L1Ways:             m.L1Ways,

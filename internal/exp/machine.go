@@ -40,11 +40,6 @@ type Machine struct {
 	// Contention optionally models L2 banking and memory bandwidth
 	// (zero value: the paper's zero-load latencies).
 	Contention sim.Contention
-	// StreamBudget caps the references memoized per app when the harness
-	// records reference streams (see Record). 0 derives the budget from the
-	// instruction limits; negative disables recording entirely (every run
-	// generates its streams live).
-	StreamBudget int
 }
 
 // Scale adjusts a machine's size by dividing cache capacity and instruction
@@ -237,65 +232,26 @@ func (m Machine) ucpPolicy(gran ucp.Granularity) *ucp.Policy {
 	return ucp.NewPolicy(m.Cores, m.BaselineWays, m.L2Lines, gran, m.Seed^0xa110c)
 }
 
-// streamBudget is the per-app recorded-reference budget. Consumption is not
-// bounded by the instruction budget alone: frozen cores keep issuing
-// references until the last core finishes, so a fast core consumes roughly
-// (slowest CPI / own CPI) times its own instruction count — measured at
-// about 4x on the bench configurations. 16x leaves ample headroom, and the
-// cap (8 Mi references ≈ 100 MB/app) bounds pathological ScaleFull cases;
-// chunks materialize lazily, so the budget bounds worst-case memory, not
-// actual use. Runs that outrun the budget fall through to live generation.
-func (m Machine) streamBudget() int {
-	if m.StreamBudget != 0 {
-		return m.StreamBudget
-	}
-	b := 16 * int(m.InstrLimit+m.WarmupInstr)
-	if b > 8<<20 {
-		b = 8 << 20
-	}
-	return b + 64
-}
+// Record returns mix unchanged.
+//
+// Deprecated: post-L1 recorders read a mix's apps directly; pass the mix to
+// RecordMisses. Record goes when the benchmark stops calling it (ROADMAP
+// item 8).
+func (m Machine) Record(mix workload.Mix) workload.Mix { return mix }
 
-// Record memoizes the mix's app streams so the baseline and every scheme
-// replay identical references without regenerating them (App.Next has no
-// feedback from the cache, so a stream is a pure function of its app's
-// construction). The recording's remake factory rebuilds single apps via
-// Mix — needed only by replay cursors that outrun the budget. Returns nil
-// when recording is disabled (StreamBudget < 0); callers fall back to live
-// generation.
-func (m Machine) Record(mix workload.Mix) *workload.MixRecording {
-	budget := m.streamBudget()
-	if budget <= 0 {
-		return nil
-	}
-	remake := func(i int) workload.App {
-		fresh, err := m.Mix(mix.ID)
-		if err != nil {
-			panic(fmt.Sprintf("exp: cannot rebuild mix %q: %v", mix.ID, err))
-		}
-		return fresh.Apps[i]
-	}
-	return workload.NewMixRecording(mix, remake, budget)
-}
-
-// RecordMisses layers post-L1 segment recorders (sim.MissRecorder) over a
-// mix recording, one per app: the L1s are simulated once per (mix, app) and
-// the baseline plus every scheme replay the shared post-L1 stream. Each
-// recorder consumes the raw recording through its own single replay cursor,
-// so raw chunks release right behind the filter and past the raw budget the
-// cursor claims the live source transparently. A machine without L1s gets
-// recorders whose every reference is a miss segment. Each recorder also runs
-// the default UCP policy's monitor for its core (see ucpPolicy), so the UMONs
-// observe each mix once, however many runs count. Returns nil when recording
-// is disabled (rec == nil).
-func (m Machine) RecordMisses(rec *workload.MixRecording) []*sim.MissRecorder {
-	if rec == nil {
-		return nil
-	}
+// RecordMisses wraps each app of mix in a post-L1 segment recorder
+// (sim.MissRecorder): the L1s are simulated once per (mix, app) and the
+// baseline plus every scheme replay the shared post-L1 stream. The recorders
+// read the apps themselves, so mix must be fresh and read by nothing else. A
+// machine without L1s gets recorders whose every reference is a miss
+// segment. Each recorder also runs the default UCP policy's monitor for its
+// core (see ucpPolicy), so the UMONs observe each mix once, however many
+// runs count.
+func (m Machine) RecordMisses(mix workload.Mix) []*sim.MissRecorder {
 	mons := m.ucpPolicy(ucp.GranWays)
-	out := make([]*sim.MissRecorder, len(rec.Recs))
-	for i, r := range rec.Recs {
-		out[i] = sim.NewMissRecorder(r.ReplaySet(1)[0], m.L1Lines, m.L1Ways,
+	out := make([]*sim.MissRecorder, len(mix.Apps))
+	for i, app := range mix.Apps {
+		out[i] = sim.NewMissRecorder(app, m.L1Lines, m.L1Ways,
 			sim.DefaultLatencies(), m.WarmupInstr, m.InstrLimit)
 		out[i].AttachMonitor(i, mons.Monitor(i))
 	}
@@ -317,20 +273,6 @@ func MissSets(recs []*sim.MissRecorder, n int) [][]*sim.MissReplay {
 		}
 	}
 	return out
-}
-
-// ReplayOrRemake returns a fresh pass over the mix's streams: a replay
-// cursor set when rec is non-nil, otherwise a regenerated mix (recording
-// disabled). Both start at reference zero with byte-identical streams.
-func (m Machine) ReplayOrRemake(rec *workload.MixRecording, id string) workload.Mix {
-	if rec != nil {
-		return rec.Replay()
-	}
-	fresh, err := m.Mix(id)
-	if err != nil {
-		panic(fmt.Sprintf("exp: cannot rebuild mix %q: %v", id, err))
-	}
-	return fresh
 }
 
 // WithContention returns a copy of the machine with the paper's Table 2

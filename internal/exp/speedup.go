@@ -90,7 +90,11 @@ func RunFairness(m Machine, baseline Scheme, schemes []Scheme, limit int, progre
 	runs := append([]Scheme{baseline}, schemes...)
 	tick := newTicker(len(mixes)*(len(runs)+1), progress) // solo counts as one unit
 	m.runMixes(mixes, runs, tick, func(i int, res []sim.Result) {
-		solo := soloIPC(m, m.ReplayOrRemake(nil, mixes[i].ID).Apps)
+		fresh, err := m.Mix(mixes[i].ID)
+		if err != nil {
+			panic(fmt.Sprintf("exp: cannot rebuild mix %q: %v", mixes[i].ID, err))
+		}
+		solo := soloIPC(m, fresh.Apps)
 		tick()
 		baseWS, baseHS := speedupMetrics(res[0].Cores, solo)
 		for si := range schemes {

@@ -69,19 +69,18 @@ func newTicker(total int, progress func(done, total int)) func() {
 // baseline) and hands mix i's results, in runs order, to done(i, res). The
 // (mix, run) jobs form one flat list in mix-major order that forEachMix
 // executes, so at most GOMAXPROCS simulations are alive and no worker idles
-// while a job is left. The first job of a mix to start builds the mix's
-// streams under a sync.Once: a windowed post-L1 cursor per run (see
-// RecordMisses), or regenerated apps when recording is disabled. Run ri always reads cursor ri from
-// reference zero, so no result depends on which worker ran which job. The
-// last job of the mix to finish drops the streams and calls done, on its own
-// worker. tick is called once per finished run.
+// while a job is left. The first job of a mix to start wraps the mix's apps
+// in post-L1 recorders under a sync.Once and opens one windowed cursor per
+// run (see RecordMisses). Run ri always reads cursor ri from reference zero,
+// so no result depends on which worker ran which job. The last job of the
+// mix to finish drops the cursors and calls done, on its own worker. tick is
+// called once per finished run. runMixes consumes the mixes' apps.
 func (m Machine) runMixes(mixes []workload.Mix, runs []Scheme, tick func(), done func(i int, res []sim.Result)) {
 	type mixState struct {
-		once     sync.Once
-		miss     [][]*sim.MissReplay
-		replayed []workload.Mix
-		res      []sim.Result
-		left     atomic.Int64
+		once sync.Once
+		miss [][]*sim.MissReplay
+		res  []sim.Result
+		left atomic.Int64
 	}
 	states := make([]mixState, len(mixes))
 	forEachMix(len(mixes)*len(runs), func(j int) {
@@ -90,23 +89,12 @@ func (m Machine) runMixes(mixes []workload.Mix, runs []Scheme, tick func(), done
 		st.once.Do(func() {
 			st.res = make([]sim.Result, len(runs))
 			st.left.Store(int64(len(runs)))
-			if recs := m.RecordMisses(m.Record(mixes[i])); recs != nil {
-				st.miss = MissSets(recs, len(runs))
-			} else {
-				st.replayed = make([]workload.Mix, len(runs))
-				for r := range st.replayed {
-					st.replayed[r] = m.ReplayOrRemake(nil, mixes[i].ID)
-				}
-			}
+			st.miss = MissSets(m.RecordMisses(mixes[i]), len(runs))
 		})
-		if st.miss != nil {
-			st.res[ri] = m.RunMixMiss(mixes[i].ID, st.miss[ri], runs[ri])
-		} else {
-			st.res[ri] = m.RunMix(st.replayed[ri], runs[ri])
-		}
+		st.res[ri] = m.RunMixMiss(mixes[i].ID, st.miss[ri], runs[ri])
 		tick()
 		if st.left.Add(-1) == 0 {
-			st.miss, st.replayed = nil, nil
+			st.miss = nil
 			done(i, st.res)
 		}
 	})
@@ -137,9 +125,8 @@ type ThroughputResult struct {
 // RunThroughput evaluates schemes against the baseline over the machine's
 // mixes (limit caps the mix count; <= 0 runs all 350). This is the engine
 // behind Figures 6a, 7, 9a, 10 and 11. Every (mix, scheme) run is a job of
-// runMixes: each mix's app streams are recorded once and replayed by the
-// baseline and every scheme, identical references without regenerating them
-// per scheme.
+// runMixes: each mix's post-L1 streams are recorded once and replayed by the
+// baseline and every scheme.
 func RunThroughput(m Machine, baseline Scheme, schemes []Scheme, limit int, progress func(done, total int)) ThroughputResult {
 	mixes := m.Mixes(limit)
 	res := ThroughputResult{

@@ -113,8 +113,8 @@ const (
 type MissRecorder struct {
 	mu sync.Mutex
 
-	// Raw reference source: typically a windowed replay cursor over the raw
-	// recording, which releases raw chunks right behind this reader.
+	// Raw reference source: the app itself, read in batches of
+	// references (see workload.RefReader). The recorder is its only reader.
 	src workload.RefReader
 	// core is the core index a misfit reference's panic names and the
 	// monitor's address tag; -1 if the recorder has no core.
@@ -156,11 +156,12 @@ type MissRecorder struct {
 }
 
 // NewMissRecorder wraps a raw reference stream in a post-L1 segment
-// recorder. src must start at reference zero; l1Lines/l1Ways and lat must
-// match the simulator configuration the replays will run under (l1Lines 0:
-// no L1, every reference is a miss), and warmupInstr/instrLimit must match
-// so regime splits land on the exact references where the simulator's
-// bookkeeping transitions.
+// recorder. src must start at reference zero, and the recorder takes it
+// over: it reads src in batches, ahead of the references it has filtered.
+// l1Lines/l1Ways and lat must match the simulator configuration the replays
+// will run under (l1Lines 0: no L1, every reference is a miss), and
+// warmupInstr/instrLimit must match so regime splits land on the exact
+// references where the simulator's bookkeeping transitions.
 func NewMissRecorder(src workload.App, l1Lines, l1Ways int, lat Latencies, warmupInstr, instrLimit uint64) *MissRecorder {
 	if src == nil {
 		panic("sim: NewMissRecorder requires a source stream")
@@ -343,9 +344,9 @@ type MissReplay struct {
 // NextChunk returns the next chunk of packed segments and advances past it,
 // extending the recording as needed. The chunk stays valid until this
 // cursor's next NextChunk call; after that its buffer may be recycled. The
-// stream never ends (the raw source falls through to live generation past
-// its own budget); chunks are full in the common case and shorter when the
-// per-chunk reference cap hit first. Recording panics raise here, mu free.
+// stream never ends (apps generate references without end); chunks are
+// full in the common case and shorter when the per-chunk reference cap hit
+// first. Recording panics raise here, mu free.
 func (r *MissReplay) NextChunk() []uint64 {
 	mr := r.mr
 	mr.mu.Lock()

@@ -354,3 +354,75 @@ func TestMissRecorderPanics(t *testing.T) {
 		}()
 	}
 }
+
+// nextOnly hides an app's NextBatch, so a recorder reads it through Next.
+type nextOnly struct{ workload.App }
+
+// TestBatchedRecordMatchesNext: a recorder reads a generator through
+// NextBatch, into its reader's buffer, and records exactly the segments,
+// UMON codes included, that it records reading the same generator one Next
+// at a time. Every generator kind is covered, plus an L1-resident app whose
+// chunks missChunkRefs cuts short; each recording spans four chunks and both
+// regime splits.
+func TestBatchedRecordMatchesNext(t *testing.T) {
+	const (
+		l1Lines, l1Ways = 64, 4
+		warmup, limit   = 20000, 100000
+		chunks          = 4
+	)
+	apps := map[string]func() workload.App{
+		"zipf":   func() workload.App { return workload.NewZipfApp(workload.Friendly, 2048, 0.9, 3, 2, 19) },
+		"scan":   func() workload.App { return workload.NewScanApp(workload.Fitting, 900, 2, 1, 13) },
+		"stream": func() workload.App { return workload.NewStreamApp(1<<20, 1, 1, 17) },
+		"phased": func() workload.App {
+			return workload.NewPhasedApp(
+				workload.NewZipfApp(workload.Fitting, 600, 1.0, 3, 4, 5),
+				workload.NewScanApp(workload.Thrashing, 5000, 2, 2, 6),
+				3000)
+		},
+		"l1-resident": func() workload.App { return workload.NewZipfApp(workload.Insensitive, 16, 0.8, 3, 4, 29) },
+	}
+	record := func(app workload.App) [][]uint64 {
+		mr := NewMissRecorder(app, l1Lines, l1Ways, DefaultLatencies(), warmup, limit)
+		mr.AttachMonitor(0, ucp.NewPolicy(1, 16, 1024, ucp.GranWays, 7).Monitor(0))
+		cur := mr.MissSet(1)[0]
+		out := make([][]uint64, chunks)
+		for i := range out {
+			out[i] = slices.Clone(cur.NextChunk())
+		}
+		return out
+	}
+	for name, mk := range apps {
+		t.Run(name, func(t *testing.T) {
+			if _, ok := mk().(workload.BatchApp); !ok {
+				t.Fatalf("%T does not implement BatchApp", mk())
+			}
+			batched, plain := record(mk()), record(nextOnly{mk()})
+			short, hits := 0, 0
+			for c := range batched {
+				if len(batched[c]) != len(plain[c]) {
+					t.Fatalf("chunk %d: %d words batched, %d through Next", c, len(batched[c]), len(plain[c]))
+				}
+				for s := 0; s < len(batched[c]); s += 2 {
+					if b, p := batched[c][s:s+2], plain[c][s:s+2]; !slices.Equal(b, p) {
+						t.Fatalf("chunk %d segment %d: batched %#x, through Next %#x", c, s/2, b, p)
+					}
+					if w0 := batched[c][s]; w0&segMissFlag != 0 && uint8(w0>>segCodeShift&segCodeMax) >= ucp.CodeHit {
+						hits++
+					}
+				}
+				if len(batched[c]) < 2*missChunkSegs {
+					short++
+				}
+			}
+			switch {
+			case name == "l1-resident" && short == 0:
+				t.Fatal("no chunk was cut short by missChunkRefs")
+			case name != "l1-resident" && short > 0:
+				t.Fatalf("%d of %d chunks were cut short", short, chunks)
+			case name != "stream" && name != "l1-resident" && hits == 0:
+				t.Fatal("no miss segment carries a monitor hit code")
+			}
+		})
+	}
+}

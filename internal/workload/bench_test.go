@@ -21,7 +21,7 @@ func BenchmarkWorkloadGenLive(b *testing.B) {
 }
 
 // BenchmarkWorkloadGenBatched measures batched live generation: chunk-sized
-// NextBatch calls (the path the recorder uses to fill chunks).
+// NextBatch calls.
 func BenchmarkWorkloadGenBatched(b *testing.B) {
 	app := benchApp().(BatchApp)
 	gaps := make([]int32, chunkRefs)
@@ -33,28 +33,15 @@ func BenchmarkWorkloadGenBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkWorkloadGenReplay measures what the simulator pays per reference
-// once a stream is recorded: ReplayApp.Next over already-published chunks.
-func BenchmarkWorkloadGenReplay(b *testing.B) {
-	const refs = 4 * chunkRefs
-	rec := NewRecording(benchApp(), benchApp, refs)
-	warm := rec.Replay() // force all chunks to be generated up front
-	gaps := make([]int32, chunkRefs)
-	addrs := make([]uint64, chunkRefs)
-	for i := 0; i < refs; i += chunkRefs {
-		warm.NextBatch(gaps, addrs)
-	}
+// BenchmarkWorkloadGenRead measures what the post-L1 recorder pays per
+// reference: RefReader.Next over a batched generator.
+func BenchmarkWorkloadGenRead(b *testing.B) {
+	r := NewRefReader(benchApp())
 	b.ReportAllocs()
-	b.ResetTimer()
 	var sink uint64
-	r := rec.Replay()
-	for i, pos := 0, 0; i < b.N; i++ {
-		if pos == refs {
-			r, pos = rec.Replay(), 0
-		}
+	for i := 0; i < b.N; i++ {
 		g, a := r.Next()
 		sink += uint64(g) + a
-		pos++
 	}
 	_ = sink
 }

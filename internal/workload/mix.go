@@ -140,6 +140,12 @@ func NewMix(class Class, idx, appsPerSlot int, p Params, seed uint64) Mix {
 	return m
 }
 
+// Replay returns m unchanged.
+//
+// Deprecated: mixes are not recorded; read m's apps directly. Replay goes
+// when the benchmark stops calling it (ROADMAP item 8).
+func (m Mix) Replay() Mix { return m }
+
 func classKey(c Class) uint64 {
 	var k uint64
 	for _, cat := range c {

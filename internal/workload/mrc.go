@@ -28,8 +28,8 @@ func MissRateCurve(app App, n int, sizes []int) []float64 {
 	}
 	hist := make([]int, maxSize+1)
 	infinite := 0 // cold misses / distances beyond maxSize
-	// A RefReader takes the packed bulk path when the app offers one
-	// (replay cursors do): same draws, no interface call per reference.
+	// A RefReader takes the app's bulk path when it offers one: same draws,
+	// no interface call per reference.
 	rr := NewRefReader(app)
 	for i := 0; i < n; i++ {
 		_, addr := rr.Next()
@@ -52,15 +52,6 @@ func MissRateCurve(app App, n int, sizes []int) []float64 {
 		curve[i] = 1 - float64(cum)/float64(n)
 	}
 	return curve
-}
-
-// MissRateCurveRecorded computes the curve over a recording's replay cursor
-// instead of a live app, so miss-curve construction shares the memoized
-// stream with the simulation runs rather than regenerating it (and leaves
-// the recording's other cursors untouched). Identical to MissRateCurve over
-// the source app: replay is draw-for-draw equivalent.
-func MissRateCurveRecorded(rec *Recording, n int, sizes []int) []float64 {
-	return MissRateCurve(rec.Replay(), n, sizes)
 }
 
 // distanceTracker computes exact LRU stack distances with an order-statistic

@@ -121,26 +121,6 @@ func TestMissRateCurveMatchesSimulatedLRU(t *testing.T) {
 	}
 }
 
-// TestMissRateCurveRecordedMatchesLive pins the recorded-stream curve to the
-// live-stream curve exactly: replay is draw-for-draw equivalent, so the
-// Mattson pass must produce identical histograms either way — including when
-// the cursor outruns a tiny budget and falls through to live generation.
-func TestMissRateCurveRecordedMatchesLive(t *testing.T) {
-	sizes := []int{64, 256, 1024}
-	const n = 30000
-	for _, budget := range []int{n + 64, 4096} {
-		mk := func() App { return NewZipfApp(Friendly, 2000, 0.8, 2, 1, 77) }
-		live := MissRateCurve(mk(), n, sizes)
-		rec := NewRecording(mk(), mk, budget)
-		got := MissRateCurveRecorded(rec, n, sizes)
-		for i := range sizes {
-			if got[i] != live[i] {
-				t.Fatalf("budget %d size %d: recorded %v != live %v", budget, sizes[i], got[i], live[i])
-			}
-		}
-	}
-}
-
 // TestMissRateCurvePinned is a regression fence for the curve values
 // themselves: the apps are deterministic, so these exact ratios must never
 // drift (any change means the generator or the stack algorithm changed).

@@ -97,23 +97,6 @@ type BatchApp interface {
 	NextBatch(gaps []int32, addrs []uint64)
 }
 
-// fillRefs advances src by len(gaps) references into the buffers, using the
-// batched generator when src supports it.
-func fillRefs(src App, gaps []int32, addrs []uint64) {
-	if b, ok := src.(BatchApp); ok {
-		b.NextBatch(gaps, addrs)
-		return
-	}
-	for i := range gaps {
-		g, a := src.Next()
-		if g > math.MaxInt32 {
-			panic("workload: instruction gap overflows int32")
-		}
-		gaps[i] = int32(g)
-		addrs[i] = a
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Generators
 // ---------------------------------------------------------------------------
