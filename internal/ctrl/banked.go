@@ -22,6 +22,7 @@ type Banked struct {
 	h          *hash.H3
 	mask       uint64
 	parts      int
+	per        []int // SetTargets' per-bank share, reused
 }
 
 // NewBanked returns a banked controller over the given per-bank
@@ -77,10 +78,9 @@ func (b *Banked) AccessMixed(addr, mixed uint64, part int) AccessResult {
 // SetTargets implements Controller: global line targets are divided evenly
 // across banks (see SplitEven).
 func (b *Banked) SetTargets(targets []int) {
-	var per []int
 	for bi, bank := range b.banks {
-		per = SplitEven(per, targets, bi, len(b.banks))
-		bank.SetTargets(per)
+		b.per = SplitEven(b.per, targets, bi, len(b.banks))
+		bank.SetTargets(b.per)
 	}
 }
 

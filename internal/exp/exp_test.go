@@ -387,30 +387,67 @@ func TestWriteReportSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration experiment")
 	}
-	dir := t.TempDir()
 	// Shrink everything so the full report runs in seconds.
-	err := WriteReport(dir, ReportOptions{Scale: ScaleUnit, Mixes: 2,
+	opt := ReportOptions{Scale: ScaleUnit, Mixes: 1,
 		Tweak: func(m Machine) Machine {
 			m.InstrLimit, m.WarmupInstr = 15_000, 15_000
 			return m
-		}})
+		}}
+	// Two runs write the same files, byte for byte.
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	files := [2]map[string]string{}
+	for i, dir := range dirs {
+		if err := WriteReport(dir, opt); err != nil {
+			t.Fatal(err)
+		}
+		files[i] = readDir(t, dir)
+	}
+	if !reflect.DeepEqual(files[0], files[1]) {
+		t.Fatal("two WriteReport runs wrote different files")
+	}
+	report := files[0]["REPORT.md"]
+	if n := strings.Count(report, "\n## "); n != len(Experiments) {
+		t.Errorf("REPORT.md has %d sections for %d registry entries", n, len(Experiments))
+	}
+	// Every entry's section is its Run's text, and its CSV, if it has one,
+	// is in the directory: nothing else is.
+	want := map[string]string{"REPORT.md": report}
+	for _, e := range Experiments {
+		text, csv := e.Run(opt.machine(e.Machine), opt.Mixes, nil)
+		if !strings.Contains(report, "## "+e.Title+"\n\n```\n"+text+"```\n") {
+			t.Errorf("REPORT.md has no section %q holding %s's text", e.Title, e.Name)
+		}
+		if csv != "" {
+			want[e.Name+".csv"] = csv
+		}
+	}
+	if !reflect.DeepEqual(files[0], want) {
+		t.Errorf("WriteReport wrote %d files, the registry's entries make %d", len(files[0]), len(want))
+	}
+	if _, ok := Lookup("fig8"); !ok {
+		t.Error("Lookup misses fig8")
+	}
+	if _, ok := Lookup("all"); ok {
+		t.Error("Lookup finds an entry called all")
+	}
+}
+
+// readDir returns the contents of every file in dir by name.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(dir + "/REPORT.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Fig 1", "Fig 6a", "Fig 7", "Table 3", "Resize transient"} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("report missing %q", want)
+	out := map[string]string{}
+	for _, e := range ents {
+		data, err := os.ReadFile(dir + "/" + e.Name())
+		if err != nil {
+			t.Fatal(err)
 		}
+		out[e.Name()] = string(data)
 	}
-	for _, csv := range []string{"fig1.csv", "fig6a.csv", "fig9.csv"} {
-		if _, err := os.Stat(dir + "/" + csv); err != nil {
-			t.Fatalf("missing %s", csv)
-		}
-	}
+	return out
 }
 
 // TestRunMixDeterministic: identical machine+mix+scheme runs must produce

@@ -1,8 +1,9 @@
 // Package exp is the experiment harness: it reproduces every table and
 // figure of the paper's evaluation (§6) on the simulated machines of Table 2,
 // scaled so the experiments run on a laptop. Each experiment returns a typed
-// result with text-table and CSV renderers; cmd/vantage-sim and cmd/figures
-// drive them, and bench_test.go wraps each in a benchmark.
+// result with text-table and CSV renderers. The registry, Experiments, lists
+// them once: WriteReport and cmd/vantage-sim both read it, and bench_test.go
+// wraps each in a benchmark.
 package exp
 
 import (

@@ -19,24 +19,26 @@ func TestApportionWays(t *testing.T) {
 		{[]int{1000, 1, 1, 1}, 16, []int{13, 1, 1, 1}},
 		{[]int{1, 1, 1, 1}, 4, []int{1, 1, 1, 1}},
 	}
+	var a apportioner
 	for _, c := range cases {
-		got := ApportionWays(c.targets, c.ways)
+		got := a.apportion(c.targets, c.ways)
 		sum := 0
 		for i, w := range got {
 			sum += w
 			if w != c.want[i] {
-				t.Errorf("ApportionWays(%v,%d) = %v, want %v", c.targets, c.ways, got, c.want)
+				t.Errorf("apportion(%v,%d) = %v, want %v", c.targets, c.ways, got, c.want)
 				break
 			}
 		}
 		if sum != c.ways {
-			t.Errorf("ApportionWays(%v,%d) sums to %d", c.targets, c.ways, sum)
+			t.Errorf("apportion(%v,%d) sums to %d", c.targets, c.ways, sum)
 		}
 	}
 }
 
 func TestApportionWaysAlwaysSumsAndMinOne(t *testing.T) {
 	rng := hash.NewRand(5)
+	var a apportioner // reused across sizes, as a controller reuses it
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(16)
 		ways := n + rng.Intn(49)
@@ -44,7 +46,7 @@ func TestApportionWaysAlwaysSumsAndMinOne(t *testing.T) {
 		for i := range targets {
 			targets[i] = rng.Intn(10000)
 		}
-		got := ApportionWays(targets, ways)
+		got := a.apportion(targets, ways)
 		sum := 0
 		for _, w := range got {
 			if w < 1 {

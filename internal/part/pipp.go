@@ -43,6 +43,7 @@ type PIPP struct {
 	// Streaming detection state.
 	accesses, missesCnt []uint64
 	streaming           []bool
+	ap                  apportioner
 	// live counts valid lines; nothing under this controller invalidates a
 	// line, so once live reaches NumLines the per-miss free-slot scan is
 	// skipped (no set can have an invalid way when the array is full).
@@ -124,7 +125,7 @@ func (p *PIPP) SetTargets(targets []int) {
 		}
 		p.accesses[i], p.missesCnt[i] = 0, 0
 	}
-	ways := ApportionWays(targets, p.arr.Ways())
+	ways := p.ap.apportion(targets, p.arr.Ways())
 	for i, wv := range ways {
 		if p.streaming[i] {
 			p.insertAt[i] = 1 // one way of depth, pstream promotion

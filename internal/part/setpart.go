@@ -29,6 +29,9 @@ type SetPartition struct {
 	sizes    []int
 	partOf   []int16
 	cands    []cache.LineID
+	// SetTargets' scratch: the set apportioning and each set's old owner.
+	ap       apportioner
+	oldOwner []int16
 	// ScrubbedLines counts lines flushed by repartitioning.
 	ScrubbedLines uint64
 }
@@ -47,6 +50,7 @@ func NewSetPartition(arr *cache.SetAssoc, parts int) *SetPartition {
 		numSets:  make([]int, parts),
 		sizes:    make([]int, parts),
 		partOf:   make([]int16, arr.NumLines()),
+		oldOwner: make([]int16, arr.Sets()),
 	}
 	for i := range s.partOf {
 		s.partOf[i] = -1
@@ -83,9 +87,9 @@ func (s *SetPartition) SetTargets(targets []int) {
 		panic("part: target count mismatch")
 	}
 	// Reuse the way-apportioning logic over sets.
-	setsPer := ApportionWays(targets, s.arr.Sets())
+	setsPer := s.ap.apportion(targets, s.arr.Sets())
 	// Record the old owner of each set to detect reassignment.
-	oldOwner := make([]int16, s.arr.Sets())
+	oldOwner := s.oldOwner
 	for i := range oldOwner {
 		oldOwner[i] = -1
 	}

@@ -30,6 +30,7 @@ type WayPartition struct {
 	sizes  []int
 	// victim scratch: candidate ways owned by the inserting partition
 	own []cache.LineID
+	ap  apportioner
 	// live counts valid lines; nothing under this controller invalidates a
 	// line, so once live reaches NumLines the per-miss free-slot test is
 	// skipped (no set can have an invalid way when the array is full).
@@ -85,7 +86,7 @@ func (w *WayPartition) SetTargets(targets []int) {
 	if len(targets) != w.parts {
 		panic("part: target count mismatch")
 	}
-	ways := ApportionWays(targets, w.arr.Ways())
+	ways := w.ap.apportion(targets, w.arr.Ways())
 	copy(w.ways, ways)
 	// Assign contiguous way ranges in partition order.
 	way := 0
@@ -169,13 +170,27 @@ func (w *WayPartition) AccessMixed(addr, mixed uint64, part int) ctrl.AccessResu
 	return res
 }
 
-// ApportionWays converts line-granularity targets into whole-way counts by
-// largest remainder, guaranteeing each partition at least one way. It is
-// exported because UCP's Lookahead output and the experiment harness both
-// need the same rounding.
-func ApportionWays(targets []int, totalWays int) []int {
+// apportioner converts line-granularity targets into whole-way (or
+// whole-set) counts by largest remainder, guaranteeing each partition at
+// least one. It keeps its result and scratch from call to call, so a
+// controller's repartition allocates nothing; the result is valid until the
+// next call.
+type apportioner struct {
+	ways []int
+	rems []remainder
+}
+
+type remainder struct {
+	part int
+	frac float64
+}
+
+func (a *apportioner) apportion(targets []int, totalWays int) []int {
 	p := len(targets)
-	ways := make([]int, p)
+	if cap(a.ways) < p {
+		a.ways = make([]int, p)
+	}
+	ways := a.ways[:p]
 	total := 0
 	for _, t := range targets {
 		total += t
@@ -189,11 +204,7 @@ func ApportionWays(targets []int, totalWays int) []int {
 	}
 	// Give everyone their floor share (min 1), then distribute the rest by
 	// remainder.
-	type rem struct {
-		part int
-		frac float64
-	}
-	rems := make([]rem, 0, p)
+	rems := a.rems[:0]
 	assigned := 0
 	for i, t := range targets {
 		exact := float64(t) / float64(total) * float64(totalWays)
@@ -203,8 +214,9 @@ func ApportionWays(targets []int, totalWays int) []int {
 		}
 		ways[i] = fl
 		assigned += fl
-		rems = append(rems, rem{i, exact - float64(fl)})
+		rems = append(rems, remainder{i, exact - float64(fl)})
 	}
+	a.rems = rems
 	// Fix up to exactly totalWays: take from the largest or give to the
 	// highest remainder.
 	for assigned > totalWays {

@@ -76,7 +76,7 @@ func TestRecordAheadMatchesInline(t *testing.T) {
 			RepartitionCycles:  200000,
 			PartitionableLines: 972,
 			OnRepartition: func(cycle uint64, targets, actual []int) {
-				out.log = append(out.log, repart{cycle, targets, actual})
+				out.log = append(out.log, repart{cycle, slices.Clone(targets), slices.Clone(actual)})
 			},
 		}
 		base := runtime.NumGoroutine()

@@ -221,7 +221,7 @@ func TestCountedMatchesFed(t *testing.T) {
 		cfg.InstrLimit, cfg.WarmupInstr = limit, warmup
 		cfg.RepartitionCycles, cfg.PartitionableLines = 200000, 972
 		cfg.OnRepartition = func(cycle uint64, targets, actual []int) {
-			log = append(log, repart{cycle, targets, actual})
+			log = append(log, repart{cycle, slices.Clone(targets), slices.Clone(actual)})
 		}
 		return run(cfg), log
 	}

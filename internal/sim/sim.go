@@ -28,7 +28,8 @@ import (
 type Allocator interface {
 	// Access feeds one address of partition part's L2 access stream.
 	Access(part int, addr uint64)
-	// Allocate returns per-partition targets summing to totalLines.
+	// Allocate returns per-partition targets summing to totalLines. The
+	// slice may be reused by the next call.
 	Allocate(totalLines int) []int
 }
 
@@ -109,7 +110,9 @@ type Config struct {
 	PartitionableLines int
 	// OnRepartition, if set, observes every repartitioning decision. cycle
 	// is the boundary that fired it, k*RepartitionCycles; actual holds the
-	// partition sizes right after the new targets were applied.
+	// partition sizes right after the new targets were applied. Both slices
+	// are reused by the next repartition; an observer that keeps one copies
+	// it.
 	OnRepartition func(cycle uint64, targets, actual []int)
 	// Miss, if non-nil, supplies the post-L1 segment streams directly, one
 	// cursor per core (see MissRecorder), so several runs can share one
@@ -194,6 +197,7 @@ type runState struct {
 	counted    []*ucp.UMON           // per core, the monitor that counts codes, or nil
 	chooser    PolicyChooser         // alloc's insertion-policy choices, or nil
 	setter     InsertionPolicySetter // l2's insertion-policy hook, or nil
+	actual     []int                 // OnRepartition's partition sizes
 
 	latL2Hit  int
 	latL2Miss int // L2 hit latency plus memory latency
@@ -381,11 +385,11 @@ func (rs *runState) repartition(cfg *Config, res *Result, cycle uint64) {
 	}
 	res.Repartitions++
 	if cfg.OnRepartition != nil {
-		actual := make([]int, rs.l2.NumPartitions())
-		for p := range actual {
-			actual[p] = rs.l2.Size(p)
+		rs.actual = rs.actual[:0]
+		for p := range rs.l2.NumPartitions() {
+			rs.actual = append(rs.actual, rs.l2.Size(p))
 		}
-		cfg.OnRepartition(cycle, targets, actual)
+		cfg.OnRepartition(cycle, targets, rs.actual)
 	}
 }
 

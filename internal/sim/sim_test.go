@@ -6,6 +6,8 @@ import (
 	"vantage/internal/cache"
 	"vantage/internal/core"
 	"vantage/internal/ctrl"
+	"vantage/internal/hash"
+	"vantage/internal/part"
 	"vantage/internal/repl"
 	"vantage/internal/ucp"
 	"vantage/internal/workload"
@@ -286,5 +288,42 @@ func TestDefaultLatencies(t *testing.T) {
 	l := DefaultLatencies()
 	if l.L1Hit != 1 || l.L2Hit != 12 || l.Memory != 200 {
 		t.Fatalf("Table 2 latencies wrong: %+v", l)
+	}
+}
+
+// TestRepartitionAllocatesNothing: a UCP-driven run's repartition (the
+// Lookahead allocation, the controller's new targets and the observer's
+// sizes) reuses its buffers, for the way-granular baselines as for Vantage.
+func TestRepartitionAllocatesNothing(t *testing.T) {
+	const lines, ways, parts = 4096, 16, 4
+	for _, c := range []struct {
+		name string
+		l2   ctrl.Controller
+		gran ucp.Granularity
+	}{
+		{"WayPart", part.NewWayPartition(cache.NewSetAssoc(lines, ways, true, 3), parts), ucp.GranWays},
+		{"PIPP", part.NewPIPP(cache.NewSetAssoc(lines, ways, true, 3), parts, 3), ucp.GranWays},
+		{"Vantage", core.New(cache.NewZCache(lines, 4, 52, 3), core.Config{Partitions: parts, UnmanagedFrac: 0.05, AMax: 0.5, Slack: 0.1}), ucp.GranLines},
+	} {
+		pol := ucp.NewPolicy(parts, ways, lines, c.gran, 5)
+		rng := hash.NewRand(9)
+		feed := func() {
+			for i := 0; i < 20000; i++ {
+				p := rng.Intn(parts)
+				addr := uint64(p+1)<<40 | uint64(rng.Intn(lines>>p))
+				pol.Access(p, addr)
+				c.l2.Access(addr, p)
+			}
+		}
+		cfg := Config{L2: c.l2, Alloc: pol, InstrLimit: 1, PartitionableLines: lines,
+			OnRepartition: func(cycle uint64, targets, actual []int) {}}
+		rs := newRunState(&cfg, parts)
+		var res Result
+		feed()
+		rs.repartition(&cfg, &res, 1) // sizes every kept buffer
+		feed()
+		if n := testing.AllocsPerRun(20, func() { rs.repartition(&cfg, &res, 1) }); n != 0 {
+			t.Errorf("%s: a repartition allocates %.1f times", c.name, n)
+		}
 	}
 }

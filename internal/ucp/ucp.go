@@ -432,6 +432,7 @@ type Policy struct {
 	gran     Granularity
 	hits     [][]uint64 // per partition: Allocate's copy of its hit curve
 	sc       Scratch
+	targets  []int // Allocate's result, reused by the next call
 }
 
 // NewPolicy returns a UCP policy for parts partitions over a cache of
@@ -472,14 +473,16 @@ func (p *Policy) AccessMixed(part int, addr, mixed uint64) {
 func (p *Policy) Monitor(part int) *UMON { return p.monitors[part] }
 
 // Allocate computes the next per-partition targets in lines, summing to
-// totalLines (the partitionable capacity), and decays the monitors.
+// totalLines (the partitionable capacity), and decays the monitors. The
+// result is valid until the next call, which reuses it.
 func (p *Policy) Allocate(totalLines int) []int {
 	for i, m := range p.monitors {
 		p.hits[i] = resize(p.hits[i], m.Ways()+1)
 		m.AddHitCurve(p.hits[i])
 		m.Decay()
 	}
-	return AllocateCurves(&p.sc, nil, p.hits, totalLines, p.gran)
+	p.targets = AllocateCurves(&p.sc, p.targets, p.hits, totalLines, p.gran)
+	return p.targets
 }
 
 // Scratch is AllocateCurves' working memory, reused from call to call. The
