@@ -4,7 +4,7 @@
 // frame layout, the protocol limits, the one rule that decides whether a
 // request frame is a framing violation, and the encoders and decoders that
 // the node, the cluster peer, pool and proxy, and the load generator all
-// use. It imports nothing of the module, so every one of them can.
+// use. Of the module it imports only the textwire leaf, so all of them can.
 //
 // # Negotiation
 //
@@ -28,6 +28,7 @@
 //
 //	off 0  opcode  u8   GET=1 PUT=2 DEL=3 TOUCH=4 PING=5 TENANT_ADD=6
 //	                    TENANT_DEL=7 REG_OP=8 REG_PULL=9 REHOME=10 BMGET=11
+//	                    TEXT=12
 //	off 1  flags   u8   bit0 (PUT/REHOME): explicit TTL — ttl_ms is
 //	                    authoritative, 0 meaning "never expire"; unset:
 //	                    service default TTL (REHOME: never expire).
@@ -49,7 +50,7 @@
 //	off 8  payload      GET hit: value; TENANT_ADD: u32 partition;
 //	                    REG_OP: u64 local registry version; REG_PULL:
 //	                    u64 version, u32 count, count x (u8 len, name);
-//	                    BMGET: see below; ERR: message text
+//	                    BMGET, TEXT: see below; ERR: message text
 //
 // # BMGET
 //
@@ -69,6 +70,16 @@
 // failed (validation, unknown tenant, injected fault); a frame refused by
 // the in-flight limits answers OK with every key SHED, so a client handles
 // overload per key in one shape.
+//
+// # TEXT
+//
+// TEXT (opcode 12) carries one text-protocol command, for the proxy to relay
+// what it does not translate. Tenant, key, flags and ttl_ms are empty; the
+// value is the command line (at most textwire.MaxLine bytes), an LF, and
+// exactly the value block textwire.Block says the line declares, with no
+// terminator. The node answers OK with exactly the bytes a text connection
+// would have read, ERR lines included. A QUIT, or a PUT declaring more than
+// MaxValue, is a framing violation: on a text connection either closes it.
 //
 // # Cluster frames
 //
@@ -101,11 +112,14 @@
 package binwire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+
+	"vantage/internal/textwire"
 )
 
 const (
@@ -125,9 +139,9 @@ const (
 	MaxValue     = 1 << 20
 	MaxBatchKeys = 1024
 
-	// MaxFrame bounds one request frame: header + max tenant (u8) + max
-	// key + max value. Anything larger is a framing violation.
-	MaxFrame = ReqHdr + 255 + MaxKey + MaxValue
+	// MaxFrame bounds one request frame: the largest TEXT frame, a line, its
+	// LF and a value block. Anything larger is a framing violation.
+	MaxFrame = ReqHdr + textwire.MaxLine + 1 + MaxValue
 
 	// MaxResp bounds one response frame a client reads; it only keeps a
 	// garbage length field from making a client buffer gigabytes.
@@ -147,6 +161,7 @@ const (
 	OpRegPull   = 9
 	OpRehome    = 10
 	OpBMGet     = 11
+	OpText      = 12
 )
 
 // Response statuses, also the per-key statuses of a coalesced BMGET reply.
@@ -169,6 +184,10 @@ var le = binary.LittleEndian
 // Preamble opens a client's connection and is the ack of a server of this
 // version.
 var Preamble = [4]byte{Magic, 'V', 'B', Version}
+
+// ErrValueLen refuses a PUT declaring n > MaxValue bytes, whose block can
+// be neither taken nor skipped: the text connection closes after it.
+func ErrValueLen(n int) error { return fmt.Errorf("value length %d exceeds maximum %d", n, MaxValue) }
 
 // ErrNotBinary reports a preamble answered without the magic byte: a
 // server at its connection cap answers its text BUSY line instead.
@@ -223,8 +242,8 @@ type Req struct {
 	Op, Flags uint8
 	ID, TTLms uint32
 	Tenant    []byte
-	Key       []byte // nil for BMGET
-	Val       []byte // the bytes after the key; for BMGET, its key list
+	Key       []byte // nil for BMGET; for TEXT, the command line
+	Val       []byte // the bytes after the key; for BMGET, its key list; for TEXT, the value block
 	// BMGET only: the declared key count, the keys (reused across Parse
 	// calls; left empty over MaxBatchKeys) and the frame-level ERR the batch
 	// earns before it executes, "" when none.
@@ -238,9 +257,10 @@ type Req struct {
 // violation: the stream can no longer be trusted and the connection
 // closes. The rules are: length in ReqLen's range, reserved bytes zero, a
 // known opcode, no flag the opcode does not define (PING and TENANT_ADD
-// are not checked), tenant and key inside the frame, and for BMGET a zero
-// ttl_ms and a key list that tiles the body exactly. Parse allocates
-// nothing once r.Keys has grown to the batch size.
+// are not checked), tenant and key inside the frame, for BMGET a zero
+// ttl_ms and a key list that tiles the body exactly, and for TEXT the
+// rules of its section above. Parse allocates nothing once r.Keys has
+// grown to the batch size.
 func (r *Req) Parse(f []byte) bool {
 	if !ReqLen(len(f)) || f[3] != 0 || f[14] != 0 || f[15] != 0 {
 		return false
@@ -256,6 +276,15 @@ func (r *Req) Parse(f []byte) bool {
 		r.Key, r.Val, r.Count = nil, f[tend:], kl
 		return r.TTLms == 0 && r.batch()
 	}
+	if op == OpText {
+		nl := bytes.IndexByte(f[tend:], '\n')
+		if tend != ReqHdr || kl != 0 || r.TTLms != 0 || nl < 0 || nl > textwire.MaxLine {
+			return false
+		}
+		r.Key, r.Val = f[tend:tend+nl], f[tend+nl+1:]
+		n, ok := textwire.Block(r.Key, MaxValue)
+		return ok && len(r.Val) == n
+	}
 	if tend+kl > len(f) {
 		return false
 	}
@@ -267,7 +296,7 @@ func (r *Req) Parse(f []byte) bool {
 // not check theirs.
 var opFlags = [...]uint8{
 	OpGet: FlagTTL, OpPut: FlagTTL, OpDel: FlagTTL, OpTouch: FlagTTL, OpRehome: FlagTTL,
-	OpPing: 0xff, OpTenantAdd: 0xff, OpTenantDel: 0, OpRegOp: FlagRegAdd, OpRegPull: 0, OpBMGet: 0,
+	OpPing: 0xff, OpTenantAdd: 0xff, OpTenantDel: 0, OpRegOp: FlagRegAdd, OpRegPull: 0, OpBMGet: 0, OpText: 0,
 }
 
 // batch walks a BMGET key list: it must tile r.Val exactly. The semantic
@@ -319,6 +348,14 @@ func AppendBMGet[S ~string | ~[]byte](dst []byte, id uint32, tenant S, keys []S)
 		dst = AppendKey(dst, k)
 	}
 	SealBMGet(dst[start:], len(keys))
+	return dst
+}
+
+// AppendText appends a TEXT request frame carrying line and its block.
+func AppendText(dst []byte, id uint32, line, block []byte) []byte {
+	start := len(dst)
+	dst = append(append(AppendReq(dst, OpText, 0, id, 0, "", "", line), '\n'), block...)
+	SetLen(dst[start:])
 	return dst
 }
 

@@ -3,8 +3,11 @@ package binwire
 import (
 	"bytes"
 	"encoding/binary"
+	"strconv"
 	"strings"
 	"testing"
+
+	"vantage/internal/textwire"
 )
 
 // rule is one row of the framing table: a request frame (without its
@@ -45,11 +48,23 @@ func keyList(keys ...string) string {
 
 func set(off int, v byte) func([]byte) { return func(h []byte) { h[off] = v } }
 
+// text encodes a TEXT frame carrying line and block.
+func text(line, block string) []byte {
+	return AppendText(nil, 1, []byte(line), []byte(block))[4:]
+}
+
+// putLine is a PUT line of exactly n bytes declaring a block of v bytes.
+func putLine(n, v int) string {
+	tail := " " + strconv.Itoa(v)
+	return "PUT t " + strings.Repeat("k", n-len("PUT t ")-len(tail)) + tail
+}
+
 // frameRules has one row per framing rule and one for the accepted edge of
 // each. Every verdict is the one a node gave before the rule moved into
 // this package.
 func frameRules() []rule {
-	maxFrame := frame(OpPut, 0, 0, strings.Repeat("t", 255), strings.Repeat("k", MaxKey), strings.Repeat("v", MaxValue), nil)
+	maxFrame := frame(OpPut, 0, 0, "t", "k", strings.Repeat("v", MaxFrame-ReqHdr-2), nil)
+	maxLine := strings.Repeat("v", MaxValue)
 	many := make([]string, MaxBatchKeys+1)
 	return []rule{
 		{"GET", frame(OpGet, 0, 0, "t", "k", "", nil), true, ""},
@@ -58,13 +73,15 @@ func frameRules() []rule {
 		{"exactly the header", frame(OpPing, 0, 0, "", "", "", nil), true, ""},
 		{"exactly the max frame", maxFrame, true, ""},
 		{"over the max frame", append(maxFrame, 'v'), false, ""},
+		{"the largest PUT data frame", frame(OpPut, 0, 0, strings.Repeat("t", 255), strings.Repeat("k", MaxKey), maxLine, nil), true, ""},
+		{"the largest TEXT frame is the max frame", text(putLine(textwire.MaxLine, MaxValue), maxLine), true, ""},
 		// Reserved bytes.
 		{"reserved u8", frame(OpGet, 0, 0, "t", "k", "", set(3, 1)), false, ""},
 		{"reserved u16 low", frame(OpGet, 0, 0, "t", "k", "", set(14, 1)), false, ""},
 		{"reserved u16 high", frame(OpGet, 0, 0, "t", "k", "", set(15, 0x80)), false, ""},
 		// Opcodes.
 		{"opcode 0", frame(0, 0, 0, "", "", "", nil), false, ""},
-		{"opcode 12", frame(12, 0, 0, "", "", "", nil), false, ""},
+		{"opcode 13", frame(13, 0, 0, "", "", "", nil), false, ""},
 		{"opcode 99", frame(99, 0, 0, "", "", "", nil), false, ""},
 		// Flags.
 		{"GET with the TTL flag", frame(OpGet, FlagTTL, 0, "t", "k", "", nil), true, ""},
@@ -83,6 +100,24 @@ func frameRules() []rule {
 		{"REG_OP with flag 0x80", frame(OpRegOp, 0x81, 0, "u", "", "12345678", nil), false, ""},
 		{"PING with every flag", frame(OpPing, 0xff, 0, "", "", "", nil), true, ""},
 		{"TENANT_ADD with every flag", frame(OpTenantAdd, 0xff, 0, "u", "", "", nil), true, ""},
+		// TEXT.
+		{"TEXT", text("PING", ""), true, ""},
+		{"TEXT of a blank line", text("", ""), true, ""},
+		{"TEXT PUT with its block", text("PUT t k 5", "hello"), true, ""},
+		{"TEXT PUT with a bad length and no block", text("PUT t k five", ""), true, ""},
+		{"TEXT PUT with a long key", text("PUT t "+strings.Repeat("k", MaxKey+1)+" 1", "v"), true, ""},
+		{"TEXT line at the line bound", text(putLine(textwire.MaxLine, 1), "v"), true, ""},
+		{"TEXT line over the line bound", text(putLine(textwire.MaxLine+1, 1), "v"), false, ""},
+		{"TEXT without its LF", frame(OpText, 0, 0, "", "", "PING", nil), false, ""},
+		{"TEXT PUT block cut short", text("PUT t k 5", "hell"), false, ""},
+		{"TEXT PUT block with its CRLF", text("PUT t k 5", "hello\r\n"), false, ""},
+		{"TEXT bytes after a GET", text("GET t k", "x"), false, ""},
+		{"TEXT PUT over MaxValue", text(putLine(40, MaxValue+1), maxLine+"v"), false, ""},
+		{"TEXT QUIT", text("quit", ""), false, ""},
+		{"TEXT with a tenant", frame(OpText, 0, 0, "t", "", "PING\n", nil), false, ""},
+		{"TEXT with a key", frame(OpText, 0, 0, "", "k", "PING\n", nil), false, ""},
+		{"TEXT with a TTL", frame(OpText, 0, 5, "", "", "PING\n", nil), false, ""},
+		{"TEXT with a flag", frame(OpText, FlagTTL, 0, "", "", "PING\n", nil), false, ""},
 		// Tenant and key inside the frame.
 		{"tenant overruns the frame", frame(OpGet, 0, 0, "t", "k", "", set(2, 200)), false, ""},
 		{"PING's tenant overruns the frame", frame(OpPing, 0, 0, "", "", "", set(2, 1)), false, ""},
@@ -136,13 +171,17 @@ func TestParseFields(t *testing.T) {
 		string(r.Keys[0]) != "a" || string(r.Keys[1]) != "bb" || string(r.Keys[2]) != "ccc" || r.Key != nil {
 		t.Fatalf("BMGET decoded as %+v", r)
 	}
+	if !r.Parse(text("PUT t k 2 EXPIRE 9", "hi")) || r.Op != OpText || len(r.Tenant) != 0 ||
+		string(r.Key) != "PUT t k 2 EXPIRE 9" || string(r.Val) != "hi" {
+		t.Fatalf("TEXT decoded as %+v", r)
+	}
 }
 
 func TestParseAllocs(t *testing.T) {
 	var r Req
-	get, bm := frame(OpGet, 0, 0, "t", "k", "", nil), bmget(2, 0, 0, keyList("a", "b"))
+	get, bm, txt := frame(OpGet, 0, 0, "t", "k", "", nil), bmget(2, 0, 0, keyList("a", "b")), text("PUT t k 1", "v")
 	r.Parse(bm)
-	if n := testing.AllocsPerRun(100, func() { r.Parse(get); r.Parse(bm) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { r.Parse(get); r.Parse(bm); r.Parse(txt) }); n != 0 {
 		t.Fatalf("Parse allocates %.1f times", n)
 	}
 }
@@ -256,6 +295,8 @@ func FuzzFrame(f *testing.F) {
 			case r.Op == OpBMGet:
 				re = AppendReq(nil, r.Op, r.Flags, r.ID, r.TTLms, r.Tenant, nil, r.Val)
 				binary.LittleEndian.PutUint16(re[4+12:], uint16(r.Count))
+			case r.Op == OpText:
+				re = AppendText(nil, r.ID, r.Key, r.Val)
 			default:
 				re = AppendReq(nil, r.Op, r.Flags, r.ID, r.TTLms, r.Tenant, r.Key, r.Val)
 			}

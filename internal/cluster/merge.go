@@ -227,6 +227,8 @@ func appendTextResp(dst []byte, op, status uint8, payload []byte) []byte {
 			return append(dst, "TOUCHED\r\n"...)
 		case binwire.OpPing:
 			return append(dst, "PONG\r\n"...)
+		case binwire.OpText:
+			return append(dst, payload...)
 		}
 	case binwire.StMiss:
 		return append(dst, "MISS\r\n"...)

@@ -74,40 +74,38 @@ func (p *Peer) Close() {
 	p.mu.Unlock()
 }
 
-// roundTrip sends one frame and awaits its response under the mutex.
-func (p *Peer) roundTrip(op, flags uint8, ttlMS uint32, tenant, key string, val []byte) (uint8, []byte, error) {
+// roundTrip sends one request frame and awaits its response under the
+// mutex. A status other than OK fails the call, naming what was asked.
+func (p *Peer) roundTrip(frame []byte, what string) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	conn, err := p.connLocked()
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	conn.SetDeadline(time.Now().Add(peerIOTimeout))
-	if _, err := conn.Write(binwire.AppendReq(nil, op, flags, 1, ttlMS, tenant, key, val)); err != nil {
+	if _, err := conn.Write(frame); err != nil {
 		p.dropLocked()
-		return 0, nil, fmt.Errorf("cluster: write to %s: %w", p.addr, err)
+		return nil, fmt.Errorf("cluster: write to %s: %w", p.addr, err)
 	}
 	resp, err := binwire.ReadResp(conn, &p.rbuf)
 	if err != nil {
 		p.dropLocked()
-		return 0, nil, fmt.Errorf("cluster: read from %s: %w", p.addr, err)
+		return nil, fmt.Errorf("cluster: read from %s: %w", p.addr, err)
 	}
 	conn.SetDeadline(time.Time{})
+	if resp.Status != binwire.StOK {
+		return nil, fmt.Errorf("cluster: peer %s rejected %s: %s", p.addr, what, resp.Payload)
+	}
 	// The payload aliases p.rbuf, which the next call (possibly from another
 	// goroutine, once the mutex drops) overwrites; copy before returning.
-	return resp.Status, append([]byte(nil), resp.Payload...), nil
+	return append([]byte(nil), resp.Payload...), nil
 }
 
 // Ping round-trips a PING frame.
 func (p *Peer) Ping() error {
-	st, payload, err := p.roundTrip(binwire.OpPing, 0, 0, "", "", nil)
-	if err != nil {
-		return err
-	}
-	if st != binwire.StOK {
-		return fmt.Errorf("cluster: peer %s ping: %s", p.addr, payload)
-	}
-	return nil
+	_, err := p.roundTrip(binwire.AppendReq(nil, binwire.OpPing, 0, 1, 0, "", "", nil), "ping")
+	return err
 }
 
 // RegOp replicates one registry mutation (add when add is true, else
@@ -120,12 +118,9 @@ func (p *Peer) RegOp(version uint64, add bool, tenant string) (uint64, error) {
 	}
 	var vb [8]byte
 	le.PutUint64(vb[:], version)
-	st, payload, err := p.roundTrip(binwire.OpRegOp, flags, 0, tenant, "", vb[:])
+	payload, err := p.roundTrip(binwire.AppendReq(nil, binwire.OpRegOp, flags, 1, 0, tenant, "", vb[:]), "registry op")
 	if err != nil {
 		return 0, err
-	}
-	if st != binwire.StOK {
-		return 0, fmt.Errorf("cluster: peer %s rejected registry op: %s", p.addr, payload)
 	}
 	if len(payload) != 8 {
 		return 0, fmt.Errorf("cluster: peer %s registry op payload %d bytes", p.addr, len(payload))
@@ -135,12 +130,9 @@ func (p *Peer) RegOp(version uint64, add bool, tenant string) (uint64, error) {
 
 // RegPull fetches the peer's registry snapshot: version and tenant names.
 func (p *Peer) RegPull() (uint64, []string, error) {
-	st, payload, err := p.roundTrip(binwire.OpRegPull, 0, 0, "", "", nil)
+	payload, err := p.roundTrip(binwire.AppendReq(nil, binwire.OpRegPull, 0, 1, 0, "", "", nil), "registry pull")
 	if err != nil {
 		return 0, nil, err
-	}
-	if st != binwire.StOK {
-		return 0, nil, fmt.Errorf("cluster: peer %s rejected registry pull: %s", p.addr, payload)
 	}
 	if len(payload) < 12 {
 		return 0, nil, fmt.Errorf("cluster: peer %s registry pull payload %d bytes", p.addr, len(payload))
@@ -237,31 +229,15 @@ func (p *Peer) BMGet(tenant string, keys []string) ([]BMGetEntry, error) {
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	conn, err := p.connLocked()
+	payload, err := p.roundTrip(binwire.AppendBMGet(nil, 1, tenant, keys), "bmget")
 	if err != nil {
 		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(peerIOTimeout))
-	if _, err := conn.Write(binwire.AppendBMGet(nil, 1, tenant, keys)); err != nil {
-		p.dropLocked()
-		return nil, fmt.Errorf("cluster: bmget write to %s: %w", p.addr, err)
-	}
-	resp, err := binwire.ReadResp(conn, &p.rbuf)
-	if err != nil {
-		p.dropLocked()
-		return nil, fmt.Errorf("cluster: bmget read from %s: %w", p.addr, err)
-	}
-	conn.SetDeadline(time.Time{})
-	if resp.Status != binwire.StOK {
-		return nil, fmt.Errorf("cluster: peer %s rejected bmget: %s", p.addr, resp.Payload)
-	}
-	b, err := binwire.CheckReply(resp.Payload, len(keys))
+	b, err := binwire.CheckReply(payload, len(keys))
 	if err != nil {
 		return nil, fmt.Errorf("cluster: peer %s bmget: %w", p.addr, err)
 	}
-	// Values are copied out of the shared read buffer.
+	// Values alias roundTrip's copy of the payload.
 	entries := make([]BMGetEntry, len(keys))
 	for i := range entries {
 		var st uint8
@@ -269,7 +245,7 @@ func (p *Peer) BMGet(tenant string, keys []string) ([]BMGetEntry, error) {
 		st, val, b = binwire.NextEntry(b)
 		switch st {
 		case binwire.StOK:
-			entries[i] = BMGetEntry{Hit: true, Val: append([]byte(nil), val...)}
+			entries[i] = BMGetEntry{Hit: true, Val: val}
 		case binwire.StMiss:
 		case binwire.StShed:
 			entries[i].Shed = true

@@ -1,8 +1,8 @@
 // Direct Peer.BMGet coverage (the proxy exercises the same frames, but
-// through its own pool, not the Peer client), plus the text PUT fallback
-// paths: malformed and un-poolable PUTs must forward with their value
-// block consumed so the client stream never desyncs, and a length beyond
-// the proxy's hard cap must kill the session with a proxy ERR.
+// through its own pool, not the Peer client), plus the PUTs the proxy
+// relays as TEXT frames: malformed and un-poolable PUTs must travel with
+// their value block consumed so the client stream never desyncs, and a
+// length over the value cap ends the session with the node's own ERR.
 package cluster_test
 
 import (
@@ -72,8 +72,8 @@ func TestProxyTextPutFallback(t *testing.T) {
 		t.Fatalf("TENANT ADD: %q", resp)
 	}
 
-	// Too few fields and an unparseable length both forward line-only (no
-	// value block can follow) and relay the backend's ERR.
+	// Too few fields and an unparseable length both relay the line alone
+	// (no value block can follow) and return the node's ERR.
 	if resp := tc.roundTrip("PUT fb"); !strings.HasPrefix(resp, "ERR") {
 		t.Fatalf("short PUT: %q", resp)
 	}
@@ -81,8 +81,8 @@ func TestProxyTextPutFallback(t *testing.T) {
 		t.Fatalf("bad length PUT: %q", resp)
 	}
 
-	// An oversized key cannot ride the pool; the fallback must consume the
-	// value block before relaying the backend's ERR, or the next command
+	// An oversized key cannot ride a data frame; the relay must consume the
+	// value block before returning the node's ERR, or the next command
 	// would be parsed out of the stale bytes.
 	long := strings.Repeat("k", 251)
 	tc.w.WriteString("PUT fb " + long + " 3\r\nabc\r\n")
@@ -97,7 +97,7 @@ func TestProxyTextPutFallback(t *testing.T) {
 		t.Fatalf("stream desynced after long-key PUT: %q", resp)
 	}
 
-	// Same path with a bare-LF value terminator, which the fallback must
+	// Same path with a bare-LF value terminator, which the relay must
 	// tolerate the way the nodes do.
 	tc.w.WriteString("PUT fb " + long + " 3\r\nxyz\n")
 	if err := tc.w.Flush(); err != nil {
@@ -111,28 +111,17 @@ func TestProxyTextPutFallback(t *testing.T) {
 		t.Fatalf("stream desynced after bare-LF PUT: %q", resp)
 	}
 
-	// A value above the pool ceiling but under the proxy cap still
-	// forwards whole; the backend rejects it as too large.
-	big := strings.Repeat("v", (1<<20)+1)
-	tc.w.WriteString("PUT fb bigkey " + itoa(len(big)) + "\r\n" + big + "\r\n")
-	if err := tc.w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = tc.r.ReadString('\n')
-	if err != nil || !strings.HasPrefix(resp, "ERR") {
-		t.Fatalf("oversized value PUT: %q, %v", resp, err)
-	}
-	if resp := tc.roundTrip("PING"); resp != "PONG" {
-		t.Fatalf("stream desynced after oversized value PUT: %q", resp)
-	}
-
-	// A length beyond the proxy's own cap is fatal: the proxy answers with
-	// its ERR and ends the session rather than buffer 64MB+.
-	tc2 := dialScale(t, p.Addr().String())
-	if resp := tc2.roundTrip("PUT fb k 67108865"); !strings.HasPrefix(resp, "ERR proxy:") {
-		t.Fatalf("over-cap PUT: %q", resp)
-	}
-	if _, err := tc2.r.ReadString('\n'); err != io.EOF {
-		t.Fatalf("session should close after fatal PUT, got %v", err)
+	// A length over the value cap is refused as a node refuses it, with the
+	// node's message, before any of the block is read, and the session ends
+	// as a node's connection would: the block cannot be skipped unread.
+	for _, n := range []int{1<<20 + 1, 64<<20 + 1} {
+		tc2 := dialScale(t, p.Addr().String())
+		want := "ERR value length " + itoa(n) + " exceeds maximum 1048576"
+		if resp := tc2.roundTrip("PUT fb k " + itoa(n)); resp != want {
+			t.Fatalf("over-cap PUT: %q, want %q", resp, want)
+		}
+		if _, err := tc2.r.ReadString('\n'); err != io.EOF {
+			t.Fatalf("session should close after an over-cap PUT, got %v", err)
+		}
 	}
 }

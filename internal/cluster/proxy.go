@@ -34,10 +34,12 @@ import (
 // share (merge.go). In steady state the hop allocates nothing per key or
 // per frame.
 //
-// Control verbs (TENANT, STATS, CLUSTER, malformed lines) and anything
-// the binary framing cannot carry fall back to per-session text
-// connections, preceded by a barrier that drains in-flight pooled
-// responses so cross-plane ordering is preserved.
+// Every other text line (control verbs, malformed lines, keys too long for
+// a data frame) rides the same pool as one TEXT frame (binwire), and the
+// sequencer renders the node's reply verbatim, so a proxied session opens
+// no connection of its own. The proxy itself answers only PING, QUIT,
+// CLUSTER (refused, on the binary front's TEXT frames too) and a PUT over
+// the value cap, which ends the session with the node's message.
 //
 // Ownership moves only when the operator restarts the proxy with a new
 // member list (the nodes themselves re-home keys via CLUSTER MEMBERS); a
@@ -79,16 +81,6 @@ type ProxyStats struct {
 func (st ProxyStats) LatencyQuantile(q float64) time.Duration {
 	return latency.Quantile(st.LatencyCounts, q)
 }
-
-// proxyMaxLine bounds one text command line (the session closes beyond it,
-// before buffering more); proxyMaxBody bounds one PUT value block on the
-// text fallback. Both are generous — the backends enforce the real protocol
-// limits and their ERR/close is relayed — these only keep an endless line
-// or a garbage length field from making the proxy buffer gigabytes.
-const (
-	proxyMaxLine = 1 << 20
-	proxyMaxBody = 64 << 20
-)
 
 // proxyFlushHi flushes a client-side response buffer early when merged
 // responses outgrow it, even though the batch hasn't fully drained.
@@ -196,8 +188,13 @@ func (p *Proxy) serveConn(conn net.Conn) {
 
 // route submits one frame through the pool to ring member owner, answering
 // with a synthesized ERR when the backend cannot be dialed (reconnect is
-// retried on the next batch that routes there).
+// retried on the next batch that routes there) or when owner is -1, the
+// CLUSTER verb textOwner refuses.
 func (p *Proxy) route(tch *touched, pd pend, owner int32, frame []byte) {
+	if owner < 0 {
+		pd.s.deliver(pd, binwire.StErr, errClusterVerb)
+		return
+	}
 	pc, err := p.pool.get(owner)
 	if err != nil {
 		pd.s.deliver(pd, binwire.StErr, []byte("proxy: backend "+p.members[owner]+" unavailable"))
@@ -228,16 +225,6 @@ func (p *Proxy) record(t0 int64) {
 
 // ---------------------------------------------------------------- text --
 
-// textBackend is one lazily dialed text-protocol connection to a node,
-// owned by a single client session (so fallback responses can't
-// interleave). Only control verbs and malformed lines use these; the data
-// plane rides the shared binary pool.
-type textBackend struct {
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-}
-
 // textSlot holds the rendered response of a command that completed ahead of
 // an earlier one, until its turn. The buffers are reused while small.
 type textSlot struct {
@@ -253,6 +240,10 @@ const (
 	textWindow  = 64
 	slotKeepBuf = 4 << 10
 )
+
+// opStats marks a relayed STATS on the text front, whose reply gets the
+// proxy's own counters before its END. It is no wire opcode.
+const opStats = 0xff
 
 // textProxySess is one text client. Pooled responses complete out of
 // order (whichever backend answers first) but the text protocol promises
@@ -271,29 +262,9 @@ type textProxySess struct {
 	rbuf  []byte     // render scratch for responses completing in order
 
 	// Reading-goroutine scratch.
-	backends map[string]*textBackend
-	fields   [][]byte
-	scratch  []byte
-	sc       scatter
-}
-
-func (ts *textProxySess) backend(addr string) (*textBackend, error) {
-	if b := ts.backends[addr]; b != nil {
-		return b, nil
-	}
-	conn, err := net.DialTimeout("tcp", addr, peerDialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("backend %s: %w", addr, err)
-	}
-	b := &textBackend{conn: conn, r: bufio.NewReaderSize(conn, 32<<10), w: bufio.NewWriterSize(conn, 16<<10)}
-	ts.backends[addr] = b
-	return b, nil
-}
-
-func (ts *textProxySess) closeAll() {
-	for _, b := range ts.backends {
-		b.conn.Close()
-	}
+	fields  [][]byte
+	scratch []byte
+	sc      scatter
 }
 
 // allocSeq claims the next response-ordering slot, doubling the window when
@@ -325,9 +296,12 @@ func (ts *textProxySess) complete(seq uint64, op, status uint8, payload []byte, 
 	if seq != ts.head {
 		buf = sl.buf
 	}
-	if m != nil {
+	switch {
+	case m != nil:
 		buf = m.render(buf[:0], true)
-	} else {
+	case op == opStats && status == binwire.StOK:
+		buf = ts.p.appendStats(buf[:0], payload)
+	default:
 		buf = appendTextResp(buf[:0], op, status, payload)
 	}
 	if seq != ts.head {
@@ -357,8 +331,7 @@ func (ts *textProxySess) complete(seq uint64, op, status uint8, payload []byte, 
 }
 
 // barrier flushes outstanding pooled frames and waits until every
-// assigned slot has been emitted, so fallback text round trips cannot
-// overtake pooled responses.
+// assigned slot has been emitted.
 func (ts *textProxySess) barrier(tch *touched) {
 	tch.flush()
 	ts.mu.Lock()
@@ -380,32 +353,30 @@ func (ts *textProxySess) deliver(pd pend, status uint8, payload []byte) {
 	}
 }
 
-// canPool reports whether tenant and key fit the binary framing the pool
-// speaks (anything else falls back to the text path, where the backend
-// produces its own exact error strings).
+// canPool reports whether tenant and key fit the binary data frames the
+// proxy translates hot commands into (anything else is relayed as text,
+// and the node produces its own exact error strings).
 func canPool(tenant, key []byte) bool {
 	return len(tenant) > 0 && len(tenant) <= 255 && len(key) <= binwire.MaxKey
 }
 
 // serveText runs the text front: hot data verbs are translated onto the
-// pooled binary plane and answered through the sequencer; everything else
-// drains the pipeline and takes the synchronous fallback path. Lines are
-// read and tokenized in place (textwire): fields alias the reader's buffer
-// and are dead after the next read from r.
+// pooled binary plane and answered through the sequencer; every other line
+// is relayed to a node as a TEXT frame on the same pool. Lines are read
+// and tokenized in place (textwire): fields alias the reader's buffer and
+// are dead after the next read from r.
 func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader) {
 	ts := &textProxySess{
-		p:        p,
-		conn:     conn,
-		w:        bufio.NewWriterSize(conn, 16<<10),
-		slots:    make([]textSlot, textWindow),
-		backends: make(map[string]*textBackend),
+		p:     p,
+		conn:  conn,
+		w:     bufio.NewWriterSize(conn, 16<<10),
+		slots: make([]textSlot, textWindow),
 	}
 	ts.cond = sync.NewCond(&ts.mu)
-	defer ts.closeAll()
 	var tch touched
 	defer tch.flush()
 	for {
-		line, err := textwire.ReadLine(r, proxyMaxLine)
+		line, err := textwire.ReadLine(r, textwire.MaxLine)
 		if err != nil {
 			return
 		}
@@ -443,7 +414,7 @@ func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader) {
 		case textwire.CmdEq(verb, "PUT"):
 			done, perr := p.textPutPooled(ts, r, &tch, fields)
 			if perr != nil {
-				ts.fatal(perr)
+				ts.end(&tch, "ERR "+perr.Error())
 				return
 			}
 			hot = done
@@ -454,27 +425,16 @@ func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader) {
 		case textwire.CmdEq(verb, "PING"):
 			ts.complete(ts.allocSeq(), binwire.OpPing, binwire.StOK, nil, nil)
 
-		case textwire.CmdEq(verb, "CLUSTER"):
-			// Membership is per node; issuing it through a proxy would be
-			// ambiguous about which node should drain.
-			ts.complete(ts.allocSeq(), 0, binwire.StErr, errClusterVerb, nil)
-
 		case textwire.CmdEq(verb, "QUIT"):
-			ts.barrier(&tch)
-			ts.w.WriteString("BYE\r\n")
-			ts.w.Flush()
+			ts.end(&tch, "BYE")
 			return
 
 		default:
 			hot = false
 		}
 		if !hot {
-			ts.barrier(&tch)
-			if err := p.textFallback(ts, r, line, fields); err != nil {
-				ts.fatal(err)
-				return
-			}
-			if ts.w.Flush() != nil {
+			if err := p.relay(ts, r, &tch, line, fields); err != nil {
+				ts.end(&tch, "ERR "+err.Error())
 				return
 			}
 			continue
@@ -490,11 +450,15 @@ var (
 	errKeyLength   = []byte("bad key length")
 )
 
-// fatal reports a proxy-side failure mid-command; the client stream can
-// no longer be trusted to stay in sync, so the session ends after it.
-func (ts *textProxySess) fatal(err error) {
-	fmt.Fprintf(ts.w, "ERR proxy: %v\r\n", err)
+// end writes the reply of the command that ends the session, after every
+// reply ahead of it: QUIT's, or the node's own ERR for a PUT whose value
+// block is over the cap or cut short, which ends a node's connection too.
+func (ts *textProxySess) end(tch *touched, reply string) {
+	ts.barrier(tch)
+	ts.mu.Lock()
+	ts.w.WriteString(reply + "\r\n")
 	ts.w.Flush()
+	ts.mu.Unlock()
 }
 
 // textRoute pipelines one single-key command onto the pool.
@@ -506,8 +470,8 @@ func (p *Proxy) textRoute(ts *textProxySess, tch *touched, op uint8, ttlMS uint3
 
 // textPutPooled handles a PUT whose line parses onto the binary framing:
 // the value block is consumed from the client and the whole store rides
-// the pool. Returns done=false (nothing consumed) when the command needs
-// the fallback path; a non-nil error kills the session.
+// the pool. Returns done=false (nothing consumed) when the command is to
+// be relayed; a non-nil error kills the session.
 func (p *Proxy) textPutPooled(ts *textProxySess, r *bufio.Reader, tch *touched, fields [][]byte) (done bool, err error) {
 	if len(fields) != 4 && len(fields) != 6 {
 		return false, nil
@@ -556,7 +520,7 @@ func (ts *textProxySess) readValue(r *bufio.Reader, n int) error {
 
 // textMGetPooled fans a well-formed MGET out as per-owner BMGET frames
 // and re-merges the coalesced responses in client key order. Returns
-// false (fallback) for malformed lines the backend should answer.
+// false for malformed lines, which are relayed for the node's usage error.
 func (p *Proxy) textMGetPooled(ts *textProxySess, tch *touched, fields [][]byte) bool {
 	if len(fields) < 3 || !canPool(fields[1], nil) {
 		return false
@@ -581,165 +545,70 @@ func (p *Proxy) textMGetPooled(ts *textProxySess, tch *touched, fields [][]byte)
 	return true
 }
 
-// textFallback handles control verbs and malformed lines over per-session
-// text connections, exactly as the pre-pool proxy did: the backend
-// produces its own usage errors and multi-line relays. Callers have
-// already drained the pooled pipeline.
-func (p *Proxy) textFallback(ts *textProxySess, r *bufio.Reader, line []byte, fields [][]byte) error {
-	verb := fields[0]
-	switch {
-	case textwire.CmdEq(verb, "GET"), textwire.CmdEq(verb, "DEL"), textwire.CmdEq(verb, "TOUCH"), textwire.CmdEq(verb, "EXPIRE"):
-		if len(fields) < 3 {
-			// Malformed: any node produces the right usage error.
-			return ts.roundTripTo(p.members[0], line)
-		}
-		return ts.roundTripTo(p.ring.OwnerB(fields[1], fields[2]), line)
-
-	case textwire.CmdEq(verb, "PUT"):
-		return p.textPutFallback(ts, r, line, fields)
-
-	case textwire.CmdEq(verb, "MGET"):
-		// Only malformed MGETs reach here; the one-line usage error comes
-		// from any node.
-		return ts.roundTripTo(p.members[0], line)
-
-	case textwire.CmdEq(verb, "TENANT"):
-		// Registration replicates cluster-wide from whichever node takes
-		// it; route by name so retries of one op land on one node. LIST
-		// reads any node's registry — they converge — so use the first.
-		addr := p.members[0]
-		if len(fields) == 3 && (textwire.CmdEq(fields[1], "ADD") || textwire.CmdEq(fields[1], "DEL")) {
-			addr = p.ring.OwnerB(fields[2], nil)
-		}
-		if len(fields) >= 2 && textwire.CmdEq(fields[1], "LIST") {
-			return ts.relayUntilEnd(addr, line, nil)
-		}
-		return ts.roundTripTo(addr, line)
-
-	case textwire.CmdEq(verb, "STATS"):
-		// Per-node counters; the proxy reports the first member's, plus
-		// its own pool counters injected before END. The scale suite
-		// scrapes each node directly for cluster-wide views.
-		return ts.relayUntilEnd(p.members[0], line, func() {
-			st := p.Stats()
-			fmt.Fprintf(ts.w, "STAT proxy_pool_conns %d\r\n", st.PoolConns)
-			fmt.Fprintf(ts.w, "STAT proxy_pipelined_frames %d\r\n", st.PipelinedFrames)
-			if st.LatencyCounts != nil {
-				fmt.Fprintf(ts.w, "STAT proxy_latency_p50_us %d\r\n", st.LatencyQuantile(0.5).Microseconds())
-				fmt.Fprintf(ts.w, "STAT proxy_latency_p99_us %d\r\n", st.LatencyQuantile(0.99).Microseconds())
-			}
-		})
-
-	default:
-		fmt.Fprintf(ts.w, "ERR unknown command %q\r\n", verb)
-		return nil
+// relay sends a line the proxy does not translate, with its value block,
+// to textOwner's node as one TEXT frame, whose reply the sequencer renders
+// verbatim. It leaves after the replies ahead of it and is answered before
+// the next line is read, so a pipelined TENANT ADD lands cluster-wide
+// before the commands behind it. An over-cap PUT is refused unread.
+func (p *Proxy) relay(ts *textProxySess, r *bufio.Reader, tch *touched, line []byte, fields [][]byte) error {
+	ts.barrier(tch)
+	n, ok := textwire.Block(line, binwire.MaxValue)
+	if !ok {
+		return binwire.ErrValueLen(n) // QUIT never gets here
 	}
-}
-
-// forward sends one command line to addr's fallback connection.
-func (ts *textProxySess) forward(addr string, line []byte) (*textBackend, error) {
-	b, err := ts.backend(addr)
-	if err != nil {
-		return nil, err
+	// Op, owner and line first: reading the block overwrites the fields.
+	op, owner := uint8(binwire.OpText), p.textOwner(fields)
+	if textwire.CmdEq(fields[0], "STATS") {
+		op = opStats
 	}
-	b.w.Write(line)
-	b.w.WriteString("\r\n")
-	return b, b.w.Flush()
-}
-
-// relayLine copies one reply line from the backend to the client.
-func (ts *textProxySess) relayLine(b *textBackend) error {
-	resp, err := textwire.ReadLine(b.r, proxyMaxLine)
-	if err == nil {
-		ts.w.Write(resp)
-		ts.w.WriteString("\r\n")
-	}
-	return err
-}
-
-// roundTripTo forwards one command line and relays the one-line reply.
-func (ts *textProxySess) roundTripTo(addr string, line []byte) error {
-	b, err := ts.forward(addr, line)
-	if err != nil {
-		return err
-	}
-	return ts.relayLine(b)
-}
-
-// relayUntilEnd forwards one command line and copies response lines to the
-// client until the END terminator, invoking inject (when non-nil) just
-// before END so the proxy can add its own lines. A leading ERR line is a
-// complete response on its own.
-func (ts *textProxySess) relayUntilEnd(addr string, line []byte, inject func()) error {
-	b, err := ts.forward(addr, line)
-	if err != nil {
-		return err
-	}
-	for {
-		resp, err := textwire.ReadLine(b.r, proxyMaxLine)
-		if err != nil {
+	ts.scratch = binwire.AppendText(ts.scratch[:0], 0, line, nil)
+	if n > 0 {
+		if err := ts.readValue(r, n); err != nil {
 			return err
 		}
-		end := string(resp) == "END"
-		if end && inject != nil {
-			inject()
-		}
-		ts.w.Write(resp)
-		ts.w.WriteString("\r\n")
-		if end || bytes.HasPrefix(resp, []byte("ERR")) {
-			return nil
-		}
+		binwire.SetLen(ts.scratch)
 	}
+	p.route(tch, pend{s: ts, op: op, seq: ts.allocSeq(), t0: p.now()}, owner, ts.scratch)
+	ts.scratch = keep(ts.scratch)
+	ts.barrier(tch)
+	return nil
 }
 
-// textPutFallback forwards a malformed or un-poolable PUT over the text
-// path: the value block belongs to the command, so it is read from the
-// client (keeping the client stream in sync even when the command line is
-// malformed) and forwarded with the line.
-func (p *Proxy) textPutFallback(ts *textProxySess, r *bufio.Reader, line []byte, fields [][]byte) error {
-	if len(fields) < 4 {
-		return ts.roundTripTo(p.members[0], line)
+// textOwner is the ring member a relayed line goes to: the key's owner for
+// a data verb, the name's owner for TENANT ADD and DEL, so that retries of
+// one registration land on one node, and member 0 for everything else,
+// which any node answers alike. CLUSTER gets -1, a refusal on both fronts:
+// membership is per node, and through a proxy it would be ambiguous about
+// which node should drain.
+func (p *Proxy) textOwner(f [][]byte) int32 {
+	switch {
+	case len(f) > 0 && textwire.CmdEq(f[0], "CLUSTER"):
+		return -1
+	case len(f) < 3:
+		return 0
+	case textwire.CmdEq(f[0], "GET"), textwire.CmdEq(f[0], "PUT"), textwire.CmdEq(f[0], "DEL"),
+		textwire.CmdEq(f[0], "TOUCH"), textwire.CmdEq(f[0], "EXPIRE"):
+		return p.ownerOf(f[1], f[2])
+	case len(f) == 3 && textwire.CmdEq(f[0], "TENANT") && (textwire.CmdEq(f[1], "ADD") || textwire.CmdEq(f[1], "DEL")):
+		return p.ownerOf(f[2], nil)
 	}
-	n, ok := textwire.ParseUint(fields[3])
+	return 0
+}
+
+// appendStats appends member 0's STATS reply with the proxy's counters
+// before its END (an ERR reply has none). The scale suite scrapes each node
+// directly for cluster-wide views.
+func (p *Proxy) appendStats(dst, reply []byte) []byte {
+	body, ok := bytes.CutSuffix(reply, []byte("END\r\n"))
 	if !ok {
-		// No value block can follow an unparseable length; the backend
-		// answers the same ERR without one.
-		return ts.roundTripTo(p.members[0], line)
+		return append(dst, reply...)
 	}
-	if n > proxyMaxBody {
-		return fmt.Errorf("value length %d exceeds proxy maximum", n)
+	st := p.Stats()
+	dst = fmt.Appendf(append(dst, body...), "STAT proxy_pool_conns %d\r\nSTAT proxy_pipelined_frames %d\r\n", st.PoolConns, st.PipelinedFrames)
+	if st.LatencyCounts != nil {
+		dst = fmt.Appendf(dst, "STAT proxy_latency_p50_us %d\r\nSTAT proxy_latency_p99_us %d\r\n", st.LatencyQuantile(0.5).Microseconds(), st.LatencyQuantile(0.99).Microseconds())
 	}
-	// The line is buffered for the backend before the block is read: line
-	// and fields alias the client reader's buffer.
-	addr := p.ring.OwnerB(fields[1], fields[2])
-	b, err := ts.backend(addr)
-	if err != nil {
-		return err
-	}
-	b.w.Write(line)
-	b.w.WriteString("\r\n")
-	ts.scratch = ts.scratch[:0]
-	if err := ts.readValue(r, n); err != nil {
-		return err
-	}
-	b.w.Write(ts.scratch)
-	ts.scratch = keep(ts.scratch)
-	b.w.WriteString("\r\n")
-	// A node refuses an oversized value from the command line alone and
-	// closes, so the write of the block can fail while the node's ERR is
-	// already readable: the write error counts only when no reply arrived.
-	werr := b.w.Flush()
-	if err := ts.relayLine(b); err != nil {
-		if werr != nil {
-			return werr
-		}
-		return err
-	}
-	if werr != nil {
-		b.conn.Close()
-		delete(ts.backends, addr)
-	}
-	return nil
+	return append(dst, "END\r\n"...)
 }
 
 // -------------------------------------------------------------- binary --
@@ -759,8 +628,9 @@ type binProxySess struct {
 	outstanding atomic.Int64
 
 	// Reading goroutine only.
-	req binwire.Req
-	sc  scatter
+	req    binwire.Req
+	sc     scatter
+	fields [][]byte
 }
 
 // deliver writes one pooled backend response (or finished merge) back to
@@ -845,6 +715,9 @@ func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
 			p.route(&tch, pd, p.ownerOf(q.Tenant, nil), frame)
 		case binwire.OpRegPull:
 			p.route(&tch, pd, 0, frame)
+		case binwire.OpText:
+			bs.fields = textwire.SplitFields(q.Key, bs.fields[:0])
+			p.route(&tch, pd, p.textOwner(bs.fields), frame)
 		default:
 			p.route(&tch, pd, p.ownerOf(q.Tenant, q.Key), frame)
 		}

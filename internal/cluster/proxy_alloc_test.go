@@ -404,6 +404,41 @@ func TestProxyUnterminatedLineBounded(t *testing.T) {
 	}
 }
 
+// TestProxyOversizedPutBounded: a PUT declaring more than a node takes is
+// refused with the node's own message before any of its block is read, and
+// the session ends as a node's connection would. The proxy once read such a
+// block into one buffer of the declared size, up to 64 MiB per client line.
+func TestProxyOversizedPutBounded(t *testing.T) {
+	_, p := bootPoolCluster(t, cluster.ProxyConfig{})
+	c, err := net.Dial("tcp", p.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	var before, during runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := fmt.Fprintf(c, "PUT t %s %d\r\n", strings.Repeat("k", 251), 64<<20); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	runtime.GC()
+	runtime.ReadMemStats(&during)
+	if grown := int64(during.HeapAlloc) - int64(before.HeapAlloc); grown > 2<<20 {
+		t.Errorf("proxy heap grew %d bytes over one PUT line, want < 2 MiB", grown)
+	}
+	c.SetDeadline(time.Now().Add(2 * time.Second))
+	got, err := io.ReadAll(c)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("the session was left open after %q", got)
+	}
+	if want := "ERR value length 67108864 exceeds maximum 1048576\r\n"; string(got) != want {
+		t.Fatalf("the session read %q, want %q", got, want)
+	}
+}
+
 // TestProxyBMGetValidation: the binary front answers a malformed BMGET the
 // way a node's service.binBMGet does — the body must tile before the count
 // is believed (a framing violation closes the client), then the same
@@ -525,20 +560,27 @@ func TestProxyFramingViolationSparesPool(t *testing.T) {
 		name  string
 		op    uint8
 		value int
-		off   int // header byte to set to 0x80; -1 for none
+		off   int    // header byte to set to 0x80; -1 for none
+		text  string // a TEXT frame's body, sent instead of key and value
 	}{
-		{"reserved u8", 1, 0, 3},
-		{"reserved u16", 1, 0, 14},
-		{"undefined flag", 1, 0, 1},
-		{"PUT over the max frame", 2, 2 << 20, -1},
+		{"reserved u8", 1, 0, 3, ""},
+		{"reserved u16", 1, 0, 14, ""},
+		{"undefined flag", 1, 0, 1, ""},
+		{"PUT over the max frame", 2, 2 << 20, -1, ""},
+		{"TEXT PUT with its block cut short", 12, 0, -1, "PUT t " + k + " 5\nhel"},
 	} {
 		b := dialFront(t, p.Addr().String(), true)
-		b.binHeader(c.op, 7, len(k), len(k)+c.value, "t")
-		if c.off >= 0 {
-			b.out[4+c.off] = 0x80
+		if c.text != "" {
+			b.binHeader(c.op, 7, 0, len(c.text), "")
+			b.out = append(b.out, c.text...)
+		} else {
+			b.binHeader(c.op, 7, len(k), len(k)+c.value, "t")
+			if c.off >= 0 {
+				b.out[4+c.off] = 0x80
+			}
+			b.out = append(b.out, k...)
+			b.out = append(b.out, make([]byte, c.value)...)
 		}
-		b.out = append(b.out, k...)
-		b.out = append(b.out, make([]byte, c.value)...)
 		get()
 		b.c.SetDeadline(time.Now().Add(5 * time.Second))
 		b.c.Write(b.out) // the proxy may close before it has read all of it

@@ -393,3 +393,79 @@ func TestProxyBMGetMatchesRing(t *testing.T) {
 		t.Fatalf("degenerate run %+v", pt)
 	}
 }
+
+// TestProxyRelayFence: a relayed line is answered before the proxy reads
+// the next one. The tenant's registration goes to its name's owner and its
+// first PUT to the key's owner, another node; pipelined behind the TENANT
+// ADD with no read in between, the PUT must find the tenant there.
+func TestProxyRelayFence(t *testing.T) {
+	nodes, p := bootPoolCluster(t, cluster.ProxyConfig{})
+	addrs := make([]string, len(nodes))
+	for i, pn := range nodes {
+		addrs[i] = pn.addr
+	}
+	ring, err := cluster.NewRing(addrs, scaleVNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := "fence"
+	for i := 0; ring.Owner(x, "") == ring.Owner(x, "k"); i++ {
+		x = "fence" + itoa(i)
+	}
+	tc := dialScale(t, p.Addr().String())
+	tc.w.WriteString("TENANT ADD " + x + "\r\nPUT " + x + " k 1\r\nv\r\nGET " + x + " k\r\n")
+	if err := tc.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"OK ", "STORED", "VALUE 1", "v"} {
+		line, err := tc.r.ReadString('\n')
+		if err != nil || !strings.HasPrefix(line, want) {
+			t.Fatalf("read %q, %v; want %q", line, err, want)
+		}
+	}
+}
+
+// TestProxyRelaysTextFrames: a binary client's TEXT frames are routed like
+// the text front's relayed lines and answered with the node's text reply
+// verbatim, CLUSTER refused as on the text front; a relayed STATS error
+// carries no proxy counters; and a text client that dies inside a relayed
+// PUT's block gets the node's "short value" and loses only its session.
+func TestProxyRelaysTextFrames(t *testing.T) {
+	_, p := bootPoolCluster(t, cluster.ProxyConfig{})
+	b := dialFront(t, p.Addr().String(), true)
+	long := strings.Repeat("k", 251)
+	for i, c := range []struct {
+		body   string
+		status uint8
+		want   string
+	}{
+		{"TENANT ADD bt\n", 0, "OK "},
+		{"PUT bt " + long + " 1\nv", 0, "ERR key too long\r\n"},
+		{"TENANT LIST\n", 0, "TENANT bt "},
+		{"FROB\n", 0, "ERR unknown command \"FROB\"\r\n"},
+		{"CLUSTER INFO\n", 2, "CLUSTER must be issued to a node"},
+	} {
+		b.binHeader(12, uint32(i), 0, len(c.body), "")
+		b.out = append(b.out, c.body...)
+		b.flush()
+		if st, id, payload := b.binFrame(); st != c.status || id != uint32(i) || !strings.HasPrefix(string(payload), c.want) {
+			t.Fatalf("TEXT %q: status %d id %d %q, want %d %q", c.body, st, id, payload, c.status, c.want)
+		}
+	}
+
+	tc := dialScale(t, p.Addr().String())
+	if resp := tc.roundTrip("STATS ghost"); resp != `ERR unknown tenant "ghost"` {
+		t.Fatalf("STATS of an unknown tenant: %q", resp)
+	}
+	tc.w.WriteString("PUT bt " + long + " 5\r\nab")
+	if err := tc.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tc.c.(*net.TCPConn).CloseWrite()
+	if resp, err := tc.r.ReadString('\n'); resp != "ERR short value\r\n" {
+		t.Fatalf("PUT cut short: %q, %v", resp, err)
+	}
+	if resp := dialScale(t, p.Addr().String()).roundTrip("TENANT DEL bt"); resp != "OK" {
+		t.Fatalf("TENANT DEL after another session died: %q", resp)
+	}
+}

@@ -10,7 +10,8 @@
 // fault draw, drop, in-flight reservation, delay, injected error, then the
 // resolved fast path under the owning shard's mutex), with key and value
 // read straight out of the connection's read buffer. This file only
-// validates frames and renders verdicts. Registry frames (TENANT_ADD/DEL,
+// validates frames and renders verdicts; a TEXT frame's command runs
+// through the text codec's own dispatch. Registry frames (TENANT_ADD/DEL,
 // which replicate to peers synchronously) block only their own connection,
 // so a frame pipelined behind a TENANT_ADD sees the tenant.
 //
@@ -22,6 +23,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -62,19 +64,8 @@ type binConn struct {
 // handleBinary completes the negotiation for a connection whose first byte
 // was binwire.Magic and serves it on the calling goroutine. The pooled text
 // reader becomes the frame reader, so bytes a client pipelined behind the
-// preamble are already in it.
+// preamble are already in it; handle tears the connection down after.
 func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, rwd *watchdog) {
-	defer func() {
-		if rwd != nil {
-			rwd.disarm()
-		}
-		r.Reset(nil)
-		readerPool.Put(r)
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	if ok, err := binwire.Accept(r, conn); !ok {
 		if isTimeout(err) {
 			s.svc.deadlineCloses.Add(1)
@@ -235,6 +226,8 @@ func (s *Server) binExec(c *binConn, f []byte) error {
 		return nil
 	case binwire.OpBMGet:
 		return s.binBMGet(c)
+	case binwire.OpText:
+		return s.binText(c)
 	}
 	if len(q.Key) == 0 || len(q.Key) > binwire.MaxKey {
 		s.binRespondErr(c, op, id, "bad key length")
@@ -332,6 +325,21 @@ func (s *Server) binBMGet(c *binConn) error {
 	if len(c.out) >= binFlushHi {
 		s.binFlush(c)
 	}
+	return nil
+}
+
+// binText runs a TEXT frame's line through the text dispatch, its block
+// standing in for the stream, and answers OK with the bytes a text
+// connection would have read. Parse refused every line that closes a text
+// connection, so only a drop fault closes this one. A cold path: no pools.
+func (s *Server) binText(c *binConn) error {
+	var out bytes.Buffer
+	w := bufio.NewWriter(&out)
+	if s.run(c.req.Key, bufio.NewReader(bytes.NewReader(c.req.Val)), w, &connState{}) {
+		return errDropConn
+	}
+	w.Flush()
+	s.binRespond(c, binwire.StOK, binwire.OpText, c.req.ID, out.Bytes())
 	return nil
 }
 

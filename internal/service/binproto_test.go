@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bufio"
 	"encoding/binary"
 	"io"
 	"net"
@@ -582,4 +583,68 @@ func TestBinaryDropFaultAborts(t *testing.T) {
 	svc.SetFaultInjector(nil)
 	c2 := dialBin(t, srv.Addr().String())
 	c2.expect(binwire.OpPing, 0, 3, 0, "", "", "", binwire.StOK, "")
+}
+
+// TestTextFrameMatchesTextConn: a TEXT frame is answered with exactly the
+// bytes a text connection reads for the same command. Twin services take
+// the control and malformed lines a proxy relays, one over a text
+// connection and one as TEXT frames. The text twin also holds a binary
+// connection that sends one PING per line, so both twins have counted the
+// same binary connections and frames when STATS reports them.
+func TestTextFrameMatchesTextConn(t *testing.T) {
+	long := strings.Repeat("k", maxKeyLen+1)
+	cases := []struct{ line, block, eol string }{
+		{"TENANT ADD x", "", ""},
+		{"TENANT LIST", "", ""},
+		{"STATS", "", ""},
+		{"STATS a", "", ""},
+		{"STATS ghost", "", ""},
+		{"FROB x y", "", ""},
+		{"GET a", "", ""},
+		{"PUT a k", "", ""},
+		{"MGET a", "", ""},
+		{"MGET a two k", "", ""},
+		{"PUT a k notanumber", "", ""},
+		{"PUT a " + long + " 3", "abc", "\r\n"},
+		{"PUT a " + long + " 3", "xyz", "\n"},
+		{"TENANT DEL x", "", ""},
+		{"TENANT LIST", "", ""},
+		{"PING", "", ""},
+	}
+	txt, bin := newCodecRig(t, false), newCodecRig(t, true)
+	ping := txt.lis.dial()
+	defer ping.Close()
+	ping.SetDeadline(time.Now().Add(10 * time.Second))
+	pr := bufio.NewReader(ping)
+	negotiate(t, ping, pr)
+	for i, c := range cases {
+		if _, err := ping.Write(binFrame(binwire.OpPing, 0, uint32(i), 0, "", "", "")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pr.Discard(4 + binwire.RespHdr); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := txt.conn.Write([]byte(c.line + "\r\n" + c.block + c.eol)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := bin.conn.Write(binwire.AppendText(nil, uint32(i), []byte(c.line), []byte(c.block))); err != nil {
+			t.Fatal(err)
+		}
+		var resp []byte
+		r, err := binwire.ReadResp(bin.r, &resp)
+		if err != nil || r.Status != binwire.StOK || r.Op != binwire.OpText || r.ID != uint32(i) {
+			t.Fatalf("%q: TEXT frame answered %+v, %v", c.line, r, err)
+		}
+		want := make([]byte, len(r.Payload))
+		if _, err := io.ReadFull(txt.r, want); err != nil {
+			t.Fatal(err)
+		}
+		if string(r.Payload) != string(want) {
+			t.Fatalf("%q: TEXT frame answered %q, the text connection %q", c.line, r.Payload, want)
+		}
+	}
+	// The text connection holds nothing past the last reply.
+	if n := txt.r.Buffered(); n != 0 {
+		t.Fatalf("the text connection read %d bytes more than the TEXT frames", n)
+	}
 }

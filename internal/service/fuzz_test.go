@@ -109,7 +109,7 @@ func FuzzParseRequest(f *testing.F) {
 		var out bytes.Buffer
 		w := bufio.NewWriter(&out)
 		cs := &connState{}
-		srv.dispatch(nil, line, r, w, cs)
+		srv.dispatch(line, r, w, cs)
 		w.Flush()
 		if out.Len() > 0 && out.Bytes()[out.Len()-1] != '\n' {
 			t.Fatalf("dispatch wrote a partial line: %q", out.Bytes())
@@ -325,6 +325,7 @@ func decodeCodecOp(b []byte, i int) codecOp {
 type codecRig struct {
 	svc  *Service
 	clk  *clock.Fake
+	lis  *pipeListener
 	conn net.Conn
 	r    *bufio.Reader
 	bin  bool
@@ -352,17 +353,23 @@ func newCodecRig(t *testing.T, bin bool) *codecRig {
 		svc.Close()
 	})
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	x := &codecRig{svc: svc, clk: clk, conn: conn, r: bufio.NewReader(conn), bin: bin}
+	x := &codecRig{svc: svc, clk: clk, lis: lis, conn: conn, r: bufio.NewReader(conn), bin: bin}
 	if bin {
-		pre := []byte{binwire.Magic, 'V', 'B', binwire.Version}
-		if _, err := conn.Write(pre); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := io.ReadFull(x.r, pre); err != nil {
-			t.Fatal(err)
-		}
+		negotiate(t, conn, x.r)
 	}
 	return x
+}
+
+// negotiate completes a binary client's preamble exchange on conn.
+func negotiate(t *testing.T, conn net.Conn, r io.Reader) {
+	t.Helper()
+	pre := []byte{binwire.Magic, 'V', 'B', binwire.Version}
+	if _, err := conn.Write(pre); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.ReadFull(r, pre); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // play sends o and returns its outcome in a form both codecs share:

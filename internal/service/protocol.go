@@ -150,15 +150,12 @@ func (w *watchdog) disarm() {
 // server never aborts a batch midway. Clients may still treat an ERR line
 // anywhere in a batch as its end.
 //
-// The key, value and batch limits are the binary protocol's (binwire).
+// The limits are the wire packages', which the proxy's fronts enforce too.
 const (
 	maxKeyLen    = binwire.MaxKey
 	maxValueLen  = binwire.MaxValue
 	maxBatchKeys = binwire.MaxBatchKeys
-	// maxLineLen bounds one command line. The largest legitimate line is an
-	// MGET of maxBatchKeys maximum-length keys (~256 KiB); 512 KiB leaves
-	// headroom while still bounding what a hostile client can pin.
-	maxLineLen = 512 << 10
+	maxLineLen   = textwire.MaxLine
 )
 
 // ServerConfig are the serving-layer overload knobs. The zero value imposes
@@ -315,20 +312,8 @@ func (s *Server) handle(conn net.Conn) {
 	if s.cfg.IdleTimeout > 0 || s.cfg.ReadTimeout > 0 {
 		rwd = newWatchdog(s.svc.clk, conn.SetReadDeadline)
 	}
-	// Protocol negotiation on the first byte: binwire.Magic can never start a
-	// text verb, and no text command starts with a byte >= 0x80, so one
-	// peek is unambiguous. The idle window covers the wait for that byte.
-	if rwd != nil && s.cfg.IdleTimeout > 0 {
-		rwd.arm(s.cfg.IdleTimeout)
-	}
-	if first, err := r.Peek(1); err != nil || first[0] == binwire.Magic {
-		if err == nil {
-			s.handleBinary(conn, r, rwd)
-			return
-		}
-		if isTimeout(err) {
-			s.svc.deadlineCloses.Add(1)
-		}
+	// One teardown for both codecs: the binary one returns here too.
+	defer func() {
 		if rwd != nil {
 			rwd.disarm()
 		}
@@ -338,14 +323,24 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Lock()
 		delete(s.conns, conn)
 		s.mu.Unlock()
+	}()
+	// Protocol negotiation on the first byte: binwire.Magic can never start a
+	// text verb, and no text command starts with a byte >= 0x80, so one
+	// peek is unambiguous. The idle window covers the wait for that byte.
+	if rwd != nil && s.cfg.IdleTimeout > 0 {
+		rwd.arm(s.cfg.IdleTimeout)
+	}
+	first, err := r.Peek(1)
+	if err != nil {
+		if isTimeout(err) {
+			s.svc.deadlineCloses.Add(1)
+		}
 		return
 	}
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
+	if first[0] == binwire.Magic {
+		s.handleBinary(conn, r, rwd)
+		return
+	}
 	w := writerPool.Get().(*bufio.Writer)
 	w.Reset(conn)
 	cs := statePool.Get().(*connState)
@@ -357,15 +352,10 @@ func (s *Server) handle(conn net.Conn) {
 		wwd = newWatchdog(s.svc.clk, conn.SetWriteDeadline)
 	}
 	defer func() {
-		if rwd != nil {
-			rwd.disarm()
-		}
 		if wwd != nil {
 			wwd.disarm()
 		}
 		cs.rwd = nil
-		r.Reset(nil)
-		readerPool.Put(r)
 		w.Reset(io.Discard)
 		writerPool.Put(w)
 		if cap(cs.val) > 64<<10 {
@@ -404,15 +394,10 @@ func (s *Server) handle(conn net.Conn) {
 		var quit bool
 		if h := s.svc.latency; h != nil {
 			t0 := s.svc.clk.Now()
-			quit, err = s.dispatch(conn, line, r, w, cs)
+			quit = s.run(line, r, w, cs)
 			h.Record(s.svc.clk.Now().Sub(t0))
 		} else {
-			quit, err = s.dispatch(conn, line, r, w, cs)
-		}
-		if err != nil {
-			w.WriteString("ERR ")
-			w.WriteString(err.Error())
-			w.WriteString("\r\n")
+			quit = s.run(line, r, w, cs)
 		}
 		if quit {
 			w.Flush()
@@ -498,12 +483,23 @@ func (s *Server) serveText(w *bufio.Writer, cs *connState, r *request) (quit boo
 	return false, nil
 }
 
+// run executes a text connection's or a TEXT frame's command line and
+// writes its ERR line, if any; quit reports that a text connection closes.
+func (s *Server) run(line []byte, r *bufio.Reader, w *bufio.Writer, cs *connState) (quit bool) {
+	quit, err := s.dispatch(line, r, w, cs)
+	if err != nil {
+		w.WriteString("ERR ")
+		w.WriteString(err.Error())
+		w.WriteString("\r\n")
+	}
+	return quit
+}
+
 // dispatch executes one command line, writing the response to w. It returns
 // quit=true when the connection should close. fields and their contents
 // alias the read buffer; any field needed after a payload read must be
-// copied first (see PUT). conn may be nil in tests that drive dispatch
-// directly; deadlines are then skipped.
-func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.Writer, cs *connState) (quit bool, err error) {
+// copied first (see PUT). r holds the value block a PUT reads.
+func (s *Server) dispatch(line []byte, r *bufio.Reader, w *bufio.Writer, cs *connState) (quit bool, err error) {
 	cs.fields = textwire.SplitFields(line, cs.fields[:0])
 	fields := cs.fields
 	if len(fields) == 0 {
@@ -540,7 +536,7 @@ func (s *Server) dispatch(conn net.Conn, line []byte, r *bufio.Reader, w *bufio.
 		if n > maxValueLen {
 			// The stream cannot be resynced without draining an oversized
 			// block; refuse and close.
-			return true, fmt.Errorf("value length %d exceeds maximum %d", n, maxValueLen)
+			return true, binwire.ErrValueLen(n)
 		}
 		// Any PUT whose <bytes> parses has a value block on the wire, even
 		// when the trailing fields are malformed (5 fields, 7+ fields): the

@@ -220,7 +220,7 @@ func TestGetHitZeroAllocs(t *testing.T) {
 	}{
 		{"text GET", 1000, func() {
 			text.Reset()
-			if quit, err := srv.dispatch(nil, line, nil, w, cs); quit || err != nil {
+			if quit, err := srv.dispatch(line, nil, w, cs); quit || err != nil {
 				t.Fatalf("dispatch: quit %v err %v", quit, err)
 			}
 			w.Flush()

@@ -304,7 +304,7 @@ func TestPutInsertAllocs(t *testing.T) {
 	}{
 		{"text", func(key []byte) {
 			line = append(append(append(line[:0], "PUT alice "...), key...), " 16"...)
-			if quit, err := srv.dispatch(nil, line, body, w, cs); quit || err != nil {
+			if quit, err := srv.dispatch(line, body, w, cs); quit || err != nil {
 				t.Fatalf("text PUT: quit %v err %v", quit, err)
 			}
 		}},

@@ -327,3 +327,34 @@ func TestRepartitionAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestRepartitionRRIPAllocatesNothing: Vantage-DRRIP's repartition (the
+// UMON-RRIP Lookahead allocation and the insertion policies it hands the
+// controller) reuses its buffers too.
+func TestRepartitionRRIPAllocatesNothing(t *testing.T) {
+	const lines, ways, parts = 4096, 16, 4
+	l2 := core.New(cache.NewZCache(lines, 4, 52, 3), core.Config{Partitions: parts, UnmanagedFrac: 0.05, AMax: 0.5, Slack: 0.1, Mode: core.ModeRRIP})
+	pol := ucp.NewPolicyRRIP(parts, ways, lines, 5)
+	rng := hash.NewRand(9)
+	feed := func() {
+		for i := 0; i < 20000; i++ {
+			p := rng.Intn(parts)
+			addr := uint64(p+1)<<40 | uint64(rng.Intn(lines>>p))
+			pol.Access(p, addr)
+			l2.Access(addr, p)
+		}
+	}
+	cfg := Config{L2: l2, Alloc: pol, InstrLimit: 1, PartitionableLines: lines,
+		OnRepartition: func(cycle uint64, targets, actual []int) {}}
+	rs := newRunState(&cfg, parts)
+	if rs.chooser == nil || rs.setter == nil {
+		t.Fatal("the run does not hand UMON-RRIP's insertion policies to the controller")
+	}
+	var res Result
+	feed()
+	rs.repartition(&cfg, &res, 1) // sizes every kept buffer
+	feed()
+	if n := testing.AllocsPerRun(20, func() { rs.repartition(&cfg, &res, 1) }); n != 0 {
+		t.Errorf("a repartition allocates %.1f times", n)
+	}
+}

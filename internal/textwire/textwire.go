@@ -1,14 +1,18 @@
-// Package textwire holds the allocation-free line reading and tokenizing
-// helpers of the CRLF text protocol. Both internal/service (the node's text
-// dispatcher) and internal/cluster (the proxy's text front) read command
-// lines with them; the cluster package cannot import service, so they live
-// in this leaf.
+// Package textwire holds the line bound and the allocation-free line
+// reading and tokenizing helpers of the CRLF text protocol. Both
+// internal/service (the node's text dispatcher) and internal/cluster (the
+// proxy's text front) read command lines with them; the cluster package
+// cannot import service, so they live in this leaf.
 package textwire
 
 import (
 	"bufio"
 	"errors"
 )
+
+// MaxLine bounds one command line on a node and at the proxy. The largest
+// legitimate line, an MGET of 1,024 keys of 250 bytes, is ~256 KiB.
+const MaxLine = 512 << 10
 
 // ErrLineTooLong marks a command line over the caller's maximum.
 var ErrLineTooLong = errors.New("line exceeds maximum length")
@@ -62,22 +66,43 @@ func trimEOL(b []byte) []byte {
 // SplitFields splits line on ASCII spaces and tabs into out (reused across
 // commands). The sub-slices alias line.
 func SplitFields(line []byte, out [][]byte) [][]byte {
-	i := 0
-	for i < len(line) {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
-		}
-		if i >= len(line) {
-			break
-		}
-		j := i
-		for j < len(line) && line[j] != ' ' && line[j] != '\t' {
-			j++
-		}
-		out = append(out, line[i:j])
-		i = j
+	for f, rest := next(line); f != nil; f, rest = next(rest) {
+		out = append(out, f)
 	}
 	return out
+}
+
+// next returns the first field of line and the bytes after it; f is nil
+// when line holds no field.
+func next(line []byte) (f, rest []byte) {
+	i := 0
+	for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
+		i++
+	}
+	if i == len(line) {
+		return nil, nil
+	}
+	j := i
+	for j < len(line) && line[j] != ' ' && line[j] != '\t' {
+		j++
+	}
+	return line[i:j], line[j:]
+}
+
+// Block returns the length of the value block that follows line on a text
+// connection: a PUT's declared length, 0 after any other line. ok is false
+// when the line closes the connection instead: a QUIT, or a PUT declaring
+// more than max bytes.
+func Block(line []byte, max int) (n int, ok bool) {
+	verb, rest := next(line)
+	if !CmdEq(verb, "PUT") {
+		return 0, !CmdEq(verb, "QUIT")
+	}
+	_, rest = next(rest) // tenant
+	_, rest = next(rest) // key
+	length, _ := next(rest)
+	n, put := ParseUint(length)
+	return n, !put || n <= max
 }
 
 // CmdEq reports whether b equals the upper-case command word s,

@@ -156,10 +156,17 @@ func (u *UMONRRIP) AccessMixed(addr, mixed uint64) {
 // rank.
 func (u *UMONRRIP) HitCurve() []uint64 {
 	curve := make([]uint64, u.ways+1)
-	for w := 1; w <= u.ways; w++ {
-		curve[w] = curve[w-1] + u.hits[w-1]
-	}
+	u.AddHitCurve(curve)
 	return curve
+}
+
+// AddHitCurve adds the hit curve into dst (len ways+1).
+func (u *UMONRRIP) AddHitCurve(dst []uint64) {
+	var hits uint64
+	for w := 1; w <= u.ways; w++ {
+		hits += u.hits[w-1]
+		dst[w] += hits
+	}
 }
 
 // PreferBRRIP reports whether the BRRIP half achieved the better hit ratio
@@ -197,6 +204,8 @@ func (u *UMONRRIP) Decay() {
 type PolicyRRIP struct {
 	monitors []*UMONRRIP
 	prefer   []bool
+	hits     [][]uint64 // per partition: Allocate's copy of its hit curve
+	targets  []int      // Allocate's result, reused by the next call
 	sc       Scratch
 }
 
@@ -215,7 +224,7 @@ func NewPolicyRRIP(parts, ways, cacheLines int, seed uint64) *PolicyRRIP {
 	for ts < totalSets {
 		ts <<= 1
 	}
-	p := &PolicyRRIP{prefer: make([]bool, parts)}
+	p := &PolicyRRIP{prefer: make([]bool, parts), hits: make([][]uint64, parts)}
 	for i := 0; i < parts; i++ {
 		p.monitors = append(p.monitors, NewUMONRRIP(ways, ts, 64, hash.Mix64(seed+uint64(i))))
 	}
@@ -234,21 +243,20 @@ func (p *PolicyRRIP) AccessMixed(part int, addr, mixed uint64) {
 func (p *PolicyRRIP) Monitor(part int) *UMONRRIP { return p.monitors[part] }
 
 // Allocate computes line targets (like Policy.Allocate at line granularity)
-// and refreshes the per-partition insertion-policy choices.
+// and refreshes the per-partition insertion-policy choices. The result is
+// valid until the next call, which reuses it.
 func (p *PolicyRRIP) Allocate(totalLines int) []int {
-	hits := make([][]uint64, len(p.monitors))
 	for i, m := range p.monitors {
-		hits[i] = m.HitCurve()
+		p.hits[i] = resize(p.hits[i], m.ways+1)
+		m.AddHitCurve(p.hits[i])
 		p.prefer[i] = m.PreferBRRIP()
 		m.Decay()
 	}
-	return AllocateCurves(&p.sc, nil, hits, totalLines, GranLines)
+	p.targets = AllocateCurves(&p.sc, p.targets, p.hits, totalLines, GranLines)
+	return p.targets
 }
 
-// InsertionPolicies returns the current per-partition choices (true =
-// BRRIP), refreshed by the last Allocate call.
-func (p *PolicyRRIP) InsertionPolicies() []bool {
-	out := make([]bool, len(p.prefer))
-	copy(out, p.prefer)
-	return out
-}
+// InsertionPolicies returns the per-partition choices (true = BRRIP) the
+// last Allocate call made. The slice is valid until the next call, which
+// rewrites it.
+func (p *PolicyRRIP) InsertionPolicies() []bool { return p.prefer }
