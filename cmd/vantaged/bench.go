@@ -38,43 +38,28 @@ func benchMain(args []string) {
 	fs.Parse(args)
 
 	specs, err := parseTenantSpecs(*tenants, *lines, *seed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vantaged bench:", err)
-		os.Exit(2)
-	}
+	exitOn("vantaged bench", 2, err)
 
 	target := *addr
 	var svc *service.Service
 	var srv *service.Server
 	if target == "" {
 		perShard, err := linesPerShard(*lines, *shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vantaged bench:", err)
-			os.Exit(2)
-		}
+		exitOn("vantaged bench", 2, err)
 		svc, err = service.New(service.Config{
 			Shards:              *shards,
 			LinesPerShard:       perShard,
 			RepartitionInterval: *repartition,
 			Seed:                *seed,
 		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vantaged bench:", err)
-			os.Exit(1)
-		}
+		exitOn("vantaged bench", 1, err)
 		if *faultSpec != "" {
 			plan, err := service.ParseFaultSpec(*faultSpec)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "vantaged bench:", err)
-				os.Exit(1)
-			}
+			exitOn("vantaged bench", 1, err)
 			svc.SetFaultInjector(plan)
 		}
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vantaged bench:", err)
-			os.Exit(1)
-		}
+		exitOn("vantaged bench", 1, err)
 		srv = service.ServeWith(svc, lis, service.ServerConfig{
 			MaxConns:    *maxConns,
 			MaxInflight: *maxInflight,
@@ -92,10 +77,7 @@ func benchMain(args []string) {
 		Chaos:      *chaos,
 		Binary:     *bin,
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "vantaged bench:", err)
-		os.Exit(1)
-	}
+	exitOn("vantaged bench", 1, err)
 
 	fmt.Printf("%-12s %10s %10s %10s %8s\n", "tenant", "gets", "hits", "puts", "hitrate")
 	for _, t := range res.Tenants {

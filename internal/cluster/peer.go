@@ -184,18 +184,12 @@ func (p *Peer) RehomeBatch(entries []RehomeEntry) ([]bool, error) {
 			ttlMS = 1 // TTL 0 with the flag means "never"; keep it expiring
 		}
 		buf = binwire.AppendReq(buf, binwire.OpRehome, flags, uint32(i), ttlMS, e.Tenant, e.Key, e.Val)
-		if len(buf) >= 256<<10 {
+		if len(buf) >= 256<<10 || i == len(entries)-1 {
 			if _, err := conn.Write(buf); err != nil {
 				p.dropLocked()
 				return nil, fmt.Errorf("cluster: rehome write to %s: %w", p.addr, err)
 			}
 			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := conn.Write(buf); err != nil {
-			p.dropLocked()
-			return nil, fmt.Errorf("cluster: rehome write to %s: %w", p.addr, err)
 		}
 	}
 	acked := make([]bool, len(entries))

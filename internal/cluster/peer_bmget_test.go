@@ -72,8 +72,8 @@ func TestProxyTextPutFallback(t *testing.T) {
 		t.Fatalf("TENANT ADD: %q", resp)
 	}
 
-	// Too few fields and an unparseable length both relay the line alone
-	// (no value block can follow) and return the node's ERR.
+	// Too few fields and an unparseable length declare no value block and
+	// get the node's ERR.
 	if resp := tc.roundTrip("PUT fb"); !strings.HasPrefix(resp, "ERR") {
 		t.Fatalf("short PUT: %q", resp)
 	}
@@ -81,9 +81,8 @@ func TestProxyTextPutFallback(t *testing.T) {
 		t.Fatalf("bad length PUT: %q", resp)
 	}
 
-	// An oversized key cannot ride a data frame; the relay must consume the
-	// value block before returning the node's ERR, or the next command
-	// would be parsed out of the stale bytes.
+	// An oversized key is refused, but only after the value block is
+	// consumed, or the next command would be parsed out of the stale bytes.
 	long := strings.Repeat("k", 251)
 	tc.w.WriteString("PUT fb " + long + " 3\r\nabc\r\n")
 	if err := tc.w.Flush(); err != nil {
@@ -97,7 +96,7 @@ func TestProxyTextPutFallback(t *testing.T) {
 		t.Fatalf("stream desynced after long-key PUT: %q", resp)
 	}
 
-	// Same path with a bare-LF value terminator, which the relay must
+	// Same path with a bare-LF value terminator, which the proxy must
 	// tolerate the way the nodes do.
 	tc.w.WriteString("PUT fb " + long + " 3\r\nxyz\n")
 	if err := tc.w.Flush(); err != nil {

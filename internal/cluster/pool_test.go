@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -83,7 +85,7 @@ func TestTextSequencerWindowShrinks(t *testing.T) {
 	const depth = 1000
 	var want []byte
 	for i := 0; i < depth; i++ {
-		if seq := ts.allocSeq(); seq != uint64(i) {
+		if seq := ts.allocSeq(nil); seq != uint64(i) {
 			t.Fatalf("slot %d assigned as %d", i, seq)
 		}
 		want = appendTextValue(want, fmt.Appendf(nil, "v%d", i))
@@ -107,10 +109,52 @@ func TestTextSequencerWindowShrinks(t *testing.T) {
 	}
 	// The window at rest reuses its slot buffers: that is what keeps
 	// ordinary out-of-order completions from allocating.
-	a, b := ts.allocSeq(), ts.allocSeq()
+	a, b := ts.allocSeq(nil), ts.allocSeq(nil)
 	ts.complete(b, binwire.OpPing, binwire.StOK, nil, nil)
 	ts.complete(a, binwire.OpPing, binwire.StOK, nil, nil)
 	if ts.slots[b&(textWindow-1)].buf == nil {
 		t.Fatal("a slot of the resting window dropped its small buffer")
+	}
+}
+
+// TestTextUnknownTenantReply: a node's binary refusal of an unknown tenant
+// reaches a text client as the line a node's text codec writes, which names
+// the tenant, for a single command and a split batch alike, and rendering
+// it allocates nothing once the session is warm.
+func TestTextUnknownTenantReply(t *testing.T) {
+	var out bytes.Buffer
+	ts := &textProxySess{p: &Proxy{}, w: bufio.NewWriter(&out), slots: make([]textSlot, textWindow)}
+	ts.cond = sync.NewCond(&ts.mu)
+	tenant, refusal := []byte(`gh"ost`+strings.Repeat("x", 60)), []byte(binwire.UnknownTenant)
+	var sc scatter
+	both := func() {
+		ts.complete(ts.allocSeq(tenant), binwire.OpGet, binwire.StErr, refusal, nil)
+		sc.begin(2, 0, ts.allocSeq(tenant), 0)
+		sc.add(0, tenant, []byte("a"))
+		sc.add(1, tenant, []byte("b"))
+		for o := range sc.sub {
+			sc.sub[o] = sc.sub[o][:0]
+		}
+		sc.m.remain.Store(2)
+		ts.deliver(pend{s: ts, m: sc.m, sub: 0}, binwire.StErr, refusal)
+		ts.deliver(pend{s: ts, m: sc.m, sub: 1}, binwire.StErr, refusal)
+	}
+	both()
+	want := "ERR service: unknown tenant " + strconv.Quote(string(tenant)) + "\r\n"
+	if out.String() != want+want {
+		t.Fatalf("rendered %q, want %q twice", out.String(), want)
+	}
+	out.Reset()
+	var pool sync.Pool
+	pool.New = func() any { return new(int) }
+	if testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			pool.Put(pool.Get())
+		}
+	}) > 0 {
+		return // sync.Pool drops objects under the race detector, so the pooled merge allocates there
+	}
+	if n := testing.AllocsPerRun(100, both); n != 0 {
+		t.Fatalf("an unknown-tenant reply allocates %.1f times", n)
 	}
 }

@@ -148,9 +148,9 @@ func readUntilEnd(t *testing.T, tc *textConn) []string {
 
 // TestProxyTextAdmin drives the proxy's text front through the verbs the
 // loadgen never issues: multi-line relays (TENANT LIST, STATS), local
-// answers (PING, QUIT, CLUSTER refusal, unknown verbs), and the malformed
-// lines that must be forwarded for the backend's own usage errors while
-// keeping the client stream in sync.
+// answers (PING, QUIT, CLUSTER refusal), unknown verbs, and malformed
+// lines, which must get a node's usage errors while keeping the client
+// stream in sync.
 func TestProxyTextAdmin(t *testing.T) {
 	addrs := reservePorts(t, 3)
 	pc := bootProxyCluster(t, addrs, true)
@@ -204,8 +204,8 @@ func TestProxyTextAdmin(t *testing.T) {
 		t.Fatalf("unknown verb: %q", resp)
 	}
 
-	// Malformed lines forward to a backend for its usage error, and the
-	// connection stays usable afterward.
+	// Malformed lines get the node's usage error from the proxy's decoder,
+	// and the connection stays usable afterward.
 	if resp := tc.roundTrip("GET padmin"); !strings.HasPrefix(resp, "ERR") {
 		t.Fatalf("short GET: %q", resp)
 	}

@@ -129,24 +129,6 @@ func (c *binClient) get(tenant, key string) (bool, error) {
 	}
 }
 
-// put stores val under key; ttlMS >= 0 sets the TTL flag and deadline.
-func (c *binClient) put(tenant, key string, val []byte, ttlMS int) error {
-	id := c.nextID()
-	flags, ttl := binwire.TTL(int64(ttlMS))
-	c.writeFrame(binwire.OpPut, flags, id, ttl, tenant, key, val)
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	status, payload, err := c.readRespFor(id)
-	if err != nil {
-		return err
-	}
-	if status != binwire.StOK {
-		return classifyBinErr("PUT", status, payload)
-	}
-	return nil
-}
-
 // matchBatchID maps an echoed response id back to its index in a batch of
 // n frames whose ids were base+1..base+n, rejecting out-of-window ids and
 // duplicates via the got bitmap.
@@ -160,22 +142,6 @@ func matchBatchID(id, base uint32, got []bool) (int, error) {
 	}
 	got[idx] = true
 	return idx, nil
-}
-
-// mget pipelines one GET frame per key before a single flush — the binary
-// batch. A node answers a connection's frames in request order, but the
-// protocol only promises the echoed id, so each response is matched back
-// to its key by id. Every frame gets
-// exactly one response, so unlike a text MGET (refused as a whole with one
-// ERR line) the batch is answered key by key; the first shed or fault reply
-// is returned as the error with the successfully-answered GETs still
-// counted in hits/seen.
-func (c *binClient) mget(tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error) {
-	tok, err := c.mgetSend(tenant, keys)
-	if err != nil {
-		return 0, 0, missBuf, err
-	}
-	return c.mgetRecv(tok, tenant, keys, missBuf)
 }
 
 // mgetSend writes the batch's read frames — one BMGET frame in bmget mode,
@@ -194,10 +160,14 @@ func (c *binClient) mgetSend(tenant string, keys []string) (uint32, error) {
 	return base, c.w.Flush()
 }
 
-// mgetRecv reads the batch's responses. In bmget mode that is one
-// coalesced frame whose payload carries per-key statuses in request order;
-// a per-key SHED surfaces as ErrShed just like a shed GET frame would,
-// with the rest of the batch still counted.
+// mgetRecv reads the batch's responses. Pipelined GET frames are matched
+// back to their keys by the echoed id, which is all the protocol promises;
+// every frame gets one response, so unlike a text MGET the batch is
+// answered key by key, and the first shed or fault reply is returned as
+// the error with the answered GETs still counted. In bmget mode the answer
+// is one coalesced frame whose payload carries per-key statuses in request
+// order; a per-key SHED surfaces as ErrShed just like a shed GET frame
+// would, with the rest of the batch still counted.
 func (c *binClient) mgetRecv(base uint32, tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error) {
 	if c.bmget {
 		return c.bmgetRecv(base, keys, missBuf)
@@ -262,19 +232,6 @@ func (c *binClient) bmgetRecv(base uint32, keys []string, missBuf []string) (hit
 		}
 	}
 	return hits, seen, missBuf, firstErr
-}
-
-// putPipelined writes one PUT frame per key before a single flush and then
-// drains the batch's responses. ttlMS is every key's TTL in milliseconds,
-// -1 meaning none. In chaos mode, shed and fault replies are folded
-// into tr and the batch continues; otherwise the first such reply is
-// returned after the drain completes.
-func (c *binClient) putPipelined(tenant string, keys []string, val []byte, ttlMS int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
-	tok, err := c.putSend(tenant, keys, val, ttlMS)
-	if err != nil {
-		return 0, err
-	}
-	return c.putRecv(tok, len(keys), chaos, tr)
 }
 
 // putSend writes the batch's PUT frames and flushes (the send phase of the

@@ -54,90 +54,72 @@ func (rp *ringProto) get(tenant, key string) (bool, error) {
 }
 
 func (rp *ringProto) put(tenant, key string, val []byte, ttlMS int) error {
-	return rp.conns[rp.ring.Owner(tenant, key)].put(tenant, key, val, ttlMS)
+	return solo{rp.conns[rp.ring.Owner(tenant, key)]}.put(tenant, key, val, ttlMS)
 }
 
-// mget splits the batch by owner and pipelines the scatter: every owner's
-// sub-batch is written (and flushed) before any response is read, so the
+// scatter splits a batch by owner and pipelines it: every owner's
+// sub-batch is sent (and flushed) before any response is read, so the
 // nodes execute concurrently and the whole batch costs one round-trip of
-// latency instead of one per owner. Responses are then drained in member
+// latency instead of one per owner. Responses are then received in member
 // order — all of them, even after an error, because every sent sub-batch
 // has responses in flight and skipping one would desync that connection.
-// hits/seen/missBuf accumulate across sub-batches and the first error
-// surfaces, matching the sequential semantics.
-func (rp *ringProto) mget(tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error) {
+// The first error surfaces; a failed send stops further sends.
+func (rp *ringProto) scatter(tenant string, keys []string,
+	send func(c batchProto, sub []string) (uint32, error),
+	recv func(c batchProto, sub []string, tok uint32) error) error {
 	byOwner := make(map[string][]string)
 	for _, k := range keys {
 		owner := rp.ring.Owner(tenant, k)
 		byOwner[owner] = append(byOwner[owner], k)
 	}
 	type pend struct {
-		addr string
-		sub  []string
-		tok  uint32
+		c   batchProto
+		sub []string
+		tok uint32
 	}
 	var pends []pend
 	var firstErr error
 	for _, addr := range rp.ring.Members() {
-		sub := byOwner[addr]
-		if len(sub) == 0 {
-			continue
+		if sub := byOwner[addr]; len(sub) > 0 {
+			tok, err := send(rp.conns[addr], sub)
+			if err != nil {
+				firstErr = err
+				break // transport loss; drain what was already sent
+			}
+			pends = append(pends, pend{rp.conns[addr], sub, tok})
 		}
-		tok, err := rp.conns[addr].mgetSend(tenant, sub)
-		if err != nil {
-			firstErr = err
-			break // transport loss; drain what was already sent
-		}
-		pends = append(pends, pend{addr: addr, sub: sub, tok: tok})
 	}
 	for _, p := range pends {
-		h, s, mb, err := rp.conns[p.addr].mgetRecv(p.tok, tenant, p.sub, missBuf)
-		hits += h
-		seen += s
-		missBuf = mb
-		if err != nil && firstErr == nil {
+		if err := recv(p.c, p.sub, p.tok); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	return hits, seen, missBuf, firstErr
+	return firstErr
 }
 
-// putPipelined splits the fill batch by owner with the same pipelined
-// scatter as mget: all sub-batches are written before any response is read,
-// then every sent sub-batch is drained.
+// mget scatters the batch; hits, seen and missBuf accumulate across
+// sub-batches, matching the sequential semantics.
+func (rp *ringProto) mget(tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error) {
+	err := rp.scatter(tenant, keys, func(c batchProto, sub []string) (uint32, error) {
+		return c.mgetSend(tenant, sub)
+	}, func(c batchProto, sub []string, tok uint32) error {
+		h, s, mb, err := c.mgetRecv(tok, tenant, sub, missBuf)
+		hits, seen, missBuf = hits+h, seen+s, mb
+		return err
+	})
+	return hits, seen, missBuf, err
+}
+
+// putPipelined scatters the fill batch like mget.
 func (rp *ringProto) putPipelined(tenant string, keys []string, val []byte, ttlMS int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
-	byOwner := make(map[string][]string)
-	for _, k := range keys {
-		owner := rp.ring.Owner(tenant, k)
-		byOwner[owner] = append(byOwner[owner], k)
-	}
-	type pend struct {
-		addr string
-		n    int
-		tok  uint32
-	}
-	var pends []pend
-	var firstErr error
-	for _, addr := range rp.ring.Members() {
-		sub := byOwner[addr]
-		if len(sub) == 0 {
-			continue
-		}
-		tok, err := rp.conns[addr].putSend(tenant, sub, val, ttlMS)
-		if err != nil {
-			firstErr = err
-			break
-		}
-		pends = append(pends, pend{addr: addr, n: len(sub), tok: tok})
-	}
-	for _, p := range pends {
-		st, err := rp.conns[p.addr].putRecv(p.tok, p.n, chaos, tr)
+	err := rp.scatter(tenant, keys, func(c batchProto, sub []string) (uint32, error) {
+		return c.putSend(tenant, sub, val, ttlMS)
+	}, func(c batchProto, sub []string, tok uint32) error {
+		st, err := c.putRecv(tok, len(sub), chaos, tr)
 		stored += st
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return stored, firstErr
+		return err
+	})
+	return stored, err
 }
 
 // churner drives tenant-registry churn alongside a run: a rotating

@@ -272,10 +272,10 @@ func Run(o Options) (Result, error) {
 // (with backoff) before the connection gives up its budget.
 const busyRetries = 3
 
-// proto is the per-connection client surface runConn drives; the text
-// client and the binary client (binclient.go) both satisfy it, so the
-// workload loops, chaos accounting, and redial logic are shared verbatim
-// across the two wire protocols.
+// proto is the per-connection client surface runConn drives: one
+// connection of either wire protocol (solo) or a ring client (cluster.go),
+// so the workload loops, chaos accounting, and redial logic are shared
+// verbatim across the two wire protocols and cluster mode.
 type proto interface {
 	get(tenant, key string) (bool, error)
 	put(tenant, key string, val []byte, ttlMS int) error
@@ -284,19 +284,52 @@ type proto interface {
 	close()
 }
 
-// batchProto is a proto whose batch operations split into a send phase and
-// a receive phase. The ring client uses the split to truly pipeline a
-// scattered batch: it writes every owner's sub-batch before reading any
-// response, so the nodes work concurrently and the batch costs one
-// round-trip of latency instead of one per owner. The token returned by a
-// send is handed back to the matching recv (the binary client's base
+// batchProto is one connection of either wire protocol: the text client
+// and the binary client (binclient.go). Its batch operations split into a
+// send phase and a receive phase. The ring client uses the split to truly
+// pipeline a scattered batch: it writes every owner's sub-batch before
+// reading any response, so the nodes work concurrently and the batch costs
+// one round-trip of latency instead of one per owner. The token returned by
+// a send is handed back to the matching recv (the binary client's base
 // request id; the text client has no use for it).
 type batchProto interface {
-	proto
+	get(tenant, key string) (bool, error)
+	close()
 	mgetSend(tenant string, keys []string) (uint32, error)
 	mgetRecv(tok uint32, tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error)
 	putSend(tenant string, keys []string, val []byte, ttlMS int) (uint32, error)
 	putRecv(tok uint32, n int, chaos bool, tr *TenantResult) (stored uint64, _ error)
+}
+
+// solo drives one connection as a proto: a batch is its send, then its
+// receive. mget returns the hit count, the number of per-key responses
+// actually received, and the missed keys appended to missBuf; a refused
+// batch (shed, injected fault) surfaces as ErrShed or ErrInjected with seen
+// < len(keys). putPipelined returns how many PUTs the server stored; in
+// chaos mode shed and fault replies are folded into tr and the batch
+// continues, otherwise the first one is returned once every reply is read.
+type solo struct{ batchProto }
+
+func (c solo) mget(tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error) {
+	tok, err := c.mgetSend(tenant, keys)
+	if err != nil {
+		return 0, 0, missBuf, err
+	}
+	return c.mgetRecv(tok, tenant, keys, missBuf)
+}
+
+// put stores val under key as a batch of one; ttlMS >= 0 sets its TTL.
+func (c solo) put(tenant, key string, val []byte, ttlMS int) error {
+	_, err := c.putPipelined(tenant, []string{key}, val, ttlMS, false, nil)
+	return err
+}
+
+func (c solo) putPipelined(tenant string, keys []string, val []byte, ttlMS int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
+	tok, err := c.putSend(tenant, keys, val, ttlMS)
+	if err != nil {
+		return 0, err
+	}
+	return c.putRecv(tok, len(keys), chaos, tr)
 }
 
 // dialProto connects with the run's selected wire protocol — a ring
@@ -305,7 +338,11 @@ func dialProto(o Options, tenant string) (proto, error) {
 	if o.ring != nil {
 		return dialRing(o, tenant)
 	}
-	return dialProtoSolo(o, tenant)
+	c, err := dialProtoSolo(o, tenant)
+	if err != nil {
+		return nil, err
+	}
+	return solo{c}, nil
 }
 
 // dialProtoSolo connects to o.Addr with the selected wire protocol.
@@ -374,6 +411,40 @@ func isConnErr(err error) bool {
 	return errors.As(err, &oe)
 }
 
+// worker drives one connection's operation budget. c is its current
+// connection, which a chaos run replaces after a drop.
+type worker struct {
+	o    Options
+	tr   *TenantResult
+	spec Tenant
+	c    proto
+}
+
+// fail handles a failed command. Outside chaos mode it ends the worker
+// with err; in chaos mode it counts the failure and redials after a lost
+// connection. It reports whether the worker stops, and why: a protocol
+// failure, a failed redial, or nil when the redial was refused BUSY and
+// the connection yields.
+func (wk *worker) fail(err error) (stop bool, _ error) {
+	if !wk.o.Chaos {
+		return true, err
+	}
+	reconnect, fatal := chaosOpErr(err, wk.tr)
+	if fatal != nil || !reconnect {
+		return fatal != nil, fatal
+	}
+	wk.c.close()
+	nc, err := dialChaos(wk.o, wk.tr, wk.spec.Name)
+	if err != nil {
+		if errors.Is(err, ErrBusy) {
+			return true, nil
+		}
+		return true, err
+	}
+	wk.c = nc
+	return false, nil
+}
+
 // runConn drives one connection's operation budget.
 func runConn(o Options, tr *TenantResult, spec Tenant, conn int) error {
 	c, err := dialChaos(o, tr, spec.Name)
@@ -383,46 +454,23 @@ func runConn(o Options, tr *TenantResult, spec Tenant, conn int) error {
 		}
 		return err
 	}
-	defer func() { c.close() }()
+	wk := &worker{o: o, tr: tr, spec: spec, c: c}
+	defer func() { wk.c.close() }() // the current conn, which a redial may have replaced
 	app := spec.MakeApp(conn)
 	val := make([]byte, o.ValueSize)
 	for i := range val {
 		val[i] = byte('a' + i%26)
 	}
 	if o.Batch > 1 {
-		return runConnBatched(o, tr, spec, app, c, val)
-	}
-	// redial replaces the connection after a drop; it reports whether the
-	// worker can keep going.
-	redial := func() (bool, error) {
-		c.close()
-		nc, err := dialChaos(o, tr, spec.Name)
-		if err != nil {
-			if errors.Is(err, ErrBusy) {
-				return false, nil
-			}
-			return false, err
-		}
-		c = nc
-		return true, nil
+		return wk.runBatched(app, val)
 	}
 	for i := 0; i < o.OpsPerConn; i++ {
 		_, addr := app.Next()
 		key := strconv.FormatUint(addr, 16)
-		hit, err := c.get(spec.Name, key)
+		hit, err := wk.c.get(spec.Name, key)
 		if err != nil {
-			if !o.Chaos {
+			if stop, err := wk.fail(err); stop {
 				return err
-			}
-			reconnect, fatal := chaosOpErr(err, tr)
-			if fatal != nil {
-				return fatal
-			}
-			if reconnect {
-				ok, err := redial()
-				if !ok || err != nil {
-					return err
-				}
 			}
 			continue
 		}
@@ -432,19 +480,9 @@ func runConn(o Options, tr *TenantResult, spec Tenant, conn int) error {
 			continue
 		}
 		atomic.AddUint64(&tr.Misses, 1)
-		if err := c.put(spec.Name, key, val, spec.ttlMS()); err != nil {
-			if !o.Chaos {
+		if err := wk.c.put(spec.Name, key, val, spec.ttlMS()); err != nil {
+			if stop, err := wk.fail(err); stop {
 				return err
-			}
-			reconnect, fatal := chaosOpErr(err, tr)
-			if fatal != nil {
-				return fatal
-			}
-			if reconnect {
-				ok, err := redial()
-				if !ok || err != nil {
-					return err
-				}
 			}
 			continue
 		}
@@ -453,36 +491,20 @@ func runConn(o Options, tr *TenantResult, spec Tenant, conn int) error {
 	return nil
 }
 
-// runConnBatched drives the budget in MGET batches: one round trip reads
+// runBatched drives the budget in MGET batches: one round trip reads
 // o.Batch keys, then the misses are filled with pipelined PUTs sharing one
 // flush and one response read.
-func runConnBatched(o Options, tr *TenantResult, spec Tenant, app workload.App, c proto, val []byte) error {
-	defer func() { c.close() }() // closes the current conn, which redial may have replaced
+func (wk *worker) runBatched(app workload.App, val []byte) error {
+	o, tr, spec := wk.o, wk.tr, wk.spec
 	keys := make([]string, 0, o.Batch)
 	missed := make([]string, 0, o.Batch)
-	redial := func() (bool, error) {
-		c.close()
-		nc, err := dialChaos(o, tr, spec.Name)
-		if err != nil {
-			if errors.Is(err, ErrBusy) {
-				return false, nil
-			}
-			return false, err
-		}
-		c = nc
-		return true, nil
-	}
-	for done := 0; done < o.OpsPerConn; {
-		n := o.Batch
-		if rest := o.OpsPerConn - done; n > rest {
-			n = rest
-		}
+	for done := 0; done < o.OpsPerConn; done += len(keys) {
 		keys = keys[:0]
-		for i := 0; i < n; i++ {
+		for i := 0; i < min(o.Batch, o.OpsPerConn-done); i++ {
 			_, addr := app.Next()
 			keys = append(keys, strconv.FormatUint(addr, 16))
 		}
-		hits, seen, missIdx, err := c.mget(spec.Name, keys, missed[:0])
+		hits, seen, missIdx, err := wk.c.mget(spec.Name, keys, missed[:0])
 		missed = missIdx
 		// Responses received before a mid-batch abort are real GETs the
 		// server performed and accounted; count them either way.
@@ -490,42 +512,21 @@ func runConnBatched(o Options, tr *TenantResult, spec Tenant, app workload.App, 
 		atomic.AddUint64(&tr.Hits, uint64(hits))
 		atomic.AddUint64(&tr.Misses, uint64(seen-hits))
 		if err != nil {
-			if !o.Chaos {
+			// The batch's budget is spent even when it aborted.
+			if stop, err := wk.fail(err); stop {
 				return err
 			}
-			reconnect, fatal := chaosOpErr(err, tr)
-			if fatal != nil {
-				return fatal
-			}
-			if reconnect {
-				ok, err := redial()
-				if !ok || err != nil {
-					return err
-				}
-			}
-			done += n // the batch's budget is spent even when it aborted
 			continue
 		}
 		if len(missed) > 0 {
-			stored, err := c.putPipelined(spec.Name, missed, val, spec.ttlMS(), o.Chaos, tr)
+			stored, err := wk.c.putPipelined(spec.Name, missed, val, spec.ttlMS(), o.Chaos, tr)
 			atomic.AddUint64(&tr.Puts, stored)
 			if err != nil {
-				if !o.Chaos {
+				if stop, err := wk.fail(err); stop {
 					return err
-				}
-				reconnect, fatal := chaosOpErr(err, tr)
-				if fatal != nil {
-					return fatal
-				}
-				if reconnect {
-					ok, err := redial()
-					if !ok || err != nil {
-						return err
-					}
 				}
 			}
 		}
-		done += n
 	}
 	return nil
 }
@@ -549,7 +550,7 @@ func dial(addr, tenant string) (*client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	c := newRawClient(conn)
 	resp, err := c.roundTrip("TENANT ADD " + tenant)
 	if err != nil {
 		conn.Close()
@@ -607,11 +608,20 @@ func (c *client) readLine() (string, error) {
 
 // get returns whether key hit. The value bytes are read and discarded.
 func (c *client) get(tenant, key string) (bool, error) {
-	resp, err := c.roundTrip("GET " + tenant + " " + key)
-	if err != nil {
+	c.w.WriteString("GET " + tenant + " " + key + "\r\n")
+	if err := c.w.Flush(); err != nil {
 		return false, err
 	}
+	return c.readValue("GET")
+}
+
+// readValue reads one GET or MGET key response, discarding a hit's value,
+// and reports whether it hit; an ERR line maps through classifyErr.
+func (c *client) readValue(ctx string) (bool, error) {
+	resp, err := c.readLine()
 	switch {
+	case err != nil:
+		return false, err
 	case resp == "MISS":
 		return false, nil
 	case strings.HasPrefix(resp, "VALUE "):
@@ -619,28 +629,10 @@ func (c *client) get(tenant, key string) (bool, error) {
 		if err != nil || n < 0 {
 			return false, fmt.Errorf("loadgen: bad VALUE header %q", resp)
 		}
-		if _, err := io.ReadFull(c.r, make([]byte, n+2)); err != nil { // value + CRLF
-			return false, err
-		}
-		return true, nil
-	default:
-		return false, classifyErr("GET", resp)
+		_, err = c.r.Discard(n + 2) // value + CRLF
+		return err == nil, err
 	}
-}
-
-// mget requests keys in one MGET round trip, returning the hit count, the
-// number of per-key responses actually received, and the missed keys
-// appended to missBuf. A server that refuses the batch (shed, injected
-// fault) answers a single ERR line in place of the responses and no END
-// (the line stream stays in sync); that surfaces here as ErrShed/ErrInjected
-// with seen < len(keys). An ERR line is accepted after any number of
-// responses, so a server that aborts a batch midway is handled too.
-func (c *client) mget(tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error) {
-	tok, err := c.mgetSend(tenant, keys)
-	if err != nil {
-		return 0, 0, missBuf, err
-	}
-	return c.mgetRecv(tok, tenant, keys, missBuf)
+	return false, classifyErr(ctx, resp)
 }
 
 // mgetSend writes and flushes the MGET command line (the send phase of the
@@ -658,29 +650,22 @@ func (c *client) mgetSend(tenant string, keys []string) (uint32, error) {
 	return 0, c.w.Flush()
 }
 
-// mgetRecv reads the MGET's per-key responses and END terminator.
+// mgetRecv reads the MGET's per-key responses and END terminator. A server
+// that refuses the batch (shed, injected fault) answers a single ERR line
+// in place of the responses and no END, so the line stream stays in sync;
+// an ERR line is accepted after any number of responses, so a server that
+// aborts a batch midway is handled too.
 func (c *client) mgetRecv(_ uint32, tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error) {
 	for _, k := range keys {
-		resp, err := c.readLine()
+		hit, err := c.readValue("MGET")
 		if err != nil {
 			return hits, seen, missBuf, err
 		}
-		switch {
-		case resp == "MISS":
-			missBuf = append(missBuf, k)
-			seen++
-		case strings.HasPrefix(resp, "VALUE "):
-			n, err := strconv.Atoi(resp[len("VALUE "):])
-			if err != nil || n < 0 {
-				return hits, seen, missBuf, fmt.Errorf("loadgen: bad VALUE header %q", resp)
-			}
-			if _, err := c.r.Discard(n + 2); err != nil { // value + CRLF
-				return hits, seen, missBuf, err
-			}
+		seen++
+		if hit {
 			hits++
-			seen++
-		default:
-			return hits, seen, missBuf, classifyErr("MGET", resp)
+		} else {
+			missBuf = append(missBuf, k)
 		}
 	}
 	resp, err := c.readLine()
@@ -691,21 +676,6 @@ func (c *client) mgetRecv(_ uint32, tenant string, keys []string, missBuf []stri
 		return hits, seen, missBuf, fmt.Errorf("loadgen: MGET missing END, got %q", resp)
 	}
 	return hits, seen, missBuf, nil
-}
-
-// putPipelined stores val under every key, writing all PUT commands before
-// a single flush and then reading all responses — one round trip for the
-// whole fill batch. ttlMS is every key's EXPIRE argument in milliseconds,
-// -1 meaning none. It returns how many PUTs the server acknowledged as
-// STORED. In chaos mode, per-command shed/fault replies are folded into tr
-// and the remaining responses are still drained (every PUT gets exactly one
-// reply line, so the stream stays in sync).
-func (c *client) putPipelined(tenant string, keys []string, val []byte, ttlMS int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
-	tok, err := c.putSend(tenant, keys, val, ttlMS)
-	if err != nil {
-		return 0, err
-	}
-	return c.putRecv(tok, len(keys), chaos, tr)
 }
 
 // putSend writes and flushes the batch's PUT commands (the send phase of
@@ -723,7 +693,8 @@ func (c *client) putSend(tenant string, keys []string, val []byte, ttlMS int) (u
 	return 0, c.w.Flush()
 }
 
-// putRecv drains the batch's n response lines.
+// putRecv drains the batch's n response lines: every PUT gets exactly one,
+// so the stream stays in sync even when some are shed or faulted.
 func (c *client) putRecv(_ uint32, n int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
 	for i := 0; i < n; i++ {
 		resp, err := c.readLine()
@@ -748,26 +719,4 @@ func (c *client) putRecv(_ uint32, n int, chaos bool, tr *TenantResult) (stored 
 		}
 	}
 	return stored, nil
-}
-
-// put stores val under key; ttlMS >= 0 attaches an EXPIRE clause.
-func (c *client) put(tenant, key string, val []byte, ttlMS int) error {
-	if ttlMS >= 0 {
-		fmt.Fprintf(c.w, "PUT %s %s %d EXPIRE %d\r\n", tenant, key, len(val), ttlMS)
-	} else {
-		fmt.Fprintf(c.w, "PUT %s %s %d\r\n", tenant, key, len(val))
-	}
-	c.w.Write(val)
-	c.w.WriteString("\r\n")
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
-	resp, err := c.readLine()
-	if err != nil {
-		return err
-	}
-	if resp != "STORED" {
-		return classifyErr("PUT", resp)
-	}
-	return nil
 }

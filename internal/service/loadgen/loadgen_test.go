@@ -136,7 +136,7 @@ func TestBinaryTTLFills(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.close()
-	if err := c.put("t", "k", []byte("v"), Tenant{TTL: 50 * 24 * time.Hour}.ttlMS()); err != nil {
+	if err := (solo{c}).put("t", "k", []byte("v"), Tenant{TTL: 50 * 24 * time.Hour}.ttlMS()); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(8 * time.Hour)

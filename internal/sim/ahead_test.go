@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -22,16 +23,24 @@ func withProcs(procs int, fn func()) {
 	fn()
 }
 
-// checkGoroutines fails t unless the goroutine count is back at base. A
-// joined goroutine may still be leaving after it signalled, so the check
-// gives it a moment.
-func checkGoroutines(t *testing.T, base int, when string) {
+// checkGoroutines fails t if a recordAhead goroutine outlived Run. It looks
+// for the goroutine's own frames among every goroutine's stack rather than
+// comparing goroutine counts, which other goroutines of the process move
+// as they come and go. A joined goroutine may still be leaving after it
+// signalled, so the check gives it a moment.
+func checkGoroutines(t *testing.T, when string) {
 	t.Helper()
-	for i := 0; runtime.NumGoroutine() > base && i < 100; i++ {
+	buf := make([]byte, 1<<20)
+	for i := 0; ; i++ {
+		stacks := buf[:runtime.Stack(buf, true)]
+		if !bytes.Contains(stacks, []byte("sim.recordAhead")) {
+			return
+		}
+		if i == 100 {
+			t.Errorf("%s: a recordAhead goroutine is still alive:\n%s", when, stacks)
+			return
+		}
 		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n != base {
-		t.Errorf("%s: %d goroutines, %d before Run", when, n, base)
 	}
 }
 
@@ -79,9 +88,8 @@ func TestRecordAheadMatchesInline(t *testing.T) {
 				out.log = append(out.log, repart{cycle, slices.Clone(targets), slices.Clone(actual)})
 			},
 		}
-		base := runtime.NumGoroutine()
 		withProcs(procs, func() { out.res = Run(cfg) })
-		checkGoroutines(t, base, fmt.Sprintf("after a run at GOMAXPROCS %d", procs))
+		checkGoroutines(t, fmt.Sprintf("after a run at GOMAXPROCS %d", procs))
 		for i := range cfg.Apps {
 			m := pol.Monitor(i)
 			out.curves = append(out.curves, m.MissCurve())
@@ -109,7 +117,6 @@ func TestRecordAheadMatchesInline(t *testing.T) {
 // core and the value, whoever recorded it, and leaves no goroutine behind.
 func TestRecordAheadPanicsOnCaller(t *testing.T) {
 	for _, procs := range []int{1, 2} {
-		base := runtime.NumGoroutine()
 		var msg string
 		withProcs(procs, func() {
 			defer func() { msg, _ = recover().(string) }()
@@ -125,7 +132,7 @@ func TestRecordAheadPanicsOnCaller(t *testing.T) {
 		if want := "core 1: line address 0x200000000"; !strings.Contains(msg, want) {
 			t.Errorf("GOMAXPROCS %d: panic %q, want it to contain %q", procs, msg, want)
 		}
-		checkGoroutines(t, base, fmt.Sprintf("after a panicking run at GOMAXPROCS %d", procs))
+		checkGoroutines(t, fmt.Sprintf("after a panicking run at GOMAXPROCS %d", procs))
 	}
 }
 
