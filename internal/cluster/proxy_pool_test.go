@@ -427,9 +427,11 @@ func TestProxyRelayFence(t *testing.T) {
 
 // TestProxyRelaysTextFrames: a binary client's TEXT frames are routed like
 // the text front's relayed lines and answered with the node's text reply
-// verbatim, CLUSTER refused as on the text front; a relayed STATS error
-// carries no proxy counters; and a text client that dies inside a relayed
-// PUT's block gets the node's "short value" and loses only its session.
+// verbatim, CLUSTER refused as on the text front; one carrying a
+// well-formed data command is refused and runs on no node; a relayed STATS
+// error carries no proxy counters; and a text client that dies inside a
+// relayed PUT's block gets the node's "short value" and loses only its
+// session.
 func TestProxyRelaysTextFrames(t *testing.T) {
 	_, p := bootPoolCluster(t, cluster.ProxyConfig{})
 	b := dialFront(t, p.Addr().String(), true)
@@ -442,6 +444,8 @@ func TestProxyRelaysTextFrames(t *testing.T) {
 		{"TENANT ADD bt\n", 0, "OK "},
 		{"PUT bt " + long + " 1\nv", 0, "ERR key too long\r\n"},
 		{"TENANT LIST\n", 0, "TENANT bt "},
+		{"PUT bt k 1\nv", 2, "a data command rides its own frame, not TEXT"},
+		{"GET bt k\n", 2, "a data command rides its own frame, not TEXT"},
 		{"FROB\n", 0, "ERR unknown command \"FROB\"\r\n"},
 		{"CLUSTER INFO\n", 2, "CLUSTER must be issued to a node"},
 	} {
@@ -454,6 +458,9 @@ func TestProxyRelaysTextFrames(t *testing.T) {
 	}
 
 	tc := dialScale(t, p.Addr().String())
+	if resp := tc.roundTrip("GET bt k"); resp != "MISS" {
+		t.Fatalf("GET after a PUT in a TEXT frame: %q, want MISS (the frame is refused, not run)", resp)
+	}
 	if resp := tc.roundTrip("STATS ghost"); resp != `ERR unknown tenant "ghost"` {
 		t.Fatalf("STATS of an unknown tenant: %q", resp)
 	}

@@ -54,9 +54,6 @@ func TestTokenHelpers(t *testing.T) {
 			t.Fatalf("ParseUint(%q) = %d, %v", in, n, ok)
 		}
 	}
-	if got := string(AppendUint(AppendUint([]byte("n="), 0), 18446744073709551615)); got != "n=018446744073709551615" {
-		t.Fatalf("AppendUint = %q", got)
-	}
 	for in, rest := range map[string]string{"\r\nX": "X", "\nX": "X", "X": "X", "\rX": "X", "": ""} {
 		r := bufio.NewReader(strings.NewReader(in))
 		DiscardEOL(r)
