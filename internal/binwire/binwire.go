@@ -4,8 +4,9 @@
 // frame layout, the protocol limits, the one rule that decides whether a
 // request frame is a framing violation, the text protocol's one parser
 // (DecodeText, which turns a command line into the request its frame would
-// carry, under the same limits), and the encoders and decoders that the
-// node, the cluster peer, pool and proxy, and the load generator all use.
+// carry, under the same limits) and its one encoder (AppendTextReq and
+// AppendTextMGet), and the encoders and decoders that the node, the
+// cluster peer, pool and proxy, and the load generator all use.
 // Of the module it imports only the textwire leaf, so all of them can.
 //
 // # Negotiation
@@ -14,7 +15,15 @@
 //
 //	0x83 'V' 'B' <version>
 //
-// and the server answers with the same 4 bytes carrying *its* version. The
+// and a peer node (cluster.Peer, and nothing else) with
+//
+//	0x83 'V' 'P' <version>
+//
+// The server answers with the same 4 bytes carrying *its* version, and
+// Accept reports the role the preamble named. The role decides one thing:
+// only a peer may send the cluster frames REG_OP, REG_PULL and REHOME
+// (PeerOp); a node answers them on a client connection with ERR
+// PeerOpRefused, as the proxy does. The role is claimed, not proven. The
 // magic byte 0x83 has the high bit set, so it can never begin a text verb
 // (the text protocol is 7-bit ASCII); conversely no binary preamble parses
 // as a command line, so one Peek of the first byte routes the connection
@@ -87,6 +96,8 @@
 //
 // # Cluster frames
 //
+// The three cluster frames are peer-only: they ride a connection opened
+// with the peer preamble, and anywhere else answer ERR PeerOpRefused.
 // REG_OP replicates one tenant registry mutation between peers: the tenant
 // field carries the name, flag bit0 picks add vs remove, and the value
 // payload is exactly 8 bytes — the origin's registry version as a
@@ -111,8 +122,11 @@
 // tenant, oversized key) answer ERR on the offending id and the stream
 // continues: the length prefix means an error can never desync later
 // frames, which is the property the text protocol's PUT-drain bugs had to
-// hand-craft. Req.Parse is the framing rule; the node and the proxy both
-// call it, so the proxy never forwards a frame a node would close on.
+// hand-craft. Req.Parse is the framing rule, and its Err the frame-level
+// ERR of a well-framed frame that breaks a limit (a key outside 1..MaxKey,
+// a value on a frame that carries none or over MaxValue, a malformed
+// registry frame or batch); the node and the proxy both call it, so the
+// proxy never forwards a frame a node would close on or refuse.
 package binwire
 
 import (
@@ -185,9 +199,22 @@ const (
 
 var le = binary.LittleEndian
 
-// Preamble opens a client's connection and is the ack of a server of this
+// Role is who a connection's preamble says opened it: its third byte.
+type Role uint8
+
+const (
+	RoleClient Role = 'B'
+	RolePeer   Role = 'P'
+)
+
+// preamble opens a connection of role and is the ack of a server of this
 // version.
-var Preamble = [4]byte{Magic, 'V', 'B', Version}
+func preamble(role Role) [4]byte { return [4]byte{Magic, 'V', byte(role), Version} }
+
+// PeerOpRefused is the ERR payload of a peer-only frame (PeerOp) that did
+// not come from a peer: a node answers it on a client connection, the
+// proxy on every one.
+const PeerOpRefused = "peer frames (REG_OP, REG_PULL, REHOME) pass only between nodes, not through the proxy or from a client"
 
 // ErrValueLen refuses a PUT declaring n > MaxValue bytes, whose block can
 // be neither taken nor skipped: the text connection closes after it.
@@ -197,11 +224,12 @@ func ErrValueLen(n int) error { return fmt.Errorf("value length %d exceeds maxim
 // server at its connection cap answers its text BUSY line instead.
 var ErrNotBinary = errors.New("binwire: server did not ack the preamble (busy or not speaking binary)")
 
-// Handshake sends the preamble on w and reads the server's ack from r. It
-// returns the transport's error, ErrNotBinary, or an error naming the
+// Handshake sends role's preamble on w and reads the server's ack from r.
+// It returns the transport's error, ErrNotBinary, or an error naming the
 // server's version when it speaks another.
-func Handshake(w io.Writer, r io.Reader) error {
-	if _, err := w.Write(Preamble[:]); err != nil {
+func Handshake(w io.Writer, r io.Reader, role Role) error {
+	pre := preamble(role)
+	if _, err := w.Write(pre[:]); err != nil {
 		return err
 	}
 	var ack [4]byte
@@ -217,23 +245,25 @@ func Handshake(w io.Writer, r io.Reader) error {
 	return nil
 }
 
-// Accept reads a client's preamble from r, whose first byte is Magic, and
-// acks it on w with this server's version. ok is false, and the connection
-// should close, when the preamble is malformed or of another version; a
-// client of another version gets the ack first, so it learns what the
-// server speaks. err is the transport's error.
-func Accept(r io.Reader, w io.Writer) (ok bool, err error) {
+// Accept reads a preamble from r, whose first byte is Magic, and acks it on
+// w with the same role and this server's version. ok is false, and the
+// connection should close, when the preamble is malformed or of another
+// version; a client of another version gets the ack first, so it learns
+// what the server speaks. err is the transport's error.
+func Accept(r io.Reader, w io.Writer) (role Role, ok bool, err error) {
 	var pre [4]byte
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
-		return false, err
+		return 0, false, err
 	}
-	if pre[1] != 'V' || pre[2] != 'B' {
-		return false, nil
+	role = Role(pre[2])
+	if pre[1] != 'V' || (role != RoleClient && role != RolePeer) {
+		return 0, false, nil
 	}
-	if _, err := w.Write(Preamble[:]); err != nil {
-		return false, err
+	ack := preamble(role)
+	if _, err := w.Write(ack[:]); err != nil {
+		return 0, false, err
 	}
-	return pre[3] == Version, nil
+	return role, pre[3] == Version, nil
 }
 
 // ReqLen reports whether a request frame's length prefix is in range;
@@ -248,13 +278,14 @@ type Req struct {
 	Tenant    []byte
 	Key       []byte // nil for BMGET; for TEXT, the command line
 	Val       []byte // the bytes after the key; for BMGET, its key list; for TEXT, the value block
-	// BMGET only: the declared key count, the keys (reused across Parse
-	// calls; left empty over MaxBatchKeys) and the frame-level ERR the batch
-	// earns before it executes, "" when none. DecodeText also puts a control
+	// BMGET only: the declared key count and the keys (reused across Parse
+	// calls; left empty over MaxBatchKeys). DecodeText also puts a control
 	// line's fields in Keys.
-	Count    int
-	Keys     [][]byte
-	BatchErr string
+	Count int
+	Keys  [][]byte
+	// Err is the frame-level ERR a well-framed frame earns before it
+	// executes, "" when none.
+	Err string
 
 	fields [][]byte // SplitText's fields, which DecodeText's Keys alias
 	split  []byte   // the line SplitText split
@@ -267,17 +298,18 @@ type Req struct {
 // known opcode, no flag the opcode does not define (PING and TENANT_ADD
 // are not checked), tenant and key inside the frame, for BMGET a zero
 // ttl_ms and a key list that tiles the body exactly, and for TEXT the
-// rules of its section above. Parse allocates nothing once r.Keys has
+// rules of its section above. A well-framed frame that breaks a limit
+// gets its ERR message in r.Err. Parse allocates nothing once r.Keys has
 // grown to the batch size.
 func (r *Req) Parse(f []byte) bool {
 	if !ReqLen(len(f)) || f[3] != 0 || f[14] != 0 || f[15] != 0 {
 		return false
 	}
 	op, tend, kl := f[0], ReqHdr+int(f[2]), int(le.Uint16(f[12:14]))
-	if op == 0 || int(op) >= len(opFlags) || f[1]&^opFlags[op] != 0 || tend > len(f) {
+	if op == 0 || int(op) >= len(ops) || f[1]&^ops[op].flags != 0 || tend > len(f) {
 		return false
 	}
-	r.Op, r.Flags = op, f[1]
+	r.Op, r.Flags, r.Err = op, f[1], ""
 	r.ID, r.TTLms = le.Uint32(f[4:8]), le.Uint32(f[8:12])
 	r.Tenant = f[ReqHdr:tend]
 	if op == OpBMGet {
@@ -298,15 +330,39 @@ func (r *Req) Parse(f []byte) bool {
 		return false
 	}
 	r.Key, r.Val = f[tend:tend+kl], f[tend+kl:]
+	switch {
+	case op == OpRegOp && (len(r.Key) != 0 || len(r.Val) != 8):
+		r.Err = "bad registry frame"
+	case op == OpRegPull && len(r.Tenant)+len(r.Key)+len(r.Val) != 0:
+		r.Err = "bad registry pull"
+	case !ops[op].keyed:
+	case len(r.Key) == 0 || len(r.Key) > MaxKey:
+		r.Err = "bad key length"
+	case op != OpPut && op != OpRehome && len(r.Val) != 0:
+		r.Err = "unexpected value payload"
+	case len(r.Val) > MaxValue:
+		r.Err = "value too long"
+	}
 	return true
 }
 
-// opFlags holds each opcode's defined flag bits; PING and TENANT_ADD do
-// not check theirs.
-var opFlags = [...]uint8{
-	OpGet: FlagTTL, OpPut: FlagTTL, OpDel: FlagTTL, OpTouch: FlagTTL, OpRehome: FlagTTL,
-	OpPing: 0xff, OpTenantAdd: 0xff, OpTenantDel: 0, OpRegOp: FlagRegAdd, OpRegPull: 0, OpBMGet: 0, OpText: 0,
+// ops holds each opcode's defined flag bits (PING and TENANT_ADD do not
+// check theirs), whether its frame names one key, and whether only a peer
+// may send it.
+var ops = [...]struct {
+	flags       uint8
+	keyed, peer bool
+}{
+	OpGet: {FlagTTL, true, false}, OpPut: {FlagTTL, true, false}, OpDel: {FlagTTL, true, false},
+	OpTouch: {FlagTTL, true, false}, OpRehome: {FlagTTL, true, true},
+	OpPing: {0xff, false, false}, OpTenantAdd: {0xff, false, false}, OpTenantDel: {0, false, false},
+	OpRegOp: {FlagRegAdd, false, true}, OpRegPull: {0, false, true}, OpBMGet: {0, false, false}, OpText: {0, false, false},
 }
+
+// PeerOp reports whether only a peer may send opcode op: REG_OP, REG_PULL
+// and REHOME. A node applies them without re-broadcasting, so a client's
+// would fork the registry or count as re-homed keys.
+func PeerOp(op uint8) bool { return int(op) < len(ops) && ops[op].peer }
 
 // batch walks a BMGET key list: it must tile r.Val exactly. The semantic
 // checks follow in the node's precedence: an empty list, a count over the
@@ -329,13 +385,11 @@ func (r *Req) batch() bool {
 	case len(list) != 0:
 		return false
 	case r.Count == 0:
-		r.BatchErr = "empty key list"
+		r.Err = "empty key list"
 	case r.Count > MaxBatchKeys:
-		r.BatchErr = "too many keys"
+		r.Err = "too many keys"
 	case badKey:
-		r.BatchErr = "bad key length"
-	default:
-		r.BatchErr = ""
+		r.Err = "bad key length"
 	}
 	return true
 }

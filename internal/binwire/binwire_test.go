@@ -11,13 +11,13 @@ import (
 )
 
 // rule is one row of the framing table: a request frame (without its
-// length prefix), whether Parse accepts it, and for an accepted BMGET the
+// length prefix), whether Parse accepts it, and for an accepted frame the
 // frame-level ERR it earns.
 type rule struct {
-	name     string
-	f        []byte
-	ok       bool
-	batchErr string
+	name string
+	f    []byte
+	ok   bool
+	err  string
 }
 
 // frame encodes a request frame without its length prefix and lets edit
@@ -71,7 +71,7 @@ func frameRules() []rule {
 		// Length.
 		{"shorter than the header", frame(OpPing, 0, 0, "", "", "", nil)[:ReqHdr-1], false, ""},
 		{"exactly the header", frame(OpPing, 0, 0, "", "", "", nil), true, ""},
-		{"exactly the max frame", maxFrame, true, ""},
+		{"exactly the max frame", maxFrame, true, "value too long"},
 		{"over the max frame", append(maxFrame, 'v'), false, ""},
 		{"the largest PUT data frame", frame(OpPut, 0, 0, strings.Repeat("t", 255), strings.Repeat("k", MaxKey), maxLine, nil), true, ""},
 		{"the largest TEXT frame is the max frame", text(putLine(textwire.MaxLine, MaxValue), maxLine), true, ""},
@@ -123,11 +123,26 @@ func frameRules() []rule {
 		{"PING's tenant overruns the frame", frame(OpPing, 0, 0, "", "", "", set(2, 1)), false, ""},
 		{"key overruns the frame", frame(OpGet, 0, 0, "t", "k", "", set(12, 2)), false, ""},
 		{"key ends the frame", frame(OpDel, 0, 0, "t", "kk", "", nil), true, ""},
-		// Semantic errors are not framing violations.
-		{"GET with no key", frame(OpGet, 0, 0, "t", "", "", nil), true, ""},
-		{"GET with a value", frame(OpGet, 0, 0, "t", "k", "v", nil), true, ""},
-		{"key over MaxKey", frame(OpGet, 0, 0, "t", strings.Repeat("k", MaxKey+1), "", nil), true, ""},
-		{"REG_OP with a short version", frame(OpRegOp, 0, 0, "u", "", "1234", nil), true, ""},
+		// Semantic errors are not framing violations: they earn a
+		// frame-level ERR, in the node's order.
+		{"GET with no key", frame(OpGet, 0, 0, "t", "", "", nil), true, "bad key length"},
+		{"GET with a value", frame(OpGet, 0, 0, "t", "k", "v", nil), true, "unexpected value payload"},
+		{"DEL with no key and a value", frame(OpDel, 0, 0, "t", "", "v", nil), true, "bad key length"},
+		{"TOUCH with a value", frame(OpTouch, 0, 5, "t", "k", "v", nil), true, "unexpected value payload"},
+		{"key over MaxKey", frame(OpGet, 0, 0, "t", strings.Repeat("k", MaxKey+1), "", nil), true, "bad key length"},
+		{"PUT with a key at MaxKey", frame(OpPut, 0, 0, "t", strings.Repeat("k", MaxKey), "v", nil), true, ""},
+		{"PUT with a key over MaxKey", frame(OpPut, 0, 0, "t", strings.Repeat("k", MaxKey+1), "v", nil), true, "bad key length"},
+		{"PUT with an empty value", frame(OpPut, 0, 0, "t", "k", "", nil), true, ""},
+		{"PUT at MaxValue", frame(OpPut, 0, 0, "t", "k", maxLine, nil), true, ""},
+		{"PUT over MaxValue", frame(OpPut, 0, 0, "t", "k", maxLine+"v", nil), true, "value too long"},
+		{"REHOME over MaxValue", frame(OpRehome, 0, 0, "t", "k", maxLine+"v", nil), true, "value too long"},
+		{"REHOME with no key", frame(OpRehome, 0, 0, "t", "", "v", nil), true, "bad key length"},
+		{"REG_OP with a short version", frame(OpRegOp, 0, 0, "u", "", "1234", nil), true, "bad registry frame"},
+		{"REG_OP with a key", frame(OpRegOp, 0, 0, "u", "k", "12345678", nil), true, "bad registry frame"},
+		{"REG_PULL with a tenant", frame(OpRegPull, 0, 0, "t", "", "", nil), true, "bad registry pull"},
+		{"REG_PULL with a value", frame(OpRegPull, 0, 0, "", "", "v", nil), true, "bad registry pull"},
+		{"PING with a key and a value", frame(OpPing, 0, 0, "", "k", "v", nil), true, ""},
+		{"TENANT_ADD with a key", frame(OpTenantAdd, 0, 0, "u", "k", "", nil), true, ""},
 		// BMGET.
 		{"BMGET", bmget(2, 0, 0, keyList("a", "bb")), true, ""},
 		{"BMGET with a flag", bmget(1, FlagTTL, 0, keyList("a")), false, ""},
@@ -150,8 +165,8 @@ func TestParseFramingRules(t *testing.T) {
 	for _, c := range frameRules() {
 		if ok := r.Parse(c.f); ok != c.ok {
 			t.Errorf("%s: Parse = %v, want %v", c.name, ok, c.ok)
-		} else if ok && r.Op == OpBMGet && r.BatchErr != c.batchErr {
-			t.Errorf("%s: BatchErr = %q, want %q", c.name, r.BatchErr, c.batchErr)
+		} else if ok && r.Err != c.err {
+			t.Errorf("%s: Err = %q, want %q", c.name, r.Err, c.err)
 		}
 	}
 }
@@ -224,21 +239,41 @@ func TestReadResp(t *testing.T) {
 
 func TestHandshake(t *testing.T) {
 	var sent bytes.Buffer
-	if err := Handshake(&sent, bytes.NewReader(Preamble[:])); err != nil || sent.String() != string(Preamble[:]) {
+	if err := Handshake(&sent, strings.NewReader("\x83VB\x01"), RoleClient); err != nil || sent.String() != "\x83VB\x01" {
 		t.Fatalf("Handshake sent %q: %v", sent.Bytes(), err)
 	}
-	if err := Handshake(&sent, strings.NewReader("BUSY\r\n")); err != ErrNotBinary {
+	if err := Handshake(&sent, strings.NewReader("BUSY\r\n"), RoleClient); err != ErrNotBinary {
 		t.Fatalf("a BUSY answer: %v", err)
 	}
-	if err := Handshake(&sent, strings.NewReader("\x83VB\x02")); err == nil {
+	if err := Handshake(&sent, strings.NewReader("\x83VB\x02"), RoleClient); err == nil {
 		t.Fatal("a v2 ack was accepted")
 	}
-	var ack bytes.Buffer
-	if ok, err := Accept(strings.NewReader("\x83VB\x02"), &ack); ok || err != nil || ack.String() != string(Preamble[:]) {
-		t.Fatalf("Accept of a v2 preamble: %v %v, acked %q", ok, err, ack.Bytes())
+	sent.Reset()
+	if err := Handshake(&sent, strings.NewReader("\x83VP\x01"), RolePeer); err != nil || sent.String() != "\x83VP\x01" {
+		t.Fatalf("a peer's Handshake sent %q: %v", sent.Bytes(), err)
 	}
-	if ok, _ := Accept(strings.NewReader("\x83XB\x01"), &ack); ok {
-		t.Fatal("a malformed preamble was accepted")
+	var ack bytes.Buffer
+	if role, ok, err := Accept(strings.NewReader("\x83VB\x02"), &ack); ok || err != nil || role != RoleClient || ack.String() != "\x83VB\x01" {
+		t.Fatalf("Accept of a v2 preamble: %c %v %v, acked %q", role, ok, err, ack.Bytes())
+	}
+	ack.Reset()
+	if role, ok, err := Accept(strings.NewReader("\x83VP\x01"), &ack); !ok || err != nil || role != RolePeer || ack.String() != "\x83VP\x01" {
+		t.Fatalf("Accept of a peer preamble: %c %v %v, acked %q", role, ok, err, ack.Bytes())
+	}
+	for _, bad := range []string{"\x83XB\x01", "\x83VX\x01"} {
+		if _, ok, _ := Accept(strings.NewReader(bad), &ack); ok {
+			t.Fatalf("the malformed preamble %q was accepted", bad)
+		}
+	}
+}
+
+// TestPeerOp: the opcode table marks exactly the three cluster frames as
+// peer-only.
+func TestPeerOp(t *testing.T) {
+	for op := 0; op < 256; op++ {
+		if want := op == OpRegOp || op == OpRegPull || op == OpRehome; PeerOp(uint8(op)) != want {
+			t.Errorf("PeerOp(%d) = %v", op, !want)
+		}
 	}
 }
 

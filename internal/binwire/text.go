@@ -3,6 +3,7 @@ package binwire
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"vantage/internal/textwire"
 )
@@ -16,17 +17,48 @@ const UnknownTenant = "unknown tenant"
 // byte. No registered name comes near it.
 const MaxTenant = math.MaxUint8
 
-// verbs holds each data command's field count, 0 when it varies, and the
-// ERR message of a line with the wrong one.
+// verbs holds each data command's verb, its field count, 0 when it varies,
+// and the ERR message of a line with the wrong one.
 var verbs = [...]struct {
+	verb  string
 	arity int
 	usage string
 }{
-	OpGet:   {3, "usage: GET <tenant> <key>"},
-	OpPut:   {0, "usage: PUT <tenant> <key> <bytes> [EXPIRE <ms>]"},
-	OpDel:   {3, "usage: DEL <tenant> <key>"},
-	OpTouch: {4, "usage: TOUCH <tenant> <key> <ms>"},
-	OpBMGet: {0, "usage: MGET <tenant> <count> <key...>"},
+	OpGet:   {"GET", 3, "usage: GET <tenant> <key>"},
+	OpPut:   {"PUT", 0, "usage: PUT <tenant> <key> <bytes> [EXPIRE <ms>]"},
+	OpDel:   {"DEL", 3, "usage: DEL <tenant> <key>"},
+	OpTouch: {"TOUCH", 4, "usage: TOUCH <tenant> <key> <ms>"},
+	OpBMGet: {"MGET", 0, "usage: MGET <tenant> <count> <key...>"},
+}
+
+// AppendTextReq appends the text command of a GET, PUT, DEL or TOUCH
+// request to dst, the text twin of AppendReq (no id: text answers in
+// order): its line and, for a PUT, its value block and CRLF. A PUT's TTL
+// rides as EXPIRE <ms> only with FlagTTL; TTL gives both codecs one cap.
+// DecodeText decodes the line and block back to the same fields.
+func AppendTextReq[S ~string | ~[]byte](dst []byte, op, flags uint8, ttlMS uint32, tenant, key S, val []byte) []byte {
+	dst = append(append(append(append(append(dst, verbs[op].verb...), ' '), tenant...), ' '), key...)
+	switch op {
+	case OpTouch:
+		dst = strconv.AppendUint(append(dst, ' '), uint64(ttlMS), 10)
+	case OpPut:
+		dst = strconv.AppendInt(append(dst, ' '), int64(len(val)), 10)
+		if flags&FlagTTL != 0 {
+			dst = strconv.AppendUint(append(dst, " EXPIRE "...), uint64(ttlMS), 10)
+		}
+		dst = append(append(dst, "\r\n"...), val...)
+	}
+	return append(dst, "\r\n"...)
+}
+
+// AppendTextMGet appends the MGET line reading keys, the text twin of
+// AppendBMGet.
+func AppendTextMGet[S ~string | ~[]byte](dst []byte, tenant S, keys []S) []byte {
+	dst = strconv.AppendInt(append(append(append(dst, "MGET "...), tenant...), ' '), int64(len(keys)), 10)
+	for _, k := range keys {
+		dst = append(append(dst, ' '), k...)
+	}
+	return append(dst, "\r\n"...)
 }
 
 // SplitText splits a command line into r's fields, the first half of the
@@ -74,7 +106,7 @@ func (r *Req) DecodeText(line, block []byte) string {
 		}
 	}
 	// Field by field: a composite literal would zero and copy all of r.
-	r.fields, r.split, r.Op, r.Flags, r.ID, r.TTLms, r.Count, r.BatchErr = f, nil, 0, 0, 0, 0, 0, ""
+	r.fields, r.split, r.Op, r.Flags, r.ID, r.TTLms, r.Count, r.Err = f, nil, 0, 0, 0, 0, 0, ""
 	r.Tenant, r.Key, r.Val, r.Keys = nil, nil, nil, r.Keys[:0]
 	if len(f) == 0 {
 		return ""

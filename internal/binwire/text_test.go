@@ -99,6 +99,7 @@ func TestDecodeTextAllocs(t *testing.T) {
 // the split line, as a stream reader does, gives what one DecodeText call
 // does; and every data request it returns is one a frame carries:
 // re-encoded, it parses back to the same fields with no frame-level ERR.
+// Re-encoded as text, it decodes back to the request that was encoded.
 func FuzzTextDecode(f *testing.F) {
 	long := strings.Repeat("k", MaxKey)
 	for _, s := range [][2]string{
@@ -133,13 +134,62 @@ func FuzzTextDecode(f *testing.F) {
 		} else {
 			fr = AppendReq(nil, q.Op, q.Flags, 7, q.TTLms, q.Tenant, q.Key, q.Val)
 		}
-		if !p.Parse(fr[4:]) || p.BatchErr != "" {
-			t.Fatalf("%q: frame %x refused (%q)", line, fr, p.BatchErr)
+		if !p.Parse(fr[4:]) || p.Err != "" {
+			t.Fatalf("%q: frame %x refused (%q)", line, fr, p.Err)
 		}
 		if p.ID != 7 || !sameReq(&p, &q) {
 			t.Fatalf("%q decodes as %+v, its frame as %+v", line, q, p)
 		}
+		if tx := encodeText(&q); decodeEncoded(t, tx, &s) != "" || !sameReq(&s, &q) {
+			t.Fatalf("%q decodes as %+v, its text %q as %+v", line, q, tx, s)
+		}
 	})
+}
+
+// encodeText encodes q with the text encoder.
+func encodeText(q *Req) []byte {
+	if q.Op == OpBMGet {
+		return AppendTextMGet(nil, q.Tenant, q.Keys)
+	}
+	return AppendTextReq(nil, q.Op, q.Flags, q.TTLms, q.Tenant, q.Key, q.Val)
+}
+
+// decodeEncoded decodes one encoded text command into r as a stream reader
+// does: the line, then the block SplitText sizes and its CRLF, which must
+// end the command.
+func decodeEncoded(t *testing.T, b []byte, r *Req) string {
+	line, rest, ok := bytes.Cut(b, []byte("\r\n"))
+	if !ok {
+		t.Fatalf("%q has no CRLF", b)
+	}
+	n := r.SplitText(line)
+	if n > 0 || len(rest) > 0 {
+		if len(rest) != n+2 || string(rest[n:]) != "\r\n" {
+			t.Fatalf("%q: a %d-byte block is not followed by CRLF alone", b, n)
+		}
+		rest = rest[:n]
+	}
+	return r.DecodeText(line, rest)
+}
+
+// TestAppendText: the encoder writes each verb's line as a text client
+// types it, and a PUT's TTL only with FlagTTL.
+func TestAppendText(t *testing.T) {
+	for _, c := range []struct {
+		got  []byte
+		want string
+	}{
+		{AppendTextReq(nil, OpGet, 0, 0, "t", "k", nil), "GET t k\r\n"},
+		{AppendTextReq(nil, OpDel, 0, 0, "t", "k", nil), "DEL t k\r\n"},
+		{AppendTextReq(nil, OpTouch, 0, 1500, "t", "k", nil), "TOUCH t k 1500\r\n"},
+		{AppendTextReq(nil, OpPut, 0, 99, "t", "k", []byte("hello")), "PUT t k 5\r\nhello\r\n"},
+		{AppendTextReq(nil, OpPut, FlagTTL, 4294967295, "t", "k", nil), "PUT t k 0 EXPIRE 4294967295\r\n\r\n"},
+		{AppendTextMGet(nil, "t", []string{"a", "bb"}), "MGET t 2 a bb\r\n"},
+	} {
+		if string(c.got) != c.want {
+			t.Errorf("encoded %q, want %q", c.got, c.want)
+		}
+	}
 }
 
 // sameReq reports whether a and b carry the same request. A BMGET's Val,

@@ -12,7 +12,8 @@ import (
 
 // Peer is a binary-protocol client (package binwire) for node-to-node
 // traffic: registry replication (REG_OP/REG_PULL) and key re-homing
-// (REHOME). A Peer is safe for concurrent use; calls serialize on one
+// (REHOME). It alone opens with the peer preamble, so it alone may send
+// those three frames. A Peer is safe for concurrent use; calls serialize on one
 // mutex because peer traffic is control-plane (broadcasts, drains), not
 // the data path.
 type Peer struct {
@@ -49,7 +50,7 @@ func (p *Peer) connLocked() (net.Conn, error) {
 		return nil, fmt.Errorf("cluster: dial peer %s: %w", p.addr, err)
 	}
 	conn.SetDeadline(time.Now().Add(peerDialTimeout))
-	if err := binwire.Handshake(conn, conn); err != nil {
+	if err := binwire.Handshake(conn, conn, binwire.RolePeer); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("cluster: negotiate with %s: %w", p.addr, err)
 	}

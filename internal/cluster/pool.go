@@ -122,7 +122,7 @@ func (pc *poolConn) dial() {
 	conn, err := net.DialTimeout("tcp", pc.addr, peerDialTimeout)
 	if err == nil {
 		conn.SetDeadline(time.Now().Add(peerDialTimeout))
-		err = binwire.Handshake(conn, conn)
+		err = binwire.Handshake(conn, conn, binwire.RoleClient)
 		conn.SetDeadline(time.Time{})
 	}
 	if err != nil {

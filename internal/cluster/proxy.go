@@ -438,7 +438,6 @@ func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader) {
 
 var (
 	errClusterVerb = []byte("CLUSTER must be issued to a node, not the proxy")
-	errPeerOp      = []byte("peer frames (REG_OP, REG_PULL, REHOME) pass only between nodes, not through the proxy")
 	errTextData    = []byte("a data command rides its own frame, not TEXT, through the proxy")
 )
 
@@ -572,7 +571,7 @@ func (bs *binProxySess) sentLocked() {
 // closes a connection; forwarded, it would make the node close the pooled
 // connection that every other client's requests ride on.
 func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
-	if ok, _ := binwire.Accept(r, conn); !ok {
+	if _, ok, _ := binwire.Accept(r, conn); !ok {
 		return
 	}
 	bs := &binProxySess{p: p, conn: conn}
@@ -604,15 +603,21 @@ func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
 		pd := pend{s: bs, id: q.ID, op: q.Op, t0: p.now()}
 
 		bs.outstanding.Add(1)
-		switch q.Op {
-		case binwire.OpPing:
+		switch {
+		case q.Op == binwire.OpPing:
 			// Answered locally: PING probes the proxy's own liveness.
 			bs.writeFrame(binwire.StOK, q.Op, q.ID, nil)
-		case binwire.OpRegOp, binwire.OpRegPull, binwire.OpRehome:
-			// The peers' replication and re-homing frames: a node applies one
-			// without re-broadcasting it, so a client's would fork the registry.
-			bs.writeFrame(binwire.StErr, q.Op, q.ID, errPeerOp)
-		case binwire.OpText:
+		case binwire.PeerOp(q.Op):
+			// The peers' replication and re-homing frames never pass through
+			// the proxy, whatever preamble the client sent.
+			bs.writeFrame(binwire.StErr, q.Op, q.ID, []byte(binwire.PeerOpRefused))
+		case q.Err != "":
+			// A frame the node would refuse is answered here with the node's
+			// bytes, in the node's order; a split batch would otherwise slip
+			// past the node's whole-frame limits (and an empty batch has no
+			// owner to route to).
+			bs.writeFrame(binwire.StErr, q.Op, q.ID, []byte(q.Err))
+		case q.Op == binwire.OpText:
 			// A TEXT frame relays a control line. A data command in one is
 			// refused: the text decoder parses it, but data is routed by key
 			// only in data frames. A line it refuses goes on for the node's
@@ -621,16 +626,6 @@ func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader) {
 				bs.writeFrame(binwire.StErr, q.Op, q.ID, errTextData)
 			} else {
 				p.route(&tch, pd, p.textOwner(t.Keys), frame)
-			}
-		case binwire.OpBMGet:
-			// The batch's frame-level ERRs come from the parse, in the node's
-			// order; the proxy answers them itself because a split batch would
-			// otherwise slip past the node's whole-frame limits (and an empty
-			// batch has no owner to route to).
-			if q.BatchErr != "" {
-				bs.writeFrame(binwire.StErr, q.Op, q.ID, []byte(q.BatchErr))
-			} else {
-				p.submit(&tch, &bs.sc, pd, q, frame)
 			}
 		default:
 			p.submit(&tch, &bs.sc, pd, q, frame)

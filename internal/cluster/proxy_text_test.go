@@ -2,11 +2,14 @@ package cluster_test
 
 import (
 	"bufio"
+	"encoding/binary"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"vantage/internal/binwire"
 	"vantage/internal/cluster"
 )
 
@@ -128,6 +131,24 @@ func dropStats(reply string, global bool) string {
 func TestProxyRefusesPeerFrames(t *testing.T) {
 	nodes, p := bootPoolCluster(t, cluster.ProxyConfig{})
 	f := dialFront(t, p.Addr().String(), true)
+	refusePeerProbes(t, nodes, f)
+}
+
+// TestNodeRefusesClientPeerFrames: a node refuses the same probes from a
+// client connected straight to it, where it once applied them: the REG_OP
+// add registered "sneak" at version 99 on that node alone.
+func TestNodeRefusesClientPeerFrames(t *testing.T) {
+	nodes, _ := bootPoolCluster(t, cluster.ProxyConfig{})
+	refusePeerProbes(t, nodes, dialFront(t, nodes[1].addr, true))
+}
+
+// refusePeerProbes adds tenant t through f, then sends REG_OP add "sneak"
+// at version 99, a REG_OP remove of t, a REG_PULL and a REHOME, and
+// requires each to be refused with the peer-only ERR, a data frame behind
+// them to be served, and no node's registry version, tenant list or
+// rehomed_in count to move.
+func refusePeerProbes(t *testing.T, nodes []*poolNode, f *rawFront) {
+	t.Helper()
 	f.binHeader(6, 1, 0, 0, "t") // TENANT_ADD
 	f.flush()
 	if st, _, payload := f.binFrame(); st != 0 {
@@ -163,10 +184,10 @@ func TestProxyRefusesPeerFrames(t *testing.T) {
 		f.out = append(append(f.out, c.key...), c.val...)
 		f.flush()
 		if st, rid, payload := f.binFrame(); st != 2 || rid != id || !strings.Contains(string(payload), "not through the proxy") {
-			t.Fatalf("op %d: status %d id %d %q, want the proxy's ERR", c.op, st, rid, payload)
+			t.Fatalf("op %d: status %d id %d %q, want the peer-only ERR", c.op, st, rid, payload)
 		}
 	}
-	// A frame behind the refusals still travels the pool.
+	// A frame behind the refusals is still served.
 	f.binHeader(1, 20, 1, 1, "t")
 	f.out = append(f.out, 'k')
 	f.flush()
@@ -176,6 +197,47 @@ func TestProxyRefusesPeerFrames(t *testing.T) {
 	for i, v := range look() {
 		if v != before[i] {
 			t.Errorf("node %d: registry and re-homing went from %+v to %+v", i, before[i], v)
+		}
+	}
+}
+
+// TestProxyAnswersFrameErrs: a well-framed binary frame that breaks a
+// limit gets from the proxy the node's own ERR bytes, which the proxy
+// answers itself: no node's bin_frames moves. Such frames once rode the
+// pool for the node to refuse.
+func TestProxyAnswersFrameErrs(t *testing.T) {
+	nodes, p := bootPoolCluster(t, cluster.ProxyConfig{})
+	direct, front := dialFront(t, nodes[0].addr, true), dialFront(t, p.Addr().String(), true)
+	answer := func(f *rawFront, fr []byte) string {
+		f.out = append(f.out, fr...)
+		f.flush()
+		st, id, payload := f.binFrame()
+		return fmt.Sprintf("%d %d %q", st, id, payload)
+	}
+	frames := func() (n uint64) {
+		for _, pn := range nodes {
+			n += pn.svc.Stats().BinFrames
+		}
+		return n
+	}
+	for _, fr := range [][]byte{
+		binwire.AppendReq(nil, binwire.OpGet, 0, 7, 0, "t", "", nil),
+		binwire.AppendReq(nil, binwire.OpGet, 0, 8, 0, "t", strings.Repeat("k", binwire.MaxKey+1), nil),
+		binwire.AppendReq(nil, binwire.OpDel, 0, 9, 0, "t", "k", []byte("v")),
+		binwire.AppendReq(nil, binwire.OpTouch, binwire.FlagTTL, 10, 5, "t", "k", []byte("v")),
+		binwire.AppendReq(nil, binwire.OpPut, 0, 11, 0, "t", "k", make([]byte, binwire.MaxValue+1)),
+		binwire.AppendBMGet(nil, 12, "t", []string{}),
+	} {
+		want := answer(direct, fr)
+		if !strings.HasPrefix(want, "2 ") {
+			t.Fatalf("the node answered %s", want)
+		}
+		before := frames()
+		if got := answer(front, fr); got != want {
+			t.Errorf("the proxy answered %s, the node %s", got, want)
+		}
+		if after := frames(); after != before {
+			t.Errorf("frame %d reached a node: bin_frames %d -> %d", binary.LittleEndian.Uint32(fr[8:]), before, after)
 		}
 	}
 }

@@ -59,6 +59,7 @@ type binConn struct {
 	out   []byte      // coalesced, unflushed response frames
 	req   binwire.Req // the frame being executed, aliasing the read buffer
 	dead  bool        // a write failed: the connection is closed
+	peer  bool        // opened with the peer preamble: may send peer-only frames
 }
 
 // handleBinary completes the negotiation for a connection whose first byte
@@ -66,7 +67,8 @@ type binConn struct {
 // reader becomes the frame reader, so bytes a client pipelined behind the
 // preamble are already in it; handle tears the connection down after.
 func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, rwd *watchdog) {
-	if ok, err := binwire.Accept(r, conn); !ok {
+	role, ok, err := binwire.Accept(r, conn)
+	if !ok {
 		if isTimeout(err) {
 			s.svc.deadlineCloses.Add(1)
 		}
@@ -75,7 +77,7 @@ func (s *Server) handleBinary(conn net.Conn, r *bufio.Reader, rwd *watchdog) {
 	s.svc.binConnsTotal.Add(1)
 	s.svc.binConns.Add(1)
 	defer s.svc.binConns.Add(-1)
-	c := &binConn{nc: conn, r: r}
+	c := &binConn{nc: conn, r: r, peer: role == binwire.RolePeer}
 	if s.cfg.IdleTimeout > 0 {
 		// The handshake's window keeps running until the first blocking
 		// read arms a fresh one, whose arm also clears any poison it left.
@@ -167,9 +169,11 @@ func (s *Server) binWait(c *binConn) {
 }
 
 // binExec validates one request frame and executes it, appending its
-// response to c.out. A non-nil error closes the connection: errBadFrame for
-// a framing violation, errDropConn for a drop fault. f aliases the read
-// buffer and is only valid for the duration of the call.
+// response to c.out. A peer-only frame from a client, and a frame whose
+// parse earned a frame-level ERR, are answered without executing. A
+// non-nil error closes the connection: errBadFrame for a framing
+// violation, errDropConn for a drop fault. f aliases the read buffer and
+// is only valid for the duration of the call.
 func (s *Server) binExec(c *binConn, f []byte) error {
 	q := &c.req
 	if !q.Parse(f) {
@@ -178,6 +182,14 @@ func (s *Server) binExec(c *binConn, f []byte) error {
 	op, id := q.Op, q.ID
 	svc := s.svc
 	svc.binFrames.Add(1)
+	switch {
+	case binwire.PeerOp(op) && !c.peer:
+		s.binRespondErr(c, op, id, binwire.PeerOpRefused)
+		return nil
+	case q.Err != "":
+		s.binRespondErr(c, op, id, q.Err)
+		return nil
+	}
 	switch op {
 	case binwire.OpPing:
 		s.binRespond(c, binwire.StOK, op, id, nil)
@@ -190,18 +202,10 @@ func (s *Server) binExec(c *binConn, f []byte) error {
 		s.binReply(c, op, id, nil, svc.RemoveTenant(string(q.Tenant)))
 		return nil
 	case binwire.OpRegOp:
-		if len(q.Key) != 0 || len(q.Val) != 8 {
-			s.binRespondErr(c, op, id, "bad registry frame")
-			return nil
-		}
 		ver, err := svc.ApplyRegistryOp(binLE.Uint64(q.Val), q.Flags&binwire.FlagRegAdd != 0, string(q.Tenant))
 		s.binReply(c, op, id, binLE.AppendUint64(nil, ver), err)
 		return nil
 	case binwire.OpRegPull:
-		if len(q.Tenant) != 0 || len(q.Key) != 0 || len(q.Val) != 0 {
-			s.binRespondErr(c, op, id, "bad registry pull")
-			return nil
-		}
 		ver, names := svc.RegistrySnapshot()
 		p := make([]byte, 12, 12+16*len(names))
 		binLE.PutUint64(p[0:8], ver)
@@ -216,18 +220,6 @@ func (s *Server) binExec(c *binConn, f []byte) error {
 		return s.binBMGet(c)
 	case binwire.OpText:
 		return s.binText(c)
-	}
-	if len(q.Key) == 0 || len(q.Key) > binwire.MaxKey {
-		s.binRespondErr(c, op, id, "bad key length")
-		return nil
-	}
-	if op != binwire.OpPut && op != binwire.OpRehome && len(q.Val) != 0 {
-		s.binRespondErr(c, op, id, "unexpected value payload")
-		return nil
-	}
-	if len(q.Val) > binwire.MaxValue {
-		s.binRespondErr(c, op, id, "value too long")
-		return nil
 	}
 	v, payload := s.serveReq(q, nil)
 	switch v {
@@ -287,10 +279,6 @@ func (s *Server) serveReq(q *binwire.Req, emit func(val []byte, hit bool)) (verd
 // coalesced response straight into c.out as the keys execute.
 func (s *Server) binBMGet(c *binConn) error {
 	q := &c.req
-	if q.BatchErr != "" {
-		s.binRespondErr(c, binwire.OpBMGet, q.ID, q.BatchErr)
-		return nil
-	}
 	start := len(c.out)
 	c.out = binwire.AppendRespHdr(c.out, binwire.StOK, binwire.OpBMGet, q.ID, 0)
 	c.out = binLE.AppendUint16(c.out, uint16(q.Count))

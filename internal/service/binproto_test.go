@@ -45,23 +45,36 @@ type binTestClient struct {
 	conn net.Conn
 }
 
-// dialBin connects and completes the binary negotiation.
+// dialBin connects and completes the binary negotiation as a client.
 func dialBin(t *testing.T, addr string) *binTestClient {
+	t.Helper()
+	return dialAs(t, addr, binwire.RoleClient)
+}
+
+// dialPeer connects and negotiates as a peer node, which alone may send
+// REG_OP, REG_PULL and REHOME.
+func dialPeer(t *testing.T, addr string) *binTestClient {
+	t.Helper()
+	return dialAs(t, addr, binwire.RolePeer)
+}
+
+func dialAs(t *testing.T, addr string, role binwire.Role) *binTestClient {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	if _, err := conn.Write([]byte{binwire.Magic, 'V', 'B', binwire.Version}); err != nil {
+	pre := [4]byte{binwire.Magic, 'V', byte(role), binwire.Version}
+	if _, err := conn.Write(pre[:]); err != nil {
 		t.Fatal(err)
 	}
 	var ack [4]byte
 	if _, err := io.ReadFull(conn, ack[:]); err != nil {
 		t.Fatalf("negotiation ack: %v", err)
 	}
-	if want := [4]byte{binwire.Magic, 'V', 'B', binwire.Version}; ack != want {
-		t.Fatalf("negotiation ack = %v, want %v", ack, want)
+	if ack != pre {
+		t.Fatalf("negotiation ack = %v, want %v", ack, pre)
 	}
 	return &binTestClient{t: t, conn: conn}
 }

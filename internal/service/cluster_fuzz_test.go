@@ -27,7 +27,7 @@ func TestBinaryClusterFrames(t *testing.T) {
 	if _, err := svc.AddTenant("t"); err != nil {
 		t.Fatal(err)
 	}
-	c := dialBin(t, srv.Addr().String())
+	c := dialPeer(t, srv.Addr().String())
 
 	// REG_OP add at version 5: local version max-merges to 5.
 	c.expect(binwire.OpRegOp, binwire.FlagRegAdd, 1, 0, "bob", "", leU64(5), binwire.StOK, leU64(5))
@@ -107,7 +107,7 @@ func TestBinaryClusterFramingViolations(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			_, srv := newTestServer(t)
-			c := dialBin(t, srv.Addr().String())
+			c := dialPeer(t, srv.Addr().String())
 			if _, err := c.conn.Write(tc.frame); err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func FuzzClusterFrames(f *testing.F) {
 		f.Add(seed)
 	}
 
-	preamble := []byte{binwire.Magic, 'V', 'B', binwire.Version}
+	preamble := []byte{binwire.Magic, 'V', 'P', binwire.Version}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			t.Skip("oversized input")

@@ -10,20 +10,30 @@
 // the cache hit rates the simulator would measure for the same app — which
 // is what makes the isolation experiment (cache-friendly tenant vs.
 // thrashing co-runner) meaningful on live traffic.
+//
+// There is one client. A "connection" of the results is a worker driving a
+// ring of conns (conn.go), one per node, each one TCP connection in one
+// codec: text, binary, or binary with BMGET. A solo run (Options.Addr) is a
+// ring of one member; a cluster run (Options.ClusterAddrs) routes each key
+// to its owner with the ring the nodes use, as a smart client would. Every
+// batch, of 1 key or of Batch, takes one path: split by owner, every share
+// sent before any answer is read, each answer read as a binwire status.
 package loadgen
 
 import (
-	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"vantage/internal/binwire"
 	"vantage/internal/cluster"
 	"vantage/internal/workload"
 )
@@ -80,16 +90,13 @@ type Tenant struct {
 	TTL time.Duration
 }
 
-// ttlMS returns the EXPIRE argument in milliseconds for this tenant's
-// fills, or -1 when they carry none.
-func (spec Tenant) ttlMS() int {
+// ttlMS returns this tenant's fill TTL in milliseconds, or -1 when its
+// fills carry none; binwire.TTL caps it for both codecs.
+func (spec Tenant) ttlMS() int64 {
 	if spec.TTL <= 0 {
 		return -1
 	}
-	if ms := spec.TTL.Milliseconds(); ms >= 1 {
-		return int(ms)
-	}
-	return 1 // sub-millisecond TTLs still get a valid EXPIRE clause
+	return max(spec.TTL.Milliseconds(), 1) // sub-millisecond TTLs still get a valid one
 }
 
 // Options configures a load-generation run.
@@ -131,7 +138,7 @@ type Options struct {
 
 	// ClusterAddrs switches the run to cluster mode: every "connection"
 	// becomes a ring-aware client that routes each key to its owner among
-	// these node addresses (Addr is then ignored). See cluster.go.
+	// these node addresses (Addr is then ignored).
 	ClusterAddrs []string
 	// VNodes is the ring's virtual-node count (0 = cluster.DefaultVNodes).
 	// It must match the nodes' own -vnodes setting or routing diverges.
@@ -145,8 +152,19 @@ type Options struct {
 	// ChurnInterval is the delay between churn ops (default 10ms).
 	ChurnInterval time.Duration
 
-	// ring is the cluster-mode routing ring, built once by Run.
+	// ring is the routing ring, built once by Run: ClusterAddrs, or Addr
+	// alone.
 	ring *cluster.Ring
+}
+
+func (o *Options) codec() codec {
+	switch {
+	case o.BMGet:
+		return codecBMGet
+	case o.Binary:
+		return codecBinary
+	}
+	return codecText
 }
 
 // TenantResult is one tenant's aggregate outcome.
@@ -193,65 +211,51 @@ func Run(o Options) (Result, error) {
 	if o.Addr == "" && len(o.ClusterAddrs) == 0 {
 		return Result{}, fmt.Errorf("loadgen: no server address")
 	}
-	if o.BMGet {
-		o.Binary = true // BMGET is a binary opcode
+	addrs := o.ClusterAddrs
+	if len(addrs) == 0 {
+		addrs = []string{o.Addr}
 	}
-	if len(o.ClusterAddrs) > 0 {
-		vn := o.VNodes
-		if vn <= 0 {
-			vn = cluster.DefaultVNodes
-		}
-		ring, err := cluster.NewRing(o.ClusterAddrs, vn)
-		if err != nil {
-			return Result{}, err
-		}
-		o.ring = ring
+	ring, err := cluster.NewRing(addrs, o.VNodes)
+	if err != nil {
+		return Result{}, err
 	}
+	o.ring = ring
 	if o.OpsPerConn <= 0 {
 		o.OpsPerConn = 10000
 	}
 	if o.ValueSize <= 0 {
 		o.ValueSize = 64
 	}
-	var churn *churner
+	if o.ChurnInterval <= 0 {
+		o.ChurnInterval = 10 * time.Millisecond
+	}
+	stop, churned := make(chan struct{}), make(chan uint64, 1)
 	if o.ChurnTenants > 0 {
-		interval := o.ChurnInterval
-		if interval <= 0 {
-			interval = 10 * time.Millisecond
-		}
-		addrs := o.ClusterAddrs
-		if len(addrs) == 0 {
-			addrs = []string{o.Addr}
-		}
-		churn = startChurner(addrs, o.ChurnTenants, interval)
+		go func() { churned <- churn(addrs, o.ChurnTenants, o.ChurnInterval, stop) }()
+	} else {
+		churned <- 0
 	}
 	counters := make([]TenantResult, len(o.Tenants))
 	var wg sync.WaitGroup
 	var firstErr atomic.Value
 	start := time.Now()
-	for ti := range o.Tenants {
-		t := o.Tenants[ti]
-		conns := t.Conns
-		if conns <= 0 {
-			conns = 1
-		}
+	for ti, t := range o.Tenants {
 		counters[ti].Name = t.Name
-		for ci := 0; ci < conns; ci++ {
+		for ci := range max(t.Conns, 1) {
 			wg.Add(1)
-			go func(tr *TenantResult, spec Tenant, conn int) {
+			go func(tr *TenantResult, conn int) {
 				defer wg.Done()
-				if err := runConn(o, tr, spec, conn); err != nil {
+				if err := runConn(&o, tr, t, conn); err != nil {
 					atomic.AddUint64(&tr.Errors, 1)
 					firstErr.CompareAndSwap(nil, err)
 				}
-			}(&counters[ti], t, ci)
+			}(&counters[ti], ci)
 		}
 	}
 	wg.Wait()
 	res := Result{Tenants: counters, Elapsed: time.Since(start)}
-	if churn != nil {
-		res.ChurnOps = churn.halt()
-	}
+	close(stop)
+	res.ChurnOps = <-churned
 	for i := range counters {
 		res.Ops += counters[i].Gets + counters[i].Puts
 		res.Rejected += counters[i].Rejected
@@ -272,129 +276,236 @@ func Run(o Options) (Result, error) {
 // (with backoff) before the connection gives up its budget.
 const busyRetries = 3
 
-// proto is the per-connection client surface runConn drives: one
-// connection of either wire protocol (solo) or a ring client (cluster.go),
-// so the workload loops, chaos accounting, and redial logic are shared
-// verbatim across the two wire protocols and cluster mode.
-type proto interface {
-	get(tenant, key string) (bool, error)
-	put(tenant, key string, val []byte, ttlMS int) error
-	mget(tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error)
-	putPipelined(tenant string, keys []string, val []byte, ttlMS int, chaos bool, tr *TenantResult) (stored uint64, _ error)
-	close()
+// worker drives one connection's operation budget over a ring of conns,
+// one per member in member order: a solo run's ring has one member. A
+// batch splits by key owner, and a chaos run redials the whole ring after
+// a lost connection.
+type worker struct {
+	o     *Options
+	tr    *TenantResult
+	spec  Tenant
+	conns []*conn
+	val   []byte
+	flags uint8  // the fills' TTL flag
+	ttl   uint32 // and ttl_ms, from binwire.TTL
+
+	subs   [][]string // each member's share of the batch in flight
+	missed []string   // the read batch's missed keys, to fill
 }
 
-// batchProto is one connection of either wire protocol: the text client
-// and the binary client (binclient.go). Its batch operations split into a
-// send phase and a receive phase. The ring client uses the split to truly
-// pipeline a scattered batch: it writes every owner's sub-batch before
-// reading any response, so the nodes work concurrently and the batch costs
-// one round-trip of latency instead of one per owner. The token returned by
-// a send is handed back to the matching recv (the binary client's base
-// request id; the text client has no use for it).
-type batchProto interface {
-	get(tenant, key string) (bool, error)
-	close()
-	mgetSend(tenant string, keys []string) (uint32, error)
-	mgetRecv(tok uint32, tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error)
-	putSend(tenant string, keys []string, val []byte, ttlMS int) (uint32, error)
-	putRecv(tok uint32, n int, chaos bool, tr *TenantResult) (stored uint64, _ error)
-}
-
-// solo drives one connection as a proto: a batch is its send, then its
-// receive. mget returns the hit count, the number of per-key responses
-// actually received, and the missed keys appended to missBuf; a refused
-// batch (shed, injected fault) surfaces as ErrShed or ErrInjected with seen
-// < len(keys). putPipelined returns how many PUTs the server stored; in
-// chaos mode shed and fault replies are folded into tr and the batch
-// continues, otherwise the first one is returned once every reply is read.
-type solo struct{ batchProto }
-
-func (c solo) mget(tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error) {
-	tok, err := c.mgetSend(tenant, keys)
-	if err != nil {
-		return 0, 0, missBuf, err
+// runConn drives one connection's operation budget.
+func runConn(o *Options, tr *TenantResult, spec Tenant, conn int) error {
+	wk := &worker{o: o, tr: tr, spec: spec, subs: make([][]string, len(o.ring.Members()))}
+	wk.flags, wk.ttl = binwire.TTL(spec.ttlMS())
+	if err := wk.connect(); err != nil {
+		if o.Chaos && errors.Is(err, ErrBusy) {
+			return nil // rejected conns yield; the Rejected counter has the story
+		}
+		return err
 	}
-	return c.mgetRecv(tok, tenant, keys, missBuf)
+	defer wk.close() // the current conns, which a redial may have replaced
+	wk.val = make([]byte, o.ValueSize)
+	for i := range wk.val {
+		wk.val[i] = byte('a' + i%26)
+	}
+	return wk.run(spec.MakeApp(conn))
 }
 
-// put stores val under key as a batch of one; ttlMS >= 0 sets its TTL.
-func (c solo) put(tenant, key string, val []byte, ttlMS int) error {
-	_, err := c.putPipelined(tenant, []string{key}, val, ttlMS, false, nil)
+// run spends the budget in batches of o.Batch keys, each one read and then
+// one fill of its misses. A batch of 1 reads with GET, a larger one with
+// MGET (or BMGET, or pipelined GET frames).
+func (wk *worker) run(app workload.App) error {
+	batch, read := max(wk.o.Batch, 1), uint8(binwire.OpGet)
+	if batch > 1 {
+		read = binwire.OpBMGet
+	}
+	keys := make([]string, 0, batch)
+	for done := 0; done < wk.o.OpsPerConn; done += len(keys) {
+		keys = keys[:0]
+		for range min(batch, wk.o.OpsPerConn-done) {
+			_, addr := app.Next()
+			keys = append(keys, strconv.FormatUint(addr, 16))
+		}
+		// A batch spends its budget even when it fails, and a failed read
+		// fills nothing.
+		wk.missed = wk.missed[:0]
+		err := wk.do(read, keys)
+		if err == nil && len(wk.missed) > 0 {
+			err = wk.do(binwire.OpPut, wk.missed)
+		}
+		if err != nil {
+			if stop, err := wk.fail(err); stop {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// do sends keys to their owners, every owner's share before any answer is
+// read, so the nodes work concurrently and the batch costs one round trip;
+// then it reads and tallies the answers in member order, all of them even
+// after an error, since every share sent has answers in flight. A failed
+// send stops further sends. The first error returns.
+func (wk *worker) do(op uint8, keys []string) error {
+	for m := range wk.subs {
+		wk.subs[m] = wk.subs[m][:0]
+	}
+	members := wk.o.ring.Members()
+	for _, k := range keys {
+		m := 0
+		if len(members) > 1 {
+			m = sort.SearchStrings(members, wk.o.ring.Owner(wk.spec.Name, k))
+		}
+		wk.subs[m] = append(wk.subs[m], k)
+	}
+	val, flags, ttl := []byte(nil), uint8(0), uint32(0)
+	if op == binwire.OpPut {
+		val, flags, ttl = wk.val, wk.flags, wk.ttl
+	}
+	var err error
+	sent := 0
+	for ; sent < len(wk.conns) && err == nil; sent++ {
+		if len(wk.subs[sent]) > 0 {
+			err = wk.conns[sent].send(op, wk.spec.Name, wk.subs[sent], val, flags, ttl)
+		}
+	}
+	if err != nil {
+		sent-- // the failed send has no answers in flight
+	}
+	for m, sub := range wk.subs[:sent] {
+		if len(sub) == 0 {
+			continue
+		}
+		ans, rerr := wk.conns[m].recv(op, len(sub))
+		if terr := wk.tally(op, sub, ans); err == nil {
+			err = cmp.Or(rerr, terr)
+		}
+	}
 	return err
 }
 
-func (c solo) putPipelined(tenant string, keys []string, val []byte, ttlMS int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
-	tok, err := c.putSend(tenant, keys, val, ttlMS)
-	if err != nil {
-		return 0, err
+// tally counts one share's answers: a read's hits and misses, queueing the
+// missed keys for the fill, and a fill's stores. It returns the first
+// refusal, which ends a read batch (the worker counts it once), while each
+// refused fill that refuse counts lets the batch go on. A pending answer,
+// one the connection lost, counts nothing.
+func (wk *worker) tally(op uint8, keys []string, ans []answer) error {
+	var ok, miss uint64
+	var first error
+	for i, a := range ans {
+		switch {
+		case a.st == pending:
+		case a.st == binwire.StOK:
+			ok++
+		case a.st == binwire.StMiss && op != binwire.OpPut:
+			miss++
+			wk.missed = append(wk.missed, keys[i])
+		default:
+			if err := a.err(op); (op != binwire.OpPut || !wk.refuse(err)) && first == nil {
+				first = err
+			}
+		}
 	}
-	return c.putRecv(tok, len(keys), chaos, tr)
+	if op == binwire.OpPut {
+		atomic.AddUint64(&wk.tr.Puts, ok)
+	} else {
+		atomic.AddUint64(&wk.tr.Gets, ok+miss)
+		atomic.AddUint64(&wk.tr.Hits, ok)
+		atomic.AddUint64(&wk.tr.Misses, miss)
+	}
+	return first
 }
 
-// dialProto connects with the run's selected wire protocol — a ring
-// client in cluster mode, a single connection otherwise.
-func dialProto(o Options, tenant string) (proto, error) {
-	if o.ring != nil {
-		return dialRing(o, tenant)
+// err is a refused answer's error: ErrShed, ErrInjected for the fault
+// injector's ERR (its message starts "FAULT" on either codec), or the ERR.
+func (a answer) err(op uint8) error {
+	switch {
+	case a.st == binwire.StShed:
+		return ErrShed
+	case strings.HasPrefix(a.msg, "FAULT"):
+		return ErrInjected
+	case op == binwire.OpPut:
+		return fmt.Errorf("loadgen: PUT: %s", a.msg)
 	}
-	c, err := dialProtoSolo(o, tenant)
-	if err != nil {
-		return nil, err
-	}
-	return solo{c}, nil
+	return fmt.Errorf("loadgen: GET: %s", a.msg)
 }
 
-// dialProtoSolo connects to o.Addr with the selected wire protocol.
-func dialProtoSolo(o Options, tenant string) (batchProto, error) {
-	if o.Binary {
-		return dialBin(o.Addr, tenant, o.BMGet)
+// refuse counts a shed or injected refusal of a chaos run, the one place
+// they are counted, and reports whether it did: the run goes on past one.
+func (wk *worker) refuse(err error) bool {
+	switch {
+	case !wk.o.Chaos:
+		return false
+	case errors.Is(err, ErrShed):
+		atomic.AddUint64(&wk.tr.Shed, 1)
+	case errors.Is(err, ErrInjected):
+		atomic.AddUint64(&wk.tr.Injected, 1)
+	default:
+		return false
 	}
-	return dial(o.Addr, tenant)
+	return true
 }
 
-// dialChaos dials with the run's overload policy. In chaos mode a BUSY
-// reject is counted and retried with backoff; exhausting the retries
-// returns ErrBusy, which callers treat as "this connection yields" rather
-// than a run failure.
-func dialChaos(o Options, tr *TenantResult, tenant string) (proto, error) {
-	var err error
+// fail handles a failed batch. Outside chaos mode it ends the worker with
+// err; in chaos mode it counts a refusal, or a lost connection and then
+// redials. It reports whether the worker stops, and why: a protocol
+// failure, a failed redial, or nil when the redial was refused BUSY and
+// the connection yields.
+func (wk *worker) fail(err error) (stop bool, _ error) {
+	switch {
+	case wk.refuse(err):
+		return false, nil
+	case !wk.o.Chaos || !isConnErr(err):
+		return true, err
+	}
+	atomic.AddUint64(&wk.tr.Dropped, 1)
+	wk.close()
+	if err := wk.connect(); err != nil {
+		if errors.Is(err, ErrBusy) {
+			return true, nil
+		}
+		return true, err
+	}
+	return false, nil
+}
+
+// connect dials every ring member, eagerly so that BUSY rejects surface
+// here, with the run's overload policy: in chaos mode a BUSY reject is
+// counted and retried with backoff, and exhausting the retries returns
+// ErrBusy, which callers treat as "this connection yields" rather than a
+// run failure.
+func (wk *worker) connect() error {
 	for attempt := 0; ; attempt++ {
-		var c proto
-		c, err = dialProto(o, tenant)
-		if err == nil {
-			return c, nil
+		err := wk.dialRing()
+		if err == nil || !wk.o.Chaos || !errors.Is(err, ErrBusy) {
+			return err
 		}
-		if !o.Chaos || !errors.Is(err, ErrBusy) {
-			return nil, err
-		}
-		atomic.AddUint64(&tr.Rejected, 1)
+		atomic.AddUint64(&wk.tr.Rejected, 1)
 		if attempt >= busyRetries {
-			return nil, ErrBusy
+			return ErrBusy
 		}
 		time.Sleep(time.Duration(attempt+1) * 10 * time.Millisecond)
 	}
 }
 
-// chaosOpErr folds one failed command into the chaos counters. It returns
-// reconnect=true when the error means the connection is gone (a drop fault
-// or a server deadline close) and the worker should redial, and fatal
-// non-nil when the error is a real protocol failure that should end the run
-// even in chaos mode.
-func chaosOpErr(err error, tr *TenantResult) (reconnect bool, fatal error) {
-	switch {
-	case errors.Is(err, ErrShed):
-		atomic.AddUint64(&tr.Shed, 1)
-		return false, nil
-	case errors.Is(err, ErrInjected):
-		atomic.AddUint64(&tr.Injected, 1)
-		return false, nil
-	case isConnErr(err):
-		atomic.AddUint64(&tr.Dropped, 1)
-		return true, nil
-	default:
-		return false, err
+func (wk *worker) dialRing() error {
+	for _, addr := range wk.o.ring.Members() {
+		c, err := dial(addr, wk.o.codec(), wk.spec.Name)
+		if err != nil {
+			wk.close()
+			return err
+		}
+		wk.conns = append(wk.conns, c)
 	}
+	return nil
+}
+
+func (wk *worker) close() {
+	for _, c := range wk.conns {
+		c.close()
+	}
+	wk.conns = wk.conns[:0]
 }
 
 // isConnErr reports whether err is a transport-level loss (EOF, reset,
@@ -404,319 +515,5 @@ func isConnErr(err error) bool {
 		return true
 	}
 	var ne net.Error
-	if errors.As(err, &ne) {
-		return true
-	}
-	var oe *net.OpError
-	return errors.As(err, &oe)
-}
-
-// worker drives one connection's operation budget. c is its current
-// connection, which a chaos run replaces after a drop.
-type worker struct {
-	o    Options
-	tr   *TenantResult
-	spec Tenant
-	c    proto
-}
-
-// fail handles a failed command. Outside chaos mode it ends the worker
-// with err; in chaos mode it counts the failure and redials after a lost
-// connection. It reports whether the worker stops, and why: a protocol
-// failure, a failed redial, or nil when the redial was refused BUSY and
-// the connection yields.
-func (wk *worker) fail(err error) (stop bool, _ error) {
-	if !wk.o.Chaos {
-		return true, err
-	}
-	reconnect, fatal := chaosOpErr(err, wk.tr)
-	if fatal != nil || !reconnect {
-		return fatal != nil, fatal
-	}
-	wk.c.close()
-	nc, err := dialChaos(wk.o, wk.tr, wk.spec.Name)
-	if err != nil {
-		if errors.Is(err, ErrBusy) {
-			return true, nil
-		}
-		return true, err
-	}
-	wk.c = nc
-	return false, nil
-}
-
-// runConn drives one connection's operation budget.
-func runConn(o Options, tr *TenantResult, spec Tenant, conn int) error {
-	c, err := dialChaos(o, tr, spec.Name)
-	if err != nil {
-		if o.Chaos && errors.Is(err, ErrBusy) {
-			return nil // rejected conns yield; the Rejected counter has the story
-		}
-		return err
-	}
-	wk := &worker{o: o, tr: tr, spec: spec, c: c}
-	defer func() { wk.c.close() }() // the current conn, which a redial may have replaced
-	app := spec.MakeApp(conn)
-	val := make([]byte, o.ValueSize)
-	for i := range val {
-		val[i] = byte('a' + i%26)
-	}
-	if o.Batch > 1 {
-		return wk.runBatched(app, val)
-	}
-	for i := 0; i < o.OpsPerConn; i++ {
-		_, addr := app.Next()
-		key := strconv.FormatUint(addr, 16)
-		hit, err := wk.c.get(spec.Name, key)
-		if err != nil {
-			if stop, err := wk.fail(err); stop {
-				return err
-			}
-			continue
-		}
-		atomic.AddUint64(&tr.Gets, 1)
-		if hit {
-			atomic.AddUint64(&tr.Hits, 1)
-			continue
-		}
-		atomic.AddUint64(&tr.Misses, 1)
-		if err := wk.c.put(spec.Name, key, val, spec.ttlMS()); err != nil {
-			if stop, err := wk.fail(err); stop {
-				return err
-			}
-			continue
-		}
-		atomic.AddUint64(&tr.Puts, 1)
-	}
-	return nil
-}
-
-// runBatched drives the budget in MGET batches: one round trip reads
-// o.Batch keys, then the misses are filled with pipelined PUTs sharing one
-// flush and one response read.
-func (wk *worker) runBatched(app workload.App, val []byte) error {
-	o, tr, spec := wk.o, wk.tr, wk.spec
-	keys := make([]string, 0, o.Batch)
-	missed := make([]string, 0, o.Batch)
-	for done := 0; done < o.OpsPerConn; done += len(keys) {
-		keys = keys[:0]
-		for i := 0; i < min(o.Batch, o.OpsPerConn-done); i++ {
-			_, addr := app.Next()
-			keys = append(keys, strconv.FormatUint(addr, 16))
-		}
-		hits, seen, missIdx, err := wk.c.mget(spec.Name, keys, missed[:0])
-		missed = missIdx
-		// Responses received before a mid-batch abort are real GETs the
-		// server performed and accounted; count them either way.
-		atomic.AddUint64(&tr.Gets, uint64(seen))
-		atomic.AddUint64(&tr.Hits, uint64(hits))
-		atomic.AddUint64(&tr.Misses, uint64(seen-hits))
-		if err != nil {
-			// The batch's budget is spent even when it aborted.
-			if stop, err := wk.fail(err); stop {
-				return err
-			}
-			continue
-		}
-		if len(missed) > 0 {
-			stored, err := wk.c.putPipelined(spec.Name, missed, val, spec.ttlMS(), o.Chaos, tr)
-			atomic.AddUint64(&tr.Puts, stored)
-			if err != nil {
-				if stop, err := wk.fail(err); stop {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// client is a minimal blocking protocol client over one TCP connection.
-type client struct {
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-}
-
-// newRawClient wraps an established connection without the TENANT ADD
-// handshake (the churner issues its own registry commands).
-func newRawClient(conn net.Conn) *client {
-	return &client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-}
-
-// dial connects and registers the tenant.
-func dial(addr, tenant string) (*client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	c := newRawClient(conn)
-	resp, err := c.roundTrip("TENANT ADD " + tenant)
-	if err != nil {
-		conn.Close()
-		// A fast-rejecting server writes BUSY and closes before reading our
-		// command; depending on timing the client sees the BUSY line, an
-		// EOF, or a reset. All mean the same thing at dial time.
-		if isConnErr(err) {
-			return nil, fmt.Errorf("%w (%v)", ErrBusy, err)
-		}
-		return nil, err
-	}
-	if resp == "BUSY" {
-		conn.Close()
-		return nil, ErrBusy
-	}
-	if !strings.HasPrefix(resp, "OK") {
-		conn.Close()
-		return nil, fmt.Errorf("loadgen: TENANT ADD: %s", resp)
-	}
-	return c, nil
-}
-
-// classifyErr maps a protocol ERR reply to its overload sentinel, or wraps
-// it as a generic failure.
-func classifyErr(ctx, resp string) error {
-	switch {
-	case strings.HasPrefix(resp, "ERR SHED"):
-		return ErrShed
-	case strings.HasPrefix(resp, "ERR FAULT"):
-		return ErrInjected
-	}
-	return fmt.Errorf("loadgen: %s: %s", ctx, resp)
-}
-
-func (c *client) close() { c.conn.Close() }
-
-// roundTrip sends one command line and reads one response line.
-func (c *client) roundTrip(line string) (string, error) {
-	if _, err := c.w.WriteString(line + "\r\n"); err != nil {
-		return "", err
-	}
-	if err := c.w.Flush(); err != nil {
-		return "", err
-	}
-	return c.readLine()
-}
-
-func (c *client) readLine() (string, error) {
-	resp, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(resp, "\r\n"), nil
-}
-
-// get returns whether key hit. The value bytes are read and discarded.
-func (c *client) get(tenant, key string) (bool, error) {
-	c.w.WriteString("GET " + tenant + " " + key + "\r\n")
-	if err := c.w.Flush(); err != nil {
-		return false, err
-	}
-	return c.readValue("GET")
-}
-
-// readValue reads one GET or MGET key response, discarding a hit's value,
-// and reports whether it hit; an ERR line maps through classifyErr.
-func (c *client) readValue(ctx string) (bool, error) {
-	resp, err := c.readLine()
-	switch {
-	case err != nil:
-		return false, err
-	case resp == "MISS":
-		return false, nil
-	case strings.HasPrefix(resp, "VALUE "):
-		n, err := strconv.Atoi(resp[len("VALUE "):])
-		if err != nil || n < 0 {
-			return false, fmt.Errorf("loadgen: bad VALUE header %q", resp)
-		}
-		_, err = c.r.Discard(n + 2) // value + CRLF
-		return err == nil, err
-	}
-	return false, classifyErr(ctx, resp)
-}
-
-// mgetSend writes and flushes the MGET command line (the send phase of the
-// batchProto split; the token is unused by the text protocol).
-func (c *client) mgetSend(tenant string, keys []string) (uint32, error) {
-	c.w.WriteString("MGET ")
-	c.w.WriteString(tenant)
-	c.w.WriteByte(' ')
-	c.w.WriteString(strconv.Itoa(len(keys)))
-	for _, k := range keys {
-		c.w.WriteByte(' ')
-		c.w.WriteString(k)
-	}
-	c.w.WriteString("\r\n")
-	return 0, c.w.Flush()
-}
-
-// mgetRecv reads the MGET's per-key responses and END terminator. A server
-// that refuses the batch (shed, injected fault) answers a single ERR line
-// in place of the responses and no END, so the line stream stays in sync;
-// an ERR line is accepted after any number of responses, so a server that
-// aborts a batch midway is handled too.
-func (c *client) mgetRecv(_ uint32, tenant string, keys []string, missBuf []string) (hits, seen int, _ []string, _ error) {
-	for _, k := range keys {
-		hit, err := c.readValue("MGET")
-		if err != nil {
-			return hits, seen, missBuf, err
-		}
-		seen++
-		if hit {
-			hits++
-		} else {
-			missBuf = append(missBuf, k)
-		}
-	}
-	resp, err := c.readLine()
-	if err != nil {
-		return hits, seen, missBuf, err
-	}
-	if resp != "END" {
-		return hits, seen, missBuf, fmt.Errorf("loadgen: MGET missing END, got %q", resp)
-	}
-	return hits, seen, missBuf, nil
-}
-
-// putSend writes and flushes the batch's PUT commands (the send phase of
-// the batchProto split).
-func (c *client) putSend(tenant string, keys []string, val []byte, ttlMS int) (uint32, error) {
-	for _, key := range keys {
-		if ttlMS >= 0 {
-			fmt.Fprintf(c.w, "PUT %s %s %d EXPIRE %d\r\n", tenant, key, len(val), ttlMS)
-		} else {
-			fmt.Fprintf(c.w, "PUT %s %s %d\r\n", tenant, key, len(val))
-		}
-		c.w.Write(val)
-		c.w.WriteString("\r\n")
-	}
-	return 0, c.w.Flush()
-}
-
-// putRecv drains the batch's n response lines: every PUT gets exactly one,
-// so the stream stays in sync even when some are shed or faulted.
-func (c *client) putRecv(_ uint32, n int, chaos bool, tr *TenantResult) (stored uint64, _ error) {
-	for i := 0; i < n; i++ {
-		resp, err := c.readLine()
-		if err != nil {
-			return stored, err
-		}
-		if resp == "STORED" {
-			stored++
-			continue
-		}
-		err = classifyErr("PUT", resp)
-		if !chaos {
-			return stored, err
-		}
-		switch {
-		case errors.Is(err, ErrShed):
-			atomic.AddUint64(&tr.Shed, 1)
-		case errors.Is(err, ErrInjected):
-			atomic.AddUint64(&tr.Injected, 1)
-		default:
-			return stored, err
-		}
-	}
-	return stored, nil
+	return errors.As(err, &ne)
 }

@@ -128,20 +128,33 @@ func TestBinaryTTLFills(t *testing.T) {
 		t.Fatal("expected misses after TTL expiry, got none")
 	}
 
-	// A TTL past the u32 ttl_ms field saturates at ~49.7 days: a 50-day TTL
-	// once wrapped to about seven hours and was gone after eight.
-	clk := clock.NewFake(time.Unix(0, 0))
-	c, err := dialBin(newBenchServerAt(t, service.ServerConfig{}, clk), "t", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.close()
-	if err := (solo{c}).put("t", "k", []byte("v"), Tenant{TTL: 50 * 24 * time.Hour}.ttlMS()); err != nil {
-		t.Fatal(err)
-	}
-	clk.Advance(8 * time.Hour)
-	if hit, err := c.get("t", "k"); err != nil || !hit {
-		t.Fatalf("a 50-day TTL expired within 8 hours (hit %v, %v)", hit, err)
+	// A TTL past the u32 ttl_ms field saturates at ~49.7 days on every
+	// codec. A 50-day TTL once wrapped to about seven hours on binary, and
+	// failed every text fill: the node refuses an EXPIRE over 2^32-1 ms.
+	for _, cd := range []struct {
+		name       string
+		bin, bmget bool
+	}{{"text", false, false}, {"binary", true, false}, {"bmget", true, true}} {
+		t.Run("50d/"+cd.name, func(t *testing.T) {
+			clk := clock.NewFake(time.Unix(0, 0))
+			o := Options{
+				Addr:       newBenchServerAt(t, service.ServerConfig{}, clk),
+				OpsPerConn: 50,
+				Batch:      8,
+				Binary:     cd.bin,
+				BMGet:      cd.bmget,
+				Tenants: []Tenant{{Name: "t", TTL: 50 * 24 * time.Hour, MakeApp: func(int) workload.App {
+					return CategoryApp(workload.Fitting, 2048, 7)
+				}}},
+			}
+			if res, err := Run(o); err != nil || res.Tenants[0].Puts != 50 {
+				t.Fatalf("50 fills with a 50-day TTL: %+v, %v", res.Tenants, err)
+			}
+			clk.Advance(8 * time.Hour)
+			if res, err := Run(o); err != nil || res.Tenants[0].Hits != 50 {
+				t.Fatalf("a 50-day TTL expired within 8 hours: %+v, %v", res.Tenants, err)
+			}
+		})
 	}
 }
 
@@ -150,14 +163,14 @@ func TestBinaryTTLFills(t *testing.T) {
 // never a binary ack, and the binary client must classify that as ErrBusy.
 func TestBinaryDialBusy(t *testing.T) {
 	addr := newBenchServer(t, service.ServerConfig{MaxConns: 1})
-	hold, err := dialBin(addr, "t", false)
+	hold, err := dial(addr, codecBinary, "t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer hold.close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err = dialBin(addr, "t", false)
+		_, err = dial(addr, codecBinary, "t")
 		if errors.Is(err, ErrBusy) {
 			return
 		}
