@@ -88,7 +88,7 @@ func TestTextSequencerWindowShrinks(t *testing.T) {
 		if seq := ts.allocSeq(nil); seq != uint64(i) {
 			t.Fatalf("slot %d assigned as %d", i, seq)
 		}
-		want = appendTextValue(want, fmt.Appendf(nil, "v%d", i))
+		want = binwire.AppendTextValue(want, fmt.Appendf(nil, "v%d", i))
 	}
 	if len(ts.slots) <= textWindow {
 		t.Fatalf("window holds %d slots with %d commands in flight", len(ts.slots), depth)

@@ -440,7 +440,7 @@ func TestProxyOversizedPutBounded(t *testing.T) {
 }
 
 // TestProxyBMGetValidation: the binary front answers a malformed BMGET the
-// way a node's service.binBMGet does — the body must tile before the count
+// way a node does (binwire.Req.Parse) — the body must tile before the count
 // is believed (a framing violation closes the client), then the same
 // frame-level ERRs in the same precedence, with the stream left usable.
 func TestProxyBMGetValidation(t *testing.T) {

@@ -32,13 +32,19 @@ type poolNode struct {
 
 func (pn *poolNode) start(t *testing.T, addrs []string) {
 	t.Helper()
+	pn.serve(t, addrs, listenAt(t, pn.addr))
+}
+
+// serve brings the node up on lis, bound at pn.addr.
+func (pn *poolNode) serve(t *testing.T, addrs []string, lis net.Listener) {
+	t.Helper()
 	svc, err := service.New(service.Config{
 		Shards: 2, LinesPerShard: 1024, MaxTenants: 4, Seed: 77,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := service.ServeWith(svc, listenAt(t, pn.addr), service.ServerConfig{})
+	srv := service.ServeWith(svc, lis, service.ServerConfig{})
 	nd, err := cluster.NewNode(svc, pn.addr, addrs, scaleVNodes)
 	if err != nil {
 		t.Fatal(err)
@@ -59,11 +65,21 @@ func (pn *poolNode) stop() {
 // can kill and restart individual members) and a proxy built with cfg.
 func bootPoolCluster(t *testing.T, cfg cluster.ProxyConfig) ([]*poolNode, *cluster.Proxy) {
 	t.Helper()
-	addrs := reservePorts(t, 3)
+	// The listeners stay bound from the start: a port released and rebound
+	// could be taken in between by another process's connection.
+	liss := make([]net.Listener, 3)
+	addrs := make([]string, len(liss))
+	for i := range liss {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		liss[i], addrs[i] = lis, lis.Addr().String()
+	}
 	nodes := make([]*poolNode, len(addrs))
 	for i, addr := range addrs {
 		nodes[i] = &poolNode{addr: addr}
-		nodes[i].start(t, addrs)
+		nodes[i].serve(t, addrs, liss[i])
 		t.Cleanup(nodes[i].stop)
 	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -267,3 +267,41 @@ func TestProxyBlankLineFlushes(t *testing.T) {
 		}
 	}
 }
+
+// TestProxyReplyNotWithheld: a request is answered before the proxy waits
+// for the rest of a partial next one, on both fronts. The fronts once
+// flushed their pooled frames only when the client's bytes were all
+// consumed, so a GET followed by the first bytes of the next request never
+// left for its node.
+func TestProxyReplyNotWithheld(t *testing.T) {
+	_, p := bootPoolCluster(t, cluster.ProxyConfig{})
+	c, err := net.Dial("tcp", p.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	r := bufio.NewReader(c)
+	for _, step := range []struct{ send, want string }{
+		{"TENANT ADD t\r\n", "OK "},
+		{"GET t k\r\nGE", "MISS"},
+	} {
+		if _, err := c.Write([]byte(step.send)); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(time.Second))
+		if l, err := r.ReadString('\n'); err != nil || !strings.HasPrefix(l, step.want) {
+			t.Fatalf("%q: read %q, %v; want %q", step.send, l, err, step.want)
+		}
+	}
+
+	rb := dialRawBin(t, p.Addr().String())
+	get := binwire.AppendReq(nil, binwire.OpGet, 0, 9, 0, "t", "k", nil)
+	if _, err := rb.c.Write(append(get, get[:3]...)); err != nil {
+		t.Fatal(err)
+	}
+	rb.c.SetReadDeadline(time.Now().Add(time.Second))
+	resp, err := binwire.ReadResp(rb.c, new([]byte))
+	if err != nil || resp.Status != binwire.StMiss || resp.ID != 9 {
+		t.Fatalf("GET frame before 3 bytes of the next: %+v, %v; want a MISS", resp, err)
+	}
+}

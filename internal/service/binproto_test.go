@@ -14,6 +14,13 @@ import (
 	"vantage/internal/clock"
 )
 
+// stepConn is a connection in the text or the binary codec that reads its
+// requests from in: tests drive the one loop's step on it without a
+// socket, and read its replies from out.
+func stepConn(srv *Server, text bool, in string) *conn {
+	return &conn{s: srv, text: text, r: bufio.NewReaderSize(strings.NewReader(in), 16<<10)}
+}
+
 // binFrame encodes one binary request frame (length prefix included).
 func binFrame(op, flags uint8, id, ttlMS uint32, tenant, key, val string) []byte {
 	n := binwire.ReqHdr + len(tenant) + len(key) + len(val)

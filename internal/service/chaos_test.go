@@ -26,7 +26,7 @@ import (
 //   - no deadlock or hang (the test completes under a watchdog),
 //   - no pooled-buffer reuse-after-free: every PUT value is a deterministic
 //     function of (tenant, key), so any cross-connection buffer aliasing in
-//     the pooled connState/reader/writer path surfaces as a GET returning
+//     the pooled conn/reader path surfaces as a GET returning
 //     bytes that fail the poison check,
 //   - accounting stays consistent with observed replies: the server-side
 //     per-tenant gets/hits/puts counters must equal the replies the clients

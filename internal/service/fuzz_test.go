@@ -16,16 +16,15 @@ import (
 
 	"vantage/internal/binwire"
 	"vantage/internal/clock"
-	"vantage/internal/textwire"
 )
 
 // Native Go fuzz targets for the memcached-style wire protocol. Two layers:
 //
-//   - FuzzParseRequest drives the parse+dispatch path directly (no sockets):
-//     the input's first line is the command, the remainder is the payload
-//     stream a PUT would consume. The hard invariant is "no panic, no
-//     unbounded allocation"; a soft invariant checks that whatever the
-//     dispatcher wrote is newline-terminated, since a partial line would
+//   - FuzzParseRequest drives one step of the connection loop directly (no
+//     sockets): the input's first line is the command, the remainder is the
+//     payload stream a PUT would consume. The hard invariant is "no panic,
+//     no unbounded allocation"; a soft invariant checks that whatever the
+//     step appended is newline-terminated, since a partial line would
 //     desync every later response on a real connection.
 //
 //   - FuzzServeConn feeds the raw byte stream to a live server over TCP and
@@ -101,18 +100,10 @@ func FuzzParseRequest(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bufio.NewReaderSize(bytes.NewReader(data), 1<<10)
-		line, err := textwire.ReadLine(r, maxLineLen)
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		w := bufio.NewWriter(&out)
-		cs := &connState{}
-		srv.dispatch(line, r, w, cs)
-		w.Flush()
-		if out.Len() > 0 && out.Bytes()[out.Len()-1] != '\n' {
-			t.Fatalf("dispatch wrote a partial line: %q", out.Bytes())
+		c := &conn{s: srv, text: true, r: bufio.NewReaderSize(bytes.NewReader(data), 1<<10)}
+		srv.step(c)
+		if n := len(c.out); n > 0 && c.out[n-1] != '\n' {
+			t.Fatalf("step wrote a partial line: %q", c.out)
 		}
 	})
 }

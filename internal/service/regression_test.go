@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"runtime"
 	"strconv"
@@ -195,9 +194,9 @@ func TestGetHitZeroAllocs(t *testing.T) {
 		}
 	}
 
-	// The same hit through each codec, which decodes into a request record
-	// that must stay on the stack: a text GET through dispatch, a binary GET
-	// and a 32-key BMGET through binExec.
+	// The same hit through each codec's step of the one connection loop,
+	// which decodes into a request record that must stay on the stack: a
+	// text GET, a binary GET and a 32-key BMGET.
 	keys := make([]string, 32)
 	for i := range keys {
 		keys[i] = "hot" + strconv.Itoa(i)
@@ -206,43 +205,37 @@ func TestGetHitZeroAllocs(t *testing.T) {
 		}
 	}
 	srv := &Server{svc: svc}
-	cs := &connState{}
-	var text bytes.Buffer
-	w := bufio.NewWriter(&text)
-	line := []byte("GET alice hot0")
-	bc := &binConn{}
-	get := binFrame(binwire.OpGet, 0, 1, 0, "alice", "hot0", "")[4:]
-	bmget := bmFrame(2, "alice", keys...)[4:]
+	get := binFrame(binwire.OpGet, 0, 1, 0, "alice", "hot0", "")
+	bmget := bmFrame(2, "alice", keys...)
+	text := stepConn(srv, true, strings.Repeat("GET alice hot0\r\n", 1001))
+	bin := stepConn(srv, false, strings.Repeat(string(get), 1001))
+	batch := stepConn(srv, false, strings.Repeat(string(bmget), 101))
 	for _, leg := range []struct {
 		name string
 		runs int
 		op   func()
 	}{
 		{"text GET", 1000, func() {
-			text.Reset()
-			if quit, err := srv.dispatch(line, nil, w, cs); quit || err != nil {
-				t.Fatalf("dispatch: quit %v err %v", quit, err)
-			}
-			w.Flush()
-			if !bytes.Equal(text.Bytes(), []byte("VALUE 8\r\nhotvalue\r\n")) {
-				t.Fatalf("text GET answered %q", text.Bytes())
+			text.out = text.out[:0]
+			if !srv.step(text) || !bytes.Equal(text.out, []byte("VALUE 8\r\nhotvalue\r\n")) {
+				t.Fatalf("text GET answered %q", text.out)
 			}
 		}},
 		{"binary GET", 1000, func() {
-			bc.out = bc.out[:0]
-			if err := srv.binExec(bc, get); err != nil || bc.out[4] != binwire.StOK {
-				t.Fatalf("binary GET: err %v reply %q", err, bc.out)
+			bin.out = bin.out[:0]
+			if !srv.step(bin) || bin.out[4] != binwire.StOK {
+				t.Fatalf("binary GET answered %q", bin.out)
 			}
 		}},
 		{"32-key BMGET", 100, func() {
-			bc.out = bc.out[:0]
-			if err := srv.binExec(bc, bmget); err != nil || bc.out[4] != binwire.StOK {
-				t.Fatalf("BMGET: err %v reply %q", err, bc.out)
+			batch.out = batch.out[:0]
+			if !srv.step(batch) || batch.out[4] != binwire.StOK {
+				t.Fatalf("BMGET answered %q", batch.out)
 			}
-			p := bc.out[4+binwire.RespHdr+2:]
+			p := batch.out[4+binwire.RespHdr+2:]
 			for range keys {
 				if p[0] != binwire.StOK {
-					t.Fatalf("BMGET key missed: reply %q", bc.out)
+					t.Fatalf("BMGET key missed: reply %q", batch.out)
 				}
 				p = p[5+binLE.Uint32(p[1:5]):]
 			}

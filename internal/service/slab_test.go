@@ -1,10 +1,8 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -288,38 +286,36 @@ func TestPutInsertAllocs(t *testing.T) {
 		t.Fatalf("overwrite allocates %.1f times per op, want 1", got)
 	}
 
-	// The same evicting insert through each codec: the request record stays
-	// on the stack and the value copy is still the only allocation.
+	// The same evicting insert through each codec's step of the one
+	// connection loop: the request record stays on the stack and the value
+	// copy is still the only allocation. Each leg's stream holds 1,001 PUTs
+	// of fresh keys, one per run of AllocsPerRun and its warm-up.
 	srv := &Server{svc: svc}
-	cs := &connState{}
-	w := bufio.NewWriter(io.Discard)
-	body := bufio.NewReader(strings.NewReader(strings.Repeat(string(val)+"\r\n", 1100)))
-	var line []byte
-	bc := &binConn{}
-	frame := binFrame(binwire.OpPut, 0, 1, 0, "alice", string(key), string(val))[4:]
-	frameKey := frame[binwire.ReqHdr+len(tenant):][:len(key)]
 	for _, leg := range []struct {
 		name string
-		put  func(key []byte)
+		text bool
+		put  func(dst, key []byte) []byte
 	}{
-		{"text", func(key []byte) {
-			line = append(append(append(line[:0], "PUT alice "...), key...), " 16"...)
-			if quit, err := srv.dispatch(line, body, w, cs); quit || err != nil {
-				t.Fatalf("text PUT: quit %v err %v", quit, err)
-			}
+		{"text", true, func(dst, key []byte) []byte {
+			return binwire.AppendTextReq(dst, binwire.OpPut, 0, 0, tenant, key, val)
 		}},
-		{"binary", func(key []byte) {
-			copy(frameKey, key)
-			bc.out = bc.out[:0]
-			if err := srv.binExec(bc, frame); err != nil || bc.out[4] != binwire.StOK {
-				t.Fatalf("binary PUT: err %v reply %q", err, bc.out)
-			}
+		{"binary", false, func(dst, key []byte) []byte {
+			return binwire.AppendReq(dst, binwire.OpPut, 0, 1, 0, tenant, key, val)
 		}},
 	} {
+		var in []byte
+		for i := range 1001 {
+			in = leg.put(in, fmtHex(kbuf[:0], next+1+uint64(i)))
+		}
+		next += 1001
+		c := stepConn(srv, leg.text, string(in))
 		before := svc.Stats().StoreEntries
 		if got := testing.AllocsPerRun(1000, func() {
-			next++
-			leg.put(fmtHex(kbuf[:0], next))
+			c.out = c.out[:0]
+			ok := srv.step(c)
+			if !ok || string(c.out) != "STORED\r\n" && (c.text || c.out[4] != binwire.StOK) {
+				t.Fatalf("%s PUT answered %q", leg.name, c.out)
+			}
 		}); got != 1 {
 			t.Errorf("%s evicting insert allocates %.1f times per op, want 1", leg.name, got)
 		}
