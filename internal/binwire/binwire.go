@@ -287,8 +287,8 @@ type Req struct {
 	// executes, "" when none.
 	Err string
 
-	fields [][]byte // SplitText's fields, which DecodeText's Keys alias
-	split  []byte   // the line SplitText split
+	fields [][]byte // the fields of split, which DecodeText's Keys alias
+	split  []byte   // the line SplitText or a TEXT frame's Parse split last
 }
 
 // Parse decodes request frame f, the bytes after its length prefix, into r
@@ -322,7 +322,7 @@ func (r *Req) Parse(f []byte) bool {
 			return false
 		}
 		r.Key, r.Val = f[tend:tend+nl], f[tend+nl+1:]
-		r.fields = textwire.SplitFields(r.Key, r.fields[:0])
+		r.fields, r.split = textwire.SplitFields(r.Key, r.fields[:0]), r.Key
 		n := blockLen(r.fields)
 		return n <= MaxValue && len(r.Val) == n && (len(r.fields) == 0 || !textwire.CmdEq(r.fields[0], "QUIT"))
 	}

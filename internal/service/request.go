@@ -2,9 +2,9 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
+	"vantage/internal/binwire"
 	"vantage/internal/hash"
 )
 
@@ -54,20 +54,40 @@ const (
 )
 
 // errShed is the error of a request refused by an in-flight limit.
-var errShed = errors.New("SHED server overloaded")
+var errShed = errors.New(binwire.Shed)
 
-// err is the error a refused or failed request reports: nil when it
-// executed, and never for outDrop, which has no reply.
-func (v verdict) err(tenant []byte) error {
+// errUnknownTenant is the error of a request that names no tenant.
+func errUnknownTenant(name string) error { return errors.New(binwire.UnknownTenantMsg(name)) }
+
+// status is the response status of a verdict other than outDrop, and the
+// ERR message of a refusal or a failure: the one table of verdict replies,
+// which both codecs render and err maps to errors.
+func (v verdict) status() (status uint8, msg string) {
 	switch v {
-	case outUnknownTenant:
-		return fmt.Errorf("service: unknown tenant %q", string(tenant))
+	case outDone:
+		return binwire.StOK, ""
+	case outMiss:
+		return binwire.StMiss, ""
 	case outShed:
-		return errShed
-	case outFault:
-		return ErrInjected
+		return binwire.StShed, ""
+	case outUnknownTenant:
+		return binwire.StErr, binwire.UnknownTenant
 	}
-	return nil
+	return binwire.StErr, ErrInjected.Error()
+}
+
+// err is the error a refused or failed request reports, by its status: nil
+// when it executed, and never for outDrop, which has no reply.
+func (v verdict) err(tenant []byte) error {
+	switch st, msg := v.status(); {
+	case st == binwire.StOK || st == binwire.StMiss:
+		return nil
+	case st == binwire.StShed:
+		return errShed
+	case msg == binwire.UnknownTenant:
+		return errUnknownTenant(string(tenant))
+	}
+	return ErrInjected
 }
 
 // serve admits r through the gates above and executes it. srv supplies the

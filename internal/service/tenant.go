@@ -161,7 +161,7 @@ func (s *Service) removeTenantInner(name string, origin bool) error {
 	t, ok := reg.tenants[name]
 	if !ok {
 		s.regMu.Unlock()
-		return fmt.Errorf("service: unknown tenant %q", name)
+		return errUnknownTenant(name)
 	}
 	// Phase 1: unregister the name so new requests fail, but keep the slot
 	// reserved while cleanup runs.
@@ -216,5 +216,5 @@ func (s *Service) tenant(name string) (*Tenant, error) {
 	if t := s.reg.Load().tenants[name]; t != nil {
 		return t, nil
 	}
-	return nil, fmt.Errorf("service: unknown tenant %q", name)
+	return nil, errUnknownTenant(name)
 }
