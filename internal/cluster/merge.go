@@ -95,8 +95,9 @@ func (sc *scatter) add(o int32, tenant, key []byte) {
 	sc.sub[o] = binwire.AppendKey(f, key)
 }
 
-// send scatters the sub-frames; their answers come back through s.
-func (p *Proxy) send(sc *scatter, tch *touched, s respSink) {
+// send scatters the sub-frames; their answers come back to the session.
+func (s *sess) send() {
+	sc := &s.sc
 	m, owners := sc.m, int32(0)
 	for o, f := range sc.sub {
 		if len(f) > 0 {
@@ -111,7 +112,7 @@ func (p *Proxy) send(sc *scatter, tch *touched, s respSink) {
 	for o, f := range sc.sub {
 		if len(f) > 0 {
 			sc.sub[o] = f[:0]
-			p.route(tch, pend{s: s, m: m, sub: int32(o)}, int32(o), f)
+			s.route(pend{m: m, sub: int32(o)}, int32(o), f)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,32 +15,31 @@ import (
 
 // The proxy's backend layer: one persistent negotiated binary connection
 // per cluster member, shared by every proxied client. Frames from all
-// clients are pipelined onto the shared connection — ids are rewritten to
-// a pool-internal counter so concurrent clients cannot collide — and a
-// single reader goroutine per connection demultiplexes responses back to
-// the submitting client by id. Writes are buffered and flushed at client
-// batch boundaries, so a 32-deep client batch costs the proxy one write
-// and one read per backend instead of 32 round trips.
+// clients are pipelined onto it under pool-internal ids, and one reader
+// goroutine per connection hands each response to its session by id.
+// Writes are buffered and flushed at client batch boundaries, so a 32-deep
+// batch costs one write and one read per backend, not 32 round trips.
 //
-// Failure model: when a backend connection dies (read error, write error,
-// or negotiation failure), every in-flight request on it is answered with
-// a synthesized ERR frame — clients get a definite failure, never a hang —
-// and the connection is removed from the pool so the next client batch
-// triggers a fresh dial (reconnect-on-next-batch).
+// When a backend connection dies, every request in flight on it is
+// answered with a synthesized ERR, never a hang, and the next batch that
+// routes there dials afresh.
 
 // pend describes one forwarded request awaiting its backend response.
 type pend struct {
 	s   respSink
 	id  uint32   // binary front: the client's request id, restored on delivery
 	op  uint8    // client-visible opcode; the text front renders by it
-	seq uint64   // text front: response-ordering slot
+	seq uint64   // the reply's place in its session's sequence
 	m   *bmMerge // non-nil: one sub-batch of a split batch (see merge.go),
 	sub int32    // the ring member it went to
 	t0  int64    // submit time (ns since epoch) when latency tracking is on
 }
 
-// respSink receives demultiplexed backend responses (or synthesized
-// failures). payload is only valid for the duration of the call.
+// respSink receives a backend's response or a synthesized failure; payload
+// is valid only during the call. A session renders it and writes it only
+// as far as its client's socket takes it without blocking, so the reader
+// never waits on a client, and the session's reads, not the pool, hold
+// back a client that does not read.
 type respSink interface {
 	deliver(pd pend, status uint8, payload []byte)
 }
@@ -253,26 +253,20 @@ func (pl *pool) close() {
 	}
 }
 
-// touched tracks which pool connections a client batch wrote to, so the
-// batch boundary can flush exactly those. The slice is tiny (cluster
-// member count) and reused across batches.
-type touched struct {
-	conns []*poolConn
-}
+// touched is the pool connections a client batch wrote to, so the batch
+// boundary can flush exactly those; at most one per member, reused.
+type touched []*poolConn
 
 func (t *touched) add(pc *poolConn) {
-	for _, c := range t.conns {
-		if c == pc {
-			return
-		}
+	if !slices.Contains(*t, pc) {
+		*t = append(*t, pc)
 	}
-	t.conns = append(t.conns, pc)
 }
 
 func (t *touched) flush() {
-	for i, pc := range t.conns {
+	for _, pc := range *t {
 		pc.flush()
-		t.conns[i] = nil
 	}
-	t.conns = t.conns[:0]
+	clear(*t)
+	*t = (*t)[:0]
 }

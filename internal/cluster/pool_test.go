@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -75,45 +74,56 @@ func TestPoolReaderDropsHugeFrame(t *testing.T) {
 	}
 }
 
-// TestTextSequencerWindowShrinks: a deep pipelined burst that completes out
-// of order comes out in command order, and once it has drained the session
-// holds neither the grown window nor the buffers its slots rendered into.
-func TestTextSequencerWindowShrinks(t *testing.T) {
-	var out bytes.Buffer
-	ts := &textProxySess{w: bufio.NewWriter(&out), slots: make([]textSlot, textWindow)}
-	ts.cond = sync.NewCond(&ts.mu)
-	const depth = 1000
+// textSess is a text session with no connection and no writer: what its
+// pool readers render stays in out.
+func textSess() *sess {
+	s := &sess{p: &Proxy{}, slots: make([]slot, sessMaxOwed)}
+	s.rcond.L, s.wcond.L = &s.mu, &s.mu
+	return s
+}
+
+// TestSessionReplyOrder: a full window of pipelined commands that completes
+// out of order comes out in command order, and the window holds no more
+// than sessMaxOwed, where the session stops reading. Once it has drained,
+// its slots keep the small buffers they rendered into, which keeps ordinary
+// out-of-order completions from allocating, but not a large one.
+func TestSessionReplyOrder(t *testing.T) {
+	s := textSess()
+	vals := make([][]byte, sessMaxOwed)
 	var want []byte
-	for i := 0; i < depth; i++ {
-		if seq := ts.allocSeq(nil); seq != uint64(i) {
+	for i := range vals {
+		if seq := s.claim(nil); seq != uint64(i) {
 			t.Fatalf("slot %d assigned as %d", i, seq)
 		}
-		want = binwire.AppendTextValue(want, fmt.Appendf(nil, "v%d", i))
-	}
-	if len(ts.slots) <= textWindow {
-		t.Fatalf("window holds %d slots with %d commands in flight", len(ts.slots), depth)
-	}
-	for i := depth - 1; i >= 0; i-- { // the head completes last
-		ts.complete(uint64(i), binwire.OpGet, binwire.StOK, fmt.Appendf(nil, "v%d", i), nil)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatal("responses left out of command order")
-	}
-	if len(ts.slots) != textWindow {
-		t.Fatalf("drained session keeps a window of %d slots, want %d", len(ts.slots), textWindow)
-	}
-	for i, sl := range ts.slots {
-		if sl.buf != nil || sl.done {
-			t.Fatalf("slot %d of the drained window is not empty", i)
+		if vals[i] = fmt.Appendf(nil, "v%d", i); i == 1 {
+			vals[i] = bytes.Repeat([]byte("x"), 2*slotKeepBuf)
 		}
+		want = binwire.AppendTextValue(want, vals[i])
 	}
-	// The window at rest reuses its slot buffers: that is what keeps
-	// ordinary out-of-order completions from allocating.
-	a, b := ts.allocSeq(nil), ts.allocSeq(nil)
-	ts.complete(b, binwire.OpPing, binwire.StOK, nil, nil)
-	ts.complete(a, binwire.OpPing, binwire.StOK, nil, nil)
-	if ts.slots[b&(textWindow-1)].buf == nil {
-		t.Fatal("a slot of the resting window dropped its small buffer")
+	if !s.full() {
+		t.Fatalf("a session owing %d replies would read on", sessMaxOwed)
+	}
+	for i := len(vals) - 1; i >= 0; i-- { // the head completes last
+		if len(s.out) != 0 {
+			t.Fatalf("reply %d left ahead of the head", i+1)
+		}
+		s.deliver(pend{op: binwire.OpGet, seq: uint64(i)}, binwire.StOK, vals[i])
+	}
+	if !bytes.Equal(s.out, want) {
+		t.Fatal("replies left out of command order")
+	}
+	if s.full() {
+		t.Fatal("a drained session still refuses to read")
+	}
+	for i, sl := range s.slots {
+		switch {
+		case sl.done:
+			t.Fatalf("slot %d of the drained window is still pending", i)
+		case i == 1 && sl.buf != nil:
+			t.Fatal("a slot kept the large buffer it rendered into")
+		case i > 1 && sl.buf == nil:
+			t.Fatalf("slot %d dropped its small buffer", i)
+		}
 	}
 }
 
@@ -122,29 +132,27 @@ func TestTextSequencerWindowShrinks(t *testing.T) {
 // the tenant, for a single command and a split batch alike, and rendering
 // it allocates nothing once the session is warm.
 func TestTextUnknownTenantReply(t *testing.T) {
-	var out bytes.Buffer
-	ts := &textProxySess{p: &Proxy{}, w: bufio.NewWriter(&out), slots: make([]textSlot, textWindow)}
-	ts.cond = sync.NewCond(&ts.mu)
+	s := textSess()
 	tenant, refusal := []byte(`gh"ost`+strings.Repeat("x", 60)), []byte(binwire.UnknownTenant)
-	var sc scatter
+	sc := &s.sc
 	both := func() {
-		ts.complete(ts.allocSeq(tenant), binwire.OpGet, binwire.StErr, refusal, nil)
-		sc.begin(2, 0, ts.allocSeq(tenant), 0)
+		s.out = s.out[:0]
+		s.deliver(pend{op: binwire.OpGet, seq: s.claim(tenant)}, binwire.StErr, refusal)
+		sc.begin(2, 0, s.claim(tenant), 0)
 		sc.add(0, tenant, []byte("a"))
 		sc.add(1, tenant, []byte("b"))
 		for o := range sc.sub {
 			sc.sub[o] = sc.sub[o][:0]
 		}
 		sc.m.remain.Store(2)
-		ts.deliver(pend{s: ts, m: sc.m, sub: 0}, binwire.StErr, refusal)
-		ts.deliver(pend{s: ts, m: sc.m, sub: 1}, binwire.StErr, refusal)
+		s.deliver(pend{m: sc.m, sub: 0}, binwire.StErr, refusal)
+		s.deliver(pend{m: sc.m, sub: 1}, binwire.StErr, refusal)
 	}
 	both()
 	want := "ERR service: unknown tenant " + strconv.Quote(string(tenant)) + "\r\n"
-	if out.String() != want+want {
-		t.Fatalf("rendered %q, want %q twice", out.String(), want)
+	if string(s.out) != want+want {
+		t.Fatalf("rendered %q, want %q twice", s.out, want)
 	}
-	out.Reset()
 	var pool sync.Pool
 	pool.New = func() any { return new(int) }
 	if testing.AllocsPerRun(1, func() {

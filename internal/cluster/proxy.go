@@ -6,8 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
-	"sync/atomic"
+	"syscall"
 	"time"
 
 	"vantage/internal/binwire"
@@ -17,41 +18,39 @@ import (
 
 // Proxy routes client commands to the key's ring owner so clients that
 // cannot (or do not want to) run the consistent-hash ring themselves can
-// speak to the cluster as if it were a single vantaged node. Both wire
-// fronts are supported — text lines and the binary framing.
+// speak to the cluster as if it were a single vantaged node, on either wire
+// front: text lines or the binary framing.
 //
-// The data plane is pooled and pipelined: the proxy keeps one persistent
-// negotiated binary connection per backend (shared by all clients, see
-// pool.go), splits each incoming client batch by ring owner, scatters the
-// per-backend frames in one buffered write per backend, and re-merges
-// responses into each client's stream — in arrival order keyed by request
-// id on the binary front, in strict command order (a per-session
-// sequencer) on the text front. Both fronts route through one path
-// (submit): the text front decodes each command line and its value block
-// with the node's own parser (binwire.Req.DecodeText) into the request a
-// binary frame carries, and answers a line the parser refuses itself, with
-// the node's ERR line. MGET and BMGET fan out as per-owner BMGET
-// sub-frames whose coalesced responses are re-merged in client key order
-// by the core both fronts share (merge.go). In steady state the hop
-// allocates nothing per key or per frame.
+// The data plane is pooled and pipelined: one persistent binary connection
+// per backend, shared by all clients (pool.go), carries each client batch
+// split by ring owner in one buffered write per backend. Each client
+// connection is one session (sess) whose codec sits only at its edges: both
+// fronts decode into the request a binary frame carries (the text front
+// with the node's own parser, answering a line it refuses with the node's
+// ERR line) and route it through one path (submit). Replies pass through
+// one sequencer, in command order on the text front and in completion
+// order, keyed by request id, on the binary front. MGET and BMGET fan out
+// as per-owner BMGET sub-frames re-merged in client key order (merge.go).
+// In steady state the hop allocates nothing per key or per frame.
 //
-// Control lines (TENANT, STATS, unknown verbs) ride the same pool as one
-// TEXT frame (binwire), and the sequencer renders the node's reply
-// verbatim, so a proxied session opens no connection of its own. The
-// proxy itself answers only PING, QUIT, CLUSTER (refused, on the binary
-// front's TEXT frames too), a client's peer frames (REG_OP, REG_PULL,
-// REHOME: refused) and a PUT over the value cap, which ends the session
-// with the node's message.
+// No pool reader waits on a client. A reader renders a completed reply
+// into its session and writes it only as far as the client's socket takes
+// it without blocking; the session's own writer writes the rest. A session
+// stops reading its client while it owes sessMaxOwed replies or holds more
+// than sessMaxOut unwritten reply bytes, so a client that does not read is
+// held back, not reaped, and stalls only itself.
 //
-// Ownership moves only when the operator restarts the proxy with a new
-// member list (the nodes themselves re-home keys via CLUSTER MEMBERS); a
-// long-lived proxy deployment would re-resolve membership out of band.
+// Control lines (TENANT, STATS, unknown verbs) ride the pool as one TEXT
+// frame, whose reply is relayed verbatim. The proxy itself answers only
+// PING, QUIT, CLUSTER (refused, in TEXT frames too), a client's peer frames
+// (REG_OP, REG_PULL, REHOME: refused) and a PUT over the value cap, which
+// ends the session with the node's message. Ownership moves only when the
+// proxy restarts with a new member list.
 type Proxy struct {
-	lis     net.Listener
-	ring    *Ring
-	members []string
-	pool    *pool
-	lat     *latency.Hist // nil unless ProxyConfig.TrackLatency
+	lis  net.Listener
+	ring *Ring
+	pool *pool
+	lat  *latency.Hist // nil unless ProxyConfig.TrackLatency
 
 	mu     sync.Mutex
 	conns  map[net.Conn]bool
@@ -84,10 +83,6 @@ func (st ProxyStats) LatencyQuantile(q float64) time.Duration {
 	return latency.Quantile(st.LatencyCounts, q)
 }
 
-// proxyFlushHi flushes a client-side response buffer early when merged
-// responses outgrow it, even though the batch hasn't fully drained.
-const proxyFlushHi = 48 << 10
-
 // NewProxy starts a proxy for the given member list on lis.
 func NewProxy(lis net.Listener, members []string, vnodes int) (*Proxy, error) {
 	return NewProxyWith(lis, members, vnodes, ProxyConfig{})
@@ -99,11 +94,11 @@ func NewProxyWith(lis net.Listener, members []string, vnodes int, cfg ProxyConfi
 	if err != nil {
 		return nil, err
 	}
-	p := &Proxy{lis: lis, ring: ring, members: ring.Members(), conns: make(map[net.Conn]bool)}
+	p := &Proxy{lis: lis, ring: ring, conns: make(map[net.Conn]bool)}
 	if cfg.TrackLatency {
 		p.lat = &latency.Hist{}
 	}
-	p.pool = newPool(p.members, p.lat)
+	p.pool = newPool(ring.Members(), p.lat)
 	p.wg.Add(1)
 	go p.acceptLoop()
 	return p, nil
@@ -126,8 +121,8 @@ func (p *Proxy) Stats() ProxyStats {
 }
 
 // Close stops accepting, closes every client connection and the backend
-// pool (synthesizing failures for anything in flight), and waits for the
-// per-connection goroutines to drain.
+// pool (synthesizing failures for anything in flight, so no session waits
+// on a reply), and waits for the sessions to end.
 func (p *Proxy) Close() {
 	p.mu.Lock()
 	p.closed = true
@@ -140,8 +135,8 @@ func (p *Proxy) Close() {
 	for _, c := range conns {
 		c.Close()
 	}
-	p.wg.Wait()
 	p.pool.close()
+	p.wg.Wait()
 }
 
 func (p *Proxy) acceptLoop() {
@@ -159,95 +154,21 @@ func (p *Proxy) acceptLoop() {
 		}
 		p.conns[conn] = true
 		p.mu.Unlock()
-		p.wg.Add(1)
-		go p.serveConn(conn)
+		s := &sess{p: p, conn: conn}
+		s.rcond.L, s.wcond.L = &s.mu, &s.mu
+		if sc, ok := conn.(syscall.Conn); ok {
+			s.raw, _ = sc.SyscallConn()
+			s.rawFn = s.writeNow
+		}
+		p.wg.Add(2)
+		go s.writeLoop()
+		go s.serve()
 	}
-}
-
-func (p *Proxy) forget(conn net.Conn) {
-	p.mu.Lock()
-	delete(p.conns, conn)
-	p.mu.Unlock()
-}
-
-// serveConn sniffs the first byte — the binary preamble's magic can never
-// start a text verb — and hands the connection to the matching front.
-func (p *Proxy) serveConn(conn net.Conn) {
-	defer p.wg.Done()
-	defer p.forget(conn)
-	defer conn.Close()
-	var tch touched
-	defer tch.flush()
-	r := bufio.NewReaderSize(sessReader{conn, &tch}, 32<<10)
-	first, err := r.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == binwire.Magic {
-		p.serveBinary(conn, r, &tch)
-		return
-	}
-	p.serveText(conn, r, &tch)
-}
-
-// sessReader is a client session's socket as its front reads it. Before a
-// read that may block, it flushes the pooled frames the session's
-// requests have touched, the node's flush-before-read rule: a pipelined
-// batch leaves in one write per backend, and no request waits behind the
-// first bytes of the next. The fronts also flush at the batch boundary,
-// once a request leaves nothing buffered, which is the same point for a
-// whole batch: with this flush alone, proxy-mix read a p50 about 10%
-// higher and wider across runs (2 vCPUs; the cause is not isolated).
-type sessReader struct {
-	net.Conn
-	tch *touched
-}
-
-func (s sessReader) Read(p []byte) (int, error) {
-	s.tch.flush()
-	return s.Conn.Read(p)
-}
-
-// route submits one frame through the pool to ring member owner, answering
-// with a synthesized ERR when the backend cannot be dialed (reconnect is
-// retried on the next batch that routes there) or when owner is -1, the
-// CLUSTER verb textOwner refuses.
-func (p *Proxy) route(tch *touched, pd pend, owner int32, frame []byte) {
-	if owner < 0 {
-		pd.s.deliver(pd, binwire.StErr, errClusterVerb)
-		return
-	}
-	pc, err := p.pool.get(owner)
-	if err != nil {
-		pd.s.deliver(pd, binwire.StErr, []byte("proxy: backend "+p.members[owner]+" unavailable"))
-		return
-	}
-	pc.submit(pd, frame)
-	tch.add(pc)
 }
 
 // ownerOf is the ring member index that owns (tenant, key).
 func (p *Proxy) ownerOf(tenant, key []byte) int32 {
 	return p.ring.ownerIdx(keyHashB(tenant, key))
-}
-
-// submit routes one data request either front decoded, q, encoded in
-// frame: a batch (BMGET, or a text MGET) splits by key owner into per-owner
-// BMGET sub-frames (merge.go), TENANT_ADD and TENANT_DEL go to the name's
-// owner, and a single-key command to its key's owner.
-func (p *Proxy) submit(tch *touched, sc *scatter, pd pend, q *binwire.Req, frame []byte) {
-	switch q.Op {
-	case binwire.OpBMGet:
-		sc.begin(len(p.members), pd.id, pd.seq, pd.t0)
-		for _, k := range q.Keys {
-			sc.add(p.ownerOf(q.Tenant, k), q.Tenant, k)
-		}
-		p.send(sc, tch, pd.s)
-	case binwire.OpTenantAdd, binwire.OpTenantDel:
-		p.route(tch, pd, p.ownerOf(q.Tenant, nil), frame)
-	default:
-		p.route(tch, pd, p.ownerOf(q.Tenant, q.Key), frame)
-	}
 }
 
 // now returns a submit timestamp when latency tracking is on, else 0.
@@ -264,243 +185,10 @@ func (p *Proxy) record(t0 int64) {
 	}
 }
 
-// ---------------------------------------------------------------- text --
-
-// textSlot is one command's place in the response order. It holds the
-// tenant a data command named, which an unknown-tenant reply names as a
-// node's does, and, for a response that completed ahead of an earlier one,
-// its rendering until its turn. The buffers are reused while small.
-type textSlot struct {
-	buf    []byte
-	tenant []byte
-	done   bool
-}
-
-// textWindow is the sequencer's window at rest and slotKeepBuf the largest
-// out-of-order response buffer one of its slots keeps. A window a deep
-// pipelined burst has grown keeps no slot buffers and is given back when the
-// burst has drained, so a session pins at most textWindow × slotKeepBuf.
-const (
-	textWindow  = 64
-	slotKeepBuf = 4 << 10
-)
-
-// opStats marks a relayed STATS on the text front, whose reply gets the
-// proxy's own counters before its END. It is no wire opcode.
-const opStats = 0xff
-
-// textProxySess is one text client. Pooled responses complete out of
-// order (whichever backend answers first) but the text protocol promises
-// responses in command order, so each command takes a sequence slot and
-// completions are emitted strictly in slot order.
-type textProxySess struct {
-	p    *Proxy
-	conn net.Conn
-
-	mu    sync.Mutex
-	cond  *sync.Cond
-	w     *bufio.Writer
-	next  uint64     // next sequence slot to assign
-	head  uint64     // next slot to emit
-	slots []textSlot // window over [head, next): seq s lives at s & (len-1)
-	rbuf  []byte     // render scratch for responses completing in order
-
-	// Reading-goroutine scratch.
-	req     binwire.Req
-	buf     []byte // a line and the value block read after it
-	scratch []byte
-	sc      scatter
-}
-
-// allocSeq claims the next response-ordering slot for a command naming
-// tenant (nil for none), doubling the window when the client has that many
-// commands in flight.
-func (ts *textProxySess) allocSeq(tenant []byte) uint64 {
-	ts.mu.Lock()
-	if n := uint64(len(ts.slots)); ts.next-ts.head == n {
-		grown := make([]textSlot, 2*n)
-		for s := ts.head; s != ts.next; s++ {
-			grown[s&(2*n-1)] = ts.slots[s&(n-1)]
-		}
-		ts.slots = grown
-	}
-	s := ts.next
-	sl := &ts.slots[s&uint64(len(ts.slots)-1)]
-	sl.tenant = append(sl.tenant[:0], tenant...)
-	ts.next++
-	ts.mu.Unlock()
-	return s
-}
-
-// complete renders one command's response — the finished merge m, or the
-// single binary response (op, status, payload) — and emits every response
-// that is now at the head of the order; one completing ahead of its turn
-// waits in its slot. The whole buffer flushes once all assigned slots have
-// drained (the batch boundary) or when it grows past the high-water mark.
-func (ts *textProxySess) complete(seq uint64, op, status uint8, payload []byte, m *bmMerge) {
-	ts.mu.Lock()
-	mask := uint64(len(ts.slots) - 1)
-	sl, buf := &ts.slots[seq&mask], ts.rbuf
-	if seq != ts.head {
-		buf = sl.buf
-	}
-	switch {
-	case m != nil:
-		buf = m.render(buf[:0], true, sl.tenant)
-	case op == opStats && status == binwire.StOK:
-		buf = ts.p.appendStats(buf[:0], payload)
-	default:
-		buf = binwire.AppendTextResp(buf[:0], op, status, payload, sl.tenant)
-	}
-	if seq != ts.head {
-		sl.buf, sl.done = buf, true
-	} else {
-		ts.w.Write(buf)
-		ts.rbuf = keep(buf)
-		ts.head++
-		for sl = &ts.slots[ts.head&mask]; sl.done; sl = &ts.slots[ts.head&mask] {
-			ts.w.Write(sl.buf)
-			if sl.done = false; cap(sl.buf) > slotKeepBuf || len(ts.slots) > textWindow {
-				sl.buf = nil
-			}
-			ts.head++
-		}
-		if ts.head == ts.next && len(ts.slots) > textWindow {
-			ts.slots = make([]textSlot, textWindow)
-		}
-	}
-	if ts.head == ts.next || ts.w.Buffered() >= proxyFlushHi {
-		if ts.w.Flush() != nil {
-			ts.conn.Close() // the session's read loop sees the close
-		}
-	}
-	ts.cond.Broadcast()
-	ts.mu.Unlock()
-}
-
-// barrier flushes outstanding pooled frames and waits until every
-// assigned slot has been emitted.
-func (ts *textProxySess) barrier(tch *touched) {
-	tch.flush()
-	ts.mu.Lock()
-	for ts.head != ts.next {
-		ts.cond.Wait()
-	}
-	ts.mu.Unlock()
-}
-
-// deliver renders one pooled backend response into the session's response
-// order. Called from pool reader goroutines.
-func (ts *textProxySess) deliver(pd pend, status uint8, payload []byte) {
-	m := pd.m
-	if m == nil {
-		ts.complete(pd.seq, pd.op, status, payload, nil)
-	} else if m.absorb(pd.sub, status, payload) {
-		ts.p.record(m.t0)
-		ts.complete(m.seq, 0, 0, nil, m)
-	}
-}
-
-// serveText runs the text front. Each command line and the value block it
-// declares are read whole and decoded by binwire.Req.DecodeText, the
-// parser a node runs: a decode error is answered here, in order, with the
-// node's own ERR line; a data command takes the binary front's path
-// (submit) on the pooled binary plane and is answered through the
-// sequencer; a control line goes to control. Lines alias the reader's
-// buffer, or ts.buf once a value block has been read after them.
-func (p *Proxy) serveText(conn net.Conn, r *bufio.Reader, tch *touched) {
-	ts := &textProxySess{
-		p:     p,
-		conn:  conn,
-		w:     bufio.NewWriterSize(conn, 16<<10),
-		slots: make([]textSlot, textWindow),
-	}
-	ts.cond = sync.NewCond(&ts.mu)
-	q := &ts.req
-	for {
-		line, err := textwire.ReadLine(r, textwire.MaxLine)
-		if err != nil {
-			return
-		}
-		var block []byte
-		if n := q.SplitText(line); n > binwire.MaxValue {
-			ts.end(tch, "ERR "+binwire.ErrValueLen(n).Error())
-			return
-		} else if n > 0 {
-			if line, block, ts.buf, err = textwire.ReadBlock(r, line, n, ts.buf); err != nil {
-				ts.end(tch, "ERR short value")
-				return
-			}
-			ts.buf = keep(ts.buf)
-		}
-		switch msg := q.DecodeText(line, block); {
-		case msg != "":
-			ts.complete(ts.allocSeq(nil), 0, binwire.StErr, []byte(msg), nil)
-		case q.Op == 0: // a blank line has no reply
-		case q.Op == binwire.OpText:
-			if !p.control(ts, tch, q) {
-				return
-			}
-		default:
-			if q.Op != binwire.OpBMGet { // a batch is split into sub-frames instead
-				ts.scratch = binwire.AppendReq(ts.scratch[:0], q.Op, q.Flags, 0, q.TTLms, q.Tenant, q.Key, q.Val)
-			}
-			p.submit(tch, &ts.sc, pend{s: ts, op: q.Op, seq: ts.allocSeq(q.Tenant), t0: p.now()}, q, ts.scratch)
-			ts.scratch = keep(ts.scratch)
-		}
-		if r.Buffered() == 0 {
-			tch.flush() // the batch boundary (see sessReader)
-		}
-	}
-}
-
-var (
-	errClusterVerb = []byte("CLUSTER must be issued to a node, not the proxy")
-	errTextData    = []byte("a data command rides its own frame, not TEXT, through the proxy")
-)
-
-// end writes the reply of the command that ends the session, after every
-// reply ahead of it: QUIT's, or the node's own ERR for a PUT whose value
-// block is over the cap or cut short, which ends a node's connection too.
-func (ts *textProxySess) end(tch *touched, reply string) {
-	ts.barrier(tch)
-	ts.mu.Lock()
-	ts.w.WriteString(reply + "\r\n")
-	ts.w.Flush()
-	ts.mu.Unlock()
-}
-
-// control answers PING here and ends the session on QUIT. Any other
-// control line is relayed to textOwner's node as one TEXT frame, whose
-// reply the sequencer renders verbatim. It leaves after
-// the replies ahead of it and is answered before the next line is read, so
-// a pipelined TENANT ADD lands cluster-wide before the commands behind it.
-// It reports whether the session goes on.
-func (p *Proxy) control(ts *textProxySess, tch *touched, q *binwire.Req) bool {
-	op := uint8(binwire.OpText)
-	switch verb := q.Keys[0]; {
-	case textwire.CmdEq(verb, "PING"):
-		ts.complete(ts.allocSeq(nil), binwire.OpPing, binwire.StOK, nil, nil)
-		return true
-	case textwire.CmdEq(verb, "QUIT"):
-		ts.end(tch, "BYE")
-		return false
-	case textwire.CmdEq(verb, "STATS"):
-		op = opStats
-	}
-	ts.barrier(tch)
-	ts.scratch = binwire.AppendText(ts.scratch[:0], 0, q.Key, q.Val)
-	p.route(tch, pend{s: ts, op: op, seq: ts.allocSeq(nil), t0: p.now()}, p.textOwner(q.Keys), ts.scratch)
-	ts.scratch = keep(ts.scratch)
-	ts.barrier(tch)
-	return true
-}
-
 // textOwner is the ring member a control line's fields f go to: the name's
-// owner for TENANT ADD and DEL, so that retries of one registration land on
-// one node, and member 0 for everything else, which any node answers alike.
-// CLUSTER gets -1, a refusal on both fronts: membership is per node, and
-// through a proxy it would be ambiguous about which node should drain.
+// owner for TENANT ADD and DEL, so retries of one registration land on one
+// node, else member 0, as any node answers alike. CLUSTER gets -1, refused:
+// membership is per node, and through a proxy it names no node.
 func (p *Proxy) textOwner(f [][]byte) int32 {
 	switch {
 	case len(f) > 0 && textwire.CmdEq(f[0], "CLUSTER"):
@@ -512,8 +200,7 @@ func (p *Proxy) textOwner(f [][]byte) int32 {
 }
 
 // appendStats appends member 0's STATS reply with the proxy's counters
-// before its END (an ERR reply has none). The scale suite scrapes each node
-// directly for cluster-wide views.
+// before its END (an ERR reply has none).
 func (p *Proxy) appendStats(dst, reply []byte) []byte {
 	body, ok := bytes.CutSuffix(reply, []byte("END\r\n"))
 	if !ok {
@@ -527,127 +214,426 @@ func (p *Proxy) appendStats(dst, reply []byte) []byte {
 	return append(dst, "END\r\n"...)
 }
 
-// -------------------------------------------------------------- binary --
+// The session's bounds. Past sessMaxOwed replies owed (a power of two, the
+// text window's size) or sessMaxOut unwritten reply bytes, a session stops
+// reading its client, so it holds at most sessMaxOut bytes plus
+// sessMaxOwed replies. The replies it owes also ride ahead of other
+// clients' on the shared backend connections, so sessMaxOwed is one batch
+// of 32 fills, the deepest pipeline proxy-mix drives. Replies are written
+// at the batch boundary or once they pass proxyFlushHi; a slot keeps an
+// out-of-order reply's buffer up to slotKeepBuf.
+const (
+	sessMaxOwed  = 32
+	sessMaxOut   = 1 << 20
+	proxyFlushHi = 48 << 10
+	slotKeepBuf  = 4 << 10
+)
 
-// binProxySess is one binary client. The binary contract tells clients to
-// match responses by id, so pooled responses are written back in arrival
-// order with the client's original id restored; no sequencer is needed.
-type binProxySess struct {
+// opStats marks a relayed STATS on the text front, whose reply gets the
+// proxy's own counters before its END. It is no wire opcode.
+const opStats = 0xff
+
+// slot is one text command's place in the reply order. It holds the tenant
+// a data command named, which an unknown-tenant reply names as a node's
+// does, and, for a reply that completed ahead of an earlier one, its
+// rendering until its turn.
+type slot struct {
+	buf    []byte
+	tenant []byte
+	done   bool
+}
+
+// sess is one client connection. Its reader (serve) decodes requests in the
+// connection's codec and routes them, each with a place claimed in the
+// reply sequence; pool readers render replies into it (deliver); its writer
+// (writeLoop) writes what the socket did not take at once. On the text
+// front (slots non-nil) replies leave in command order and one completing
+// early waits in its slot; on the binary front they leave as they complete.
+type sess struct {
 	p    *Proxy
 	conn net.Conn
 
-	wmu sync.Mutex
-	out []byte // encoded, unflushed response frames
+	mu      sync.Mutex
+	rcond   sync.Cond // the reader waits for room or for the replies it owes
+	wcond   sync.Cond // the writer waits for a batch's replies
+	next    uint64    // replies claimed
+	head    uint64    // replies rendered into out: next-head are owed
+	slots   []slot    // text: the window over [head, next), seq s at s%sessMaxOwed
+	out     []byte    // rendered replies not yet written
+	writing int       // bytes the writer is writing
+	eof     bool      // the reader is done
+	dead    bool      // the writer is done; replies are dropped
+	raw     syscall.RawConn
+	rawFn   func(fd uintptr) bool // writeNow, bound once
 
-	// outstanding counts client frames still owed a response; out is
-	// written when it drains (the batch boundary) or on the high-water mark.
-	outstanding atomic.Int64
-
-	// Reading goroutine only.
-	req  binwire.Req
-	text binwire.Req // a TEXT frame's line, decoded
-	sc   scatter
+	// The reading goroutine's own.
+	quit    bool // claim found the session dead: read no further
+	tch     touched
+	req     binwire.Req
+	text    binwire.Req // a binary TEXT frame's line, decoded
+	buf     []byte      // a text line and the value block read after it
+	scratch []byte
+	sc      scatter
 }
 
-// deliver writes one pooled backend response (or finished merge) back to
-// the client. Called from pool reader goroutines.
-func (bs *binProxySess) deliver(pd pend, status uint8, payload []byte) {
-	m := pd.m
-	if m == nil {
-		bs.writeFrame(status, pd.op, pd.id, payload)
-	} else if m.absorb(pd.sub, status, payload) {
-		bs.p.record(m.t0)
-		bs.wmu.Lock()
-		bs.out = m.render(bs.out, false, nil)
-		bs.sentLocked()
-		bs.wmu.Unlock()
+// sessReader is a session's socket as it reads it. Before a read that may
+// block, it flushes the pooled frames the session has touched (the node's
+// flush-before-read rule), so no request waits behind the first bytes of
+// the next. The fronts also flush at the batch boundary, the same point for
+// a whole batch: without it proxy-mix's p50 read ~10% higher (cause not
+// isolated).
+type sessReader struct {
+	net.Conn
+	tch *touched
+}
+
+func (s sessReader) Read(p []byte) (int, error) {
+	s.tch.flush()
+	return s.Conn.Read(p)
+}
+
+// serve sniffs the first byte — the binary preamble's magic can never start
+// a text verb — and runs the matching front until the client is done; the
+// writer then writes what is owed and closes the connection.
+func (s *sess) serve() {
+	defer s.p.wg.Done()
+	r := bufio.NewReaderSize(sessReader{s.conn, &s.tch}, 32<<10)
+	if first, err := r.Peek(1); err == nil && first[0] == binwire.Magic {
+		s.serveBinary(r)
+	} else if err == nil {
+		s.slots = make([]slot, sessMaxOwed)
+		s.serveText(r)
 	}
+	s.tch.flush()
+	s.mu.Lock()
+	s.eof = true
+	s.wcond.Signal()
+	s.mu.Unlock()
 }
 
-func (bs *binProxySess) writeFrame(status, op uint8, id uint32, payload []byte) {
-	bs.wmu.Lock()
-	bs.out = binwire.AppendResp(bs.out, status, op, id, payload)
-	bs.sentLocked()
-	bs.wmu.Unlock()
+// full reports whether the session must stop reading. Caller holds mu.
+func (s *sess) full() bool {
+	return s.next-s.head >= sessMaxOwed || len(s.out)+s.writing > sessMaxOut
 }
 
-// sentLocked retires one owed response, flushing at the batch boundary.
-// Caller holds wmu.
-func (bs *binProxySess) sentLocked() {
-	if bs.outstanding.Add(-1) <= 0 || len(bs.out) >= proxyFlushHi {
-		if _, err := bs.conn.Write(bs.out); err != nil {
-			bs.conn.Close() // the session's read loop sees the close
+// claim takes the next place in the reply order for a request naming tenant
+// (nil for none). It is where a session stops reading: while it is full, it
+// flushes the pooled frames it has touched and waits for its replies to
+// come in and go out. A front claims at most once per request it reads,
+// and reads no further once quit is set.
+func (s *sess) claim(tenant []byte) uint64 {
+	s.mu.Lock()
+	if s.full() {
+		s.mu.Unlock()
+		s.tch.flush()
+		s.mu.Lock()
+		for s.full() && !s.dead {
+			s.rcond.Wait()
 		}
-		bs.out = keep(bs.out)
+	}
+	s.quit = s.dead
+	seq := s.next
+	s.next++
+	if s.slots != nil {
+		sl := &s.slots[seq%sessMaxOwed]
+		sl.tenant = append(sl.tenant[:0], tenant...)
+	}
+	s.mu.Unlock()
+	return seq
+}
+
+// barrier flushes the pooled frames the session has touched and waits
+// until every reply it has claimed is rendered.
+func (s *sess) barrier() {
+	s.tch.flush()
+	s.mu.Lock()
+	for s.head != s.next && !s.dead {
+		s.rcond.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// deliver renders one reply (a backend's, a synthesized failure or a local
+// answer) into the session: at the head of the order, always on the binary
+// front, into out with every reply that waited on it, else into its slot.
+// A split batch is rendered by the deliverer of its last answer. At the
+// batch boundary, once no reply is owed, or past proxyFlushHi, out is
+// pushed. Called from pool readers and the session's reader.
+func (s *sess) deliver(pd pend, status uint8, payload []byte) {
+	if m := pd.m; m != nil {
+		if !m.absorb(pd.sub, status, payload) {
+			return
+		}
+		s.p.record(m.t0)
+		pd.seq = m.seq
+	}
+	s.mu.Lock()
+	switch {
+	case s.dead:
+		if pd.m != nil {
+			pd.m.recycle()
+		}
+	case s.slots == nil || pd.seq == s.head:
+		s.out = s.render(s.out, pd, status, payload)
+		for s.head++; s.slots != nil && s.slots[s.head%sessMaxOwed].done; s.head++ {
+			sl := &s.slots[s.head%sessMaxOwed]
+			s.out = append(s.out, sl.buf...)
+			if sl.buf, sl.done = sl.buf[:0], false; cap(sl.buf) > slotKeepBuf {
+				sl.buf = nil
+			}
+		}
+		if s.head == s.next || len(s.out) >= proxyFlushHi {
+			s.push()
+		}
+		s.rcond.Signal()
+	default:
+		sl := &s.slots[pd.seq%sessMaxOwed]
+		sl.buf, sl.done = s.render(sl.buf[:0], pd, status, payload), true
+	}
+	s.mu.Unlock()
+}
+
+// render appends reply pd in the session's codec: the text reply to its
+// command (the finished merge, the node's STATS with the proxy's counters,
+// or AppendTextResp), or the binary response frame with the client's id.
+// Caller holds mu.
+func (s *sess) render(dst []byte, pd pend, status uint8, payload []byte) []byte {
+	if s.slots == nil {
+		if pd.m != nil {
+			return pd.m.render(dst, false, nil)
+		}
+		return binwire.AppendResp(dst, status, pd.op, pd.id, payload)
+	}
+	tenant := s.slots[pd.seq%sessMaxOwed].tenant
+	switch {
+	case pd.m != nil:
+		return pd.m.render(dst, true, tenant)
+	case pd.op == opStats && status == binwire.StOK:
+		return s.p.appendStats(dst, payload)
+	}
+	return binwire.AppendTextResp(dst, pd.op, status, payload, tenant)
+}
+
+// answer claims a place for a reply the session gives itself and renders it.
+func (s *sess) answer(op, status uint8, payload []byte) {
+	s.deliver(pend{op: op, seq: s.claim(nil)}, status, payload)
+}
+
+// Write sends b, the binary preamble's acknowledgement, as a reply.
+func (s *sess) Write(b []byte) (int, error) {
+	s.mu.Lock()
+	s.out = append(s.out, b...)
+	s.push()
+	s.mu.Unlock()
+	return len(b), nil
+}
+
+// push writes out as far as the socket takes it without blocking, unless
+// the writer is writing, and wakes the writer for the rest, or to end the
+// session once the reader is done. Caller holds mu.
+func (s *sess) push() {
+	if s.writing == 0 && s.raw != nil && !s.dead {
+		s.raw.Write(s.rawFn)
+	}
+	if len(s.out) > 0 || s.eof {
+		s.wcond.Signal()
 	}
 }
 
-// serveBinary runs the binary front: negotiate with the client, then
-// validate each request frame with the node's own framing rule
-// (binwire.Req.Parse), rewrite its id, and pipeline it through the shared
-// pool. A frame the rule refuses closes this client's session, as a node
-// closes a connection; forwarded, it would make the node close the pooled
-// connection that every other client's requests ride on.
-func (p *Proxy) serveBinary(conn net.Conn, r *bufio.Reader, tch *touched) {
-	if _, ok, _ := binwire.Accept(r, conn); !ok {
+func (s *sess) writeNow(fd uintptr) bool {
+	s.out = s.out[:copy(s.out, s.out[writeNow(fd, s.out):])]
+	return true
+}
+
+// writeLoop writes what push left, waiting on the client as long as it
+// takes; deliveries go on into a fresh out meanwhile. Once the reader is
+// done and nothing is owed, or a write has failed, it closes the connection.
+func (s *sess) writeLoop() {
+	defer s.p.wg.Done()
+	s.mu.Lock()
+	for !s.dead {
+		if len(s.out) == 0 {
+			if s.eof && s.head == s.next {
+				break
+			}
+			s.wcond.Wait()
+			continue
+		}
+		w := s.out
+		s.out, s.writing = nil, len(w)
+		s.mu.Unlock()
+		_, err := s.conn.Write(w)
+		s.mu.Lock()
+		if s.writing, s.dead = 0, err != nil; s.out == nil {
+			s.out = keep(w)
+		}
+		s.rcond.Signal()
+	}
+	s.dead = true
+	s.rcond.Signal()
+	s.mu.Unlock()
+	s.conn.Close() // a reader still reading sees the close
+	s.p.mu.Lock()
+	delete(s.p.conns, s.conn)
+	s.p.mu.Unlock()
+}
+
+// route submits one frame through the pool to ring member owner, answering
+// with a synthesized ERR when the backend cannot be dialed (the next batch
+// that routes there redials) or owner is -1, a CLUSTER verb.
+func (s *sess) route(pd pend, owner int32, frame []byte) {
+	if owner < 0 {
+		s.deliver(pd, binwire.StErr, errClusterVerb)
 		return
 	}
-	bs := &binProxySess{p: p, conn: conn}
+	pc, err := s.p.pool.get(owner)
+	if err != nil {
+		s.deliver(pd, binwire.StErr, []byte("proxy: backend "+s.p.pool.members[owner]+" unavailable"))
+		return
+	}
+	pd.s = s
+	pc.submit(pd, frame)
+	s.tch.add(pc)
+}
 
-	hdr := make([]byte, 4)
-	var frame []byte
-	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
-			return
+// submit routes data request q, encoded in frame: a batch (BMGET or text
+// MGET) splits into per-owner BMGET sub-frames (merge.go), TENANT_ADD and
+// TENANT_DEL go to the name's owner, and a key to its owner.
+func (s *sess) submit(pd pend, q *binwire.Req, frame []byte) {
+	p := s.p
+	switch q.Op {
+	case binwire.OpBMGet:
+		s.sc.begin(len(p.pool.members), pd.id, pd.seq, pd.t0)
+		for _, k := range q.Keys {
+			s.sc.add(p.ownerOf(q.Tenant, k), q.Tenant, k)
 		}
-		n := int(le.Uint32(hdr))
-		if !binwire.ReqLen(n) {
-			return
-		}
-		if cap(frame) < 4+n {
-			frame = make([]byte, 4+n)
-		}
-		frame = frame[:4+n]
-		copy(frame, hdr)
-		if _, err := io.ReadFull(r, frame[4:]); err != nil {
-			return
-		}
-		q := &bs.req
-		if !q.Parse(frame[4:]) {
-			return
-		}
-		pd := pend{s: bs, id: q.ID, op: q.Op, t0: p.now()}
+		s.send()
+	case binwire.OpTenantAdd, binwire.OpTenantDel:
+		s.route(pd, p.ownerOf(q.Tenant, nil), frame)
+	default:
+		s.route(pd, p.ownerOf(q.Tenant, q.Key), frame)
+	}
+}
 
-		bs.outstanding.Add(1)
-		switch {
-		case q.Op == binwire.OpPing:
-			// Answered locally: PING probes the proxy's own liveness.
-			bs.writeFrame(binwire.StOK, q.Op, q.ID, nil)
-		case binwire.PeerOp(q.Op):
-			// The peers' replication and re-homing frames never pass through
-			// the proxy, whatever preamble the client sent.
-			bs.writeFrame(binwire.StErr, q.Op, q.ID, []byte(binwire.PeerOpRefused))
-		case q.Err != "":
-			// A frame the node would refuse is answered here with the node's
-			// bytes, in the node's order; a split batch would otherwise slip
-			// past the node's whole-frame limits (and an empty batch has no
-			// owner to route to).
-			bs.writeFrame(binwire.StErr, q.Op, q.ID, []byte(q.Err))
+// serveText runs the text front. Each line and the value block it declares
+// are read whole and decoded by binwire.Req.DecodeText, the node's parser:
+// a decode error is answered here with the node's ERR line, a data command
+// goes to submit and a control line to control. A PUT whose block is over
+// the cap or cut short gets the node's ERR and ends the session, as it ends
+// a node's connection. Lines alias r's buffer, or s.buf after a block.
+func (s *sess) serveText(r *bufio.Reader) {
+	q := &s.req
+	for !s.quit {
+		line, err := textwire.ReadLine(r, textwire.MaxLine)
+		if err != nil {
+			return
+		}
+		var block []byte
+		if n := q.SplitText(line); n > binwire.MaxValue {
+			s.answer(binwire.OpText, binwire.StErr, []byte(binwire.ErrValueLen(n).Error()))
+			return
+		} else if n > 0 {
+			if line, block, s.buf, err = textwire.ReadBlock(r, line, n, s.buf); err != nil {
+				s.answer(binwire.OpText, binwire.StErr, []byte("short value"))
+				return
+			}
+			s.buf = keep(s.buf)
+		}
+		switch msg := q.DecodeText(line, block); {
+		case msg != "":
+			s.answer(0, binwire.StErr, []byte(msg))
+		case q.Op == 0: // a blank line has no reply
 		case q.Op == binwire.OpText:
-			// A TEXT frame relays a control line. A data command in one is
-			// refused: the text decoder parses it, but data is routed by key
-			// only in data frames. A line it refuses goes on for the node's
-			// own ERR line.
-			if t := &bs.text; t.DecodeText(q.Key, q.Val) == "" && t.Op != 0 && t.Op != binwire.OpText {
-				bs.writeFrame(binwire.StErr, q.Op, q.ID, errTextData)
-			} else {
-				p.route(tch, pd, p.textOwner(t.Keys), frame)
+			if !s.control(q) {
+				return
 			}
 		default:
-			p.submit(tch, &bs.sc, pd, q, frame)
+			if q.Op != binwire.OpBMGet { // a batch is split into sub-frames instead
+				s.scratch = binwire.AppendReq(s.scratch[:0], q.Op, q.Flags, 0, q.TTLms, q.Tenant, q.Key, q.Val)
+			}
+			s.submit(pend{op: q.Op, seq: s.claim(q.Tenant), t0: s.p.now()}, q, s.scratch)
+			s.scratch = keep(s.scratch)
 		}
 		if r.Buffered() == 0 {
-			tch.flush() // the batch boundary (see sessReader)
+			s.tch.flush() // the batch boundary (see sessReader)
+		}
+	}
+}
+
+var (
+	errClusterVerb = []byte("CLUSTER must be issued to a node, not the proxy")
+	errTextData    = []byte("a data command rides its own frame, not TEXT, through the proxy")
+	bye            = []byte("BYE\r\n")
+)
+
+// control answers PING here and ends the session on QUIT. Any other
+// control line goes to textOwner's node as one TEXT frame, after the
+// replies ahead of it and answered before the next line is read, so a
+// pipelined TENANT ADD lands cluster-wide before the commands behind it.
+// It reports whether the session goes on.
+func (s *sess) control(q *binwire.Req) bool {
+	op := uint8(binwire.OpText)
+	switch verb := q.Keys[0]; {
+	case textwire.CmdEq(verb, "PING"):
+		s.answer(binwire.OpPing, binwire.StOK, nil)
+		return true
+	case textwire.CmdEq(verb, "QUIT"):
+		s.answer(binwire.OpText, binwire.StOK, bye)
+		return false
+	case textwire.CmdEq(verb, "STATS"):
+		op = opStats
+	}
+	s.barrier()
+	s.scratch = binwire.AppendText(s.scratch[:0], 0, q.Key, q.Val)
+	s.route(pend{op: op, seq: s.claim(nil), t0: s.p.now()}, s.p.textOwner(q.Keys), s.scratch)
+	s.scratch = keep(s.scratch)
+	s.barrier()
+	return true
+}
+
+// serveBinary runs the binary front: negotiate, then check each frame with
+// the node's framing rule (binwire.Req.Parse) and pipeline it through the
+// pool. A frame the rule refuses ends the session, as a node closes a
+// connection; forwarded, it would close the pooled connection every other
+// client rides on.
+func (s *sess) serveBinary(r *bufio.Reader) {
+	if _, ok, _ := binwire.Accept(r, s); !ok {
+		return
+	}
+	var frame []byte
+	for q := &s.req; !s.quit; {
+		hdr, err := r.Peek(4)
+		if err != nil || !binwire.ReqLen(int(le.Uint32(hdr))) {
+			return
+		}
+		n := 4 + int(le.Uint32(hdr))
+		frame = slices.Grow(frame[:0], n)[:n]
+		if _, err := io.ReadFull(r, frame); err != nil || !q.Parse(frame[4:]) {
+			return
+		}
+		pd := pend{id: q.ID, op: q.Op, seq: s.claim(nil), t0: s.p.now()}
+		switch {
+		case q.Op == binwire.OpPing: // the proxy's own liveness
+			s.deliver(pd, binwire.StOK, nil)
+		case binwire.PeerOp(q.Op): // peer frames never pass the proxy
+			s.deliver(pd, binwire.StErr, []byte(binwire.PeerOpRefused))
+		case q.Err != "":
+			// The node's refusal, in the node's order: split, a batch would
+			// slip past the node's whole-frame limits.
+			s.deliver(pd, binwire.StErr, []byte(q.Err))
+		case q.Op == binwire.OpText:
+			// A TEXT frame relays a control line; data is routed by key only
+			// in data frames. A line the decoder refuses gets the node's ERR.
+			if t := &s.text; t.DecodeText(q.Key, q.Val) == "" && t.Op != 0 && t.Op != binwire.OpText {
+				s.deliver(pd, binwire.StErr, errTextData)
+			} else {
+				s.route(pd, s.p.textOwner(t.Keys), frame)
+			}
+		default:
+			s.submit(pd, q, frame)
+		}
+		if r.Buffered() == 0 {
+			s.tch.flush() // the batch boundary (see sessReader)
 		}
 	}
 }

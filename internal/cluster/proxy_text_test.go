@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -303,5 +304,27 @@ func TestProxyReplyNotWithheld(t *testing.T) {
 	resp, err := binwire.ReadResp(rb.c, new([]byte))
 	if err != nil || resp.Status != binwire.StMiss || resp.ID != 9 {
 		t.Fatalf("GET frame before 3 bytes of the next: %+v, %v; want a MISS", resp, err)
+	}
+}
+
+// TestProxyHalfCloseAnswered: a client that half-closes right after its
+// last request still gets every reply, then the close, as from a node.
+// The proxy once closed the session at the EOF and dropped the replies in
+// flight.
+func TestProxyHalfCloseAnswered(t *testing.T) {
+	_, p := bootPoolCluster(t, cluster.ProxyConfig{})
+	c, err := net.Dial("tcp", p.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write([]byte("TENANT ADD t\r\nGET t k\r\nGET t j\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	c.(*net.TCPConn).CloseWrite()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := io.ReadAll(c)
+	if err != nil || !strings.HasPrefix(string(got), "OK ") || !strings.HasSuffix(string(got), "\r\nMISS\r\nMISS\r\n") {
+		t.Fatalf("read %q, %v; want the TENANT ADD's OK, two MISSes and the close", got, err)
 	}
 }

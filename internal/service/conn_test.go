@@ -59,9 +59,11 @@ func TestWriteWindowBothCodecs(t *testing.T) {
 			if _, err := conn.Write(req); err != nil {
 				t.Fatal(err)
 			}
+			// The reaped connection's failed write can return after the check
+			// below, so the wait for the next window ends on a reap too.
 			deadline := time.Now().Add(5 * time.Second)
 			for svc.Stats().DeadlineCloses == 0 {
-				for fc.Pending() == 0 {
+				for fc.Pending() == 0 && svc.Stats().DeadlineCloses == 0 {
 					if time.Now().After(deadline) {
 						t.Fatal("no write window armed while the client does not read")
 					}
